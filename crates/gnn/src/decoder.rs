@@ -77,6 +77,25 @@ impl DistMult {
         sr.matmul(&negatives.transpose())
     }
 
+    /// The left operand `src ⊙ rel` of a one-source negative score: scoring
+    /// it against candidate rows where they lie with
+    /// [`marius_tensor::ops::dot_rows`] gives exactly
+    /// [`DistMult::score_negatives`]'s row for that source, without the
+    /// transpose. Relation ids wrap modulo the relation count, matching
+    /// training.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is not `dim` values long.
+    pub fn query_operand(&self, src: &[f32], rel: RelId) -> Vec<f32> {
+        assert_eq!(src.len(), self.dim, "src/relation dims");
+        let rel = self
+            .relations
+            .value
+            .row(rel as usize % self.num_relations());
+        src.iter().zip(rel).map(|(s, r)| s * r).collect()
+    }
+
     /// Backward pass for positive scores: accumulates relation gradients and
     /// returns `(grad_src, grad_dst)` for an upstream `(B, 1)` gradient.
     pub fn backward_positive(
@@ -202,6 +221,7 @@ impl ClassifierHead {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marius_tensor::ops::dot_rows;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -231,6 +251,25 @@ mod tests {
         assert_eq!(s.shape(), (2, 3));
         assert_eq!(s.get(0, 1), 2.0);
         assert_eq!(s.get(1, 2), 3.0);
+    }
+
+    /// The in-place (serving) scoring of one source and the general batched
+    /// product agree bit for bit, zeros in the source included.
+    #[test]
+    fn distmult_query_operand_scores_match_the_batched_product() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let dm = DistMult::new(3, 6, &mut rng);
+        let mut src = uniform_init(&mut rng, 2, 6, 1.0);
+        src.row_mut(0)[2] = 0.0;
+        src.row_mut(0)[4] = -0.0;
+        let negs = uniform_init(&mut rng, 11, 6, 1.0);
+        let batched = dm.score_negatives(&src, &[5, 1], &negs);
+        for (b, rel) in [(0, 5), (1, 1)] {
+            let mut single = vec![f32::NAN; negs.rows()];
+            dot_rows(&dm.query_operand(src.row(b), rel), negs.data(), &mut single);
+            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&single), bits(batched.row(b)), "source {b}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A production read path degrades *predictably* under overload: rather than
 //! queueing without bound (and blowing tail latency for everyone), the server
 //! sheds queries that arrive while the in-flight budget is full, and abandons
-//! queries that outlive their deadline at the next chunk boundary. Both
+//! queries that outlive their deadline at the next block boundary. Both
 //! outcomes are typed rejections ([`crate::ServeError::Overloaded`] /
 //! [`crate::ServeError::DeadlineExceeded`]) the client can act on, and both
 //! count into always-on atomics (visible through [`crate::Server::health`])
@@ -102,7 +102,7 @@ impl Drop for InFlightPermit<'_> {
     }
 }
 
-/// The deadline clock of one query, checked between work chunks so a slow
+/// The deadline clock of one query, checked before every block so a slow
 /// query is abandoned at the next boundary instead of running to completion.
 pub(crate) struct QueryClock {
     start: Instant,

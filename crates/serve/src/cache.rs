@@ -9,12 +9,23 @@
 //! read through on every touch instead. Every outcome records `server.cache.*`
 //! telemetry.
 //!
+//! The cache is asked per *partition*, never per node: the backend's scans and
+//! lookups are partition-major, so one query makes **one fetch per partition
+//! it touches** — `num_partitions + 1` for a full scan — and `hit + miss +
+//! bypass` counts exactly those. A hit hands out the shared block; a bypass
+//! or miss reads the partition's header and value bytes (not its optimizer
+//! state) into a block of its own, which the query drops before fetching the
+//! next one.
+//!
 //! # Verified reads and the quarantine degraded mode
 //!
 //! Every block entering the cache is structurally verified against the
 //! replayed partition assignment
 //! ([`PartitionStore::read_partition_expect`]) and fingerprinted with
-//! [`marius_storage::partition_digest`]. Cache hits re-verify the fingerprint
+//! [`marius_storage::partition_digest`] — a four-lane FNV-style fold over the
+//! block's 32-bit words plus its length, which any single-bit change flips
+//! and which costs a fraction of the scan of the block it guards. Cache hits
+//! re-verify the fingerprint
 //! before handing the block out: a cached copy whose bits no longer match —
 //! memory corruption, a buggy in-place mutation — is **quarantined** (the slot
 //! is dropped and the partition permanently bypasses the cache) and the query
@@ -204,8 +215,9 @@ fn read_values(
     expected_rows: usize,
     dim: usize,
 ) -> Result<Arc<Vec<f32>>> {
-    let (values, _state) = store.read_partition_expect(p, expected_rows, dim)?;
-    Ok(Arc::new(values))
+    store
+        .read_partition_expect(p, expected_rows, dim)
+        .map(Arc::new)
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ pub enum ServeError {
         /// The configured in-flight budget.
         limit: u64,
     },
-    /// The query ran past its deadline and was abandoned between work chunks.
+    /// The query ran past its deadline and was abandoned between blocks.
     DeadlineExceeded {
         /// Time elapsed when the deadline check fired.
         elapsed: Duration,

@@ -29,6 +29,33 @@
 //! actually sees (see [`workload::ZipfWorkload`]), this replays the paper's
 //! out-of-core buffer tradeoffs on the read path.
 //!
+//! # Scan order: partition-major, scored in place
+//!
+//! A full-scan query (top-k over all nodes, k-NN) is the adversarial request
+//! sequence for any cache that holds less than the table, so what bounds its
+//! cost is the *access order*, not the admission policy. Like the training
+//! side's partition orderings, the scan is partition-major: the backend hands
+//! out one block per partition (in memory: one slab of at most 1 024 rows of
+//! the flat table) together with the block's row → node id map, and **each
+//! partition crosses the cache boundary exactly once per query** — a scan
+//! costs `num_partitions + 1` cache fetches (the `+ 1` is the query node's
+//! own row), of which only the non-admitted partitions reach the store, and
+//! those transfer their header and value bytes only. Rows are scored where
+//! they lie (`marius_tensor::ops::dot_rows` against `src ⊙ rel`, bit for bit
+//! the row `DistMult::score_negatives` computes for one source; no gather,
+//! no transpose), survivors are kept in a `k`-bounded heap under the ranking
+//! order below, and only survivors are mapped back to node ids. Explicit
+//! candidate lists ([`Server::top_k_among`]) and pairwise batches
+//! ([`Server::score_pairs`], both sides together) are bucketed by partition
+//! first, so they too fetch each distinct partition once per query. At most
+//! one read-through block is alive per query thread.
+//!
+//! The **in-memory** full scan walks the same blocks but, for now, still
+//! scores each slab the way it always did — copied into a tensor, scored by
+//! the tensor-level kernels, merged by a full sort (`Snapshot::scan_copied`).
+//! Its answers are identical; moving it onto the in-place kernel is a
+//! separate, separately measured change (see ROADMAP).
+//!
 //! # Degradation modes & reload semantics
 //!
 //! The server honors the same robustness contract the trainer does: faults
@@ -46,7 +73,8 @@
 //!   to a fault-free run's.
 //! * **Corrupted cached copies** enter the *quarantine* degraded mode: every
 //!   block entering the read cache is fingerprinted
-//!   (`marius_storage::partition_digest`) and re-verified on each hit. A
+//!   (`marius_storage::partition_digest`, a four-lane word-wise fold that any
+//!   single-bit change flips) and re-verified on each hit. A
 //!   mismatch quarantines the partition — it permanently bypasses the cache
 //!   (`server.cache.quarantine`, [`Server::health`]) — and the query
 //!   transparently re-reads verified bytes from disk.
@@ -56,8 +84,9 @@
 //! * **Overload** is handled by admission control: a bounded in-flight budget
 //!   ([`ServeConfig::with_max_in_flight`]) sheds excess queries with
 //!   [`ServeError::Overloaded`] (`server.shed`), and per-query deadlines
-//!   ([`ServeConfig::with_deadline`]) abandon stragglers between work chunks
-//!   with [`ServeError::DeadlineExceeded`] (`server.deadline_exceeded`).
+//!   ([`ServeConfig::with_deadline`]) abandon stragglers between blocks — the
+//!   clock is checked before every partition fetch or table slab — with
+//!   [`ServeError::DeadlineExceeded`] (`server.deadline_exceeded`).
 //!
 //! **Hot reload**: [`Server::reload`] atomically swaps in the newest
 //! `epoch-NNNNNN/` version behind an epoch-versioned handle. Every query pins
@@ -80,7 +109,7 @@
 //!   latency profile.
 //! * **Deterministic ranking** — top-k and k-NN order by score descending
 //!   with ties broken by ascending node id (under IEEE total order), so
-//!   result *sets and orders* are stable across runs, chunk sizes and
+//!   result *sets and orders* are stable across runs, block visit orders and
 //!   backends.
 //! * **Relocatability** — every path the loader touches is derived from the
 //!   checkpoint root it was handed, so a copied checkpoint directory serves
@@ -106,6 +135,8 @@ mod backend;
 mod cache;
 pub mod error;
 mod reload;
+#[cfg(test)]
+mod scan_tests;
 pub mod workload;
 
 pub use error::{ServeError, ServeResult};
@@ -113,6 +144,7 @@ pub use reload::CheckpointWatcher;
 pub use workload::ZipfWorkload;
 
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
@@ -128,6 +160,7 @@ use marius_storage::{
     FaultInjector, IoFaultPlan, PartitionStore, Result, RetryPolicy, StorageError,
 };
 use marius_telemetry::{Counter, Histogram, Telemetry, NO_LABEL};
+use marius_tensor::ops::dot_rows;
 use marius_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -136,9 +169,6 @@ use admission::{Admission, QueryClock};
 use backend::Backend;
 use cache::ReadCache;
 use reload::SnapshotHandle;
-
-/// Candidate nodes scored per decoder-kernel call when scanning the graph.
-const SCORE_CHUNK: usize = 1024;
 
 /// Salt mixed into the training seed for the cache-admission plan RNG, so the
 /// plan replay cannot collide with any training-side RNG stream.
@@ -228,7 +258,7 @@ impl ServeConfig {
     }
 
     /// Sets a per-query deadline: a query that outlives it is abandoned at
-    /// the next work-chunk boundary with [`ServeError::DeadlineExceeded`].
+    /// the next block boundary with [`ServeError::DeadlineExceeded`].
     /// No deadline by default.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
@@ -256,20 +286,89 @@ pub struct Prediction {
 }
 
 /// Deterministic ranking: score descending (IEEE total order), then node id
-/// ascending. The tie-break makes top-k/k-NN results independent of chunking
-/// and thread count even when distinct nodes score exactly equal.
+/// ascending. The tie-break makes top-k/k-NN results independent of the order
+/// blocks are visited in and of thread count even when distinct nodes score
+/// exactly equal.
 fn rank_order(a: &Prediction, b: &Prediction) -> Ordering {
     b.score
         .total_cmp(&a.score)
         .then_with(|| a.node.cmp(&b.node))
 }
 
-/// Merges `fresh` candidates into the running `best` list, keeping the `k`
-/// highest under [`rank_order`].
-fn merge_top_k(best: &mut Vec<Prediction>, fresh: impl IntoIterator<Item = Prediction>, k: usize) {
-    best.extend(fresh);
-    best.sort_unstable_by(rank_order);
-    best.truncate(k);
+/// A [`Prediction`] ordered by [`rank_order`], so a max-heap keeps the
+/// *worst*-ranked survivor on top.
+struct Ranked(Prediction);
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        rank_order(&self.0, &other.0)
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
+/// The `k` best candidates seen so far under [`rank_order`]: a bounded heap
+/// whose top is the current cut-off, so a scan pays one score comparison per
+/// row and `O(log k)` only for the rows that survive it. Because
+/// [`rank_order`] is a total order, the survivors are the same set whatever
+/// order the rows arrive in.
+struct TopK {
+    k: usize,
+    heap: BinaryHeap<Ranked>,
+}
+
+impl TopK {
+    /// Keeps the best `k` of at most `candidates` offers.
+    fn new(k: usize, candidates: usize) -> Self {
+        let k = k.min(candidates);
+        TopK {
+            k,
+            heap: BinaryHeap::with_capacity(k),
+        }
+    }
+
+    /// Whether a candidate with this score is beaten by all `k` survivors
+    /// whatever its node id — the scan's cheap reject, before the row → node
+    /// id lookup.
+    fn rejects(&self, score: f32) -> bool {
+        self.heap.len() == self.k
+            && self
+                .heap
+                .peek()
+                .is_none_or(|worst| score.total_cmp(&worst.0.score) == Ordering::Less)
+    }
+
+    fn offer(&mut self, candidate: Prediction) {
+        let candidate = Ranked(candidate);
+        if self.heap.len() < self.k {
+            self.heap.push(candidate);
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if candidate < *worst {
+                *worst = candidate;
+            }
+        }
+    }
+
+    /// The survivors, best first.
+    fn into_ranked(self) -> Vec<Prediction> {
+        self.heap
+            .into_sorted_vec()
+            .into_iter()
+            .map(|ranked| ranked.0)
+            .collect()
+    }
 }
 
 /// A point-in-time readiness/liveness snapshot of one [`Server`], from
@@ -340,17 +439,30 @@ impl Snapshot {
         if triples.is_empty() {
             return Ok(Vec::new());
         }
-        clock.check()?;
-        let srcs: Vec<NodeId> = triples.iter().map(|&(s, _, _)| s).collect();
+        // Sources then destinations in one lookup: a partition holding rows
+        // of both sides is fetched once, not once per side.
+        let n = triples.len();
+        let nodes: Vec<NodeId> = triples
+            .iter()
+            .map(|&(s, _, _)| s)
+            .chain(triples.iter().map(|&(_, _, d)| d))
+            .collect();
         let rels: Vec<RelId> = triples.iter().map(|&(_, r, _)| r).collect();
-        let dsts: Vec<NodeId> = triples.iter().map(|&(_, _, d)| d).collect();
-        let src_t = self.gather(&srcs)?;
-        clock.check()?;
-        let dst_t = self.gather(&dsts)?;
+        let mut src_t = Tensor::zeros(n, self.dim);
+        let mut dst_t = Tensor::zeros(n, self.dim);
+        self.backend.for_each_row(&nodes, clock, |i, row| {
+            let side = if i < n { &mut src_t } else { &mut dst_t };
+            side.row_mut(i % n).copy_from_slice(row);
+        })?;
         let scores = self.decoder.score_positive(&src_t, &rels, &dst_t);
-        Ok((0..triples.len()).map(|i| scores.get(i, 0)).collect())
+        Ok((0..n).map(|i| scores.get(i, 0)).collect())
     }
 
+    /// Top-k tail prediction over every node (`candidates` = `None`) or an
+    /// explicit list. Either way each row is scored where it lies against
+    /// `src ⊙ rel`, each partition is fetched once, and only survivors of the
+    /// running cut-off are mapped back to node ids — except the in-memory
+    /// full scan, which is still [`Snapshot::scan_copied`].
     fn top_k(
         &self,
         src: NodeId,
@@ -362,82 +474,111 @@ impl Snapshot {
         if k == 0 {
             return Ok(Vec::new());
         }
-        let src_t = self.gather(&[src])?;
-        let mut best: Vec<Prediction> = Vec::with_capacity(k + SCORE_CHUNK);
-        self.for_each_candidate_chunk(candidates, clock, |chunk, snap| {
-            let negs = snap.gather(chunk)?;
-            let scores = snap.decoder.score_negatives(&src_t, &[rel], &negs);
-            merge_top_k(
-                &mut best,
-                chunk.iter().enumerate().map(|(i, &node)| Prediction {
-                    node,
-                    score: scores.get(0, i),
-                }),
-                k,
-            );
-            Ok(())
-        })?;
-        Ok(best)
+        let src_row = self.row(src, clock)?;
+        if candidates.is_none() && self.backend.cache().is_none() {
+            let src_t = Tensor::from_vec(src_row, 1, self.dim);
+            return self.scan_copied(k, None, clock, |slab| {
+                self.decoder.score_negatives(&src_t, &[rel], slab)
+            });
+        }
+        let query = self.decoder.query_operand(&src_row, rel);
+        match candidates {
+            None => self.scan(&query, k, None, clock),
+            Some(list) => {
+                let mut best = TopK::new(k, list.len());
+                self.backend.for_each_row(list, clock, |i, row| {
+                    let mut score = [0.0f32];
+                    dot_rows(&query, row, &mut score);
+                    best.offer(Prediction {
+                        node: list[i],
+                        score: score[0],
+                    });
+                })?;
+                Ok(best.into_ranked())
+            }
+        }
     }
 
     fn knn(&self, node: NodeId, k: usize, clock: &QueryClock) -> ServeResult<Vec<Prediction>> {
         if k == 0 {
             return Ok(Vec::new());
         }
-        let query = self.gather(&[node])?.transpose(); // (dim, 1)
-        let mut best: Vec<Prediction> = Vec::with_capacity(k + SCORE_CHUNK);
-        self.for_each_candidate_chunk(None, clock, |chunk, snap| {
-            let rows = snap.gather(chunk)?;
-            let sims = rows.matmul(&query); // (chunk, 1)
-            merge_top_k(
-                &mut best,
-                chunk
+        let row = self.row(node, clock)?;
+        if self.backend.cache().is_none() {
+            let query = Tensor::from_vec(row, self.dim, 1);
+            return self.scan_copied(k, Some(node), clock, |slab| slab.matmul(&query));
+        }
+        self.scan(&row, k, Some(node), clock)
+    }
+
+    /// The full scan of the **in-memory** table, with the arithmetic it had
+    /// before the partition-major scan: each slab is copied into a tensor,
+    /// scored through the tensor-level kernels (`score` returns one score per
+    /// slab row) and merged by a full sort. Same answers as [`Snapshot::scan`],
+    /// bit for bit; kept only until the in-memory backend moves onto the
+    /// in-place scan under an issue of its own (see ROADMAP).
+    fn scan_copied(
+        &self,
+        k: usize,
+        exclude: Option<NodeId>,
+        clock: &QueryClock,
+        score: impl Fn(&Tensor) -> Tensor,
+    ) -> ServeResult<Vec<Prediction>> {
+        let mut best: Vec<Prediction> = Vec::new();
+        self.backend.for_each_block(clock, |ids, rows| {
+            let slab = Tensor::from_vec(rows.to_vec(), rows.len() / self.dim.max(1), self.dim);
+            let scores = score(&slab);
+            best.extend(
+                scores
+                    .data()
                     .iter()
                     .enumerate()
-                    .filter(|&(_, &cand)| cand != node)
-                    .map(|(i, &cand)| Prediction {
-                        node: cand,
-                        score: sims.get(i, 0),
-                    }),
-                k,
+                    .map(|(row, &score)| Prediction {
+                        node: ids.node(row),
+                        score,
+                    })
+                    .filter(|p| Some(p.node) != exclude),
             );
-            Ok(())
+            best.sort_unstable_by(rank_order);
+            best.truncate(k);
         })?;
         Ok(best)
     }
 
-    /// Runs `f` over the candidate set in [`SCORE_CHUNK`]-sized slices —
-    /// either the explicit list or every node id in order — checking the
-    /// deadline clock before each chunk.
-    fn for_each_candidate_chunk(
+    /// The one full scan behind top-k and k-NN: every block's rows are scored
+    /// against `query` in place, and the best `k` other than `exclude` are
+    /// kept under [`rank_order`].
+    fn scan(
         &self,
-        candidates: Option<&[NodeId]>,
+        query: &[f32],
+        k: usize,
+        exclude: Option<NodeId>,
         clock: &QueryClock,
-        mut f: impl FnMut(&[NodeId], &Self) -> ServeResult<()>,
-    ) -> ServeResult<()> {
-        match candidates {
-            Some(list) => {
-                for chunk in list.chunks(SCORE_CHUNK) {
-                    clock.check()?;
-                    f(chunk, self)?;
+    ) -> ServeResult<Vec<Prediction>> {
+        let mut best = TopK::new(k, self.num_nodes as usize);
+        let mut scores: Vec<f32> = Vec::new();
+        self.backend.for_each_block(clock, |ids, rows| {
+            scores.resize(rows.len() / self.dim.max(1), 0.0);
+            dot_rows(query, rows, &mut scores);
+            for (row, &score) in scores.iter().enumerate() {
+                if best.rejects(score) {
+                    continue;
+                }
+                let node = ids.node(row);
+                if Some(node) != exclude {
+                    best.offer(Prediction { node, score });
                 }
             }
-            None => {
-                let mut start = 0u64;
-                while start < self.num_nodes {
-                    clock.check()?;
-                    let end = (start + SCORE_CHUNK as u64).min(self.num_nodes);
-                    let chunk: Vec<NodeId> = (start..end).collect();
-                    f(&chunk, self)?;
-                    start = end;
-                }
-            }
-        }
-        Ok(())
+        })?;
+        Ok(best.into_ranked())
     }
 
-    fn gather(&self, nodes: &[NodeId]) -> Result<Tensor> {
-        self.backend.gather(nodes, self.num_nodes, self.dim)
+    /// One node's embedding row (one lookup: one cache fetch out of core).
+    fn row(&self, node: NodeId, clock: &QueryClock) -> ServeResult<Vec<f32>> {
+        let mut out = Vec::with_capacity(self.dim);
+        self.backend
+            .for_each_row(&[node], clock, |_, row| out.extend_from_slice(row))?;
+        Ok(out)
     }
 }
 
@@ -499,7 +640,7 @@ impl LoadSpec {
                     let flat =
                         ckpt.state
                             .require_f32("source.table.values", num_nodes as usize, dim)?;
-                    Backend::in_memory(flat)
+                    Backend::in_memory(flat, dim)
                 }
                 ServeMode::ReadCache { .. } => {
                     return Err(StorageError::checkpoint(
@@ -533,7 +674,7 @@ impl LoadSpec {
                 match self.mode {
                     ServeMode::InMemory => {
                         let flat = read_all_embeddings(&store, &assignment, dim)?;
-                        Backend::in_memory(flat)
+                        Backend::in_memory(flat, dim)
                     }
                     ServeMode::ReadCache { budget_bytes } => {
                         let heat = heat_order(
@@ -543,7 +684,7 @@ impl LoadSpec {
                         let rows: Vec<usize> = assignment.partition_sizes();
                         let cache =
                             ReadCache::new(&heat, &rows, dim, budget_bytes, &self.telemetry);
-                        Backend::out_of_core(store, assignment, cache)
+                        Backend::out_of_core(store, assignment, cache, dim)
                     }
                 }
             }
@@ -1004,20 +1145,42 @@ mod tests {
     }
 
     #[test]
-    fn merge_top_k_is_chunking_invariant() {
+    fn top_k_selection_is_arrival_order_invariant() {
         let all: Vec<Prediction> = (0..100)
             .map(|i| Prediction {
                 node: i,
                 score: ((i * 37) % 13) as f32,
             })
             .collect();
-        let mut one_shot = Vec::new();
-        merge_top_k(&mut one_shot, all.iter().copied(), 7);
-        let mut chunked = Vec::new();
-        for chunk in all.chunks(9) {
-            merge_top_k(&mut chunked, chunk.iter().copied(), 7);
+        let mut sorted = all.clone();
+        sorted.sort_by(rank_order);
+        for k in [0usize, 1, 7, 100, 250] {
+            let mut forward = TopK::new(k, all.len());
+            all.iter().for_each(|&p| forward.offer(p));
+            let mut backward = TopK::new(k, all.len());
+            all.iter().rev().for_each(|&p| backward.offer(p));
+            let want = &sorted[..k.min(all.len())];
+            assert_eq!(forward.into_ranked(), want, "k = {k}");
+            assert_eq!(backward.into_ranked(), want, "k = {k}");
         }
-        assert_eq!(one_shot, chunked);
+    }
+
+    #[test]
+    fn top_k_rejects_only_what_cannot_survive() {
+        let mut best = TopK::new(2, 10);
+        assert!(!best.rejects(f32::NEG_INFINITY), "not full yet");
+        for (node, score) in [(4, 1.0), (9, 3.0)] {
+            best.offer(Prediction { node, score });
+        }
+        assert!(best.rejects(0.5));
+        // A tie with the cut-off may still win on node id: not rejected.
+        assert!(!best.rejects(1.0));
+        best.offer(Prediction {
+            node: 2,
+            score: 1.0,
+        });
+        let nodes: Vec<NodeId> = best.into_ranked().iter().map(|p| p.node).collect();
+        assert_eq!(nodes, vec![9, 2]);
     }
 
     #[test]

@@ -65,16 +65,66 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     })
 }
 
-/// FNV-1a digest of a value block's exact bit patterns (little-endian), used
-/// by read-side verification: a reader that remembers the digest of a block it
-/// handed out can later detect an in-memory corruption of its cached copy and
-/// fall back to re-reading the file. Stable across runs and platforms.
+/// Fingerprint of a value block's exact bit patterns, used by read-side
+/// verification: a reader that remembers the digest of a block it handed out
+/// can later detect an in-memory corruption of its cached copy and fall back
+/// to re-reading the file. It is recomputed on every cache hit, so it folds
+/// whole 32-bit words into four independent FNV-style lanes (value `i` goes to
+/// lane `i % 4`) instead of walking bytes through one serial multiply chain.
+///
+/// Each lane step `h ← (h ^ word) · PRIME` is a bijection of `h` for a fixed
+/// word and of the word for a fixed `h` (the prime is odd), and the final fold
+/// of the lanes is a bijection of each lane, so **any single-bit change of any
+/// value changes the digest**; the length is folded in last. Deterministic
+/// across runs and platforms, but an in-memory check only — never persisted.
 pub fn partition_digest(values: &[f32]) -> u64 {
-    values.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
-        v.to_le_bytes().iter().fold(h, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut lanes = [OFFSET, OFFSET ^ 1, OFFSET ^ 2, OFFSET ^ 3];
+    let mut fold = |quad: &[f32]| {
+        for (lane, v) in lanes.iter_mut().zip(quad) {
+            *lane = (*lane ^ u64::from(v.to_bits())).wrapping_mul(PRIME);
+        }
+    };
+    let mut quads = values.chunks_exact(4);
+    (&mut quads).for_each(&mut fold);
+    fold(quads.remainder());
+    lanes.iter().fold(values.len() as u64, |h, &lane| {
+        (h ^ lane).wrapping_mul(PRIME)
     })
+}
+
+/// Splits a node-partition file's bytes into its header's value count and
+/// the body behind the header. A file shorter than the header is a typed
+/// error, never a panic.
+fn partition_header(id: PartitionId, bytes: &[u8]) -> Result<(u64, &[u8])> {
+    match bytes.split_first_chunk::<8>() {
+        Some((header, body)) => Ok((u64::from_le_bytes(*header), body)),
+        None => Err(StorageError::NotResident {
+            reason: format!("partition {id} file is truncated"),
+        }),
+    }
+}
+
+/// Splits a partition body into the bytes of its `value_len` values and
+/// whatever follows them (the optimizer state). A header that claims more
+/// values than the body holds is a typed error.
+fn split_values(id: PartitionId, body: &[u8], value_len: u64) -> Result<(&[u8], &[u8])> {
+    usize::try_from(value_len)
+        .ok()
+        .and_then(|n| n.checked_mul(4))
+        .and_then(|bytes| body.split_at_checked(bytes))
+        .ok_or_else(|| StorageError::NotResident {
+            reason: format!("partition {id} file is shorter than its header claims"),
+        })
+}
+
+/// Decodes little-endian `f32`s; trailing bytes short of a word are ignored.
+fn decode_f32s(bytes: &[u8]) -> Vec<f32> {
+    bytes
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .collect()
 }
 
 /// Atomically materialises `src`'s bytes at `dst`: hard-links when the two
@@ -531,34 +581,30 @@ impl PartitionStore {
         })
     }
 
-    /// Reads a node partition and structurally verifies the value block
-    /// against the caller's expectation — the read-side twin of the write
-    /// path's length header. A truncated, swapped, or stale snapshot file
-    /// surfaces as a typed [`StorageError::Checkpoint`] instead of silently
-    /// serving wrong embeddings. Transient faults retry exactly like
-    /// [`PartitionStore::read_partition`]; the verification itself never
-    /// retries (a shape mismatch is permanent).
+    /// Reads a node partition's **value block only** and structurally
+    /// verifies it against the caller's expectation — the read-side twin of
+    /// the write path's length header. Only the header and the value bytes
+    /// are transferred; the optimizer-state half of the file is never read.
+    /// A truncated, swapped, or stale snapshot file surfaces as a typed
+    /// [`StorageError`] instead of silently serving wrong embeddings.
+    /// Transient faults retry exactly like [`PartitionStore::read_partition`];
+    /// a shape mismatch is permanent and never retries.
     pub fn read_partition_expect(
         &self,
         id: PartitionId,
         expected_rows: usize,
         dim: usize,
-    ) -> Result<(Vec<f32>, Vec<f32>)> {
-        let (values, state) = self.read_partition(id)?;
-        if values.len() != expected_rows * dim {
-            return Err(StorageError::checkpoint(format!(
-                "partition {id} holds {} values but the replayed assignment expects \
-                 {expected_rows} rows × {dim}",
-                values.len()
-            )));
-        }
-        Ok((values, state))
+    ) -> Result<Vec<f32>> {
+        let key = format!("partition/{id}");
+        self.retrying(&key, || {
+            self.check_read_fault(&key)?;
+            self.read_values_once(id, expected_rows, dim)
+        })
     }
 
-    /// One read attempt of a node partition (no fault check, no retry).
-    fn read_partition_once(&self, id: PartitionId) -> Result<(Vec<f32>, Vec<f32>)> {
+    fn open_partition(&self, id: PartitionId) -> Result<fs::File> {
         let path = self.partition_path(id);
-        let mut file = fs::File::open(&path).map_err(|e| {
+        fs::File::open(&path).map_err(|e| {
             if e.kind() == std::io::ErrorKind::NotFound {
                 StorageError::NotResident {
                     reason: format!("node partition {id} has no file at {}", path.display()),
@@ -566,29 +612,53 @@ impl PartitionStore {
             } else {
                 StorageError::Io(e)
             }
-        })?;
+        })
+    }
+
+    /// One read attempt of a node partition (no fault check, no retry).
+    fn read_partition_once(&self, id: PartitionId) -> Result<(Vec<f32>, Vec<f32>)> {
         let mut buf = Vec::new();
-        file.read_to_end(&mut buf)?;
+        self.open_partition(id)?.read_to_end(&mut buf)?;
         self.note_read(buf.len() as u64);
         self.throttle_op(buf.len() as u64);
-        if buf.len() < 8 {
-            return Err(StorageError::NotResident {
-                reason: format!("partition {id} file is truncated"),
-            });
+        let (value_len, body) = partition_header(id, &buf)?;
+        let (values, state) = split_values(id, body, value_len)?;
+        Ok((decode_f32s(values), decode_f32s(state)))
+    }
+
+    /// One read attempt of a partition's header and value bytes (no fault
+    /// check, no retry): at most `8 + expected_rows × dim × 4` bytes leave
+    /// the device, whatever the file holds behind them.
+    fn read_values_once(
+        &self,
+        id: PartitionId,
+        expected_rows: usize,
+        dim: usize,
+    ) -> Result<Vec<f32>> {
+        // An expectation whose byte size overflows cannot describe any file.
+        let sized = expected_rows
+            .checked_mul(dim)
+            .and_then(|values| Some((values, values.checked_mul(4)?.checked_add(8)?)));
+        let Some((expected_values, wanted_bytes)) = sized else {
+            return Err(StorageError::checkpoint(format!(
+                "partition {id}: an expectation of {expected_rows} rows × {dim} is not addressable"
+            )));
+        };
+        let mut buf = Vec::with_capacity(wanted_bytes);
+        self.open_partition(id)?
+            .take(wanted_bytes as u64)
+            .read_to_end(&mut buf)?;
+        self.note_read(buf.len() as u64);
+        self.throttle_op(buf.len() as u64);
+        let (value_len, body) = partition_header(id, &buf)?;
+        if value_len != expected_values as u64 {
+            return Err(StorageError::checkpoint(format!(
+                "partition {id} holds {value_len} values but the replayed assignment expects \
+                 {expected_rows} rows × {dim}"
+            )));
         }
-        let value_len = u64::from_le_bytes(buf[..8].try_into().expect("8 bytes")) as usize;
-        let floats: Vec<f32> = buf[8..]
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect();
-        if floats.len() < value_len {
-            return Err(StorageError::NotResident {
-                reason: format!("partition {id} file is shorter than its header claims"),
-            });
-        }
-        let values = floats[..value_len].to_vec();
-        let state = floats[value_len..].to_vec();
-        Ok((values, state))
+        let (values, _) = split_values(id, body, value_len)?;
+        Ok(decode_f32s(values))
     }
 
     /// Writes an edge bucket as fixed-width records.
@@ -755,14 +825,72 @@ mod tests {
     fn read_expect_verifies_the_value_block_shape() {
         let store = temp_store("read-expect");
         store
-            .write_partition(0, &[1.0f32, 2.0, 3.0, 4.0], &[0.0; 4])
+            .write_partition(0, &[1.0f32, 2.0, 3.0, 4.0], &[0.5; 4])
             .unwrap();
-        let (v, s) = store.read_partition_expect(0, 2, 2).unwrap();
-        assert_eq!(v.len(), 4);
-        assert_eq!(s.len(), 4);
-        let err = store.read_partition_expect(0, 5, 2).unwrap_err();
-        assert!(format!("{err}").contains("expects 5 rows"), "{err}");
-        assert!(!err.is_transient());
+        assert_eq!(
+            store.read_partition_expect(0, 2, 2).unwrap(),
+            vec![1.0, 2.0, 3.0, 4.0]
+        );
+        for (rows, dim) in [(5, 2), (1, 2), (usize::MAX, 2)] {
+            let err = store.read_partition_expect(0, rows, dim).unwrap_err();
+            assert!(format!("{err}").contains(&format!("{rows} rows")), "{err}");
+            assert!(matches!(err, StorageError::Checkpoint { .. }), "{err}");
+            assert!(!err.is_transient());
+        }
+    }
+
+    #[test]
+    fn read_expect_never_reads_the_optimizer_state() {
+        let store = temp_store("read-expect-bytes");
+        store.write_partition(0, &[1.0; 64], &[0.0; 64]).unwrap();
+        store.reset_io_stats();
+        store.read_partition_expect(0, 8, 8).unwrap();
+        assert_eq!(store.io_stats().bytes_read, 8 + 64 * 4);
+    }
+
+    /// Every prefix of a valid partition file — including cuts inside the
+    /// header, inside a value word and inside the state block — is either a
+    /// verified value or a typed error from both readers, never a panic.
+    #[test]
+    fn truncated_partition_files_are_typed_errors() {
+        let store = temp_store("truncations");
+        let values: Vec<f32> = (0..6).map(|i| i as f32 - 2.5).collect();
+        store.write_partition(0, &values, &[0.25; 6]).unwrap();
+        let path = store.partition_path(0);
+        let whole = fs::read(&path).unwrap();
+        let values_end = 8 + values.len() * 4;
+        for cut in 0..=whole.len() {
+            fs::write(&path, &whole[..cut]).unwrap();
+            match store.read_partition_expect(0, 3, 2) {
+                Ok(v) => {
+                    assert!(cut >= values_end, "cut {cut} served a short block");
+                    assert_eq!(v, values);
+                }
+                Err(e) => {
+                    assert!(cut < values_end, "cut {cut} refused a whole block: {e}");
+                    assert!(matches!(e, StorageError::NotResident { .. }), "{e}");
+                }
+            }
+            match store.read_partition(0) {
+                Ok((v, s)) => {
+                    assert!(cut >= values_end, "cut {cut} served a short block");
+                    assert_eq!(v, values);
+                    assert_eq!(s.len(), (cut - values_end) / 4);
+                }
+                Err(e) => {
+                    assert!(cut < values_end, "cut {cut} refused a whole block: {e}");
+                    assert!(matches!(e, StorageError::NotResident { .. }), "{e}");
+                }
+            }
+        }
+        // A header that claims more values than any file could hold.
+        let mut lying = whole.clone();
+        lying[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        fs::write(&path, &lying).unwrap();
+        let err = store.read_partition(0).unwrap_err();
+        assert!(matches!(err, StorageError::NotResident { .. }), "{err}");
+        let err = store.read_partition_expect(0, 3, 2).unwrap_err();
+        assert!(matches!(err, StorageError::Checkpoint { .. }), "{err}");
     }
 
     #[test]
@@ -773,6 +901,35 @@ mod tests {
         // 0.0 and -0.0 compare equal but differ in bits: the digest sees it.
         assert_ne!(a, partition_digest(&[1.0f32, -2.5, -0.0]));
         assert_ne!(a, partition_digest(&[1.0f32, -2.5]));
+    }
+
+    /// The digest's contract with the read cache: flipping any one bit of
+    /// any value changes it, and so does extending the block (with zeros,
+    /// the weakest extension, or with a copy of its own prefix).
+    #[test]
+    fn partition_digest_sees_every_bit_flip_and_length_extension() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        for len in [1usize, 3, 4, 5, 8, 37] {
+            let block: Vec<f32> = (0..len).map(|_| f32::from_bits(rng.gen())).collect();
+            let clean = partition_digest(&block);
+            for i in 0..len {
+                for bit in 0..32 {
+                    let mut flipped = block.clone();
+                    flipped[i] = f32::from_bits(flipped[i].to_bits() ^ (1 << bit));
+                    assert_ne!(partition_digest(&flipped), clean, "value {i} bit {bit}");
+                }
+            }
+            for extra in 1..=9 {
+                let mut zeros = block.clone();
+                zeros.resize(len + extra, 0.0);
+                assert_ne!(partition_digest(&zeros), clean, "{extra} zeros appended");
+                let mut echoed = block.clone();
+                echoed.extend(block.iter().cycle().take(extra));
+                assert_ne!(partition_digest(&echoed), clean, "{extra} values appended");
+            }
+        }
+        assert_ne!(partition_digest(&[]), partition_digest(&[0.0]));
     }
 
     #[test]

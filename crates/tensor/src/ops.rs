@@ -268,6 +268,66 @@ impl Tensor {
     }
 }
 
+/// Rows [`dot_rows`] keeps in flight at once: one accumulator per row, so the
+/// dependent add chains of different rows overlap in the pipeline.
+const ROWS_IN_FLIGHT: usize = 4;
+
+/// Scores one vector against many rows where they lie: `out[i] = Σ_k query[k] ·
+/// rows[i][k]` for the row-major `rows` (`out.len()` rows of `query.len()`
+/// values) — the `m = 1` case of `query · rowsᵀ` without the transpose.
+///
+/// Bit-compatible with [`Tensor::matmul`] on that product: every score has its
+/// own accumulator starting at `+0.0`, adds its products in ascending `k`, and
+/// skips the `k` where `query[k] == 0.0` exactly as `matmul` skips zero
+/// left-hand operands. Only independent scores are interleaved
+/// (`ROWS_IN_FLIGHT` = 4 at a time); no sum is reordered.
+///
+/// # Panics
+///
+/// Panics if `rows.len() != out.len() * query.len()`.
+pub fn dot_rows(query: &[f32], rows: &[f32], out: &mut [f32]) {
+    let dim = query.len();
+    assert_eq!(
+        rows.len(),
+        out.len() * dim,
+        "dot_rows: {} values are not {} rows of {dim}",
+        rows.len(),
+        out.len()
+    );
+    if dim == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let mut blocks = rows.chunks_exact(ROWS_IN_FLIGHT * dim);
+    let mut outs = out.chunks_exact_mut(ROWS_IN_FLIGHT);
+    for (block, scores) in (&mut blocks).zip(&mut outs) {
+        let (r0, rest) = block.split_at(dim);
+        let (r1, rest) = rest.split_at(dim);
+        let (r2, r3) = rest.split_at(dim);
+        let mut acc = [0.0f32; ROWS_IN_FLIGHT];
+        for ((((&q, &a), &b), &c), &d) in query.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+            if q == 0.0 {
+                continue;
+            }
+            acc[0] += q * a;
+            acc[1] += q * b;
+            acc[2] += q * c;
+            acc[3] += q * d;
+        }
+        scores.copy_from_slice(&acc);
+    }
+    let tail = blocks.remainder().chunks_exact(dim);
+    for (row, score) in tail.zip(outs.into_remainder()) {
+        let mut acc = 0.0f32;
+        for (&q, &v) in query.iter().zip(row) {
+            if q != 0.0 {
+                acc += q * v;
+            }
+        }
+        *score = acc;
+    }
+}
+
 /// Number of floating point operations needed for a GEMM of the given shape.
 ///
 /// Used by the device cost model and the benchmark harnesses to report arithmetic
@@ -441,6 +501,33 @@ mod tests {
         let sc = a.sum_cols();
         assert_eq!(sc.get(0, 0), 3.0);
         assert_eq!(sc.get(1, 0), 7.0);
+    }
+
+    /// The in-place kernel against the general product it replaces on the
+    /// serve path: identical bits for every row count around the interleave
+    /// width, with zeros, negative zeros and exact cancellations in the query.
+    #[test]
+    fn dot_rows_is_bit_identical_to_matmul_of_the_transpose() {
+        let dim = 7;
+        let query = Tensor::from_rows(&[&[0.5, 0.0, -1.25, -0.0, 3.0, 1.0e-3, -3.0]]);
+        for n in 0..=9 {
+            let rows: Vec<f32> = (0..n * dim)
+                .map(|i| match i % 5 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => (i as f32 * 0.37).sin() * 10.0,
+                })
+                .collect();
+            let table = Tensor::from_vec(rows.clone(), n, dim);
+            let want = query.matmul(&table.transpose());
+            let mut got = vec![f32::NAN; n];
+            dot_rows(query.row(0), &rows, &mut got);
+            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(want.data()), "{n} rows");
+        }
+        let mut none = [1.0f32; 3];
+        dot_rows(&[], &[], &mut none);
+        assert_eq!(none, [0.0; 3]);
     }
 
     #[test]

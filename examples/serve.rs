@@ -105,15 +105,22 @@ fn main() -> marius::Result<()> {
         answered.load(Ordering::Relaxed) as f64 / elapsed
     );
 
-    // 5. The cache counters explain the latency profile, and the health
-    //    snapshot is what a readiness probe would scrape: served epoch,
-    //    in-flight load, and every degradation counter (errors, shed,
-    //    deadline trips, quarantines, reloads).
+    // 5. The cache counters explain the latency profile. Scans are
+    //    partition-major, so every top-k/k-NN query makes exactly one cache
+    //    fetch per partition plus one for its own source row: with 16
+    //    partitions, hit + miss + bypass = 17 per query. `miss` stops at the
+    //    number of admitted partitions (each is read once, then stays
+    //    resident), `bypass` counts the cold partitions read through, and
+    //    `storage.bytes_read` is those partitions' value bytes, once each per
+    //    query. The health snapshot is what a readiness probe would scrape:
+    //    served epoch, in-flight load, and every degradation counter (errors,
+    //    shed, deadline trips, quarantines, reloads).
     let snap = telemetry.metrics_snapshot();
     for key in [
         "server.cache.hit",
         "server.cache.miss",
         "server.cache.bypass",
+        "storage.bytes_read",
     ] {
         println!("  {key:<22} {}", snap.counter(key).unwrap_or(0));
     }
