@@ -14,7 +14,7 @@ use std::time::Duration;
 use marius_bench::{header, seconds, write_bench_json, write_telemetry_artifacts};
 use marius_core::{DiskConfig, ModelConfig, TemporalLinkPredictionTask, TrainConfig, Trainer};
 use marius_graph::datasets::{DatasetSpec, ScaledDataset};
-use marius_storage::PartitionStore;
+use marius_storage::{IoEnv, PartitionStore};
 use marius_stream::{EdgeStream, Ingestor};
 use marius_telemetry::Telemetry;
 
@@ -56,8 +56,12 @@ fn main() {
 
     // The continuous loop: identical trainer plus the armed ingest hook.
     let telemetry = Telemetry::enabled();
+    let env = IoEnv {
+        telemetry: telemetry.clone(),
+        ..IoEnv::default()
+    };
     let mut streamed_trainer: Trainer<TemporalLinkPredictionTask> =
-        Trainer::with_task(TemporalLinkPredictionTask, model, train).with_telemetry(&telemetry);
+        Trainer::with_task(TemporalLinkPredictionTask, model, train).with_io_env(env);
     let stream = EdgeStream::new(11, data.num_nodes(), spec.num_relations, batch_size);
     let staging = PartitionStore::open_temp("bench-stream-staging").expect("staging store");
     staging.clear().expect("clear staging");

@@ -128,7 +128,7 @@ pub fn write_bench_json(name: &str, reports: &[(&str, &marius_core::ExperimentRe
         }
         out.push_str(&format!(
             "{{\"label\":\"{}\",\"report\":{}}}",
-            marius_core::report::json_escape(label),
+            marius_telemetry::json::escape(label),
             report.to_json()
         ));
     }

@@ -38,30 +38,50 @@
 //!
 //! # Manifest schema (`manifest.json`, format version 1)
 //!
+//! A manifest is `RunConfig` + cursor + blobs + epochs: the run's description
+//! (one [`RunConfig`], the same value the trainer, the `marius::Session`
+//! builder and [`Checkpoint`] hold, written and read by its `to_json` /
+//! `from_json` pair), how far the run got, the index into `state.bin`, and
+//! the per-epoch reports (written and read by the field table that declares
+//! [`EpochReport`]):
+//!
 //! ```json
 //! {
 //!   "format": "marius-checkpoint", "version": 1,
+//!   // -- RunConfig ------------------------------------------------------
 //!   "task": "lp",                        // Task::slug of the checkpointed task
-//!   "epochs_completed": 2,               // resume starts at this epoch index
 //!   "every": 1, "eval_every": 1,         // checkpoint cadence + eval cadence
-//!   "rng": ["0x..", "0x..", "0x..", "0x.."],  // trainer RNG cursor (xoshiro256** words)
 //!   "emulated_device": null,             // or the IoCostModel of an emulated-device run
 //!   "model": { .. }, "train": { .. },    // ModelConfig / TrainConfig
 //!   "storage": {"kind": "memory"} | {"kind": "disk", ..DiskConfig..},
 //!   "pipeline": { ..PipelineConfig.. },
+//!   // -- cursor ---------------------------------------------------------
+//!   "epochs_completed": 2,               // resume starts at this epoch index
+//!   "rng": ["0x..", "0x..", "0x..", "0x.."],  // trainer RNG cursor (xoshiro256** words)
 //!   "dataset": { ..DatasetSpec.., "seed": 42 },  // regenerates the dataset bit-for-bit
 //!   "stream": null,                      // or {"seed", "batch_size", "batches_applied",
 //!                                        //     "edges_ingested"} on streaming runs
 //!   "store_snapshot": true,              // whether partitions/ exists
+//!   // -- blobs + epochs -------------------------------------------------
 //!   "blobs": [ {"name", "rows", "cols", "dtype", "offset", "len_bytes", "fnv64"} ],
 //!   "epochs": [ {"epoch", "loss_bits", "metric_bits", ..} ]
 //! }
 //! ```
 //!
+//! (Grouped here by meaning; on disk `epochs_completed` and `rng` keep the
+//! places version 1 gave them, and readers look keys up by name.) A manifest
+//! does **not** hold the run's IO environment ([`marius_storage::IoEnv`]:
+//! fault injector, retry policy, telemetry recorder) — those are attachments
+//! of a process, handed to whoever resumes the run.
+//!
 //! # Versioning rules
 //!
 //! * `version` is bumped on any incompatible change to the manifest schema or
 //!   blob encoding; [`Checkpoint::open`] rejects versions it does not speak.
+//!   Compatible changes stay within a version: per-epoch fields added after
+//!   version 1 shipped read as zero when absent, a missing `stream` means no
+//!   stream, and keys this build no longer has (`pipeline.synchronous_writeback`)
+//!   are ignored.
 //! * Blob *names* are the compatibility surface of a model's state
 //!   (`model.encoder.l0.p0.value`, `source.table.values`, ...); loaders must
 //!   reject missing names or shape mismatches rather than guess.
@@ -84,15 +104,17 @@
 //! cursor — from which point the continuation is indistinguishable from the
 //! uninterrupted run.
 
-use crate::config::{DiskConfig, ModelConfig, PipelineConfig, PolicyKind, TrainConfig};
-use crate::report::{json_escape, EpochReport, ExperimentReport};
+use crate::config::{
+    DiskConfig, ModelConfig, PipelineConfig, PolicyKind, RunConfig, Storage, TrainConfig,
+};
+use crate::report::{EpochReport, ExperimentReport};
 use marius_gnn::EmbeddingTable;
 use marius_graph::datasets::{DatasetSpec, ScaledDataset, Task as DatasetTask};
 use marius_sampling::SamplingDirection;
 use marius_storage::{atomic_write, IoCostModel, PartitionStore, Result, StorageError};
+use marius_telemetry::json::escape;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 pub mod json;
 use json::Json;
@@ -432,15 +454,6 @@ impl Persist for EmbeddingTable {
     }
 }
 
-/// Where a checkpointed run kept its base representations.
-#[derive(Debug, Clone)]
-pub enum StorageKind {
-    /// Everything resident in memory (`M-GNN_Mem`).
-    InMemory,
-    /// Out-of-core over a partition store (`M-GNN_Disk`).
-    Disk(DiskConfig),
-}
-
 /// Durable cursor of a streaming-ingest run: how much of the seeded edge
 /// stream has been applied to the training buckets at this checkpoint.
 ///
@@ -467,27 +480,13 @@ pub struct StreamState {
 /// Everything [`write_versioned`] needs to persist one epoch-boundary
 /// checkpoint. Assembled by `Trainer<T>` at the end of a checkpointed epoch.
 pub struct CheckpointSnapshot<'a> {
-    /// `Task::slug` of the running task (validated on resume).
-    pub task_slug: &'a str,
+    /// The run's description, persisted whole (task slug validated on
+    /// resume; storage as the running executor sees it).
+    pub config: &'a RunConfig,
     /// Number of fully completed epochs (resume starts here).
     pub epochs_completed: usize,
-    /// Checkpoint cadence in epochs.
-    pub every: usize,
-    /// Evaluation cadence in epochs.
-    pub eval_every: usize,
     /// The trainer RNG's cursor at the epoch boundary.
     pub rng_state: [u64; 4],
-    /// The emulated IO device the run trains against, if any — persisted so a
-    /// resumed run continues under the same IO regime.
-    pub emulated_device: Option<&'a IoCostModel>,
-    /// Model architecture.
-    pub model: &'a ModelConfig,
-    /// Batch/epoch configuration.
-    pub train: &'a TrainConfig,
-    /// Storage selection.
-    pub storage: &'a StorageKind,
-    /// Pipelined-runtime configuration.
-    pub pipeline: &'a PipelineConfig,
     /// The dataset the run trains on (spec + generation seed are persisted).
     pub data: &'a ScaledDataset,
     /// Streaming-ingest cursor, when the run ingests from an edge stream.
@@ -628,47 +627,20 @@ fn prune_versions(root: &Path, current: &str) -> Result<()> {
     Ok(())
 }
 
-/// The state a `Trainer<T>` needs to continue a checkpointed run.
-#[derive(Debug, Clone)]
-pub struct ResumeState {
-    /// Epoch index training resumes at (== epochs completed at checkpoint).
-    pub start_epoch: usize,
-    /// The trainer RNG cursor to restore once construction has replayed.
-    pub rng_state: [u64; 4],
-    /// Model / source / trainer blobs.
-    pub state: StateDict,
-    /// Partition snapshot to restore into the fresh store, when the run was
-    /// disk-based with learnable (write-back) representations.
-    pub store_snapshot: Option<PathBuf>,
-    /// Completed epochs' reports, seeded into the resumed run's report.
-    pub prior_epochs: Vec<EpochReport>,
-}
-
-/// A loaded, checksum-verified checkpoint.
+/// A loaded, checksum-verified checkpoint — also what a `Trainer<T>` holds to
+/// continue the run ([`crate::Trainer::with_resume`]): training resumes at
+/// epoch index `epochs_completed` with `state` and `rng_state` overlaid and
+/// `prior_epochs` seeding the report.
 #[derive(Debug)]
 pub struct Checkpoint {
     /// The version directory this checkpoint was loaded from.
     pub dir: PathBuf,
-    /// `Task::slug` of the run that wrote the checkpoint.
-    pub task_slug: String,
+    /// The description of the run that wrote the checkpoint.
+    pub config: RunConfig,
     /// Fully completed epochs.
     pub epochs_completed: usize,
-    /// Checkpoint cadence.
-    pub every: usize,
-    /// Evaluation cadence.
-    pub eval_every: usize,
     /// Trainer RNG cursor.
     pub rng_state: [u64; 4],
-    /// The emulated IO device the run trains against, if any.
-    pub emulated_device: Option<IoCostModel>,
-    /// Model architecture.
-    pub model: ModelConfig,
-    /// Batch/epoch configuration (including the total epoch target).
-    pub train: TrainConfig,
-    /// Storage selection.
-    pub storage: StorageKind,
-    /// Pipelined-runtime configuration.
-    pub pipeline: PipelineConfig,
     /// Dataset specification (regenerates the dataset with `dataset_seed`).
     pub dataset_spec: DatasetSpec,
     /// Dataset generation seed.
@@ -784,21 +756,14 @@ impl Checkpoint {
             .field("epochs")?
             .as_array()?
             .iter()
-            .map(epoch_from_json)
+            .map(EpochReport::from_manifest_json)
             .collect::<Result<_>>()?;
 
         Ok(Checkpoint {
             dir,
-            task_slug: doc.str_field("task")?.to_string(),
+            config: RunConfig::from_json(&doc)?,
             epochs_completed: doc.u64_field("epochs_completed")? as usize,
-            every: doc.u64_field("every")? as usize,
-            eval_every: doc.u64_field("eval_every")? as usize,
             rng_state,
-            emulated_device: emulated_device_from_json(doc.field("emulated_device")?)?,
-            model: model_from_json(doc.field("model")?)?,
-            train: train_from_json(doc.field("train")?)?,
-            storage: storage_from_json(doc.field("storage")?)?,
-            pipeline: pipeline_from_json(doc.field("pipeline")?)?,
             dataset_spec: dataset_from_json(doc.field("dataset")?)?,
             dataset_seed: doc.field("dataset")?.u64_field("seed")?,
             // Manifests written before streaming existed have no "stream"
@@ -813,15 +778,11 @@ impl Checkpoint {
         })
     }
 
-    /// The trainer-facing resume payload.
-    pub fn resume_state(&self) -> ResumeState {
-        ResumeState {
-            start_epoch: self.epochs_completed,
-            rng_state: self.rng_state,
-            state: self.state.clone(),
-            store_snapshot: self.has_store_snapshot.then(|| self.dir.join("partitions")),
-            prior_epochs: self.prior_epochs.clone(),
-        }
+    /// The partition snapshot to restore into a resumed run's fresh store,
+    /// when the run was disk-based with learnable (write-back)
+    /// representations.
+    pub fn store_snapshot(&self) -> Option<PathBuf> {
+        self.has_store_snapshot.then(|| self.dir.join("partitions"))
     }
 }
 
@@ -829,63 +790,95 @@ impl Checkpoint {
 // Manifest rendering.
 // ---------------------------------------------------------------------------
 
+/// Renders `{"key":value,..}` from already-rendered values.
+pub(crate) fn json_object<K: AsRef<str>>(fields: &[(K, String)]) -> String {
+    let fields = fields
+        .iter()
+        .map(|(key, value)| format!("\"{}\":{value}", key.as_ref()));
+    format!("{{{}}}", fields.collect::<Vec<_>>().join(","))
+}
+
+/// Renders `[item,..]` from already-rendered items.
+fn json_array(items: impl Iterator<Item = String>) -> String {
+    format!("[{}]", items.collect::<Vec<_>>().join(","))
+}
+
 fn manifest_json(s: &CheckpointSnapshot<'_>, entries: &[BlobEntry]) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str(&format!(
-        "{{\"format\":\"{FORMAT}\",\"version\":{FORMAT_VERSION},\"task\":\"{}\",\
-         \"epochs_completed\":{},\"every\":{},\"eval_every\":{},",
-        json_escape(s.task_slug),
-        s.epochs_completed,
-        s.every,
-        s.eval_every,
-    ));
-    out.push_str(&format!(
-        "\"rng\":[\"{:#018x}\",\"{:#018x}\",\"{:#018x}\",\"{:#018x}\"],",
-        s.rng_state[0], s.rng_state[1], s.rng_state[2], s.rng_state[3]
-    ));
-    out.push_str(&format!(
-        "\"emulated_device\":{},",
-        emulated_device_to_json(s.emulated_device)
-    ));
-    out.push_str(&format!("\"model\":{},", model_to_json(s.model)));
-    out.push_str(&format!("\"train\":{},", train_to_json(s.train)));
-    out.push_str(&format!("\"storage\":{},", storage_to_json(s.storage)));
-    out.push_str(&format!("\"pipeline\":{},", pipeline_to_json(s.pipeline)));
-    out.push_str(&format!(
-        "\"dataset\":{},",
-        dataset_to_json(&s.data.spec, s.data.seed)
-    ));
-    out.push_str(&format!(
-        "\"stream\":{},",
-        stream_to_json(s.stream.as_ref())
-    ));
-    out.push_str(&format!("\"store_snapshot\":{},", s.store.is_some()));
-    out.push_str("\"blobs\":[");
-    for (i, e) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"rows\":{},\"cols\":{},\"dtype\":\"{}\",\
-             \"offset\":{},\"len_bytes\":{},\"fnv64\":\"{:#018x}\"}}",
-            json_escape(&e.name),
-            e.rows,
-            e.cols,
-            e.dtype.as_str(),
-            e.offset,
-            e.len_bytes,
-            e.fnv64,
-        ));
+    let mut fields = vec![
+        ("format", format!("\"{FORMAT}\"")),
+        ("version", FORMAT_VERSION.to_string()),
+    ];
+    fields.extend(s.config.json_fields());
+    // Format version 1 interleaves the cursor's two scalars with the
+    // description; they keep those places so that re-rendering a parsed
+    // manifest reproduces it byte for byte.
+    fields.insert(3, ("epochs_completed", s.epochs_completed.to_string()));
+    let rng = s.rng_state.iter().map(|w| format!("\"{w:#018x}\""));
+    fields.insert(6, ("rng", json_array(rng)));
+    let epochs = s.report.epochs.iter().map(EpochReport::to_manifest_json);
+    fields.extend([
+        ("dataset", dataset_to_json(&s.data.spec, s.data.seed)),
+        ("stream", stream_to_json(s.stream.as_ref())),
+        ("store_snapshot", s.store.is_some().to_string()),
+        ("blobs", json_array(entries.iter().map(blob_entry_to_json))),
+        ("epochs", json_array(epochs)),
+    ]);
+    json_object(&fields)
+}
+
+impl RunConfig {
+    /// The description's manifest fields, in manifest order.
+    fn json_fields(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("task", format!("\"{}\"", escape(&self.task))),
+            ("every", self.checkpoint_every.to_string()),
+            ("eval_every", self.eval_every.to_string()),
+            (
+                "emulated_device",
+                emulated_device_to_json(self.emulated_device.as_ref()),
+            ),
+            ("model", model_to_json(&self.model)),
+            ("train", train_to_json(&self.train)),
+            ("storage", storage_to_json(&self.storage)),
+            ("pipeline", pipeline_to_json(&self.pipeline)),
+        ]
     }
-    out.push_str("],\"epochs\":[");
-    for (i, e) in s.report.epochs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&epoch_to_json(e));
+
+    /// Renders the description as one JSON object under the manifest's keys
+    /// (`task`, `every`, `eval_every`, `emulated_device`, `model`, `train`,
+    /// `storage`, `pipeline`).
+    pub fn to_json(&self) -> String {
+        json_object(&self.json_fields())
     }
-    out.push_str("]}");
-    out
+
+    /// Reads a description back from any JSON object carrying those keys — a
+    /// whole checkpoint manifest included.
+    pub fn from_json(j: &Json) -> Result<Self> {
+        Ok(RunConfig {
+            task: j.str_field("task")?.to_string(),
+            model: model_from_json(j.field("model")?)?,
+            train: train_from_json(j.field("train")?)?,
+            storage: storage_from_json(j.field("storage")?)?,
+            pipeline: pipeline_from_json(j.field("pipeline")?)?,
+            eval_every: j.u64_field("eval_every")? as usize,
+            checkpoint_every: j.u64_field("every")? as usize,
+            emulated_device: emulated_device_from_json(j.field("emulated_device")?)?,
+        })
+    }
+}
+
+fn blob_entry_to_json(e: &BlobEntry) -> String {
+    format!(
+        "{{\"name\":\"{}\",\"rows\":{},\"cols\":{},\"dtype\":\"{}\",\
+         \"offset\":{},\"len_bytes\":{},\"fnv64\":\"{:#018x}\"}}",
+        escape(&e.name),
+        e.rows,
+        e.cols,
+        e.dtype.as_str(),
+        e.offset,
+        e.len_bytes,
+        e.fnv64,
+    )
 }
 
 fn blob_entry_from_json(j: &Json) -> Result<BlobEntry> {
@@ -900,126 +893,40 @@ fn blob_entry_from_json(j: &Json) -> Result<BlobEntry> {
     })
 }
 
-fn epoch_to_json(e: &EpochReport) -> String {
-    format!(
-        "{{\"epoch\":{},\"loss_bits\":\"{:#018x}\",\"metric_bits\":\"{:#018x}\",\
-         \"overlap_bits\":\"{:#018x}\",\
-         \"epoch_time_ns\":{},\"sample_time_ns\":{},\"compute_time_ns\":{},\
-         \"io_time_ns\":{},\"io_wait_time_ns\":{},\"stall_time_ns\":{},\
-         \"writeback_time_ns\":{},\"io_bytes_read\":{},\"io_bytes_written\":{},\
-         \"partition_loads\":{},\"examples\":{},\"nodes_sampled\":{},\"edges_sampled\":{},\
-         \"io_retries\":{},\"faults_injected\":{},\"recoveries\":{},\
-         \"buffer_hits\":{},\"buffer_misses\":{},\"buffer_evictions\":{},\
-         \"throttle_wait_time_ns\":{},\"edges_ingested\":{}}}",
-        e.epoch,
-        e.loss.to_bits(),
-        e.metric.to_bits(),
-        e.overlap.to_bits(),
-        e.epoch_time.as_nanos(),
-        e.sample_time.as_nanos(),
-        e.compute_time.as_nanos(),
-        e.io_time.as_nanos(),
-        e.io_wait_time.as_nanos(),
-        e.stall_time.as_nanos(),
-        e.writeback_time.as_nanos(),
-        e.io_bytes_read,
-        e.io_bytes_written,
-        e.partition_loads,
-        e.examples,
-        e.nodes_sampled,
-        e.edges_sampled,
-        e.io_retries,
-        e.faults_injected,
-        e.recoveries,
-        e.buffer_hits,
-        e.buffer_misses,
-        e.buffer_evictions,
-        e.throttle_wait_time.as_nanos(),
-        e.edges_ingested,
-    )
-}
-
-fn epoch_from_json(j: &Json) -> Result<EpochReport> {
-    let ns = |name: &str| -> Result<Duration> { Ok(Duration::from_nanos(j.u64_field(name)?)) };
-    Ok(EpochReport {
-        epoch: j.u64_field("epoch")? as usize,
-        loss: f64::from_bits(j.field("loss_bits")?.as_hex_u64()?),
-        metric: f64::from_bits(j.field("metric_bits")?.as_hex_u64()?),
-        overlap: f64::from_bits(j.field("overlap_bits")?.as_hex_u64()?),
-        epoch_time: ns("epoch_time_ns")?,
-        sample_time: ns("sample_time_ns")?,
-        compute_time: ns("compute_time_ns")?,
-        io_time: ns("io_time_ns")?,
-        io_wait_time: ns("io_wait_time_ns")?,
-        stall_time: ns("stall_time_ns")?,
-        writeback_time: ns("writeback_time_ns")?,
-        io_bytes_read: j.u64_field("io_bytes_read")?,
-        io_bytes_written: j.u64_field("io_bytes_written")?,
-        partition_loads: j.u64_field("partition_loads")? as usize,
-        examples: j.u64_field("examples")? as usize,
-        nodes_sampled: j.u64_field("nodes_sampled")? as usize,
-        edges_sampled: j.u64_field("edges_sampled")? as usize,
-        // Robustness counters were added after format version 1 shipped;
-        // manifests written before then simply report zero for them.
-        io_retries: j.u64_field("io_retries").unwrap_or(0),
-        faults_injected: j.u64_field("faults_injected").unwrap_or(0),
-        recoveries: j.u64_field("recoveries").unwrap_or(0) as usize,
-        // Buffer/throttle observability fields likewise postdate version 1.
-        buffer_hits: j.u64_field("buffer_hits").unwrap_or(0),
-        buffer_misses: j.u64_field("buffer_misses").unwrap_or(0),
-        buffer_evictions: j.u64_field("buffer_evictions").unwrap_or(0),
-        throttle_wait_time: Duration::from_nanos(j.u64_field("throttle_wait_time_ns").unwrap_or(0)),
-        // Streaming ingest also postdates version 1; frozen-dataset manifests
-        // simply report zero edges ingested.
-        edges_ingested: j.u64_field("edges_ingested").unwrap_or(0),
-    })
-}
-
 // Finite floats round-trip exactly through Rust's shortest-display formatting
 // (`format!("{v}")` emits the shortest string that parses back to the same
 // bits), so config floats — always finite — are stored as plain JSON numbers.
 
+/// Reads the string field `key` as the variant of `all` with that name (as
+/// `derive(Debug)` prints it, which is also how the writers spell it).
+fn variant<T: Copy + std::fmt::Debug>(j: &Json, key: &str, all: &[T]) -> Result<T> {
+    let name = j.str_field(key)?;
+    all.iter()
+        .copied()
+        .find(|v| format!("{v:?}") == name)
+        .ok_or_else(|| corrupt(format!("unknown {key} {name:?}")))
+}
+
 fn model_to_json(m: &ModelConfig) -> String {
-    let encoder = match m.encoder {
-        crate::config::EncoderKind::GraphSage => "GraphSage",
-        crate::config::EncoderKind::Gat => "Gat",
-        crate::config::EncoderKind::Gcn => "Gcn",
-        crate::config::EncoderKind::None => "None",
-    };
-    let direction = match m.direction {
-        SamplingDirection::Incoming => "Incoming",
-        SamplingDirection::Outgoing => "Outgoing",
-        SamplingDirection::Both => "Both",
-    };
-    let fanouts: Vec<String> = m.fanouts.iter().map(|f| f.to_string()).collect();
     format!(
-        "{{\"encoder\":\"{encoder}\",\"num_layers\":{},\"hidden_dim\":{},\"output_dim\":{},\
-         \"input_dim\":{},\"fanouts\":[{}],\"direction\":\"{direction}\",\
+        "{{\"encoder\":\"{:?}\",\"num_layers\":{},\"hidden_dim\":{},\"output_dim\":{},\
+         \"input_dim\":{},\"fanouts\":{},\"direction\":\"{:?}\",\
          \"learning_rate\":{},\"embedding_learning_rate\":{}}}",
+        m.encoder,
         m.num_layers,
         m.hidden_dim,
         m.output_dim,
         m.input_dim,
-        fanouts.join(","),
+        json_array(m.fanouts.iter().map(|f| f.to_string())),
+        m.direction,
         m.learning_rate,
         m.embedding_learning_rate,
     )
 }
 
 fn model_from_json(j: &Json) -> Result<ModelConfig> {
-    let encoder = match j.str_field("encoder")? {
-        "GraphSage" => crate::config::EncoderKind::GraphSage,
-        "Gat" => crate::config::EncoderKind::Gat,
-        "Gcn" => crate::config::EncoderKind::Gcn,
-        "None" => crate::config::EncoderKind::None,
-        other => return Err(corrupt(format!("unknown encoder kind {other:?}"))),
-    };
-    let direction = match j.str_field("direction")? {
-        "Incoming" => SamplingDirection::Incoming,
-        "Outgoing" => SamplingDirection::Outgoing,
-        "Both" => SamplingDirection::Both,
-        other => return Err(corrupt(format!("unknown sampling direction {other:?}"))),
-    };
+    use crate::config::EncoderKind::{Gat, Gcn, GraphSage, None};
+    use SamplingDirection::{Both, Incoming, Outgoing};
     let fanouts = j
         .field("fanouts")?
         .as_array()?
@@ -1027,13 +934,13 @@ fn model_from_json(j: &Json) -> Result<ModelConfig> {
         .map(|f| f.as_u64().map(|v| v as usize))
         .collect::<Result<Vec<usize>>>()?;
     Ok(ModelConfig {
-        encoder,
+        encoder: variant(j, "encoder", &[GraphSage, Gat, Gcn, None])?,
         num_layers: j.u64_field("num_layers")? as usize,
         hidden_dim: j.u64_field("hidden_dim")? as usize,
         output_dim: j.u64_field("output_dim")? as usize,
         input_dim: j.u64_field("input_dim")? as usize,
         fanouts,
-        direction,
+        direction: variant(j, "direction", &[Incoming, Outgoing, Both])?,
         learning_rate: j.f64_field("learning_rate")? as f32,
         embedding_learning_rate: j.f64_field("embedding_learning_rate")? as f32,
     })
@@ -1079,41 +986,27 @@ fn train_from_json(j: &Json) -> Result<TrainConfig> {
     })
 }
 
-fn storage_to_json(s: &StorageKind) -> String {
+fn storage_to_json(s: &Storage) -> String {
     match s {
-        StorageKind::InMemory => "{\"kind\":\"memory\"}".to_string(),
-        StorageKind::Disk(d) => {
-            let policy = match d.policy {
-                PolicyKind::Comet => "Comet",
-                PolicyKind::Beta => "Beta",
-                PolicyKind::NodeCache => "NodeCache",
-            };
-            format!(
-                "{{\"kind\":\"disk\",\"policy\":\"{policy}\",\"num_partitions\":{},\
-                 \"buffer_capacity\":{},\"num_logical\":{}}}",
-                d.num_partitions, d.buffer_capacity, d.num_logical,
-            )
-        }
+        Storage::InMemory => "{\"kind\":\"memory\"}".to_string(),
+        Storage::Disk(d) => format!(
+            "{{\"kind\":\"disk\",\"policy\":\"{:?}\",\"num_partitions\":{},\
+             \"buffer_capacity\":{},\"num_logical\":{}}}",
+            d.policy, d.num_partitions, d.buffer_capacity, d.num_logical,
+        ),
     }
 }
 
-fn storage_from_json(j: &Json) -> Result<StorageKind> {
+fn storage_from_json(j: &Json) -> Result<Storage> {
+    use PolicyKind::{Beta, Comet, NodeCache};
     match j.str_field("kind")? {
-        "memory" => Ok(StorageKind::InMemory),
-        "disk" => {
-            let policy = match j.str_field("policy")? {
-                "Comet" => PolicyKind::Comet,
-                "Beta" => PolicyKind::Beta,
-                "NodeCache" => PolicyKind::NodeCache,
-                other => return Err(corrupt(format!("unknown policy kind {other:?}"))),
-            };
-            Ok(StorageKind::Disk(DiskConfig {
-                policy,
-                num_partitions: j.u64_field("num_partitions")? as u32,
-                buffer_capacity: j.u64_field("buffer_capacity")? as usize,
-                num_logical: j.u64_field("num_logical")? as u32,
-            }))
-        }
+        "memory" => Ok(Storage::InMemory),
+        "disk" => Ok(Storage::Disk(DiskConfig {
+            policy: variant(j, "policy", &[Comet, Beta, NodeCache])?,
+            num_partitions: j.u64_field("num_partitions")? as u32,
+            buffer_capacity: j.u64_field("buffer_capacity")? as usize,
+            num_logical: j.u64_field("num_logical")? as u32,
+        })),
         other => Err(corrupt(format!("unknown storage kind {other:?}"))),
     }
 }
@@ -1121,16 +1014,13 @@ fn storage_from_json(j: &Json) -> Result<StorageKind> {
 fn pipeline_to_json(p: &PipelineConfig) -> String {
     format!(
         "{{\"enabled\":{},\"num_sampling_workers\":{},\"queue_depth\":{},\
-         \"prefetch_depth\":{},\"writeback_depth\":{},\"synchronous_writeback\":{}}}",
-        p.enabled,
-        p.num_sampling_workers,
-        p.queue_depth,
-        p.prefetch_depth,
-        p.writeback_depth,
-        p.synchronous_writeback,
+         \"prefetch_depth\":{},\"writeback_depth\":{}}}",
+        p.enabled, p.num_sampling_workers, p.queue_depth, p.prefetch_depth, p.writeback_depth,
     )
 }
 
+/// Manifests written while the pipeline still had its inline write-back
+/// measurement mode carry a `synchronous_writeback` key; it is ignored.
 fn pipeline_from_json(j: &Json) -> Result<PipelineConfig> {
     Ok(PipelineConfig {
         enabled: j.bool_field("enabled")?,
@@ -1138,7 +1028,6 @@ fn pipeline_from_json(j: &Json) -> Result<PipelineConfig> {
         queue_depth: j.u64_field("queue_depth")? as usize,
         prefetch_depth: j.u64_field("prefetch_depth")? as usize,
         writeback_depth: j.u64_field("writeback_depth")? as usize,
-        synchronous_writeback: j.bool_field("synchronous_writeback")?,
     })
 }
 
@@ -1165,10 +1054,6 @@ fn stream_from_json(j: &Json) -> Result<Option<StreamState>> {
 }
 
 fn dataset_to_json(spec: &DatasetSpec, seed: u64) -> String {
-    let task = match spec.task {
-        DatasetTask::LinkPrediction => "LinkPrediction",
-        DatasetTask::NodeClassification => "NodeClassification",
-    };
     let classes = match spec.num_classes {
         Some(c) => c.to_string(),
         None => "null".to_string(),
@@ -1176,24 +1061,21 @@ fn dataset_to_json(spec: &DatasetSpec, seed: u64) -> String {
     format!(
         "{{\"name\":\"{}\",\"num_nodes\":{},\"num_edges\":{},\"feat_dim\":{},\
          \"num_relations\":{},\"num_classes\":{classes},\"train_fraction\":{},\
-         \"task\":\"{task}\",\"degree_exponent\":{},\"fixed_features\":{},\"seed\":{seed}}}",
-        json_escape(&spec.name),
+         \"task\":\"{:?}\",\"degree_exponent\":{},\"fixed_features\":{},\"seed\":{seed}}}",
+        escape(&spec.name),
         spec.num_nodes,
         spec.num_edges,
         spec.feat_dim,
         spec.num_relations,
         spec.train_fraction,
+        spec.task,
         spec.degree_exponent,
         spec.fixed_features,
     )
 }
 
 fn dataset_from_json(j: &Json) -> Result<DatasetSpec> {
-    let task = match j.str_field("task")? {
-        "LinkPrediction" => DatasetTask::LinkPrediction,
-        "NodeClassification" => DatasetTask::NodeClassification,
-        other => return Err(corrupt(format!("unknown dataset task {other:?}"))),
-    };
+    use DatasetTask::{LinkPrediction, NodeClassification};
     let num_classes = match j.field("num_classes")? {
         Json::Null => None,
         v => Some(v.as_u64()? as usize),
@@ -1206,7 +1088,7 @@ fn dataset_from_json(j: &Json) -> Result<DatasetSpec> {
         num_relations: j.u64_field("num_relations")? as u32,
         num_classes,
         train_fraction: j.f64_field("train_fraction")?,
-        task,
+        task: variant(j, "task", &[LinkPrediction, NodeClassification])?,
         degree_exponent: j.f64_field("degree_exponent")?,
         fixed_features: j.bool_field("fixed_features")?,
     })
@@ -1216,6 +1098,7 @@ fn dataset_from_json(j: &Json) -> Result<DatasetSpec> {
 mod tests {
     use super::*;
     use marius_graph::datasets::ScaledDataset;
+    use std::time::Duration;
 
     fn temp_root(label: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1234,33 +1117,42 @@ mod tests {
         dict
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn sample_snapshot<'a>(
-        data: &'a ScaledDataset,
-        model: &'a ModelConfig,
-        train: &'a TrainConfig,
-        storage: &'a StorageKind,
-        pipeline: &'a PipelineConfig,
-        dict: &'a StateDict,
-        report: &'a ExperimentReport,
-        epochs_completed: usize,
-    ) -> CheckpointSnapshot<'a> {
-        CheckpointSnapshot {
-            task_slug: "lp",
-            epochs_completed,
-            every: 1,
-            eval_every: 1,
-            rng_state: [1, 2, 3, u64::MAX],
-            emulated_device: None,
-            model,
-            train,
-            storage,
-            pipeline,
-            data,
-            stream: None,
-            state: dict,
-            store: None,
-            report,
+    /// What a snapshot borrows, owned in one place: a link-prediction
+    /// description over DistMult(8) with `epochs` target epochs (seed 9, in
+    /// memory, sequential), a tiny dataset, two blobs and an empty report.
+    struct Sample {
+        config: RunConfig,
+        data: ScaledDataset,
+        dict: StateDict,
+        report: ExperimentReport,
+    }
+
+    impl Sample {
+        fn new(epochs: usize) -> Self {
+            Sample {
+                config: RunConfig {
+                    task: "lp".into(),
+                    model: ModelConfig::paper_distmult(8),
+                    train: TrainConfig::quick(epochs, 9),
+                    ..RunConfig::default()
+                },
+                data: ScaledDataset::generate(&DatasetSpec::fb15k_237().scaled(0.002), 7),
+                dict: sample_dict(),
+                report: ExperimentReport::new("t", "d"),
+            }
+        }
+
+        fn snapshot(&self, epochs_completed: usize) -> CheckpointSnapshot<'_> {
+            CheckpointSnapshot {
+                config: &self.config,
+                epochs_completed,
+                rng_state: [1, 2, 3, u64::MAX],
+                data: &self.data,
+                stream: None,
+                state: &self.dict,
+                store: None,
+                report: &self.report,
+            }
         }
     }
 
@@ -1308,15 +1200,13 @@ mod tests {
     #[test]
     fn versioned_write_open_roundtrip_and_latest_pointer() {
         let root = temp_root("roundtrip");
-        let data = ScaledDataset::generate(&DatasetSpec::fb15k_237().scaled(0.002), 7);
-        let model = ModelConfig::paper_distmult(8);
-        let mut train = TrainConfig::quick(4, 9);
-        train.batch_size = 64;
-        let storage = StorageKind::Disk(DiskConfig::comet(8, 4));
-        let pipeline = PipelineConfig::with_workers(2);
-        let dict = sample_dict();
-        let mut report = ExperimentReport::new("test", "data");
-        report.epochs.push(EpochReport {
+        let mut sample = Sample::new(4);
+        sample.config.train.batch_size = 64;
+        sample.config.storage = Storage::Disk(DiskConfig::comet(8, 4));
+        sample.config.pipeline = PipelineConfig::with_workers(2);
+        sample.config.eval_every = 3;
+        sample.config.checkpoint_every = 2;
+        sample.report.epochs.push(EpochReport {
             epoch: 0,
             loss: 2.25,
             metric: f64::NAN,
@@ -1325,23 +1215,16 @@ mod tests {
             ..Default::default()
         });
 
-        let snap = sample_snapshot(
-            &data, &model, &train, &storage, &pipeline, &dict, &report, 1,
-        );
-        write_versioned(&root, &snap).unwrap();
+        write_versioned(&root, &sample.snapshot(1)).unwrap();
 
         let ckpt = Checkpoint::open(&root).unwrap();
-        assert_eq!(ckpt.task_slug, "lp");
+        // The description comes back whole, field for field.
+        assert_eq!(ckpt.config, sample.config);
         assert_eq!(ckpt.epochs_completed, 1);
         assert_eq!(ckpt.rng_state, [1, 2, 3, u64::MAX]);
-        assert_eq!(ckpt.train.epochs, 4);
-        assert_eq!(ckpt.train.batch_size, 64);
-        assert_eq!(ckpt.model.input_dim, 8);
-        assert!(matches!(ckpt.storage, StorageKind::Disk(ref d) if d.num_partitions == 8));
-        assert!(ckpt.pipeline.enabled);
-        assert_eq!(ckpt.dataset_spec, data.spec);
+        assert_eq!(ckpt.dataset_spec, sample.data.spec);
         assert_eq!(ckpt.dataset_seed, 7);
-        assert_eq!(ckpt.state, dict);
+        assert_eq!(ckpt.state, sample.dict);
         assert!(!ckpt.has_store_snapshot);
         assert_eq!(ckpt.prior_epochs.len(), 1);
         // Bit-exact epoch fields, including the NaN metric.
@@ -1352,27 +1235,16 @@ mod tests {
             Duration::from_nanos(123_456_789)
         );
 
-        let resume = ckpt.resume_state();
-        assert_eq!(resume.start_epoch, 1);
-        assert!(resume.store_snapshot.is_none());
+        assert!(ckpt.store_snapshot().is_none());
         let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn newer_versions_win_and_old_ones_are_pruned() {
         let root = temp_root("prune");
-        let data = ScaledDataset::generate(&DatasetSpec::fb15k_237().scaled(0.002), 7);
-        let model = ModelConfig::paper_distmult(8);
-        let train = TrainConfig::quick(4, 9);
-        let storage = StorageKind::InMemory;
-        let pipeline = PipelineConfig::disabled();
-        let dict = sample_dict();
-        let report = ExperimentReport::new("t", "d");
+        let sample = Sample::new(4);
         for completed in 1..=3 {
-            let snap = sample_snapshot(
-                &data, &model, &train, &storage, &pipeline, &dict, &report, completed,
-            );
-            write_versioned(&root, &snap).unwrap();
+            write_versioned(&root, &sample.snapshot(completed)).unwrap();
         }
         let ckpt = Checkpoint::open(&root).unwrap();
         assert_eq!(ckpt.epochs_completed, 3);
@@ -1383,54 +1255,134 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
-    #[test]
-    fn emulated_device_round_trips_through_the_manifest() {
-        let root = temp_root("emulated");
-        let data = ScaledDataset::generate(&DatasetSpec::fb15k_237().scaled(0.002), 7);
-        let model = ModelConfig::paper_distmult(8);
-        let train = TrainConfig::quick(2, 9);
-        let storage = StorageKind::InMemory;
-        let pipeline = PipelineConfig::disabled();
-        let dict = sample_dict();
-        let report = ExperimentReport::new("t", "d");
-        let io = IoCostModel {
-            bandwidth_bytes_per_sec: 1.25e9,
-            iops: 10_000.0,
-            block_size: 131_072,
-        };
-        let mut snap = sample_snapshot(
-            &data, &model, &train, &storage, &pipeline, &dict, &report, 1,
-        );
-        snap.emulated_device = Some(&io);
-        write_versioned(&root, &snap).unwrap();
+    /// Stages one committed fixture (the `manifest.json` + `state.bin` the
+    /// commit before `RunConfig` existed wrote for a tiny run) as a checkpoint
+    /// root, opens it, and checks that re-rendering what was parsed gives the
+    /// fixture back byte for byte — apart from the one key no longer written.
+    fn open_golden(label: &str, manifest: &str, bin: &[u8]) -> Checkpoint {
+        let root = temp_root(label);
+        let doc = Json::parse(manifest).unwrap();
+        let version = version_name(doc.u64_field("epochs_completed").unwrap() as usize);
+        let dir = root.join(&version);
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(root.join("LATEST"), &version).unwrap();
+        fs::write(dir.join("manifest.json"), manifest).unwrap();
+        fs::write(dir.join("state.bin"), bin).unwrap();
+        let store = doc
+            .bool_field("store_snapshot")
+            .unwrap()
+            .then(|| PartitionStore::open(dir.join("partitions")).unwrap());
         let ckpt = Checkpoint::open(&root).unwrap();
-        let restored = ckpt.emulated_device.expect("device persisted");
+        let report = ExperimentReport {
+            epochs: ckpt.prior_epochs.clone(),
+            ..Default::default()
+        };
+        let snapshot = CheckpointSnapshot {
+            config: &ckpt.config,
+            epochs_completed: ckpt.epochs_completed,
+            rng_state: ckpt.rng_state,
+            data: &ScaledDataset::generate(&ckpt.dataset_spec, ckpt.dataset_seed),
+            stream: ckpt.stream,
+            state: &ckpt.state,
+            store: store.as_ref(),
+            report: &report,
+        };
         assert_eq!(
-            restored.bandwidth_bytes_per_sec.to_bits(),
-            io.bandwidth_bytes_per_sec.to_bits()
+            manifest_json(&snapshot, &ckpt.state.encode().1),
+            manifest.replace(",\"synchronous_writeback\":false", "")
         );
-        assert_eq!(restored.iops.to_bits(), io.iops.to_bits());
-        assert_eq!(restored.block_size, io.block_size);
         let _ = fs::remove_dir_all(&root);
+        ckpt
+    }
+
+    #[test]
+    fn golden_manifests_of_the_previous_format_writer_stay_resumable() {
+        // LP, out of core, pipelined, on an emulated device, eval cadence 2.
+        let ckpt = open_golden(
+            "golden-lp",
+            include_str!("../tests/fixtures/golden_lp_disk/manifest.json"),
+            include_bytes!("../tests/fixtures/golden_lp_disk/state.bin"),
+        );
+        let mut train = TrainConfig::quick(2, 11);
+        (train.batch_size, train.num_negatives, train.eval_negatives) = (64, 8, 16);
+        let expected = RunConfig {
+            task: "lp".into(),
+            model: ModelConfig::paper_distmult(4),
+            train,
+            storage: Storage::Disk(DiskConfig::comet(4, 2)),
+            pipeline: PipelineConfig::with_workers(2),
+            eval_every: 2,
+            checkpoint_every: 1,
+            emulated_device: Some(IoCostModel::local_nvme()),
+        };
+        assert_eq!(ckpt.config, expected);
+        assert_eq!((ckpt.epochs_completed, ckpt.dataset_seed), (2, 5));
+        assert_eq!(ckpt.rng_state[0], 0x6b62_5835_4044_4f2c);
+        assert!(ckpt.has_store_snapshot && ckpt.stream.is_none());
+        assert_eq!(ckpt.prior_epochs.len(), 2);
+        assert!(ckpt.prior_epochs[0].metric.is_nan(), "off-cadence epoch");
+        assert_eq!(ckpt.prior_epochs[1].loss.to_bits(), 0x4001_651d_5cbc_14e6);
+        assert_eq!(ckpt.prior_epochs[1].throttle_wait_time.as_nanos(), 85_895);
+
+        // NC, in memory, sequential, checkpoint cadence 2 with a final flush.
+        let ckpt = open_golden(
+            "golden-nc",
+            include_str!("../tests/fixtures/golden_nc_memory/manifest.json"),
+            include_bytes!("../tests/fixtures/golden_nc_memory/state.bin"),
+        );
+        let mut model = ModelConfig::paper_node_classification(4, 4);
+        (model.num_layers, model.fanouts) = (1, vec![3]);
+        let mut train = TrainConfig::quick(3, 13);
+        train.batch_size = 16;
+        let expected = RunConfig {
+            task: "nc".into(),
+            model,
+            train,
+            checkpoint_every: 2,
+            ..RunConfig::default()
+        };
+        assert_eq!(ckpt.config, expected);
+        assert_eq!((ckpt.epochs_completed, ckpt.dataset_seed), (3, 9));
+        assert!(!ckpt.has_store_snapshot);
+        assert!(ckpt.state.get("trainer.example_order").is_some());
+        assert_eq!(ckpt.prior_epochs.len(), 3);
+        assert_eq!(ckpt.prior_epochs[2].metric.to_bits(), 0x3fdc_cccc_cccc_cccd);
+        assert_eq!(ckpt.prior_epochs[2].edges_sampled, 199);
+    }
+
+    #[test]
+    fn run_config_round_trips_and_ignores_the_retired_pipeline_key() {
+        let mut config = Sample::new(5).config;
+        config.storage = Storage::Disk(DiskConfig::beta(8, 4));
+        config.pipeline = PipelineConfig::with_workers(3);
+        config.emulated_device = Some(IoCostModel::ebs_gp3());
+        let json = config.to_json();
+        assert!(!json.contains("synchronous_writeback"));
+        assert_eq!(
+            RunConfig::from_json(&Json::parse(&json).unwrap()).unwrap(),
+            config
+        );
+        // An older manifest still carries the key, with either value.
+        let older = json.replace(
+            "\"writeback_depth\":2",
+            "\"writeback_depth\":2,\"synchronous_writeback\":true",
+        );
+        assert_ne!(older, json);
+        assert_eq!(
+            RunConfig::from_json(&Json::parse(&older).unwrap()).unwrap(),
+            config
+        );
     }
 
     #[test]
     fn stream_state_round_trips_and_defaults_to_none() {
         let root = temp_root("stream-state");
-        let data = ScaledDataset::generate(&DatasetSpec::fb15k_237().scaled(0.002), 7);
-        let model = ModelConfig::paper_distmult(8);
-        let train = TrainConfig::quick(2, 9);
-        let storage = StorageKind::InMemory;
-        let pipeline = PipelineConfig::disabled();
-        let dict = sample_dict();
-        let mut report = ExperimentReport::new("t", "d");
-        report.epochs.push(EpochReport {
+        let mut sample = Sample::new(2);
+        sample.report.epochs.push(EpochReport {
             edges_ingested: 96,
             ..Default::default()
         });
-        let mut snap = sample_snapshot(
-            &data, &model, &train, &storage, &pipeline, &dict, &report, 1,
-        );
+        let mut snap = sample.snapshot(1);
         // Without a stream the manifest emits null and parses back to None.
         write_versioned(&root, &snap).unwrap();
         let ckpt = Checkpoint::open(&root).unwrap();
@@ -1470,18 +1422,9 @@ mod tests {
     #[test]
     fn open_falls_back_to_the_newest_complete_version_when_latest_dangles() {
         let root = temp_root("dangle");
-        let data = ScaledDataset::generate(&DatasetSpec::fb15k_237().scaled(0.002), 7);
-        let model = ModelConfig::paper_distmult(8);
-        let train = TrainConfig::quick(4, 9);
-        let storage = StorageKind::InMemory;
-        let pipeline = PipelineConfig::disabled();
-        let dict = sample_dict();
-        let report = ExperimentReport::new("t", "d");
+        let sample = Sample::new(4);
         for completed in 1..=2 {
-            let snap = sample_snapshot(
-                &data, &model, &train, &storage, &pipeline, &dict, &report, completed,
-            );
-            write_versioned(&root, &snap).unwrap();
+            write_versioned(&root, &sample.snapshot(completed)).unwrap();
         }
         // A crash in write_versioned's rename-aside window: LATEST names a
         // version that no longer exists. Open resolves the newest complete
@@ -1502,18 +1445,9 @@ mod tests {
     #[test]
     fn corruption_of_the_named_version_fails_loudly_instead_of_rewinding() {
         let root = temp_root("no-silent-rewind");
-        let data = ScaledDataset::generate(&DatasetSpec::fb15k_237().scaled(0.002), 7);
-        let model = ModelConfig::paper_distmult(8);
-        let train = TrainConfig::quick(4, 9);
-        let storage = StorageKind::InMemory;
-        let pipeline = PipelineConfig::disabled();
-        let dict = sample_dict();
-        let report = ExperimentReport::new("t", "d");
+        let sample = Sample::new(4);
         for completed in 1..=2 {
-            let snap = sample_snapshot(
-                &data, &model, &train, &storage, &pipeline, &dict, &report, completed,
-            );
-            write_versioned(&root, &snap).unwrap();
+            write_versioned(&root, &sample.snapshot(completed)).unwrap();
         }
         // Bit rot in the newest version: open must NOT silently fall back to
         // epoch-000001 (that would rewind training progress unnoticed).
@@ -1533,16 +1467,8 @@ mod tests {
         // version is never deleted while LATEST still names it (it is
         // renamed aside and dropped after the swap).
         let root = temp_root("replace");
-        let data = ScaledDataset::generate(&DatasetSpec::fb15k_237().scaled(0.002), 7);
-        let model = ModelConfig::paper_distmult(8);
-        let train = TrainConfig::quick(2, 9);
-        let storage = StorageKind::InMemory;
-        let pipeline = PipelineConfig::disabled();
-        let dict = sample_dict();
-        let report = ExperimentReport::new("t", "d");
-        let mut snap = sample_snapshot(
-            &data, &model, &train, &storage, &pipeline, &dict, &report, 1,
-        );
+        let sample = Sample::new(2);
+        let mut snap = sample.snapshot(1);
         write_versioned(&root, &snap).unwrap();
         snap.rng_state = [9, 9, 9, 9];
         write_versioned(&root, &snap).unwrap();
@@ -1555,17 +1481,8 @@ mod tests {
     #[test]
     fn torn_staging_dirs_are_invisible_to_open() {
         let root = temp_root("torn");
-        let data = ScaledDataset::generate(&DatasetSpec::fb15k_237().scaled(0.002), 7);
-        let model = ModelConfig::paper_distmult(8);
-        let train = TrainConfig::quick(4, 9);
-        let storage = StorageKind::InMemory;
-        let pipeline = PipelineConfig::disabled();
-        let dict = sample_dict();
-        let report = ExperimentReport::new("t", "d");
-        let snap = sample_snapshot(
-            &data, &model, &train, &storage, &pipeline, &dict, &report, 2,
-        );
-        write_versioned(&root, &snap).unwrap();
+        let sample = Sample::new(4);
+        write_versioned(&root, &sample.snapshot(2)).unwrap();
         // Simulate a crash mid-write of the *next* version: a partial staging
         // dir with a truncated manifest. LATEST still names epoch-000002.
         let staging = root.join("epoch-000003.tmp");

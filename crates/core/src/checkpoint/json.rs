@@ -1,8 +1,8 @@
 //! A minimal JSON reader for checkpoint manifests.
 //!
-//! The workspace vendors a no-op `serde` shim (no network access to the real
-//! crate), so manifests are written with `format!` and read back with this
-//! hand-rolled recursive-descent parser. Numbers keep their raw token text so
+//! The build environment has no network access to a JSON crate, so manifests
+//! are written with `format!` and read back with this hand-rolled
+//! recursive-descent parser. Numbers keep their raw token text so
 //! `u64` values round-trip without passing through `f64`.
 
 use marius_storage::{Result, StorageError};
@@ -382,7 +382,7 @@ mod tests {
 
     #[test]
     fn report_json_escapes_parse_back() {
-        let escaped = crate::report::json_escape("a\"b\\c\nd\te\u{1}");
+        let escaped = marius_telemetry::json::escape("a\"b\\c\nd\te\u{1}");
         let doc = Json::parse(&format!("{{\"s\":\"{escaped}\"}}")).unwrap();
         assert_eq!(doc.str_field("s").unwrap(), "a\"b\\c\nd\te\u{1}");
     }

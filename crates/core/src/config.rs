@@ -1,12 +1,12 @@
 //! Model, training and disk-storage configuration.
 
 use marius_sampling::SamplingDirection;
-use serde::{Deserialize, Serialize};
+use marius_storage::IoCostModel;
 
 pub use marius_pipeline::PipelineConfig;
 
 /// Which encoder architecture to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EncoderKind {
     /// GraphSage with mean aggregation (the paper's default model).
     GraphSage,
@@ -21,7 +21,7 @@ pub enum EncoderKind {
 }
 
 /// Model architecture configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Encoder architecture.
     pub encoder: EncoderKind,
@@ -122,7 +122,7 @@ impl ModelConfig {
 }
 
 /// Mini-batch and epoch configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrainConfig {
     /// Training examples (nodes or edges) per mini batch.
     pub batch_size: usize,
@@ -167,7 +167,7 @@ impl Default for TrainConfig {
 }
 
 /// Which partition replacement policy drives disk-based training.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
     /// COMET (the paper's policy, §5.1).
     Comet,
@@ -178,7 +178,7 @@ pub enum PolicyKind {
 }
 
 /// Disk-based training configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiskConfig {
     /// Replacement / example-assignment policy.
     pub policy: PolicyKind,
@@ -219,6 +219,68 @@ impl DiskConfig {
             num_partitions,
             buffer_capacity,
             num_logical: 0,
+        }
+    }
+}
+
+/// Where base representations live during training.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Storage {
+    /// The full graph and all representations stay in memory (M-GNN_Mem).
+    InMemory,
+    /// Out-of-core training over a partitioned on-disk layout (M-GNN_Disk),
+    /// driven by the disk configuration's replacement policy.
+    Disk(DiskConfig),
+}
+
+/// The persisted description of a run: everything a checkpoint manifest
+/// records so a later process can rebuild the run bit-exactly, and nothing
+/// else. The trainer, the `marius::Session` builder and a loaded checkpoint
+/// all hold one of these; its manifest codec lives in [`crate::checkpoint`].
+/// Runtime attachments that do not describe the run (fault injector, retry
+/// policy, telemetry) travel separately in a [`marius_storage::IoEnv`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunConfig {
+    /// `Task::slug` of the task the run trains (checked on resume).
+    pub task: String,
+    /// Model architecture.
+    pub model: ModelConfig,
+    /// Batch/epoch configuration (including the total epoch target).
+    pub train: TrainConfig,
+    /// Where base representations live; selects the executor.
+    pub storage: Storage,
+    /// Staged-runtime configuration for disk-based training; disabled selects
+    /// the sequential fallback.
+    pub pipeline: PipelineConfig,
+    /// Evaluate the task metric every `eval_every` epochs (and always after
+    /// the final epoch). `0` and `1` both evaluate every epoch. Skipped epochs
+    /// report `metric = f64::NAN`. Note that evaluation consumes RNG draws, so
+    /// changing the cadence changes subsequent epochs' trajectories.
+    pub eval_every: usize,
+    /// Checkpoint cadence in epochs, for runs that checkpoint (the final
+    /// epoch is always flushed).
+    pub checkpoint_every: usize,
+    /// When set, the run's partition store emulates this device (reads and
+    /// writes sleep to the modeled transfer time) instead of running at
+    /// page-cache speed, and `EpochReport::io_time` is estimated under it.
+    /// Persisted so a resumed run continues under the same IO regime.
+    pub emulated_device: Option<IoCostModel>,
+}
+
+impl Default for RunConfig {
+    /// In memory, sequential, evaluated and checkpointed every epoch, on the
+    /// raw device — with a zero-width placeholder model that
+    /// `marius::SessionBuilder::build` rejects until a real one is set.
+    fn default() -> Self {
+        RunConfig {
+            task: String::new(),
+            model: ModelConfig::paper_distmult(0),
+            train: TrainConfig::default(),
+            storage: Storage::InMemory,
+            pipeline: PipelineConfig::disabled(),
+            eval_every: 1,
+            checkpoint_every: 1,
+            emulated_device: None,
         }
     }
 }

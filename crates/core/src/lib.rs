@@ -4,7 +4,9 @@
 //! organised around a task-generic training engine:
 //!
 //! * [`config`] — model and training configuration (encoder kind, fanouts,
-//!   batch sizes, negative counts, disk policy selection).
+//!   batch sizes, negative counts, disk policy selection) and
+//!   [`config::RunConfig`], the one persisted description of a run that the
+//!   trainer, the session builder and a checkpoint manifest all share.
 //! * [`source::RepresentationSource`] — the abstraction over where base
 //!   representations live: an in-memory [`marius_gnn::EmbeddingTable`], a fixed
 //!   feature matrix, or the out-of-core [`marius_storage::PartitionBuffer`].
@@ -36,9 +38,7 @@
 //!
 //! Downstream users who just want to train something should start from the
 //! `marius::Session` builder in the workspace root crate, which wraps this
-//! engine behind a single entry point. The `LinkPredictionTrainer` and
-//! `NodeClassificationTrainer` names of earlier revisions remain available as
-//! deprecated aliases of `Trainer<T>`.
+//! engine behind a single entry point.
 
 pub mod checkpoint;
 pub mod config;
@@ -48,8 +48,11 @@ pub mod source;
 pub mod task;
 pub mod trainer;
 
-pub use checkpoint::{Checkpoint, Persist, ResumeState, StateDict, StorageKind, StreamState};
-pub use config::{DiskConfig, EncoderKind, ModelConfig, PipelineConfig, PolicyKind, TrainConfig};
+pub use checkpoint::{Checkpoint, Persist, StateDict, StreamState};
+pub use config::{
+    DiskConfig, EncoderKind, ModelConfig, PipelineConfig, PolicyKind, RunConfig, Storage,
+    TrainConfig,
+};
 pub use models::{
     LinkBatchBuilder, LinkPredictionModel, NodeBatchBuilder, NodeClassificationModel,
     PreparedLinkBatch, PreparedNodeBatch,
@@ -60,5 +63,3 @@ pub use task::{
     DiskSetup, LinkPredictionTask, NodeClassificationTask, Task, TemporalLinkPredictionTask,
 };
 pub use trainer::{read_all_embeddings, EpochHook, IngestHook, Trainer};
-#[allow(deprecated)]
-pub use trainer::{LinkPredictionTrainer, NodeClassificationTrainer};

@@ -32,28 +32,22 @@
 //! tests at the workspace root). Disk-path failures (missing or truncated
 //! partition files, invalid plans) propagate as
 //! [`marius_storage::StorageError`] instead of panicking.
-//!
-//! The concrete trainers of earlier revisions survive as deprecated aliases:
-//! [`LinkPredictionTrainer`] and [`NodeClassificationTrainer`] are
-//! `Trainer<LinkPredictionTask>` and `Trainer<NodeClassificationTask>`.
 
-use crate::checkpoint::{CheckpointSnapshot, ResumeState, StateDict, StorageKind, StreamState};
-use crate::config::{DiskConfig, ModelConfig, PipelineConfig, TrainConfig};
+use crate::checkpoint::{Checkpoint, CheckpointSnapshot, StateDict, StreamState};
+use crate::config::{DiskConfig, ModelConfig, PipelineConfig, RunConfig, Storage, TrainConfig};
 use crate::models::BatchStats;
 use crate::report::{EpochReport, ExperimentReport};
-use crate::task::{DiskSetup, LinkPredictionTask, NodeClassificationTask, Task};
+use crate::task::{DiskSetup, Task};
 use marius_graph::datasets::ScaledDataset;
 use marius_graph::PartitionAssignment;
 use marius_pipeline::{step_seed, writeback_safe_point, Pipeline};
-use marius_storage::{
-    FaultInjector, IoCostModel, IoFaultPlan, PartitionStore, Result, RetryPolicy, StorageError,
-};
-use marius_telemetry::{Telemetry, NO_LABEL};
+use marius_storage::{IoEnv, PartitionStore, Result, StorageError};
+use marius_telemetry::NO_LABEL;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// A callback invoked after every completed epoch (metrics are final for the
@@ -131,41 +125,23 @@ fn finalize(epoch: &mut EpochReport) {
 pub struct Trainer<T: Task> {
     /// The workload being trained.
     pub task: T,
-    /// Model architecture.
-    pub model: ModelConfig,
-    /// Batch/epoch configuration.
-    pub train: TrainConfig,
-    /// IO cost model used to estimate disk time for reports.
-    pub io_model: IoCostModel,
-    /// Staged-runtime configuration for disk-based training; disabled selects
-    /// the sequential fallback.
-    pub pipeline: PipelineConfig,
-    /// When `true`, the partition store emulates the `io_model` device
-    /// (reads/writes sleep to the modeled transfer time) instead of running at
-    /// page-cache speed. Used by benchmarks that measure IO/compute overlap.
-    pub emulate_device: bool,
-    /// Evaluate the task metric every `eval_every` epochs (and always after
-    /// the final epoch). `0` and `1` both evaluate every epoch. Skipped epochs
-    /// report `metric = f64::NAN`. Note that evaluation consumes RNG draws, so
-    /// changing the cadence changes subsequent epochs' trajectories.
-    pub eval_every: usize,
+    /// The run's description — model, batches, storage, pipeline, cadences,
+    /// emulated device. Checkpoints persist it whole, and a resumed trainer is
+    /// built from the one a manifest carries.
+    pub config: RunConfig,
+    /// Fault injector, retry policy and telemetry recorder attached to the
+    /// run's partition store and cloned into every layer of the run. Its
+    /// `emulated_device` stays `None`: the device belongs to `config`.
+    env: IoEnv,
     epoch_hook: Option<EpochHook>,
-    /// Deterministic IO fault injector attached to the run's partition store
-    /// (chaos testing); `None` trains against the healthy device.
-    faults: Option<Arc<FaultInjector>>,
-    /// Retry policy applied to the store's transient-IO failures.
-    retry: RetryPolicy,
-    /// Full durable checkpoints (root directory, cadence in epochs) written at
-    /// epoch boundaries; see [`crate::checkpoint`] for the layout.
-    checkpoint: Option<(PathBuf, usize)>,
-    /// When set, training continues a checkpointed run instead of starting
+    /// Root directory of the full durable checkpoints written at epoch
+    /// boundaries every `config.checkpoint_every` epochs; see
+    /// [`crate::checkpoint`] for the layout.
+    checkpoint_dir: Option<PathBuf>,
+    /// When set, training continues this checkpointed run instead of starting
     /// fresh: construction replays deterministically, then the saved state and
     /// RNG cursor are overlaid.
-    resume: Option<ResumeState>,
-    /// Telemetry recorder cloned into every layer of the run (pipeline
-    /// stages, partition store/buffer, the epoch loop). Disabled (zero
-    /// overhead) by default.
-    telemetry: Telemetry,
+    resume: Option<Checkpoint>,
     /// Streaming ingest callback fired at every disk-epoch boundary (see
     /// [`IngestHook`]); `None` trains over a frozen dataset.
     ingest_hook: Option<IngestHook>,
@@ -188,108 +164,68 @@ impl<T: Task + Default> Trainer<T> {
 impl<T: Task> Trainer<T> {
     /// Creates a trainer for an explicit task value.
     pub fn with_task(task: T, model: ModelConfig, train: TrainConfig) -> Self {
-        Trainer {
-            task,
+        let config = RunConfig {
             model,
             train,
-            io_model: IoCostModel::default(),
-            pipeline: PipelineConfig::disabled(),
-            emulate_device: false,
-            eval_every: 1,
+            ..RunConfig::default()
+        };
+        Trainer::from_config(task, config, IoEnv::default())
+    }
+
+    /// The one constructor every trainer comes out of — fresh
+    /// (`marius::SessionBuilder::build`), resumed from a manifest's
+    /// description (`marius::Session::resume_from`, followed by
+    /// [`Trainer::with_resume`]) or rebuilt after a failure with the failed
+    /// run's environment. `config.task` is overwritten with the task's slug.
+    pub fn from_config(task: T, mut config: RunConfig, env: IoEnv) -> Self {
+        config.task = task.slug().to_string();
+        Trainer {
+            task,
+            config,
+            env: IoEnv::default(),
             epoch_hook: None,
-            faults: None,
-            retry: RetryPolicy::default_transient(),
-            checkpoint: None,
+            checkpoint_dir: None,
             resume: None,
-            telemetry: Telemetry::disabled(),
             ingest_hook: None,
             stream_state: None,
         }
+        .with_io_env(env)
     }
 
     /// Selects the pipelined disk-training runtime.
     pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
-        self.pipeline = pipeline;
+        self.config.pipeline = pipeline;
         self
     }
 
-    /// Attaches a telemetry recorder to the run: the epoch loop, checkpoint
-    /// writes, the staged pipeline's stage threads and queues, and the
-    /// partition store/buffer all record spans and metrics into it. Recording
-    /// never consumes randomness, so trajectories are bit-identical with
-    /// telemetry on or off. A disabled handle (the default) costs nothing.
-    pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.telemetry = telemetry.clone();
+    /// Attaches the run's IO environment: the fault injector and retry policy
+    /// of the partition store (faults are injected and retried entirely
+    /// inside the store, so the loss trajectory stays bit-identical to a
+    /// fault-free run while the retry layer absorbs them — see
+    /// [`marius_storage::fault`]) and the telemetry recorder every layer of
+    /// the run records into (never consuming randomness; a disabled handle,
+    /// the default, costs nothing). An environment that names an emulated
+    /// device sets the run's ([`RunConfig::emulated_device`], which is what
+    /// checkpoints persist).
+    pub fn with_io_env(mut self, mut env: IoEnv) -> Self {
+        self.config.emulated_device = env.emulated_device.take().or(self.config.emulated_device);
+        self.env = env;
         self
     }
 
-    /// The telemetry recorder attached to this trainer (disabled by default).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+    /// The IO environment attached to this trainer.
+    pub fn io_env(&self) -> &IoEnv {
+        &self.env
     }
 
-    /// Runs disk training against an emulated `model` device instead of the
-    /// raw local filesystem (see `PartitionStore::with_emulated_device`).
-    pub fn with_emulated_device(mut self, model: IoCostModel) -> Self {
-        self.io_model = model;
-        self.emulate_device = true;
-        self
+    /// The checkpoint this trainer continues from, when it resumes a run
+    /// ([`Trainer::with_resume`]).
+    pub fn resumed_from(&self) -> Option<&Checkpoint> {
+        self.resume.as_ref()
     }
 
-    /// Evaluates the task metric only every `every` epochs (plus the final
-    /// epoch). See [`Trainer::eval_every`] for the RNG caveat.
-    pub fn with_eval_every(mut self, every: usize) -> Self {
-        self.eval_every = every;
-        self
-    }
-
-    /// Arms a deterministic IO fault plan on the run's partition store: disk
-    /// training (and its checkpoint placement) then experiences the plan's
-    /// seeded schedule of transient failures, torn writes and latency spikes.
-    /// Faults are injected entirely inside the store, so the loss trajectory
-    /// stays bit-identical to a fault-free run as long as every fault is
-    /// absorbed by the retry layer. See [`marius_storage::fault`].
-    pub fn with_fault_plan(self, plan: IoFaultPlan) -> Self {
-        self.with_fault_injector(plan.build())
-    }
-
-    /// Attaches an existing fault injector (shared so callers can read its
-    /// counters, or arm outage/permanent windows mid-run).
-    pub fn with_fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
-        self.faults = Some(injector);
-        self
-    }
-
-    /// Overrides the bounded-exponential-backoff retry policy the partition
-    /// store applies to transient IO failures
-    /// ([`RetryPolicy::default_transient`] otherwise).
-    pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// The fault injector attached to this trainer, if any.
-    pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.faults.as_ref()
-    }
-
-    /// The epoch index a resumed run starts at, when this trainer continues a
-    /// checkpointed run ([`Trainer::with_resume`]).
-    pub fn resume_start_epoch(&self) -> Option<usize> {
-        self.resume.as_ref().map(|r| r.start_epoch)
-    }
-
-    /// Installs a callback invoked after every completed epoch.
-    pub fn with_epoch_hook(mut self, hook: impl Fn(&EpochReport) + Send + Sync + 'static) -> Self {
-        self.epoch_hook = Some(Box::new(move |epoch| {
-            hook(epoch);
-            Ok(())
-        }));
-        self
-    }
-
-    /// Installs a fallible epoch callback: an `Err` aborts the run and
-    /// propagates to the `train_*` caller.
+    /// Installs a callback invoked after every completed epoch: an `Err`
+    /// aborts the run and propagates to the `train_*` caller.
     pub fn with_fallible_epoch_hook(
         mut self,
         hook: impl Fn(&EpochReport) -> Result<()> + Send + Sync + 'static,
@@ -303,18 +239,24 @@ impl<T: Task> Trainer<T> {
     /// epochs, and always after the final epoch. See [`crate::checkpoint`]
     /// for the on-disk layout and [`Trainer::with_resume`] for the way back.
     pub fn with_checkpoint(mut self, dir: impl Into<PathBuf>, every: usize) -> Self {
-        self.checkpoint = Some((dir.into(), every.max(1)));
+        self.checkpoint_dir = Some(dir.into());
+        self.config.checkpoint_every = every.max(1);
         self
+    }
+
+    /// The checkpoint root this trainer writes to, if it checkpoints.
+    pub fn checkpoint_dir(&self) -> Option<&Path> {
+        self.checkpoint_dir.as_deref()
     }
 
     /// Continues a checkpointed run: training starts at the checkpoint's
     /// epoch counter with the saved model/source state and RNG cursor, and
     /// the returned report covers the prior epochs too. The trainer's
     /// configuration must match the checkpointed run's (the
-    /// `marius::Session::resume_from` facade guarantees this by rebuilding
-    /// the configuration from the manifest).
-    pub fn with_resume(mut self, resume: ResumeState) -> Self {
-        self.resume = Some(resume);
+    /// `marius::Session::resume_from` facade guarantees this by building the
+    /// trainer from the manifest's own [`RunConfig`]).
+    pub fn with_resume(mut self, checkpoint: Checkpoint) -> Self {
+        self.resume = Some(checkpoint);
         self
     }
 
@@ -339,11 +281,11 @@ impl<T: Task> Trainer<T> {
     /// Whether epoch `epoch_idx` evaluates because the cadence says so
     /// (ignoring the forced final-epoch evaluation).
     fn cadence_evaluates(&self, epoch_idx: usize) -> bool {
-        (epoch_idx + 1).is_multiple_of(self.eval_every.max(1))
+        (epoch_idx + 1).is_multiple_of(self.config.eval_every.max(1))
     }
 
     fn should_evaluate(&self, epoch_idx: usize) -> bool {
-        self.cadence_evaluates(epoch_idx) || epoch_idx + 1 == self.train.epochs
+        self.cadence_evaluates(epoch_idx) || epoch_idx + 1 == self.config.train.epochs
     }
 
     /// The RNG cursor a checkpoint written after epoch `epoch_idx` must
@@ -362,12 +304,9 @@ impl<T: Task> Trainer<T> {
     }
 
     fn should_checkpoint(&self, epoch_idx: usize) -> bool {
-        match &self.checkpoint {
-            Some((_, every)) => {
-                (epoch_idx + 1).is_multiple_of(*every) || epoch_idx + 1 == self.train.epochs
-            }
-            None => false,
-        }
+        self.checkpoint_dir.is_some()
+            && ((epoch_idx + 1).is_multiple_of(self.config.checkpoint_every.max(1))
+                || epoch_idx + 1 == self.config.train.epochs)
     }
 
     fn epoch_done(&self, report: &ExperimentReport) -> Result<()> {
@@ -377,86 +316,76 @@ impl<T: Task> Trainer<T> {
         Ok(())
     }
 
-    /// Mirrors one finalized [`EpochReport`] into `trainer.*` counters, so
-    /// `metrics.json` aggregates agree with the summed report fields exactly.
-    fn mirror_epoch(&self, epoch: &EpochReport) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        let t = &self.telemetry;
-        t.counter("trainer.epochs").incr();
-        t.counter("trainer.examples").add(epoch.examples as u64);
-        t.counter("trainer.epoch_time_ns")
-            .add_duration(epoch.epoch_time);
-        t.counter("trainer.io_wait_ns")
-            .add_duration(epoch.io_wait_time);
-        t.counter("trainer.stall_ns").add_duration(epoch.stall_time);
-        t.counter("trainer.writeback_ns")
-            .add_duration(epoch.writeback_time);
-        t.counter("trainer.throttle_wait_ns")
-            .add_duration(epoch.throttle_wait_time);
-        t.counter("trainer.buffer_hits").add(epoch.buffer_hits);
-        t.counter("trainer.buffer_misses").add(epoch.buffer_misses);
-        t.counter("trainer.buffer_evictions")
-            .add(epoch.buffer_evictions);
-    }
-
     /// The one generic checkpoint code path both executors funnel through:
-    /// assembles the manifest payload and writes a versioned checkpoint.
-    /// `state` carries the task's model blobs plus any executor-specific
-    /// blobs (in-memory source dump, example order); `store` is the partition
-    /// store to snapshot (disk runs with write-back), which must be at a
-    /// write-back safe point.
+    /// persists the run's description (with `storage` as the running executor
+    /// sees it) next to the cursor and state. `state` carries the task's
+    /// model blobs plus any executor-specific blobs (in-memory source dump,
+    /// example order); `store` is the partition store to snapshot (disk runs
+    /// with write-back), which must be at a write-back safe point.
     #[allow(clippy::too_many_arguments)]
     fn write_checkpoint(
         &self,
         data: &ScaledDataset,
-        storage: &StorageKind,
+        storage: Storage,
         epochs_completed: usize,
         rng_state: [u64; 4],
         state: &StateDict,
         store: Option<&PartitionStore>,
         report: &ExperimentReport,
     ) -> Result<()> {
-        let (dir, every) = self
-            .checkpoint
+        let dir = self
+            .checkpoint_dir
             .as_ref()
-            .expect("write_checkpoint called without a checkpoint configuration");
-        let snapshot = CheckpointSnapshot {
-            task_slug: self.task.slug(),
-            epochs_completed,
-            every: *every,
-            eval_every: self.eval_every,
-            rng_state,
-            emulated_device: self.emulate_device.then_some(&self.io_model),
-            model: &self.model,
-            train: &self.train,
+            .ok_or_else(|| StorageError::InvalidPlan {
+                reason: "checkpoint requested without a checkpoint directory \
+                         (Trainer::with_checkpoint)"
+                    .into(),
+            })?;
+        let config = RunConfig {
             storage,
-            pipeline: &self.pipeline,
+            ..self.config.clone()
+        };
+        let snapshot = CheckpointSnapshot {
+            config: &config,
+            epochs_completed,
+            rng_state,
             data,
             state,
             store,
             report,
+            // The cursor is plain counters, valid after every update, so a
+            // hook that panicked while holding the lock loses nothing.
             stream: self
                 .stream_state
                 .as_ref()
-                .map(|s| *s.lock().expect("stream state poisoned")),
+                .map(|s| *s.lock().unwrap_or_else(PoisonError::into_inner)),
         };
         crate::checkpoint::write_versioned(dir, &snapshot)?;
         Ok(())
     }
 
+    /// Trains per the description: in memory or out of core, as
+    /// `config.storage` says.
+    pub fn train(&self, data: &ScaledDataset) -> Result<ExperimentReport> {
+        match &self.config.storage {
+            Storage::InMemory => self.train_in_memory(data),
+            Storage::Disk(disk) => self.train_disk(data, disk),
+        }
+    }
+
     /// Trains with the full graph in memory (the M-GNN_Mem configuration).
     pub fn train_in_memory(&self, data: &ScaledDataset) -> Result<ExperimentReport> {
-        let mut rng = StdRng::seed_from_u64(self.train.seed);
+        let mut rng = StdRng::seed_from_u64(self.config.train.seed);
         let mut report = ExperimentReport::new("M-GNN_Mem", data.spec.name.clone());
 
         let subgraph = std::sync::Arc::new(self.task.in_memory_subgraph(data));
         let candidates = self.task.in_memory_candidates(data);
-        let mut model = self
+        let mut model =
+            self.task
+                .build_model(&self.config.model, &self.config.train, data, &mut rng)?;
+        let mut source = self
             .task
-            .build_model(&self.model, &self.train, data, &mut rng)?;
-        let mut source = self.task.in_memory_source(&self.model, data, &mut rng)?;
+            .in_memory_source(&self.config.model, data, &mut rng)?;
         let builder = self.task.batch_builder(&model);
         // In-memory training evaluates over the training graph itself, so the
         // evaluation context shares the subgraph instead of rebuilding it.
@@ -471,7 +400,7 @@ impl<T: Task> Trainer<T> {
         let mut order: Vec<u64> = (0..examples.len() as u64).collect();
         let mut permuted: Vec<T::Example> = Vec::with_capacity(examples.len());
 
-        let mut span = self.telemetry.scope("trainer");
+        let mut span = self.env.telemetry.scope("trainer");
 
         // Resuming: construction above replayed the fresh run's RNG draws;
         // now overlay the checkpointed state and jump to its epoch.
@@ -490,12 +419,12 @@ impl<T: Task> Trainer<T> {
             }
             order = saved_order;
             rng = StdRng::from_raw_state(resume.rng_state);
-            start_epoch = resume.start_epoch;
+            start_epoch = resume.epochs_completed;
             report.epochs = resume.prior_epochs.clone();
             span.end();
         }
 
-        for epoch_idx in start_epoch..self.train.epochs {
+        for epoch_idx in start_epoch..self.config.train.epochs {
             let mut epoch = EpochReport {
                 epoch: epoch_idx,
                 ..Default::default()
@@ -506,8 +435,10 @@ impl<T: Task> Trainer<T> {
             order.shuffle(&mut rng);
             permuted.clear();
             permuted.extend(order.iter().map(|&i| examples[i as usize].clone()));
-            for (i, batch) in permuted.chunks(self.train.batch_size).enumerate() {
-                if self.train.max_batches_per_epoch > 0 && i >= self.train.max_batches_per_epoch {
+            for (i, batch) in permuted.chunks(self.config.train.batch_size).enumerate() {
+                if self.config.train.max_batches_per_epoch > 0
+                    && i >= self.config.train.max_batches_per_epoch
+                {
                     break;
                 }
                 let prepared =
@@ -528,7 +459,7 @@ impl<T: Task> Trainer<T> {
                         source.as_ref(),
                         &eval_ctx,
                         data,
-                        &self.train,
+                        &self.config.train,
                         &mut rng,
                     )
                 })
@@ -536,7 +467,7 @@ impl<T: Task> Trainer<T> {
                 f64::NAN
             };
             finalize(&mut epoch);
-            self.mirror_epoch(&epoch);
+            epoch.mirror_into(&self.env.telemetry);
             report.epochs.push(epoch);
             self.epoch_done(&report)?;
             if self.should_checkpoint(epoch_idx) {
@@ -547,7 +478,7 @@ impl<T: Task> Trainer<T> {
                 state.push_u64(EXAMPLE_ORDER_BLOB, &order);
                 self.write_checkpoint(
                     data,
-                    &StorageKind::InMemory,
+                    Storage::InMemory,
                     epoch_idx + 1,
                     self.checkpoint_rng_state(epoch_idx, pre_eval_rng, &rng),
                     &state,
@@ -593,9 +524,9 @@ impl<T: Task> Trainer<T> {
             // load_set); the Arc handle lets each batch borrow the buffer
             // mutably without deep-copying the CSR structures.
             let snapshot = setup.buffer.subgraph_arc();
-            for batch in examples.chunks(self.train.batch_size) {
-                if self.train.max_batches_per_epoch > 0
-                    && batch_counter >= self.train.max_batches_per_epoch
+            for batch in examples.chunks(self.config.train.batch_size) {
+                if self.config.train.max_batches_per_epoch > 0
+                    && batch_counter >= self.config.train.max_batches_per_epoch
                 {
                     break;
                 }
@@ -626,8 +557,8 @@ impl<T: Task> Trainer<T> {
         epoch: &mut EpochReport,
     ) -> Result<()> {
         let p = setup.assignment.num_partitions();
-        let batch_size = self.train.batch_size;
-        let max_batches = self.train.max_batches_per_epoch;
+        let batch_size = self.config.train.batch_size;
+        let max_batches = self.config.train.max_batches_per_epoch;
         // Per-step start offsets into the global batch budget so the cap is
         // applied identically to the sequential counter even though workers
         // build steps concurrently.
@@ -686,49 +617,43 @@ impl<T: Task> Trainer<T> {
 
     /// Trains out-of-core with a partition buffer driven by the task's
     /// replacement policy (the M-GNN_Disk configuration). Runs on the staged
-    /// pipeline runtime when `self.pipeline.enabled`, otherwise sequentially.
+    /// pipeline runtime when `config.pipeline.enabled`, otherwise sequentially.
     pub fn train_disk(&self, data: &ScaledDataset, disk: &DiskConfig) -> Result<ExperimentReport> {
-        let mut rng = StdRng::seed_from_u64(self.train.seed);
+        let mut rng = StdRng::seed_from_u64(self.config.train.seed);
         let label = self.task.disk_label(disk)?;
         let mut report = ExperimentReport::new(label.clone(), data.spec.name.clone());
 
-        let store = PartitionStore::open_temp(&format!(
+        let env = IoEnv {
+            emulated_device: self.config.emulated_device,
+            ..self.env.clone()
+        };
+        let store = env.open_store(PartitionStore::temp_path(&format!(
             "{}-{}-{}",
             self.task.slug(),
             data.spec.name.replace('.', "-"),
             label.replace([' ', '(', ')'], "")
-        ))?;
-        let store = if self.emulate_device {
-            store.with_emulated_device(self.io_model)
-        } else {
-            store
-        };
-        let store = match &self.faults {
-            Some(injector) => store.with_fault_injector(Arc::clone(injector)),
-            None => store,
-        };
-        let store = store
-            .with_retry_policy(self.retry)
-            .with_telemetry(&self.telemetry);
+        )))?;
         store.clear()?;
         let mut setup = self
             .task
-            .disk_setup(&self.model, data, disk, store, &mut rng)?;
-        setup.buffer.attach_telemetry(&self.telemetry);
-        let mut model = self
-            .task
-            .build_model(&self.model, &self.train, data, &mut rng)?;
-        let pipeline = self
-            .pipeline
-            .enabled
-            .then(|| Pipeline::new(self.pipeline.clone()).with_telemetry(&self.telemetry));
+            .disk_setup(&self.config.model, data, disk, store, &mut rng)?;
+        setup.buffer.attach_telemetry(&self.env.telemetry);
+        let mut model =
+            self.task
+                .build_model(&self.config.model, &self.config.train, data, &mut rng)?;
+        let pipeline = self.config.pipeline.enabled.then(|| {
+            Pipeline::new(self.config.pipeline.clone()).with_telemetry(&self.env.telemetry)
+        });
         let eval_ctx = self.task.eval_context(data);
         // Non-writeback buffers hold fixed representations that never change
         // on disk, so their evaluation source is built once; learnable ones
         // are reassembled from disk after each epoch's flush.
         let mut static_eval_source: Option<Box<dyn crate::source::RepresentationSource>> = None;
 
-        let mut span = self.telemetry.scope("trainer");
+        // IO cost model used to estimate disk time for reports.
+        let io_model = self.config.emulated_device.unwrap_or_default();
+
+        let mut span = self.env.telemetry.scope("trainer");
 
         // Resuming: disk_setup/build_model above replayed the fresh run's RNG
         // draws (reproducing the partition assignment the snapshot's files
@@ -737,17 +662,17 @@ impl<T: Task> Trainer<T> {
         let mut start_epoch = 0usize;
         if let Some(resume) = &self.resume {
             span.begin("resume.load", NO_LABEL, NO_LABEL);
-            if let Some(snapshot) = &resume.store_snapshot {
+            if let Some(snapshot) = resume.store_snapshot() {
                 setup.store.restore_from(snapshot)?;
             }
             self.task.load_state(&mut model, &resume.state)?;
             rng = StdRng::from_raw_state(resume.rng_state);
-            start_epoch = resume.start_epoch;
+            start_epoch = resume.epochs_completed;
             report.epochs = resume.prior_epochs.clone();
             span.end();
         }
 
-        for epoch_idx in start_epoch..self.train.epochs {
+        for epoch_idx in start_epoch..self.config.train.epochs {
             let mut epoch = EpochReport {
                 epoch: epoch_idx,
                 ..Default::default()
@@ -793,7 +718,7 @@ impl<T: Task> Trainer<T> {
             let io = setup.store.io_stats();
             epoch.io_bytes_read = io.bytes_read;
             epoch.io_bytes_written = io.bytes_written;
-            epoch.io_time = self.io_model.stats_time(&io);
+            epoch.io_time = io_model.stats_time(&io);
             epoch.io_retries = io.io_retries;
             epoch.faults_injected = io.faults_injected;
             epoch.throttle_wait_time = io.throttle_wait;
@@ -807,25 +732,35 @@ impl<T: Task> Trainer<T> {
                 span.begin("epoch.eval", epoch_idx as i64, NO_LABEL);
                 let fresh_eval_source;
                 let eval_source: &dyn crate::source::RepresentationSource = if setup.writeback {
-                    fresh_eval_source = self.task.disk_eval_source(&self.model, data, &setup)?;
+                    fresh_eval_source =
+                        self.task
+                            .disk_eval_source(&self.config.model, data, &setup)?;
                     fresh_eval_source.as_ref()
                 } else {
                     if static_eval_source.is_none() {
-                        static_eval_source =
-                            Some(self.task.disk_eval_source(&self.model, data, &setup)?);
+                        static_eval_source = Some(self.task.disk_eval_source(
+                            &self.config.model,
+                            data,
+                            &setup,
+                        )?);
                     }
                     static_eval_source.as_deref().expect("populated above")
                 };
-                let metric =
-                    self.task
-                        .evaluate(&model, eval_source, &eval_ctx, data, &self.train, &mut rng);
+                let metric = self.task.evaluate(
+                    &model,
+                    eval_source,
+                    &eval_ctx,
+                    data,
+                    &self.config.train,
+                    &mut rng,
+                );
                 span.end();
                 metric
             } else {
                 f64::NAN
             };
             finalize(&mut epoch);
-            self.mirror_epoch(&epoch);
+            epoch.mirror_into(&self.env.telemetry);
             report.epochs.push(epoch);
             self.epoch_done(&report)?;
             if self.should_checkpoint(epoch_idx) {
@@ -839,7 +774,7 @@ impl<T: Task> Trainer<T> {
                 self.task.save_state(&model, &mut state);
                 self.write_checkpoint(
                     data,
-                    &StorageKind::Disk(disk.clone()),
+                    Storage::Disk(disk.clone()),
                     epoch_idx + 1,
                     self.checkpoint_rng_state(epoch_idx, pre_eval_rng, &rng),
                     &state,
@@ -855,18 +790,10 @@ impl<T: Task> Trainer<T> {
     }
 }
 
-/// The link-prediction trainer of earlier revisions.
-#[deprecated(note = "use `Trainer<LinkPredictionTask>` (or the `marius::Session` facade)")]
-pub type LinkPredictionTrainer = Trainer<LinkPredictionTask>;
-
-/// The node-classification trainer of earlier revisions.
-#[deprecated(note = "use `Trainer<NodeClassificationTask>` (or the `marius::Session` facade)")]
-pub type NodeClassificationTrainer = Trainer<NodeClassificationTask>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DiskConfig;
+    use crate::task::{LinkPredictionTask, NodeClassificationTask};
     use marius_graph::datasets::{DatasetSpec, ScaledDataset};
     use marius_graph::Partitioner;
     use marius_storage::PartitionStore;
@@ -1019,8 +946,9 @@ mod tests {
     fn eval_cadence_skips_intermediate_epochs_and_keeps_the_final_one() {
         let data = lp_dataset();
         let mut trainer = lp_trainer(0);
-        trainer.train.epochs = 3;
-        let report = trainer.with_eval_every(3).train_in_memory(&data).unwrap();
+        trainer.config.train.epochs = 3;
+        trainer.config.eval_every = 3;
+        let report = trainer.train_in_memory(&data).unwrap();
         assert!(report.epochs[0].metric.is_nan());
         assert!(report.epochs[1].metric.is_nan());
         assert!(report.epochs[2].metric.is_finite());
@@ -1034,26 +962,14 @@ mod tests {
         let calls = Arc::new(AtomicUsize::new(0));
         let seen = Arc::clone(&calls);
         let report = lp_trainer(0)
-            .with_epoch_hook(move |e| {
+            .with_fallible_epoch_hook(move |e| {
                 assert!(e.examples > 0);
                 seen.fetch_add(1, Ordering::SeqCst);
+                Ok(())
             })
             .train_in_memory(&data)
             .unwrap();
         assert_eq!(calls.load(Ordering::SeqCst), report.epochs.len());
-    }
-
-    #[test]
-    fn deprecated_trainer_aliases_still_construct() {
-        #![allow(deprecated)]
-        let t: LinkPredictionTrainer =
-            LinkPredictionTrainer::new(ModelConfig::paper_distmult(8), TrainConfig::quick(1, 1));
-        assert_eq!(t.train.epochs, 1);
-        let t: NodeClassificationTrainer = NodeClassificationTrainer::new(
-            ModelConfig::paper_node_classification(16, 8),
-            TrainConfig::quick(1, 2),
-        );
-        assert_eq!(t.train.seed, 2);
     }
 
     #[test]

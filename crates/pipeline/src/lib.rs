@@ -119,12 +119,6 @@ pub struct PipelineConfig {
     /// disk write-back before the consumer blocks. Bounds the memory held by
     /// in-flight evictions to `writeback_depth` generations.
     pub writeback_depth: usize,
-    /// Debug/measurement oracle: when `true`, evicted dirty partitions are
-    /// written back *inline* during the swap (the pre-double-buffering
-    /// behaviour) instead of being detached to the stage-4 drain. Training
-    /// output is identical either way; benches use this to measure what the
-    /// asynchronous write-back buys.
-    pub synchronous_writeback: bool,
 }
 
 impl PipelineConfig {
@@ -154,7 +148,6 @@ impl Default for PipelineConfig {
             queue_depth: 4,
             prefetch_depth: 2,
             writeback_depth: 2,
-            synchronous_writeback: false,
         }
     }
 }
@@ -1034,28 +1027,12 @@ impl Pipeline {
                                 compute_span.begin("compute.step", s as i64, NO_LABEL);
                                 compute_span.begin("compute.install", s as i64, NO_LABEL);
                                 let install_start = Instant::now();
-                                let evicted = if self.config.synchronous_writeback {
-                                    // Oracle mode: pay the eviction IO inline
-                                    // on this thread, as before stage 4
-                                    // existed. The empty payload still flows
-                                    // to the drain so the write-back
-                                    // watermark advances step by step.
-                                    buffer.install_set(
-                                        &ctx.set,
-                                        new_parts,
-                                        edges,
-                                        Arc::clone(&ctx.subgraph),
-                                    )?;
-                                    Vec::new()
-                                } else {
-                                    let (_installs, evicted) = buffer.install_set_deferred(
-                                        &ctx.set,
-                                        new_parts,
-                                        edges,
-                                        Arc::clone(&ctx.subgraph),
-                                    )?;
-                                    evicted
-                                };
+                                let (_installs, evicted) = buffer.install_set_deferred(
+                                    &ctx.set,
+                                    new_parts,
+                                    edges,
+                                    Arc::clone(&ctx.subgraph),
+                                )?;
                                 clock.swap.publish(s as i64);
                                 cur_ctx = Some(ctx);
                                 report.compute_busy += install_start.elapsed();

@@ -150,15 +150,11 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use marius_core::{
-    read_all_embeddings, Checkpoint, DiskConfig, EncoderKind, PolicyKind, StorageKind,
-};
+use marius_core::{read_all_embeddings, Checkpoint, DiskConfig, EncoderKind, PolicyKind, Storage};
 use marius_gnn::DistMult;
 use marius_graph::{NodeId, PartitionId, Partitioner, RelId};
 use marius_storage::policy::{BetaPolicy, CometPolicy, ReplacementPolicy};
-use marius_storage::{
-    FaultInjector, IoFaultPlan, PartitionStore, Result, RetryPolicy, StorageError,
-};
+use marius_storage::{FaultInjector, IoEnv, IoFaultPlan, Result, RetryPolicy, StorageError};
 use marius_telemetry::{Counter, Histogram, Telemetry, NO_LABEL};
 use marius_tensor::ops::dot_rows;
 use marius_tensor::Tensor;
@@ -191,9 +187,9 @@ pub enum ServeMode {
 #[derive(Clone, Default)]
 pub struct ServeConfig {
     mode: Option<ServeMode>,
-    telemetry: Telemetry,
-    faults: Option<Arc<FaultInjector>>,
-    retry: Option<RetryPolicy>,
+    /// What the backing partition store is opened under (and every reload
+    /// re-opens it under): fault schedule, retry policy, telemetry.
+    env: IoEnv,
     max_in_flight: Option<u64>,
     deadline: Option<Duration>,
     query_retries: Option<u32>,
@@ -221,7 +217,7 @@ impl ServeConfig {
     /// latency histograms record into the cloned handle. Recording reads only
     /// monotonic clocks, so query results are unaffected.
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.telemetry = telemetry.clone();
+        self.env.telemetry = telemetry.clone();
         self
     }
 
@@ -236,7 +232,7 @@ impl ServeConfig {
     /// Attaches a shared, already-built [`FaultInjector`] handle (useful to
     /// arm outages/permanent failures mid-run from the test driving it).
     pub fn with_fault_injector(mut self, faults: Arc<FaultInjector>) -> Self {
-        self.faults = Some(faults);
+        self.env.faults = Some(faults);
         self
     }
 
@@ -245,7 +241,7 @@ impl ServeConfig {
     /// [`RetryPolicy::no_retries`] to surface every transient fault to the
     /// serve-level retry layer instead.
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = Some(retry);
+        self.env.retry = retry;
         self
     }
 
@@ -583,14 +579,13 @@ impl Snapshot {
 }
 
 /// Everything needed to (re)load a snapshot from the checkpoint root —
-/// fixed at server construction so every reload opens the store with the
-/// same retry policy, fault schedule, and telemetry as the first load.
+/// fixed at server construction so every reload opens the store under the
+/// same environment (retry policy, fault schedule, telemetry) as the first
+/// load.
 struct LoadSpec {
     root: PathBuf,
     mode: ServeMode,
-    retry: RetryPolicy,
-    faults: Option<Arc<FaultInjector>>,
-    telemetry: Telemetry,
+    env: IoEnv,
 }
 
 impl LoadSpec {
@@ -599,19 +594,20 @@ impl LoadSpec {
         // Temporal link prediction ("tlp") checkpoints share the
         // link-prediction layout (embedding table + relation decoder) and
         // serve identically — streamed train→serve loops rely on this.
-        if ckpt.task_slug != "lp" && ckpt.task_slug != "tlp" {
+        let run = &ckpt.config;
+        if run.task != "lp" && run.task != "tlp" {
             return Err(StorageError::checkpoint(format!(
                 "serving requires a link-prediction checkpoint, found task {:?}",
-                ckpt.task_slug
+                run.task
             )));
         }
-        if ckpt.model.encoder != EncoderKind::None || ckpt.model.num_layers != 0 {
+        if run.model.encoder != EncoderKind::None || run.model.num_layers != 0 {
             return Err(StorageError::checkpoint(
                 "serving requires a decoder-only (DistMult) checkpoint: encoder-bearing \
                  models have no deterministic serving semantics (see marius_serve docs)",
             ));
         }
-        let dim = ckpt.model.output_dim;
+        let dim = run.model.output_dim;
 
         // Rebuild the decoder: allocate with any seed, then overlay the
         // checkpointed relation embeddings bit-for-bit.
@@ -634,8 +630,8 @@ impl LoadSpec {
         decoder.relation_param_mut().value = Tensor::from_vec(rel_values, num_relations, dim);
 
         let num_nodes = ckpt.dataset_spec.num_nodes;
-        let backend = match &ckpt.storage {
-            StorageKind::InMemory => match self.mode {
+        let backend = match &run.storage {
+            Storage::InMemory => match self.mode {
                 ServeMode::InMemory => {
                     let flat =
                         ckpt.state
@@ -649,7 +645,7 @@ impl LoadSpec {
                     ))
                 }
             },
-            StorageKind::Disk(disk) => {
+            Storage::Disk(disk) => {
                 if !ckpt.has_store_snapshot {
                     return Err(StorageError::checkpoint(
                         "checkpoint carries no partition snapshot to serve from",
@@ -659,18 +655,13 @@ impl LoadSpec {
                 // it: the assignment draw is the trainer RNG's first use, so
                 // seeding with the training seed and replaying that prefix
                 // recovers the node → partition map without reading the graph.
-                let mut rng = StdRng::seed_from_u64(ckpt.train.seed);
+                let mut rng = StdRng::seed_from_u64(run.train.seed);
                 let assignment = Partitioner::new(disk.num_partitions)
                     .map_err(|e| StorageError::InvalidPlan {
                         reason: format!("cannot replay the partition assignment: {e}"),
                     })?
                     .random(num_nodes, &mut rng);
-                let mut store = PartitionStore::open(ckpt.dir.join("partitions"))?
-                    .with_telemetry(&self.telemetry)
-                    .with_retry_policy(self.retry);
-                if let Some(faults) = &self.faults {
-                    store = store.with_fault_injector(Arc::clone(faults));
-                }
+                let store = self.env.open_store(ckpt.dir.join("partitions"))?;
                 match self.mode {
                     ServeMode::InMemory => {
                         let flat = read_all_embeddings(&store, &assignment, dim)?;
@@ -679,11 +670,11 @@ impl LoadSpec {
                     ServeMode::ReadCache { budget_bytes } => {
                         let heat = heat_order(
                             disk,
-                            &mut StdRng::seed_from_u64(ckpt.train.seed ^ HEAT_SEED_SALT),
+                            &mut StdRng::seed_from_u64(run.train.seed ^ HEAT_SEED_SALT),
                         )?;
                         let rows: Vec<usize> = assignment.partition_sizes();
                         let cache =
-                            ReadCache::new(&heat, &rows, dim, budget_bytes, &self.telemetry);
+                            ReadCache::new(&heat, &rows, dim, budget_bytes, &self.env.telemetry);
                         Backend::out_of_core(store, assignment, cache, dim)
                     }
                 }
@@ -765,13 +756,11 @@ impl Server {
     /// a different task, carries an encoder (see the crate docs), or lacks
     /// the partition snapshot a [`ServeMode::ReadCache`] needs.
     pub fn from_checkpoint_with(root: impl AsRef<Path>, config: ServeConfig) -> Result<Self> {
-        let telemetry = config.telemetry.clone();
+        let telemetry = config.env.telemetry.clone();
         let spec = LoadSpec {
             root: root.as_ref().to_path_buf(),
             mode: config.mode.unwrap_or(ServeMode::InMemory),
-            retry: config.retry.unwrap_or_else(RetryPolicy::default_transient),
-            faults: config.faults.clone(),
-            telemetry: telemetry.clone(),
+            env: config.env,
         };
         let snapshot = spec.load()?;
         telemetry
@@ -829,7 +818,7 @@ impl Server {
     /// [`ServeConfig::with_fault_injector`], if any — chaos suites use this
     /// to arm outages or permanent failures mid-run.
     pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.spec.faults.as_ref()
+        self.spec.env.faults.as_ref()
     }
 
     /// Number of partitions the read cache admits, when serving out of core.
@@ -895,7 +884,7 @@ impl Server {
                 .backend
                 .store()
                 .map_or(0, |store| store.io_stats().io_retries),
-            faults_injected: self.spec.faults.as_ref().map_or(0, |f| f.faults_injected()),
+            faults_injected: self.fault_injector().map_or(0, |f| f.faults_injected()),
         }
     }
 

@@ -8,21 +8,18 @@
 //! (paper §4.1). Embedding gathers and sparse Adagrad write-backs (Figure 2 steps
 //! 5–6) are served directly from the resident partitions.
 //!
-//! Three entry points swap the working set:
+//! Two entry points swap the working set:
 //!
 //! * [`PartitionBuffer::load_set`] — the synchronous path: evicts (writing
 //!   dirty partitions back inline), then reads partitions and edge buckets
 //!   from disk on the calling thread.
-//! * [`PartitionBuffer::install_set`] — the read-asynchronous path: the
-//!   prefetcher thread has already read the partition and bucket files, so
-//!   the swap only evicts (still writing dirty partitions back inline) and
-//!   moves the prefetched data into place, keeping disk *reads* off the
-//!   compute thread.
-//! * [`PartitionBuffer::install_set_deferred`] — the fully asynchronous path
-//!   used by `marius-pipeline`: dirty evictions are *detached* as owned
-//!   [`EvictedPartition`] payloads instead of being written inline, so the
-//!   caller can hand them to a write-back drain thread while the next step
-//!   computes. The shared [`WritebackLedger`] tracks which partitions have
+//! * [`PartitionBuffer::install_set_deferred`] — the asynchronous path used
+//!   by `marius-pipeline`: the prefetcher thread has already read the
+//!   partition and bucket files, so the swap only moves them into place, and
+//!   dirty evictions are *detached* as owned [`EvictedPartition`] payloads
+//!   instead of being written inline, so the caller can hand them to a
+//!   write-back drain thread while the next step computes — no disk IO on
+//!   the compute thread. The shared [`WritebackLedger`] tracks which partitions have
 //!   detached contents in flight; [`PartitionBuffer::flush`] waits for the
 //!   ledger to drain before touching the same files, and installs reject a
 //!   partition whose write-back is still pending (its disk bytes are stale).
@@ -408,36 +405,24 @@ impl PartitionBuffer {
     }
 
     /// Installs a partition set whose data was already read from disk (by the
-    /// `marius-pipeline` prefetcher): evicts resident partitions not in `set`
-    /// (writing dirty ones back), moves `new_parts` into residency, and adopts
-    /// the prefetched edge set and sampling subgraph without touching the
-    /// store's read path.
+    /// `marius-pipeline` prefetcher): evicts resident partitions not in `set`,
+    /// moves `new_parts` into residency, and adopts the prefetched edge set
+    /// and sampling subgraph without touching the store's read path.
     ///
     /// `new_parts` must contain exactly the partitions of `set` that are not
     /// currently resident; `edges`/`subgraph` must describe the buckets
     /// between the partitions of `set` (in the same `set × set` order
     /// [`PartitionBuffer::load_set`] reads them). Returns the number of
-    /// partitions installed.
-    pub fn install_set(
-        &mut self,
-        set: &[PartitionId],
-        new_parts: Vec<(PartitionId, Vec<f32>, Vec<f32>)>,
-        edges: Vec<Edge>,
-        subgraph: Arc<InMemorySubgraph>,
-    ) -> Result<usize> {
-        let (installs, evicted) = self.install_set_impl(set, new_parts, edges, subgraph)?;
-        self.write_evicted_inline(evicted)?;
-        Ok(installs)
-    }
-
-    /// Like [`PartitionBuffer::install_set`], but instead of writing evicted
-    /// dirty partitions back inline, *detaches* them: ownership of their
-    /// value/state buffers transfers to the returned [`EvictedPartition`]s (a
-    /// second buffer generation kept alive off the compute path) and each is
-    /// marked pending in the [`WritebackLedger`]. The caller must hand every
-    /// returned payload to a drain that writes it to the store and then calls
-    /// [`WritebackLedger::mark_drained`] — until then the partition's on-disk
-    /// file holds stale bytes and must not be read.
+    /// partitions installed and the evicted dirty partitions.
+    ///
+    /// Evicted dirty partitions are not written back inline but *detached*:
+    /// ownership of their value/state buffers transfers to the returned
+    /// [`EvictedPartition`]s (a second buffer generation kept alive off the
+    /// compute path) and each is marked pending in the [`WritebackLedger`].
+    /// The caller must hand every returned payload to a drain that writes it
+    /// to the store and then calls [`WritebackLedger::mark_drained`] — until
+    /// then the partition's on-disk file holds stale bytes and must not be
+    /// read.
     pub fn install_set_deferred(
         &mut self,
         set: &[PartitionId],
@@ -445,29 +430,9 @@ impl PartitionBuffer {
         edges: Vec<Edge>,
         subgraph: Arc<InMemorySubgraph>,
     ) -> Result<(usize, Vec<EvictedPartition>)> {
-        let (installs, evicted) = self.install_set_impl(set, new_parts, edges, subgraph)?;
-        for e in &evicted {
-            self.ledger.mark_pending(e.id);
-        }
-        self.telemetry
-            .ledger_occupancy
-            .record(self.ledger.pending_count() as u64);
-        Ok((installs, evicted))
-    }
-
-    fn install_set_impl(
-        &mut self,
-        set: &[PartitionId],
-        new_parts: Vec<(PartitionId, Vec<f32>, Vec<f32>)>,
-        edges: Vec<Edge>,
-        subgraph: Arc<InMemorySubgraph>,
-    ) -> Result<(usize, Vec<EvictedPartition>)> {
         let (wanted, evicted) = self.begin_swap(set)?;
-        match self.install_new_parts(&wanted, set, new_parts, edges, subgraph) {
-            Ok(installs) => {
-                self.note_swap((set.len() - installs) as u64, installs as u64);
-                Ok((installs, evicted))
-            }
+        let installs = match self.install_new_parts(&wanted, set, new_parts, edges, subgraph) {
+            Ok(installs) => installs,
             Err(e) => {
                 // The swap already detached this step's dirty evictions; put
                 // their bytes on disk (best effort) before surfacing the
@@ -475,9 +440,17 @@ impl PartitionBuffer {
                 // the rescue write fails too, the install error stays the
                 // root cause the caller sees.
                 let _ = self.write_evicted_inline(evicted);
-                Err(e)
+                return Err(e);
             }
+        };
+        self.note_swap((set.len() - installs) as u64, installs as u64);
+        for e in &evicted {
+            self.ledger.mark_pending(e.id);
         }
+        self.telemetry
+            .ledger_occupancy
+            .record(self.ledger.pending_count() as u64);
+        Ok((installs, evicted))
     }
 
     fn install_new_parts(
@@ -500,7 +473,7 @@ impl PartitionBuffer {
                 // data would silently lose training updates.
                 return Err(StorageError::InvalidPlan {
                     reason: format!(
-                        "prefetched partition {p} is already resident; install_set takes only the missing partitions of the set"
+                        "prefetched partition {p} is already resident; an install takes only the missing partitions of the set"
                     ),
                 });
             }
@@ -580,7 +553,7 @@ impl PartitionBuffer {
     }
 
     /// Writes detached evictions straight back to the store (the synchronous
-    /// swap paths, and the deferred path's error recovery).
+    /// swap path, and the deferred path's error recovery).
     fn write_evicted_inline(&self, evicted: Vec<EvictedPartition>) -> Result<()> {
         for e in evicted {
             self.store.write_partition(e.id, &e.values, &e.state)?;
@@ -869,10 +842,28 @@ mod tests {
         assert!(stats.bytes_read > 0);
     }
 
+    /// `install_set_deferred` with the detached evictions drained inline, the
+    /// way the pipeline's write-back thread drains them.
+    fn install_and_drain(
+        buffer: &mut PartitionBuffer,
+        set: &[PartitionId],
+        new_parts: Vec<(PartitionId, Vec<f32>, Vec<f32>)>,
+        edges: Vec<Edge>,
+    ) -> Result<usize> {
+        let subgraph = Arc::new(InMemorySubgraph::from_edges(&edges));
+        let (installs, evicted) = buffer.install_set_deferred(set, new_parts, edges, subgraph)?;
+        for e in evicted {
+            buffer.store().write_partition(e.id, &e.values, &e.state)?;
+            buffer.writeback_ledger().mark_drained(e.id);
+        }
+        Ok(installs)
+    }
+
     #[test]
-    fn install_set_matches_load_set() {
-        // Drive one buffer through load_set and a twin through install_set
-        // with prefetched data; both must end up in identical states.
+    fn prefetched_install_matches_load_set() {
+        // Drive one buffer through load_set and a twin through a prefetched
+        // install; both must end up in identical states, dirty evictions
+        // included.
         let (mut seq, _) = build_buffer("install-seq", 40, 4, 2, true);
         let (mut pipe, _) = build_buffer("install-pipe", 40, 4, 2, true);
         // Same disk contents: copy the sequential store's files over.
@@ -884,9 +875,9 @@ mod tests {
                 pipe.store().write_bucket(p, q, &edges).unwrap();
             }
         }
-        for set in [vec![0u32, 1], vec![1, 2], vec![0, 3]] {
+        for set in [vec![0u32, 1], vec![1, 2], vec![0, 3], vec![0, 1]] {
             seq.load_set(&set).unwrap();
-            // Prefetch what install_set expects: missing partitions + edges.
+            // Prefetch what the install expects: missing partitions + edges.
             let mut new_parts = Vec::new();
             for &p in &set {
                 if !pipe.resident_partitions().contains(&p) {
@@ -900,8 +891,7 @@ mod tests {
                     edges.extend_from_slice(&pipe.store().read_bucket(i, j).unwrap());
                 }
             }
-            let subgraph = Arc::new(InMemorySubgraph::from_edges(&edges));
-            let installed = pipe.install_set(&set, new_parts, edges, subgraph).unwrap();
+            let installed = install_and_drain(&mut pipe, &set, new_parts, edges).unwrap();
             assert!(installed <= set.len());
             assert_eq!(seq.resident_partitions(), pipe.resident_partitions());
             assert_eq!(seq.resident_nodes(), pipe.resident_nodes());
@@ -911,29 +901,39 @@ mod tests {
                 seq.gather(&nodes[..4]).unwrap(),
                 pipe.gather(&nodes[..4]).unwrap()
             );
+            // Dirty the first resident partition on both sides, so the next
+            // swap's eviction carries an update through each write-back path.
+            let grad = Tensor::ones(1, 4);
+            seq.apply_update(&nodes[..1], &grad).unwrap();
+            pipe.apply_update(&nodes[..1], &grad).unwrap();
         }
     }
 
     #[test]
-    fn install_set_rejects_missing_or_foreign_partitions() {
+    fn install_rejects_missing_or_foreign_partitions() {
         let (mut buffer, _) = build_buffer("install-invalid", 40, 4, 2, true);
         // Partition 1 neither resident nor prefetched.
         let (v, s) = buffer.store().read_partition(0).unwrap();
-        let err = buffer.install_set(
+        let err = install_and_drain(
+            &mut buffer,
             &[0, 1],
             vec![(0, v.clone(), s.clone())],
             Vec::new(),
-            Arc::new(InMemorySubgraph::from_edges(&[])),
         );
         assert!(err.is_err());
         // Prefetched partition outside the set.
-        let err = buffer.install_set(
+        let err = install_and_drain(
+            &mut buffer,
             &[0],
             vec![(0, v.clone(), s.clone()), (3, v, s)],
             Vec::new(),
-            Arc::new(InMemorySubgraph::from_edges(&[])),
         );
         assert!(err.is_err());
+        // Prefetched partition that is already resident.
+        buffer.load_set(&[0, 1]).unwrap();
+        let (v, s) = buffer.store().read_partition(1).unwrap();
+        let err = install_and_drain(&mut buffer, &[1, 2], vec![(1, v, s)], Vec::new()).unwrap_err();
+        assert!(format!("{err}").contains("already resident"), "{err}");
     }
 
     #[test]
@@ -1005,14 +1005,8 @@ mod tests {
         // While 0's write-back is pending, its disk bytes are stale:
         // installing a copy read from disk must fail.
         let (v0, s0) = buffer.store().read_partition(0).unwrap();
-        let err = buffer
-            .install_set(
-                &[0, 1],
-                vec![(0, v0, s0)],
-                Vec::new(),
-                Arc::new(InMemorySubgraph::from_edges(&[])),
-            )
-            .unwrap_err();
+        let err =
+            install_and_drain(&mut buffer, &[0, 1], vec![(0, v0, s0)], Vec::new()).unwrap_err();
         assert!(format!("{err}").contains("pending write-back"));
         // After draining, the same install succeeds.
         let e = &evicted[0];
@@ -1022,14 +1016,7 @@ mod tests {
             .unwrap();
         buffer.writeback_ledger().mark_drained(e.id);
         let (v0, s0) = buffer.store().read_partition(0).unwrap();
-        buffer
-            .install_set(
-                &[0, 1],
-                vec![(0, v0, s0)],
-                Vec::new(),
-                Arc::new(InMemorySubgraph::from_edges(&[])),
-            )
-            .unwrap();
+        install_and_drain(&mut buffer, &[0, 1], vec![(0, v0, s0)], Vec::new()).unwrap();
     }
 
     #[test]

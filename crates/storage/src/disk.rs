@@ -308,6 +308,9 @@ impl DeviceGate {
 /// for one volume's bandwidth). The out-of-core benchmarks use this to
 /// reproduce the paper's IO regime, where a prefetching pipeline has real
 /// latency to hide.
+///
+/// A run's stores get the `with_*` attachments below from one function,
+/// [`crate::IoEnv::open_store`]; call them only on a store you open yourself.
 #[derive(Debug, Clone)]
 pub struct PartitionStore {
     root: PathBuf,
@@ -498,13 +501,17 @@ impl PartitionStore {
     /// Opens a store in a fresh unique subdirectory of the system temp dir.
     /// Useful for tests and examples.
     pub fn open_temp(label: &str) -> Result<Self> {
-        let unique = format!(
+        Self::open(Self::temp_path(label))
+    }
+
+    /// The directory [`PartitionStore::open_temp`] uses for `label`: unique
+    /// per process and thread under the system temp dir.
+    pub fn temp_path(label: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
             "marius-store-{label}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
-        );
-        let dir = std::env::temp_dir().join(unique);
-        Self::open(dir)
+        ))
     }
 
     /// The root directory of the store.

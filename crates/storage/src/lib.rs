@@ -23,6 +23,9 @@
 //!   volume into epoch-time analogues, and by
 //!   [`disk::PartitionStore::with_emulated_device`] to slow the store down to a
 //!   real device's speed for overlap experiments.
+//! * [`env::IoEnv`] — the fault injector, retry policy, telemetry recorder and
+//!   emulated device a run attaches to every store it opens, carried as one
+//!   value and applied by one function ([`env::IoEnv::open_store`]).
 //!
 //! # The asynchronous (pipelined) path
 //!
@@ -45,6 +48,7 @@
 
 pub mod buffer;
 pub mod disk;
+pub mod env;
 pub mod fault;
 pub mod io_model;
 pub mod policy;
@@ -53,6 +57,7 @@ pub mod tuning;
 
 pub use buffer::{BufferStats, EvictedPartition, PartitionBuffer, WritebackLedger};
 pub use disk::{atomic_write, partition_digest, IoStats, PartitionStore};
+pub use env::IoEnv;
 pub use fault::{FaultInjector, IoFaultPlan, Outage};
 pub use io_model::IoCostModel;
 pub use policy::{BetaPolicy, CometPolicy, EpochPlan, InMemoryPolicy, NodeCachePolicy};

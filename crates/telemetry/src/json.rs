@@ -1,10 +1,9 @@
 //! Hand-rolled JSON formatting helpers shared by every writer in the
 //! workspace.
 //!
-//! The workspace vendors a no-op `serde` shim (the build environment has no
-//! network access to the real crate), so every JSON document — epoch reports,
-//! checkpoint manifests, `BENCH_*.json`, Chrome traces, `metrics.json` — is
-//! assembled with `format!`. These two helpers are the single source of truth
+//! The build environment has no network access to a JSON crate, so every
+//! JSON document — epoch reports, checkpoint manifests, `BENCH_*.json`,
+//! Chrome traces, `metrics.json` — is assembled with `format!`. These two helpers are the single source of truth
 //! for string escaping and number formatting, so all writers emit the same
 //! byte-for-byte encoding and the manifest reader in `marius-core` can parse
 //! any of them back.

@@ -53,8 +53,9 @@
 //! session.train()?;
 //!
 //! // ...and a later process picks up exactly where it stopped (the dataset,
-//! // task, model, optimizer state and RNG streams all come from the
-//! // manifest; `resume_from_until` additionally raises the epoch target).
+//! // the run's description — task, model, storage, pipeline, cadences —,
+//! // optimizer state and RNG streams all come from the manifest;
+//! // `resume_from_until` additionally raises the epoch target).
 //! let mut resumed: Session<LinkPredictionTask> =
 //!     Session::resume_from("run/checkpoints")?;
 //! let report = resumed.train()?;
@@ -63,8 +64,9 @@
 //! # }
 //! ```
 //!
-//! See `marius_core::checkpoint` for the on-disk layout (manifest schema,
-//! blob format, versioning rules).
+//! See `marius_core::checkpoint` for the on-disk layout (manifest schema —
+//! one [`RunConfig`] plus cursor, blobs and epochs —, blob format, versioning
+//! rules).
 //!
 //! # Fault tolerance
 //!
@@ -298,34 +300,22 @@ pub use marius_telemetry::Telemetry;
 pub use marius_core::{
     Checkpoint, DiskConfig, EncoderKind, EpochHook, EpochReport, ExperimentReport,
     LinkPredictionTask, ModelConfig, NodeClassificationTask, Persist, PipelineConfig, PolicyKind,
-    StateDict, StreamState, Task, TemporalLinkPredictionTask, TrainConfig, Trainer,
+    RunConfig, StateDict, Storage, StreamState, Task, TemporalLinkPredictionTask, TrainConfig,
+    Trainer,
 };
-#[allow(deprecated)]
-pub use marius_core::{LinkPredictionTrainer, NodeClassificationTrainer};
 pub use marius_serve::{
     CheckpointWatcher, Prediction, ServeConfig, ServeError, ServeMode, ServeResult, Server,
     ServerHealth, ZipfWorkload,
 };
 pub use marius_storage::{
-    FaultInjector, IoCostModel, IoFaultPlan, Result, RetryPolicy, StorageError,
+    FaultInjector, IoCostModel, IoEnv, IoFaultPlan, Result, RetryPolicy, StorageError,
 };
 pub use marius_stream::{EdgeStream, Ingestor};
 
-use marius_core::StorageKind;
 use marius_graph::datasets::ScaledDataset;
 use marius_storage::PartitionStore;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-/// Where base representations live during training.
-#[derive(Debug, Clone)]
-pub enum Storage {
-    /// The full graph and all representations stay in memory (M-GNN_Mem).
-    InMemory,
-    /// Out-of-core training over a partitioned on-disk layout (M-GNN_Disk),
-    /// driven by the disk configuration's replacement policy.
-    Disk(DiskConfig),
-}
 
 /// Configuration of a continuous-training loop ([`Session::stream`]): each
 /// cycle fine-tunes for `epochs_per_cycle` epochs, then ingests
@@ -383,21 +373,17 @@ impl StreamConfig {
     }
 }
 
-/// Builder for [`Session`]. Obtain one with [`Session::builder`].
+/// Builder for [`Session`]. Obtain one with [`Session::builder`]. Every
+/// setter writes into one of two values: the run's description ([`RunConfig`],
+/// what a checkpoint manifest persists) or its IO environment ([`IoEnv`],
+/// what a process attaches and a manifest does not hold).
 pub struct SessionBuilder<T: Task = LinkPredictionTask> {
     task: T,
     dataset: Option<ScaledDataset>,
-    model: Option<ModelConfig>,
-    train: TrainConfig,
-    storage: Storage,
-    pipeline: PipelineConfig,
-    emulated_device: Option<IoCostModel>,
-    faults: Option<Arc<FaultInjector>>,
-    retry: Option<RetryPolicy>,
-    eval_every: usize,
+    config: RunConfig,
+    env: IoEnv,
     epoch_hook: Option<EpochHook>,
-    checkpoint: Option<(usize, PathBuf)>,
-    telemetry: Telemetry,
+    checkpoint_dir: Option<PathBuf>,
 }
 
 impl Default for SessionBuilder<LinkPredictionTask> {
@@ -412,17 +398,10 @@ impl<T: Task> SessionBuilder<T> {
         SessionBuilder {
             task,
             dataset: None,
-            model: None,
-            train: TrainConfig::default(),
-            storage: Storage::InMemory,
-            pipeline: PipelineConfig::disabled(),
-            emulated_device: None,
-            faults: None,
-            retry: None,
-            eval_every: 1,
+            config: RunConfig::default(),
+            env: IoEnv::default(),
             epoch_hook: None,
-            checkpoint: None,
-            telemetry: Telemetry::disabled(),
+            checkpoint_dir: None,
         }
     }
 
@@ -432,17 +411,10 @@ impl<T: Task> SessionBuilder<T> {
         SessionBuilder {
             task,
             dataset: self.dataset,
-            model: self.model,
-            train: self.train,
-            storage: self.storage,
-            pipeline: self.pipeline,
-            emulated_device: self.emulated_device,
-            faults: self.faults,
-            retry: self.retry,
-            eval_every: self.eval_every,
+            config: self.config,
+            env: self.env,
             epoch_hook: self.epoch_hook,
-            checkpoint: self.checkpoint,
-            telemetry: self.telemetry,
+            checkpoint_dir: self.checkpoint_dir,
         }
     }
 
@@ -454,32 +426,34 @@ impl<T: Task> SessionBuilder<T> {
 
     /// The model architecture (required).
     pub fn model(mut self, model: ModelConfig) -> Self {
-        self.model = Some(model);
+        self.config.model = model;
         self
     }
 
     /// Batch/epoch configuration (defaults to [`TrainConfig::default`]).
     pub fn train(mut self, train: TrainConfig) -> Self {
-        self.train = train;
+        self.config.train = train;
         self
     }
 
     /// In-memory or out-of-core storage (defaults to [`Storage::InMemory`]).
     pub fn storage(mut self, storage: Storage) -> Self {
-        self.storage = storage;
+        self.config.storage = storage;
         self
     }
 
     /// Enables the staged pipelined runtime for disk-based training.
     pub fn pipeline(mut self, pipeline: PipelineConfig) -> Self {
-        self.pipeline = pipeline;
+        self.config.pipeline = pipeline;
         self
     }
 
     /// Runs disk training against an emulated IO device instead of the raw
-    /// local filesystem (see `PartitionStore::with_emulated_device`).
+    /// local filesystem (see `PartitionStore::with_emulated_device`). Part of
+    /// the run's description: checkpoints record it and a resumed run trains
+    /// against the same device.
     pub fn emulated_device(mut self, model: IoCostModel) -> Self {
-        self.emulated_device = Some(model);
+        self.config.emulated_device = Some(model);
         self
     }
 
@@ -495,14 +469,14 @@ impl<T: Task> SessionBuilder<T> {
     /// Attaches an existing fault injector (shared, so callers can read its
     /// counters or arm outage/permanent windows mid-run).
     pub fn fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
-        self.faults = Some(injector);
+        self.env.faults = Some(injector);
         self
     }
 
     /// Overrides the bounded-exponential-backoff policy the store applies to
     /// transient IO failures ([`RetryPolicy::default_transient`] otherwise).
     pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
+        self.env.retry = policy;
         self
     }
 
@@ -510,17 +484,16 @@ impl<T: Task> SessionBuilder<T> {
     /// epoch); skipped epochs report `metric = NaN`. Evaluation consumes RNG
     /// draws, so changing the cadence changes subsequent trajectories.
     pub fn eval_every(mut self, every: usize) -> Self {
-        self.eval_every = every;
+        self.config.eval_every = every;
         self
     }
 
     /// Installs a callback invoked after every completed epoch.
-    pub fn on_epoch(mut self, hook: impl Fn(&EpochReport) + Send + Sync + 'static) -> Self {
-        self.epoch_hook = Some(Box::new(move |epoch| {
+    pub fn on_epoch(self, hook: impl Fn(&EpochReport) + Send + Sync + 'static) -> Self {
+        self.on_epoch_fallible(move |epoch| {
             hook(epoch);
             Ok(())
-        }));
-        self
+        })
     }
 
     /// Installs a fallible epoch callback: an `Err` aborts training and
@@ -542,7 +515,7 @@ impl<T: Task> SessionBuilder<T> {
     /// operation is a single-branch no-op. After the run, export with
     /// [`Telemetry::write_chrome_trace`] / [`Telemetry::write_metrics_json`].
     pub fn telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.telemetry = telemetry.clone();
+        self.env.telemetry = telemetry.clone();
         self
     }
 
@@ -555,7 +528,8 @@ impl<T: Task> SessionBuilder<T> {
     /// a run back up from the newest version, bit-exactly. See
     /// `marius_core::checkpoint` for the on-disk format.
     pub fn checkpoint_to(mut self, path: impl Into<PathBuf>, every: usize) -> Self {
-        self.checkpoint = Some((every.max(1), path.into()));
+        self.checkpoint_dir = Some(path.into());
+        self.config.checkpoint_every = every.max(1);
         self
     }
 
@@ -564,45 +538,30 @@ impl<T: Task> SessionBuilder<T> {
         let data = self.dataset.ok_or_else(|| StorageError::InvalidPlan {
             reason: "Session requires a dataset (SessionBuilder::dataset)".into(),
         })?;
-        let model = self.model.ok_or_else(|| StorageError::InvalidPlan {
-            reason: "Session requires a model configuration (SessionBuilder::model)".into(),
-        })?;
+        if self.config.model.output_dim == 0 {
+            return Err(StorageError::InvalidPlan {
+                reason: "Session requires a model configuration (SessionBuilder::model)".into(),
+            });
+        }
         // Fail fast on a policy/task mismatch instead of at train() time.
-        if let Storage::Disk(disk) = &self.storage {
+        if let Storage::Disk(disk) = &self.config.storage {
             self.task.disk_label(disk)?;
-        }
-
-        let mut trainer = Trainer::with_task(self.task, model, self.train)
-            .with_pipeline(self.pipeline)
-            .with_eval_every(self.eval_every)
-            .with_telemetry(&self.telemetry);
-        if let Some(io) = self.emulated_device {
-            trainer = trainer.with_emulated_device(io);
-        }
-        if let Some(injector) = self.faults {
-            trainer = trainer.with_fault_injector(injector);
-        }
-        if let Some(policy) = self.retry {
-            trainer = trainer.with_retry_policy(policy);
         }
         // Checkpointing lives inside the trainer (it owns the model and the
         // store at epoch boundaries); the user hook rides along unchanged,
         // and any hook failure propagates as the run's StorageError instead
         // of panicking through a poisoned accumulator.
-        let checkpoint_dir = self.checkpoint.as_ref().map(|(_, path)| path.clone());
-        if let Some((every, path)) = self.checkpoint {
-            trainer = trainer.with_checkpoint(path, every);
+        let every = self.config.checkpoint_every;
+        let mut trainer = Trainer::from_config(self.task, self.config, self.env);
+        if let Some(dir) = self.checkpoint_dir {
+            trainer = trainer.with_checkpoint(dir, every);
         }
         if let Some(hook) = self.epoch_hook {
             trainer = trainer.with_fallible_epoch_hook(hook);
         }
-
         Ok(Session {
             trainer,
             data,
-            storage: self.storage,
-            retry: self.retry,
-            checkpoint_dir,
             last_report: None,
         })
     }
@@ -613,12 +572,6 @@ impl<T: Task> SessionBuilder<T> {
 pub struct Session<T: Task> {
     trainer: Trainer<T>,
     data: ScaledDataset,
-    storage: Storage,
-    /// Retry-policy override, carried so recovery resumes re-apply it.
-    retry: Option<RetryPolicy>,
-    /// Checkpoint root, when the session checkpoints — the anchor
-    /// [`Session::train_with_recovery`] resumes from.
-    checkpoint_dir: Option<PathBuf>,
     last_report: Option<ExperimentReport>,
 }
 
@@ -641,11 +594,19 @@ impl<T: Task + Default> Session<T> {
     /// the interruption. The resumed session keeps checkpointing to `path`
     /// on the recorded cadence.
     ///
+    /// What comes back is the run's *description* — the manifest's
+    /// [`RunConfig`], emulated device included. A manifest never holds the
+    /// run's IO environment ([`IoEnv`]: fault injector, retry policy,
+    /// telemetry recorder) or its epoch hooks: a session resumed by
+    /// `resume_from`, `resume_from_until` or `resume_streamed` runs on the
+    /// healthy device under the default retry policy, unobserved. Only
+    /// [`Session::train_with_recovery`] carries an environment across.
+    ///
     /// The checkpoint's task must match `T` (compared by `Task::slug`);
     /// resuming a node-classification checkpoint requires
     /// `Session::<NodeClassificationTask>::resume_from`.
     pub fn resume_from(path: impl AsRef<Path>) -> Result<Session<T>> {
-        Self::resume(path, None, None, None, Telemetry::disabled())
+        Self::resume(path.as_ref(), None, IoEnv::default())
     }
 
     /// Like [`Session::resume_from`], but raises the run's total epoch target
@@ -653,33 +614,33 @@ impl<T: Task + Default> Session<T> {
     /// "2 epochs done, train to 4" when the interrupted run had a shorter
     /// target. `epochs` below the checkpointed progress is rejected.
     pub fn resume_from_until(path: impl AsRef<Path>, epochs: usize) -> Result<Session<T>> {
-        Self::resume(path, Some(epochs), None, None, Telemetry::disabled())
+        Self::resume(path.as_ref(), Some(epochs), IoEnv::default())
     }
 
     /// Trains to completion, automatically resuming from the newest
     /// checkpoint when a run fails, up to `max_restarts` times. The session
     /// must checkpoint ([`SessionBuilder::checkpoint_to`]); each recovery
     /// re-opens the checkpoint directory, rebuilds the run bit-exactly
-    /// ([`Session::resume_from_until`] semantics, keeping this session's
-    /// fault injector and retry policy attached), and continues. A resume
-    /// that itself fails (the device still down during the restore) consumes
-    /// restart budget and is retried like any other failure. When the budget
-    /// is exhausted the last failure surfaces unchanged.
+    /// ([`Session::resume_from_until`] semantics) and continues, and this
+    /// session *becomes* the rebuilt one. A resume that itself fails (the
+    /// device still down during the restore) consumes restart budget and is
+    /// retried like any other failure. When the budget is exhausted the last
+    /// failure surfaces unchanged.
+    ///
+    /// The failed session's [`IoEnv`] is handed to each rebuilt one as one
+    /// value: the *same* fault injector (so a one-shot outage window is not
+    /// replayed by the restarted run), the same retry policy and the same
+    /// telemetry recorder (the trace of a recovered run covers every
+    /// attempt). The emulated device needs no carrying — it is part of the
+    /// description and comes back from the manifest. Epoch hooks still do
+    /// not survive a recovery (closures cannot be rebuilt from a manifest);
+    /// epochs trained after the first restart run without the hook.
     ///
     /// The returned report's [`EpochReport::recoveries`] field records, per
-    /// epoch, how many recoveries preceded it. Epoch hooks do not survive a
-    /// recovery (closures cannot be rebuilt from a manifest); epochs trained
-    /// after the first restart run without the hook.
+    /// epoch, how many recoveries preceded it.
     pub fn train_with_recovery(&mut self, max_restarts: usize) -> Result<ExperimentReport> {
-        let Some(dir) = self.checkpoint_dir.clone() else {
-            return Err(StorageError::InvalidPlan {
-                reason: "train_with_recovery requires a checkpoint directory \
-                         (SessionBuilder::checkpoint_to)"
-                    .into(),
-            });
-        };
-        let target_epochs = self.trainer.train.epochs;
-        let faults = self.trainer.fault_injector().cloned();
+        let dir = self.checkpoint_root("train_with_recovery")?.to_path_buf();
+        let target_epochs = self.trainer.config.train.epochs;
         // Epoch indices at which a recovery successfully resumed, for the
         // report stamp; `attempts` also counts resumes that failed before
         // training restarted (a device still down during the restore), so
@@ -692,16 +653,13 @@ impl<T: Task + Default> Session<T> {
                 return Err(err);
             }
             attempts += 1;
-            match Session::<T>::resume(
-                &dir,
-                Some(target_epochs),
-                faults.clone(),
-                self.retry,
-                self.trainer.telemetry().clone(),
-            ) {
-                Ok(mut next) => {
-                    resumed_at.push(next.trainer.resume_start_epoch().unwrap_or(0));
-                    outcome = next.train();
+            let env = self.trainer.io_env().clone();
+            match Self::resume(&dir, Some(target_epochs), env) {
+                Ok(next) => {
+                    let resumed = next.trainer.resumed_from();
+                    resumed_at.push(resumed.map_or(0, |ckpt| ckpt.epochs_completed));
+                    *self = next;
+                    outcome = self.train();
                 }
                 Err(e) => outcome = Err(e),
             }
@@ -735,22 +693,19 @@ impl<T: Task + Default> Session<T> {
     pub fn resume_streamed(path: impl AsRef<Path>, config: StreamConfig) -> Result<Session<T>> {
         config.validate()?;
         let path = path.as_ref();
-        let ckpt = Checkpoint::open(path)?;
-        let cursor = ckpt.stream.ok_or_else(|| {
-            StorageError::checkpoint(format!(
-                "checkpoint at {} records no stream cursor; use Session::resume_from",
-                path.display()
-            ))
-        })?;
         let total = config.cycles * config.epochs_per_cycle;
-        drop(ckpt);
-        let mut session = Self::resume(path, Some(total), None, None, Telemetry::disabled())?;
-        let stream = EdgeStream::new(
-            config.seed,
-            session.data.num_nodes(),
-            session.data.spec.num_relations,
-            config.batch_size,
-        );
+        let mut session = Self::resume(path, Some(total), IoEnv::default())?;
+        let cursor = session
+            .trainer
+            .resumed_from()
+            .and_then(|ckpt| ckpt.stream)
+            .ok_or_else(|| {
+                StorageError::checkpoint(format!(
+                    "checkpoint at {} records no stream cursor; use Session::resume_from",
+                    path.display()
+                ))
+            })?;
+        let stream = session.edge_stream(&config);
         // Replay the stream up to the cursor: the grown edge list makes the
         // construction replay inside train_disk rebuild the same buckets the
         // uninterrupted run grew incrementally (chronological split: base
@@ -767,25 +722,22 @@ impl<T: Task + Default> Session<T> {
         Ok(session)
     }
 
-    fn resume(
-        path: impl AsRef<Path>,
-        epochs: Option<usize>,
-        faults: Option<Arc<FaultInjector>>,
-        retry: Option<RetryPolicy>,
-        telemetry: Telemetry,
-    ) -> Result<Session<T>> {
-        let path = path.as_ref();
+    /// The one way back from a manifest: the checkpointed [`RunConfig`]
+    /// (epoch target optionally raised) under the caller's [`IoEnv`], through
+    /// the same [`Trainer::from_config`] that [`SessionBuilder::build`] uses,
+    /// plus the saved state to overlay.
+    fn resume(path: &Path, epochs: Option<usize>, env: IoEnv) -> Result<Session<T>> {
         let ckpt = Checkpoint::open(path)?;
         let task = T::default();
-        if ckpt.task_slug != task.slug() {
+        if ckpt.config.task != task.slug() {
             return Err(StorageError::checkpoint(format!(
                 "checkpoint at {} was written by task {:?}, not {:?}",
                 path.display(),
-                ckpt.task_slug,
+                ckpt.config.task,
                 task.slug()
             )));
         }
-        let mut train = ckpt.train.clone();
+        let mut config = ckpt.config.clone();
         if let Some(epochs) = epochs {
             if epochs < ckpt.epochs_completed {
                 return Err(StorageError::checkpoint(format!(
@@ -793,34 +745,14 @@ impl<T: Task + Default> Session<T> {
                     ckpt.epochs_completed
                 )));
             }
-            train.epochs = epochs;
+            config.train.epochs = epochs;
         }
-        let data = ScaledDataset::generate(&ckpt.dataset_spec, ckpt.dataset_seed);
-        let storage = match &ckpt.storage {
-            StorageKind::InMemory => Storage::InMemory,
-            StorageKind::Disk(disk) => Storage::Disk(disk.clone()),
-        };
-        let mut trainer = Trainer::with_task(task, ckpt.model.clone(), train)
-            .with_pipeline(ckpt.pipeline.clone())
-            .with_eval_every(ckpt.eval_every)
-            .with_checkpoint(path, ckpt.every)
-            .with_resume(ckpt.resume_state())
-            .with_telemetry(&telemetry);
-        if let Some(io) = ckpt.emulated_device {
-            trainer = trainer.with_emulated_device(io);
-        }
-        if let Some(injector) = faults {
-            trainer = trainer.with_fault_injector(injector);
-        }
-        if let Some(policy) = retry {
-            trainer = trainer.with_retry_policy(policy);
-        }
+        let every = config.checkpoint_every;
         Ok(Session {
-            trainer,
-            data,
-            storage,
-            retry,
-            checkpoint_dir: Some(path.to_path_buf()),
+            data: ScaledDataset::generate(&ckpt.dataset_spec, ckpt.dataset_seed),
+            trainer: Trainer::from_config(task, config, env)
+                .with_checkpoint(path, every)
+                .with_resume(ckpt),
             last_report: None,
         })
     }
@@ -850,40 +782,45 @@ impl<T: Task> Session<T> {
     /// pipelined executors, exactly like frozen-dataset runs.
     pub fn stream(&mut self, config: StreamConfig) -> Result<ExperimentReport> {
         config.validate()?;
-        if !matches!(self.storage, Storage::Disk(_)) {
+        if !matches!(self.trainer.config.storage, Storage::Disk(_)) {
             return Err(StorageError::InvalidPlan {
                 reason: "Session::stream requires out-of-core storage (Storage::Disk)".into(),
             });
         }
-        self.trainer.train.epochs = config.cycles * config.epochs_per_cycle;
-        let stream = EdgeStream::new(
-            config.seed,
-            self.data.num_nodes(),
-            self.data.spec.num_relations,
-            config.batch_size,
-        );
-        let ingestor = self.make_ingestor(stream)?;
+        self.trainer.config.train.epochs = config.cycles * config.epochs_per_cycle;
+        let ingestor = self.make_ingestor(self.edge_stream(&config))?;
         self.arm_stream(ingestor, &config);
         self.train()
     }
 
-    /// Builds the staging-side [`Ingestor`] for `stream`, wiring the
-    /// session's fault injector, retry policy and telemetry into the delta
-    /// staging store so ingest IO degrades (and is observed) exactly like
-    /// training IO.
+    /// The directory this session checkpoints to, or the typed error of an
+    /// operation (`caller`) that needs one.
+    fn checkpoint_root(&self, caller: &str) -> Result<&Path> {
+        let dir = self.trainer.checkpoint_dir();
+        dir.ok_or_else(|| StorageError::InvalidPlan {
+            reason: format!(
+                "{caller} requires a checkpoint directory (SessionBuilder::checkpoint_to)"
+            ),
+        })
+    }
+
+    /// The seeded edge stream `config` describes over this session's graph.
+    fn edge_stream(&self, config: &StreamConfig) -> EdgeStream {
+        let (nodes, relations) = (self.data.num_nodes(), self.data.spec.num_relations);
+        EdgeStream::new(config.seed, nodes, relations, config.batch_size)
+    }
+
+    /// Builds the staging-side [`Ingestor`] for `stream`. The delta staging
+    /// store opens under the session's IO environment, so ingest IO degrades
+    /// (and is observed) exactly like training IO.
     fn make_ingestor(&self, stream: EdgeStream) -> Result<Ingestor> {
-        let staging = PartitionStore::open_temp(&format!("stream-staging-{}", stream.seed()))?;
+        let env = self.trainer.io_env();
+        let staging = env.open_store(PartitionStore::temp_path(&format!(
+            "stream-staging-{}",
+            stream.seed()
+        )))?;
         staging.clear()?;
-        let staging = match self.trainer.fault_injector() {
-            Some(injector) => staging.with_fault_injector(Arc::clone(injector)),
-            None => staging,
-        };
-        let staging = match self.retry {
-            Some(policy) => staging.with_retry_policy(policy),
-            None => staging,
-        };
-        let staging = staging.with_telemetry(self.trainer.telemetry());
-        Ok(Ingestor::new(stream, staging).with_telemetry(self.trainer.telemetry()))
+        Ok(Ingestor::new(stream, staging).with_telemetry(&env.telemetry))
     }
 
     /// Arms the trainer's ingest hook and stream cursor for a continuous
@@ -891,7 +828,7 @@ impl<T: Task> Session<T> {
     /// except the final one. Boundaries are indexed absolutely, so a resumed
     /// run ingests at the same epochs the uninterrupted run did.
     fn arm_stream(&mut self, ingestor: Ingestor, config: &StreamConfig) {
-        let total = self.trainer.train.epochs;
+        let total = self.trainer.config.train.epochs;
         let per_cycle = config.epochs_per_cycle;
         let batches = config.batches_per_cycle;
         self.trainer.set_stream_state(ingestor.state_handle());
@@ -908,10 +845,7 @@ impl<T: Task> Session<T> {
     /// Trains per the session's configuration and returns (and caches) the
     /// experiment report.
     pub fn train(&mut self) -> Result<ExperimentReport> {
-        let report = match &self.storage {
-            Storage::InMemory => self.trainer.train_in_memory(&self.data),
-            Storage::Disk(disk) => self.trainer.train_disk(&self.data, disk),
-        }?;
+        let report = self.trainer.train(&self.data)?;
         self.last_report = Some(report.clone());
         Ok(report)
     }
@@ -960,15 +894,7 @@ impl<T: Task> Session<T> {
 
     /// Like [`Session::serve`], with an explicit [`ServeConfig`].
     pub fn serve_with(&self, config: ServeConfig) -> Result<Server> {
-        let dir = self
-            .checkpoint_dir
-            .as_ref()
-            .ok_or_else(|| StorageError::InvalidPlan {
-                reason: "Session::serve requires a checkpoint directory \
-                         (SessionBuilder::checkpoint_to)"
-                    .into(),
-            })?;
-        Server::from_checkpoint_with(dir, config)
+        Server::from_checkpoint_with(self.checkpoint_root("Session::serve")?, config)
     }
 
     /// Like [`Session::serve_with`], but additionally spawns a
@@ -1167,6 +1093,95 @@ mod tests {
         let err = expect_err(Session::<LinkPredictionTask>::resume_from_until(&dir, 1));
         assert!(format!("{err}").contains("already completed"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovery_rebuilds_the_session_under_the_same_io_env() {
+        let dir = temp_ckpt_dir("ckpt-env");
+        // A quiet injector armed from the epoch hook: an outage longer than
+        // the retry budget forces a failure once a checkpoint exists.
+        let injector = IoFaultPlan::quiet(0).build();
+        let hook_injector = Arc::clone(&injector);
+        let retry = RetryPolicy {
+            max_retries: 3,
+            ..RetryPolicy::default_transient()
+        };
+        let telemetry = Telemetry::enabled();
+        let mut train = quick_train();
+        train.epochs = 4;
+        let mut session = Session::builder()
+            .dataset(tiny_lp())
+            .model(ModelConfig::paper_distmult(8))
+            .train(train)
+            .storage(Storage::Disk(DiskConfig::comet(4, 2)))
+            .fault_injector(Arc::clone(&injector))
+            .retry_policy(retry)
+            .telemetry(&telemetry)
+            .checkpoint_to(&dir, 1)
+            .on_epoch(move |epoch| {
+                if epoch.epoch == 1 {
+                    hook_injector.arm_outage(10, 24);
+                }
+            })
+            .build()
+            .unwrap();
+        assert!(session.trainer().resumed_from().is_none());
+        let report = session.train_with_recovery(8).unwrap();
+        assert!(
+            report.epochs[3].recoveries > 0,
+            "the outage forced no restart"
+        );
+        // The session is now the one rebuilt from the manifest, under the
+        // failed one's environment: the same injector (not a copy), the same
+        // policy, the live recorder.
+        let trainer = session.trainer();
+        assert!(trainer.resumed_from().is_some(), "not rebuilt");
+        let env = trainer.io_env();
+        assert!(Arc::ptr_eq(env.faults.as_ref().unwrap(), &injector));
+        assert_eq!(env.retry, retry);
+        assert!(env.telemetry.is_enabled());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stream_staging_store_opens_under_the_sessions_io_env() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let injector = IoFaultPlan::flaky(7).build();
+        let disk = DiskConfig::comet(4, 2);
+        let session = Session::builder()
+            .task(TemporalLinkPredictionTask)
+            .dataset(tiny_lp())
+            .model(ModelConfig::paper_distmult(8))
+            .train(quick_train())
+            .storage(Storage::Disk(disk.clone()))
+            .fault_injector(Arc::clone(&injector))
+            .build()
+            .unwrap();
+        let data = session.dataset();
+        let stream = EdgeStream::new(3, data.num_nodes(), data.spec.num_relations, 8);
+        let ingestor = session.make_ingestor(stream).unwrap();
+        // The buckets being grown live in a store of their own with no
+        // injector, so every fault counted below hit a staging write.
+        let store = PartitionStore::open_temp("staging-env-buckets").unwrap();
+        store.clear().unwrap();
+        let mut setup = TemporalLinkPredictionTask
+            .disk_setup(
+                &ModelConfig::paper_distmult(8),
+                data,
+                &disk,
+                store,
+                &mut StdRng::seed_from_u64(1),
+            )
+            .unwrap();
+        assert_eq!(injector.faults_injected(), 0);
+        let ingested = ingestor.ingest(&mut setup, 48).unwrap();
+        assert_eq!(ingested, 48 * 8);
+        assert!(
+            injector.faults_injected() > 0,
+            "48 staging writes under an 8 % plan saw no fault: the staging \
+             store is not attached to the session's injector"
+        );
+        let _ = setup.store.clear();
     }
 
     #[test]

@@ -1,10 +1,6 @@
 //! Integration tests for the staged training runtime (`marius-pipeline`)
 //! driven through the public trainer API: the pipelined executor must be a
 //! drop-in replacement for the sequential one.
-// Deliberately exercises the deprecated `LinkPredictionTrainer` /
-// `NodeClassificationTrainer` aliases to pin their compatibility with the
-// generic `Trainer<T>` they now point at.
-#![allow(deprecated)]
 //!
 //! * With one sampling worker and a fixed seed, the pipelined trainer must
 //!   reproduce the sequential trainer's per-epoch loss trajectory
@@ -13,8 +9,8 @@
 //!   partition written back to disk) even though sampling runs concurrently.
 
 use marius_core::{
-    DiskConfig, LinkPredictionTrainer, ModelConfig, NodeClassificationTrainer, PipelineConfig,
-    TrainConfig,
+    DiskConfig, LinkPredictionTask, ModelConfig, NodeClassificationTask, PipelineConfig,
+    TrainConfig, Trainer,
 };
 use marius_graph::datasets::{DatasetSpec, ScaledDataset};
 
@@ -22,13 +18,13 @@ fn lp_dataset() -> ScaledDataset {
     ScaledDataset::generate(&DatasetSpec::fb15k_237().scaled(0.02), 77)
 }
 
-fn lp_trainer() -> LinkPredictionTrainer {
+fn lp_trainer() -> Trainer<LinkPredictionTask> {
     let model = ModelConfig::paper_link_prediction_graphsage(16).shrunk(6, 16);
     let mut train = TrainConfig::quick(3, 77);
     train.batch_size = 192;
     train.num_negatives = 48;
     train.eval_negatives = 64;
-    LinkPredictionTrainer::new(model, train)
+    Trainer::new(model, train)
 }
 
 #[test]
@@ -107,10 +103,10 @@ fn pipelined_node_classification_matches_sequential() {
     train.batch_size = 128;
     let disk = DiskConfig::node_cache(8, 6);
 
-    let sequential = NodeClassificationTrainer::new(model.clone(), train.clone())
+    let sequential = Trainer::<NodeClassificationTask>::new(model.clone(), train.clone())
         .train_disk(&data, &disk)
         .expect("sequential");
-    let pipelined = NodeClassificationTrainer::new(model, train)
+    let pipelined = Trainer::<NodeClassificationTask>::new(model, train)
         .with_pipeline(PipelineConfig::with_workers(2))
         .train_disk(&data, &disk)
         .expect("pipelined");
