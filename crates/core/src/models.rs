@@ -113,9 +113,9 @@ fn load_encoder(dict: &StateDict, encoder: &mut Encoder) -> marius_storage::Resu
 /// The builder is `Clone + Send + Sync` and borrows nothing from the model, so
 /// the pipelined runtime can run it on batch-construction worker threads while
 /// the compute consumer owns the model (`marius-pipeline` stage 2 vs stage 3).
-/// RNG draws happen in the same order as the original fused `train_batch`
-/// (negatives first, then the neighbourhood sample), which is what makes the
-/// pipelined and sequential paths bit-identical under a shared seed.
+/// RNG draws happen in one fixed order (negatives first, then the
+/// neighbourhood sample), which is what makes the pipelined and sequential
+/// paths bit-identical under a shared seed.
 #[derive(Debug, Clone)]
 pub struct LinkBatchBuilder {
     sampler: MultiHopSampler,
@@ -259,25 +259,6 @@ impl LinkPredictionModel {
         let h0 = source.gather(&node_ids);
         let acts = self.encoder.forward(&mut dense, h0);
         (acts, node_ids, stats, sample_time)
-    }
-
-    /// Runs one training step over a batch of positive edges (the fused
-    /// prepare-then-compute path used by in-memory and sequential training).
-    pub fn train_batch<R: Rng + ?Sized>(
-        &mut self,
-        source: &mut dyn RepresentationSource,
-        subgraph: &InMemorySubgraph,
-        edges: &[Edge],
-        negative_candidates: &[NodeId],
-        rng: &mut R,
-    ) -> BatchStats {
-        if edges.is_empty() {
-            return BatchStats::default();
-        }
-        let prepared = self
-            .builder
-            .prepare(subgraph, edges, negative_candidates, rng);
-        self.train_prepared(source, prepared)
     }
 
     /// Runs the compute half of a training step over a batch constructed by
@@ -516,23 +497,6 @@ impl NodeClassificationModel {
         self.builder.clone()
     }
 
-    /// Runs one training step over a batch of labeled nodes (the fused
-    /// prepare-then-compute path used by in-memory and sequential training).
-    pub fn train_batch<R: Rng + ?Sized>(
-        &mut self,
-        source: &mut dyn RepresentationSource,
-        subgraph: &InMemorySubgraph,
-        nodes: &[NodeId],
-        labels: &[u32],
-        rng: &mut R,
-    ) -> BatchStats {
-        if nodes.is_empty() {
-            return BatchStats::default();
-        }
-        let prepared = self.builder.prepare(subgraph, nodes, labels, rng);
-        self.train_prepared(source, prepared)
-    }
-
     /// Runs the compute half of a training step over a batch constructed by
     /// [`NodeBatchBuilder::prepare`] (possibly on another thread).
     pub fn train_prepared(
@@ -674,6 +638,21 @@ mod tests {
         assert_eq!(enc.num_layers(), 0);
     }
 
+    /// One training step as the executors run it: prepare, then compute.
+    fn train_link<R: Rng>(
+        model: &mut LinkPredictionModel,
+        source: &mut dyn RepresentationSource,
+        subgraph: &InMemorySubgraph,
+        edges: &[Edge],
+        candidates: &[NodeId],
+        rng: &mut R,
+    ) -> BatchStats {
+        let prepared = model
+            .batch_builder()
+            .prepare(subgraph, edges, candidates, rng);
+        model.train_prepared(source, prepared)
+    }
+
     fn tiny_kg() -> ScaledDataset {
         ScaledDataset::generate(&DatasetSpec::fb15k_237().scaled(0.02), 11)
     }
@@ -697,7 +676,14 @@ mod tests {
         let mut first = f64::NAN;
         let mut last = f64::NAN;
         for round in 0..60 {
-            let stats = model.train_batch(&mut source, &subgraph, batch, &candidates, &mut rng);
+            let stats = train_link(
+                &mut model,
+                &mut source,
+                &subgraph,
+                batch,
+                &candidates,
+                &mut rng,
+            );
             assert!(stats.loss.is_finite());
             if round == 0 {
                 first = stats.loss;
@@ -733,7 +719,14 @@ mod tests {
         );
         for _ in 0..3 {
             for batch in data.train_edges.chunks(128) {
-                model.train_batch(&mut source, &subgraph, batch, &candidates, &mut rng);
+                train_link(
+                    &mut model,
+                    &mut source,
+                    &subgraph,
+                    batch,
+                    &candidates,
+                    &mut rng,
+                );
             }
         }
         let trained = model.evaluate_mrr(
@@ -780,8 +773,11 @@ mod tests {
         for _ in 0..5 {
             for batch in data.node_split.train.chunks(128) {
                 let batch_labels: Vec<u32> = batch.iter().map(|&n| labels[n as usize]).collect();
-                let stats =
-                    model.train_batch(&mut source, &subgraph, batch, &batch_labels, &mut rng);
+                let prepared =
+                    model
+                        .batch_builder()
+                        .prepare(&subgraph, batch, &batch_labels, &mut rng);
+                let stats = model.train_prepared(&mut source, prepared);
                 assert!(stats.loss.is_finite());
             }
         }
@@ -810,7 +806,8 @@ mod tests {
         let table = marius_gnn::EmbeddingTable::new(data.num_nodes() as usize, 8, 0.1, &mut rng);
         let mut source = crate::source::TableSource::new(table);
         let candidates: Vec<NodeId> = (0..data.num_nodes()).collect();
-        let stats = model.train_batch(
+        let stats = train_link(
+            &mut model,
             &mut source,
             &subgraph,
             &data.train_edges[..32],
@@ -867,7 +864,7 @@ mod tests {
         let mut model = LinkPredictionModel::new(&config, 4, &mut rng);
         let table = marius_gnn::EmbeddingTable::new(data.num_nodes() as usize, 8, 0.1, &mut rng);
         let mut source = crate::source::TableSource::new(table);
-        let stats = model.train_batch(&mut source, &subgraph, &[], &[0, 1], &mut rng);
+        let stats = train_link(&mut model, &mut source, &subgraph, &[], &[0, 1], &mut rng);
         assert_eq!(stats.examples, 0);
         let mrr = model.evaluate_mrr(&source, &subgraph, &[], &[0, 1], 10, &mut rng);
         assert_eq!(mrr, 0.0);

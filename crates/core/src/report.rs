@@ -1,12 +1,12 @@
-//! Experiment reporting structures shared by examples and benchmark harnesses.
+//! Experiment reporting structures shared by the examples, the chaos suites
+//! and the perf ledger.
 //!
 //! Reports render two ways: [`ExperimentReport::to_table`] produces the
-//! aligned text tables the harnesses print, and [`ExperimentReport::to_json`]
-//! produces a machine-readable document (written as `BENCH_*.json` by the
-//! benchmark harnesses so perf trajectories can be tracked across commits).
+//! aligned text tables the examples print, and [`ExperimentReport::to_json`]
+//! produces a machine-readable document (the chaos suites write it as
+//! `BENCH_*.json` so fault trajectories can be compared across commits).
 
 use crate::checkpoint::{json::Json, json_object};
-use marius_baselines::{AwsInstance, CostModel};
 use marius_storage::{Result, StorageError};
 use marius_telemetry::json::{escape, num};
 use marius_telemetry::Telemetry;
@@ -271,25 +271,6 @@ impl ExperimentReport {
         self.epochs.iter().map(|e| e.epoch_time).sum()
     }
 
-    /// Dollar cost per epoch on the given instance.
-    pub fn cost_per_epoch(&self, instance: AwsInstance) -> f64 {
-        CostModel::cost_per_epoch(instance, self.avg_epoch_time())
-    }
-
-    /// Time (from the start of training) until the metric first reaches
-    /// `threshold`, or `None` if it never does — the time-to-accuracy measure of
-    /// Figure 7.
-    pub fn time_to_metric(&self, threshold: f64) -> Option<Duration> {
-        let mut elapsed = Duration::ZERO;
-        for e in &self.epochs {
-            elapsed += e.epoch_time;
-            if e.metric >= threshold {
-                return Some(elapsed);
-            }
-        }
-        None
-    }
-
     /// Renders the report as a self-contained JSON document: the labels, the
     /// derived summary metrics, and one object per epoch. Durations are
     /// emitted in (fractional) seconds; skipped-evaluation metrics are
@@ -362,21 +343,6 @@ mod tests {
         let r = ExperimentReport::new("s", "d");
         assert_eq!(r.final_metric(), 0.0);
         assert_eq!(r.avg_epoch_time(), Duration::ZERO);
-        assert!(r.time_to_metric(0.5).is_none());
-    }
-
-    #[test]
-    fn time_to_metric_accumulates_epochs() {
-        let r = report_with(&[0.1, 0.2, 0.5, 0.6], 30);
-        assert_eq!(r.time_to_metric(0.5), Some(Duration::from_secs(90)));
-        assert!(r.time_to_metric(0.9).is_none());
-    }
-
-    #[test]
-    fn cost_uses_instance_pricing() {
-        let r = report_with(&[0.5], 3600);
-        let cost = r.cost_per_epoch(AwsInstance::P3_2xLarge);
-        assert!((cost - 3.06).abs() < 1e-9);
     }
 
     #[test]

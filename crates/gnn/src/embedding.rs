@@ -155,17 +155,6 @@ impl EmbeddingTable {
         self.values[begin..begin + data.len()].copy_from_slice(data);
         self.adagrad_state[begin..begin + state.len()].copy_from_slice(state);
     }
-
-    /// Copies the rows `[start, end)` (values and state) out of the table. Used
-    /// when the storage layer evicts a partition back to disk.
-    pub fn dump_rows(&self, start: usize, end: usize) -> (Vec<f32>, Vec<f32>) {
-        let begin = start * self.dim;
-        let stop = end * self.dim;
-        (
-            self.values[begin..stop].to_vec(),
-            self.adagrad_state[begin..stop].to_vec(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -242,21 +231,19 @@ mod tests {
     }
 
     #[test]
-    fn load_and_dump_rows_roundtrip() {
+    fn load_rows_overwrites_values_and_state_of_the_range() {
         let mut t = table(8, 2);
-        let (vals, state) = t.dump_rows(2, 5);
-        assert_eq!(vals.len(), 6);
+        let (before, before_state) = (t.raw_values().to_vec(), t.raw_state().to_vec());
         let new_vals = vec![9.0; 6];
         let new_state = vec![1.0; 6];
         t.load_rows(2, &new_vals, &new_state);
         assert_eq!(t.row(3), &[9.0, 9.0]);
-        let (dumped, dumped_state) = t.dump_rows(2, 5);
-        assert_eq!(dumped, new_vals);
-        assert_eq!(dumped_state, new_state);
-        // Restore and check the original content comes back.
-        t.load_rows(2, &vals, &state);
-        let (restored, _) = t.dump_rows(2, 5);
-        assert_eq!(restored, vals);
+        assert_eq!(&t.raw_values()[4..10], new_vals.as_slice());
+        assert_eq!(&t.raw_state()[4..10], new_state.as_slice());
+        // Rows outside [2, 5) are untouched.
+        assert_eq!(&t.raw_values()[..4], &before[..4]);
+        assert_eq!(&t.raw_values()[10..], &before[10..]);
+        assert_eq!(&t.raw_state()[..4], &before_state[..4]);
     }
 
     #[test]

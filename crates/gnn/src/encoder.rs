@@ -121,8 +121,9 @@ impl Encoder {
     }
 
     /// Runs the forward pass over explicit per-layer contexts instead of a DENSE
-    /// structure. Used by the baseline (DGL/PyG-style) execution path, whose
-    /// layer-wise re-sampling produces one context per layer directly; the
+    /// structure. Used by the layer-wise (DGL/PyG-style) reference sampler of
+    /// the DENSE ≡ layer-wise tests, whose re-sampling produces one context
+    /// per layer directly; the
     /// contexts must be ordered from the innermost layer (largest input) to the
     /// outermost, and `h0` rows must match the first context's `num_input_rows`.
     ///

@@ -52,11 +52,6 @@ impl GraphSageLayer {
         }
     }
 
-    /// The configured aggregator.
-    pub fn aggregator(&self) -> Aggregator {
-        self.aggregator
-    }
-
     fn aggregate(&self, nbr_repr: &Tensor, ctx: &LayerContext) -> Tensor {
         match self.aggregator {
             Aggregator::Mean => segment_mean(nbr_repr, &ctx.nbr_offsets)
@@ -324,7 +319,6 @@ mod tests {
         assert_eq!(layer.name(), "graphsage");
         assert_eq!(layer.num_parameters(), 8 * 4 * 2 + 4);
         assert_eq!(layer.params().len(), 3);
-        assert_eq!(layer.aggregator(), Aggregator::Mean);
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl LayerContext {
         }
     }
 
-    /// Number of output rows this layer produces.
-    pub fn num_output_rows(&self) -> usize {
-        self.num_input_rows - self.self_offset
-    }
-
     /// Number of sampled neighbour entries (edges) feeding this layer.
     pub fn num_edges(&self) -> usize {
         self.repr_map.len()
@@ -216,9 +211,9 @@ mod tests {
     #[test]
     fn context_from_dense_has_consistent_shapes() {
         let ctx = small_context();
-        assert_eq!(ctx.nbr_offsets.len(), ctx.num_output_rows());
+        assert!(ctx.self_offset <= ctx.num_input_rows);
+        assert_eq!(ctx.nbr_offsets.len(), ctx.num_input_rows - ctx.self_offset);
         assert_eq!(ctx.repr_map.len(), ctx.nbr_rels.len());
-        assert!(ctx.num_input_rows >= ctx.num_output_rows());
         let counts = ctx.segment_counts();
         assert_eq!(counts.iter().sum::<usize>(), ctx.num_edges());
     }

@@ -28,7 +28,6 @@
 pub mod decoder;
 pub mod embedding;
 pub mod encoder;
-pub mod kg_decoders;
 pub mod layers;
 pub mod loss;
 pub mod optimizer;
@@ -36,6 +35,5 @@ pub mod optimizer;
 pub use decoder::{ClassifierHead, DistMult};
 pub use embedding::EmbeddingTable;
 pub use encoder::Encoder;
-pub use kg_decoders::{ComplEx, TransE};
 pub use layers::{GatLayer, GcnLayer, GnnLayer, GraphSageLayer, LayerContext};
 pub use optimizer::{Optimizer, Param};

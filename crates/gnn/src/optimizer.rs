@@ -110,13 +110,6 @@ impl Optimizer {
         }
         param.zero_grad();
     }
-
-    /// Applies one step to every parameter in `params`.
-    pub fn step_all(&self, params: &mut [&mut Param]) {
-        for p in params.iter_mut() {
-            self.step(p);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -192,16 +185,5 @@ mod tests {
         p.accumulate_grad(&Tensor::full(1, 1, 1.0));
         opt.step(&mut p);
         assert!((p.adagrad_state.get(0, 0) - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn step_all_updates_every_param() {
-        let mut a = Param::new("a", Tensor::ones(1, 1));
-        let mut b = Param::new("b", Tensor::ones(1, 1));
-        a.accumulate_grad(&Tensor::ones(1, 1));
-        b.accumulate_grad(&Tensor::ones(1, 1));
-        Optimizer::sgd(1.0).step_all(&mut [&mut a, &mut b]);
-        assert_eq!(a.value.get(0, 0), 0.0);
-        assert_eq!(b.value.get(0, 0), 0.0);
     }
 }

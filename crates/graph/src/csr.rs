@@ -80,28 +80,6 @@ impl Csr {
     pub fn degree(&self, node: NodeId) -> usize {
         self.neighbors(node).len()
     }
-
-    /// Returns the maximum degree over all nodes (0 for an empty graph).
-    pub fn max_degree(&self) -> usize {
-        (0..self.num_nodes)
-            .map(|v| self.degree(v))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Returns the average degree.
-    pub fn avg_degree(&self) -> f64 {
-        if self.num_nodes == 0 {
-            0.0
-        } else {
-            self.neighbors.len() as f64 / self.num_nodes as f64
-        }
-    }
-
-    /// Iterates over `(node, neighbor)` pairs in CSR order.
-    pub fn iter_edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        (0..self.num_nodes).flat_map(move |v| self.neighbors(v).iter().map(move |&u| (v, u)))
-    }
 }
 
 #[cfg(test)]
@@ -145,27 +123,15 @@ mod tests {
     fn degrees() {
         let csr = Csr::outgoing(&diamond());
         assert_eq!(csr.degree(0), 2);
-        assert_eq!(csr.max_degree(), 2);
-        assert!((csr.avg_degree() - 1.0).abs() < 1e-9);
+        assert_eq!(csr.degree(3), 0);
     }
 
     #[test]
     fn empty_graph() {
         let el = EdgeList::new(0);
         let csr = Csr::outgoing(&el);
-        assert_eq!(csr.max_degree(), 0);
-        assert_eq!(csr.avg_degree(), 0.0);
-        assert_eq!(csr.iter_edges().count(), 0);
-    }
-
-    #[test]
-    fn iter_edges_covers_all_edges() {
-        let el = diamond();
-        let csr = Csr::outgoing(&el);
-        let edges: Vec<_> = csr.iter_edges().collect();
-        assert_eq!(edges.len(), 4);
-        assert!(edges.contains(&(0, 1)));
-        assert!(edges.contains(&(2, 3)));
+        assert_eq!(csr.num_nodes(), 0);
+        assert_eq!(csr.num_entries(), 0);
     }
 
     #[test]

@@ -252,32 +252,13 @@ impl DatasetSpec {
     pub fn total_storage_bytes(&self) -> u64 {
         self.edge_storage_bytes() + self.feature_storage_bytes()
     }
-
-    /// Edge storage in GB, as reported in Table 1.
-    pub fn edge_storage_gb(&self) -> f64 {
-        self.edge_storage_bytes() as f64 / 1e9
-    }
-
-    /// Feature storage in GB, as reported in Table 1.
-    pub fn feature_storage_gb(&self) -> f64 {
-        self.feature_storage_bytes() as f64 / 1e9
-    }
-
-    /// Total storage in GB, as reported in Table 1.
-    pub fn total_storage_gb(&self) -> f64 {
-        self.total_storage_bytes() as f64 / 1e9
-    }
-
-    /// Whether the dataset fits in the CPU memory of a machine with
-    /// `cpu_mem_bytes` of RAM — the question Table 1 and §1 pose.
-    pub fn fits_in_memory(&self, cpu_mem_bytes: u64) -> bool {
-        self.total_storage_bytes() <= cpu_mem_bytes
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const GB: f64 = 1e9;
 
     #[test]
     fn table1_has_six_rows() {
@@ -294,15 +275,15 @@ mod tests {
     #[test]
     fn table1_feature_overheads_match_paper() {
         let papers = DatasetSpec::papers100m();
-        assert!((papers.feature_storage_gb() - 57.0).abs() < 2.0);
+        assert!((papers.feature_storage_bytes() as f64 / GB - 57.0).abs() < 2.0);
         let mag = DatasetSpec::mag240m_cites();
-        assert!((mag.feature_storage_gb() - 375.0).abs() < 5.0);
+        assert!((mag.feature_storage_bytes() as f64 / GB - 375.0).abs() < 5.0);
         let fb = DatasetSpec::freebase86m();
-        assert!((fb.feature_storage_gb() - 69.0).abs() < 3.0);
+        assert!((fb.feature_storage_bytes() as f64 / GB - 69.0).abs() < 3.0);
         let wiki = DatasetSpec::wikikg90mv2();
-        assert!((wiki.feature_storage_gb() - 73.0).abs() < 3.0);
+        assert!((wiki.feature_storage_bytes() as f64 / GB - 73.0).abs() < 3.0);
         let hyperlink = DatasetSpec::hyperlink2012();
-        assert!((hyperlink.feature_storage_gb() - 1400.0).abs() < 10.0);
+        assert!((hyperlink.feature_storage_bytes() as f64 / GB - 1400.0).abs() < 10.0);
     }
 
     /// Table 1's edge-storage column: 13 GB for Papers100M, 10 GB for
@@ -310,11 +291,13 @@ mod tests {
     /// hyperlink graph.
     #[test]
     fn table1_edge_overheads_match_paper() {
-        assert!((DatasetSpec::papers100m().edge_storage_gb() - 13.0).abs() < 1.0);
-        assert!((DatasetSpec::mag240m_cites().edge_storage_gb() - 10.0).abs() < 1.0);
-        assert!((DatasetSpec::freebase86m().edge_storage_gb() - 4.0).abs() < 0.5);
-        assert!((DatasetSpec::wikikg90mv2().edge_storage_gb() - 7.0).abs() < 0.5);
-        assert!((DatasetSpec::hyperlink2012().edge_storage_gb() - 2000.0).abs() < 100.0);
+        assert!((DatasetSpec::papers100m().edge_storage_bytes() as f64 / GB - 13.0).abs() < 1.0);
+        assert!((DatasetSpec::mag240m_cites().edge_storage_bytes() as f64 / GB - 10.0).abs() < 1.0);
+        assert!((DatasetSpec::freebase86m().edge_storage_bytes() as f64 / GB - 4.0).abs() < 0.5);
+        assert!((DatasetSpec::wikikg90mv2().edge_storage_bytes() as f64 / GB - 7.0).abs() < 0.5);
+        assert!(
+            (DatasetSpec::hyperlink2012().edge_storage_bytes() as f64 / GB - 2000.0).abs() < 100.0
+        );
     }
 
     /// Table 1's point: the first four graphs fit on a single machine's memory or
@@ -324,12 +307,13 @@ mod tests {
         let p3_16xlarge_ram = 488u64 * 1_000_000_000;
         let p3_2xlarge_ram = 61u64 * 1_000_000_000;
         let ssd_16tb = 16_000u64 * 1_000_000_000;
-        assert!(DatasetSpec::papers100m().fits_in_memory(p3_16xlarge_ram));
-        assert!(DatasetSpec::mag240m_cites().fits_in_memory(p3_16xlarge_ram));
-        assert!(DatasetSpec::freebase86m().fits_in_memory(p3_16xlarge_ram));
-        assert!(!DatasetSpec::papers100m().fits_in_memory(p3_2xlarge_ram));
-        assert!(DatasetSpec::hyperlink2012().fits_in_memory(ssd_16tb));
-        assert!(!DatasetSpec::hyperlink2012().fits_in_memory(p3_16xlarge_ram));
+        let fits = |spec: DatasetSpec, ram: u64| spec.total_storage_bytes() <= ram;
+        assert!(fits(DatasetSpec::papers100m(), p3_16xlarge_ram));
+        assert!(fits(DatasetSpec::mag240m_cites(), p3_16xlarge_ram));
+        assert!(fits(DatasetSpec::freebase86m(), p3_16xlarge_ram));
+        assert!(!fits(DatasetSpec::papers100m(), p3_2xlarge_ram));
+        assert!(fits(DatasetSpec::hyperlink2012(), ssd_16tb));
+        assert!(!fits(DatasetSpec::hyperlink2012(), p3_16xlarge_ram));
     }
 
     #[test]

@@ -132,35 +132,11 @@ impl EdgeList {
         &self.edges
     }
 
-    /// Returns a mutable reference to the edges (used by shuffling utilities).
-    pub fn edges_mut(&mut self) -> &mut Vec<Edge> {
-        &mut self.edges
-    }
-
-    /// Consumes the list and returns the underlying edge vector.
-    pub fn into_edges(self) -> Vec<Edge> {
-        self.edges
-    }
-
-    /// Estimated bytes needed to store all edges on disk.
-    pub fn edge_storage_bytes(&self) -> u64 {
-        self.edges.len() as u64 * Edge::DISK_BYTES as u64
-    }
-
     /// Returns the out-degree of every node.
     pub fn out_degrees(&self) -> Vec<u32> {
         let mut deg = vec![0u32; self.num_nodes as usize];
         for e in &self.edges {
             deg[e.src as usize] += 1;
-        }
-        deg
-    }
-
-    /// Returns the in-degree of every node.
-    pub fn in_degrees(&self) -> Vec<u32> {
-        let mut deg = vec![0u32; self.num_nodes as usize];
-        for e in &self.edges {
-            deg[e.dst as usize] += 1;
         }
         deg
     }
@@ -248,14 +224,12 @@ mod tests {
         assert_eq!(el.num_nodes(), 3);
         assert_eq!(el.num_edges(), 4);
         assert!(!el.is_empty());
-        assert_eq!(el.edge_storage_bytes(), 4 * Edge::DISK_BYTES as u64);
     }
 
     #[test]
     fn degree_computation() {
         let el = sample_list();
         assert_eq!(el.out_degrees(), vec![2, 1, 1]);
-        assert_eq!(el.in_degrees(), vec![1, 1, 2]);
     }
 
     #[test]
@@ -287,9 +261,9 @@ mod tests {
     }
 
     #[test]
-    fn into_edges_roundtrip() {
+    fn edges_roundtrip_through_from_edges() {
         let el = sample_list();
-        let edges = el.clone().into_edges();
+        let edges = el.edges().to_vec();
         let el2 = EdgeList::from_edges(3, 4, edges).unwrap();
         assert_eq!(el, el2);
     }

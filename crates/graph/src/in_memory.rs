@@ -121,36 +121,6 @@ impl InMemorySubgraph {
             None => &[],
         }
     }
-
-    /// Out-degree of `node` within the in-memory subgraph.
-    pub fn out_degree(&self, node: NodeId) -> usize {
-        self.outgoing(node).len()
-    }
-
-    /// In-degree of `node` within the in-memory subgraph.
-    pub fn in_degree(&self, node: NodeId) -> usize {
-        self.incoming(node).len()
-    }
-
-    /// Returns all edges sorted by source (the "first sorted copy" of §4.1).
-    pub fn edges_by_src(&self) -> &[Edge] {
-        &self.by_src
-    }
-
-    /// Returns all edges sorted by destination (the "second sorted copy" of §4.1).
-    pub fn edges_by_dst(&self) -> &[Edge] {
-        &self.by_dst
-    }
-
-    /// Approximate bytes of CPU memory held by this structure (two edge copies plus
-    /// the offset index). Matches the `2 * c^2 * EBO` term in the paper's §6
-    /// capacity rule.
-    pub fn memory_bytes(&self) -> u64 {
-        let edge_bytes = (self.by_src.len() + self.by_dst.len()) as u64 * Edge::DISK_BYTES as u64;
-        let index_bytes =
-            (self.nodes.len() * 8 + self.out_offsets.len() * 8 + self.in_offsets.len() * 8) as u64;
-        edge_bytes + index_bytes
-    }
 }
 
 #[cfg(test)]
@@ -179,16 +149,14 @@ mod tests {
     fn builds_sorted_copies() {
         let g = InMemorySubgraph::from_edges(&figure1_graph());
         assert_eq!(g.num_edges(), 8);
-        // by_src must be sorted by src.
-        let srcs: Vec<_> = g.edges_by_src().iter().map(|e| e.src).collect();
-        let mut sorted = srcs.clone();
-        sorted.sort_unstable();
-        assert_eq!(srcs, sorted);
-        // by_dst must be sorted by dst.
-        let dsts: Vec<_> = g.edges_by_dst().iter().map(|e| e.dst).collect();
-        let mut sorted = dsts.clone();
-        sorted.sort_unstable();
-        assert_eq!(dsts, sorted);
+        // Walking the nodes in order walks each sorted copy front to back: the
+        // per-node slices are contiguous runs that together hold every edge.
+        let by_src: Vec<_> = g.nodes().iter().flat_map(|&n| g.outgoing(n)).collect();
+        assert_eq!(by_src.len(), 8);
+        assert!(by_src.windows(2).all(|w| w[0].src <= w[1].src));
+        let by_dst: Vec<_> = g.nodes().iter().flat_map(|&n| g.incoming(n)).collect();
+        assert_eq!(by_dst.len(), 8);
+        assert!(by_dst.windows(2).all(|w| w[0].dst <= w[1].dst));
     }
 
     #[test]
@@ -207,8 +175,7 @@ mod tests {
         let g = InMemorySubgraph::from_edges(&figure1_graph());
         let c_out: Vec<_> = g.outgoing(2).iter().map(|e| e.dst).collect();
         assert_eq!(c_out, vec![0, 1, 3]);
-        assert_eq!(g.out_degree(2), 3);
-        assert_eq!(g.in_degree(0), 2);
+        assert_eq!(g.incoming(0).len(), 2);
     }
 
     #[test]
@@ -240,14 +207,8 @@ mod tests {
     fn handles_duplicate_and_self_edges() {
         let edges = vec![Edge::new(1, 1), Edge::new(1, 1), Edge::new(1, 2)];
         let g = InMemorySubgraph::from_edges(&edges);
-        assert_eq!(g.out_degree(1), 3);
-        assert_eq!(g.in_degree(1), 2);
-    }
-
-    #[test]
-    fn memory_bytes_counts_both_copies() {
-        let g = InMemorySubgraph::from_edges(&figure1_graph());
-        assert!(g.memory_bytes() >= 2 * 8 * Edge::DISK_BYTES as u64);
+        assert_eq!(g.outgoing(1).len(), 3);
+        assert_eq!(g.incoming(1).len(), 2);
     }
 
     #[test]

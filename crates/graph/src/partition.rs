@@ -111,11 +111,6 @@ impl EdgeBucket {
     pub fn is_empty(&self) -> bool {
         self.edges.is_empty()
     }
-
-    /// Bytes this bucket occupies on disk.
-    pub fn disk_bytes(&self) -> u64 {
-        self.edges.len() as u64 * Edge::DISK_BYTES as u64
-    }
 }
 
 /// Builds partition assignments and edge buckets.
@@ -240,11 +235,6 @@ impl Partitioner {
     }
 }
 
-/// Convenience: total number of edges across a set of buckets.
-pub fn total_bucket_edges(buckets: &[EdgeBucket]) -> usize {
-    buckets.iter().map(|b| b.len()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,7 +302,10 @@ mod tests {
         let a = p.random(40, &mut rng);
         let buckets = p.build_buckets(&el, &a).unwrap();
         assert_eq!(buckets.len(), 16);
-        assert_eq!(total_bucket_edges(&buckets), el.num_edges());
+        assert_eq!(
+            buckets.iter().map(EdgeBucket::len).sum::<usize>(),
+            el.num_edges()
+        );
         // Every edge is in exactly the bucket keyed by its endpoints' partitions.
         for b in &buckets {
             for e in &b.edges {
@@ -393,7 +386,6 @@ mod tests {
         };
         assert!(b.is_empty());
         assert_eq!(b.len(), 0);
-        assert_eq!(b.disk_bytes(), 0);
         assert_eq!(b.key(), (1, 2));
     }
 }

@@ -228,16 +228,6 @@ impl Dense {
         delta_prev_len
     }
 
-    /// Total bytes transferred to the device for this structure (the four index
-    /// arrays; base representations are accounted separately).
-    pub fn transfer_bytes(&self) -> u64 {
-        (self.node_ids.len() * 8
-            + self.node_id_offsets.len() * 8
-            + self.nbrs.len() * 8
-            + self.nbr_rels.len() * 4
-            + self.nbr_offsets.len() * 8) as u64
-    }
-
     /// Checks the structural invariants that Algorithm 1 guarantees. Used by
     /// property tests and debug assertions; returns a description of the first
     /// violation found, if any.
@@ -395,11 +385,6 @@ mod tests {
     fn validate_catches_bad_offsets() {
         let d = Dense::from_parts(vec![0, 5], vec![1, 2], vec![0], vec![1], vec![0], 1);
         assert!(d.validate().is_err());
-    }
-
-    #[test]
-    fn transfer_bytes_positive() {
-        assert!(figure3_dense().transfer_bytes() > 0);
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //! nodes that have not appeared in the structure yet (the current `Δ`); nodes seen
 //! at an earlier hop reuse their existing one-hop sample. This is the property
 //! that makes DENSE cheaper than the layer-wise re-sampling used by DGL/PyG
-//! (compare `marius_baselines::layerwise`).
+//! (compare the layer-wise reference sampler in `tests/support/layerwise.rs`,
+//! the oracle the DENSE ≡ layer-wise tests in `tests/sampling_and_policies.rs`
+//! run this sampler against).
 
 use crate::dense::Dense;
 use marius_graph::{InMemorySubgraph, NodeId, RelId};
 use rand::seq::index::sample as index_sample;
 use rand::Rng;
-use rand::SeedableRng;
 use std::collections::HashSet;
 
 /// Which adjacency direction to sample neighbours from.
@@ -33,26 +34,12 @@ pub struct MultiHopSampler {
     /// nodes** (`fanouts[0]` applies to the targets' own one-hop sample).
     fanouts: Vec<usize>,
     direction: SamplingDirection,
-    /// Number of CPU threads used for the one-hop sampling step; 1 keeps the
-    /// sampler fully deterministic for a given RNG seed.
-    parallelism: usize,
 }
 
 impl MultiHopSampler {
     /// Creates a sampler for a `fanouts.len()`-layer GNN.
     pub fn new(fanouts: Vec<usize>, direction: SamplingDirection) -> Self {
-        MultiHopSampler {
-            fanouts,
-            direction,
-            parallelism: 1,
-        }
-    }
-
-    /// Sets the number of threads used for one-hop sampling (paper §4.1 performs
-    /// this step with all available CPU threads).
-    pub fn with_parallelism(mut self, threads: usize) -> Self {
-        self.parallelism = threads.max(1);
-        self
+        MultiHopSampler { fanouts, direction }
     }
 
     /// Number of GNN layers this sampler produces neighbourhoods for.
@@ -102,7 +89,8 @@ impl MultiHopSampler {
             one_hop_operations += delta.len();
 
             // Line 4: one-hop sample for the current Δ only.
-            let (delta_nbrs, delta_rels, delta_offsets) = self.one_hop(graph, &delta, fanout, rng);
+            let (delta_nbrs, delta_rels, delta_offsets) =
+                one_hop(graph, &delta, fanout, self.direction, rng);
 
             // Line 5-6: prepend the new neighbour lists.
             for o in &mut nbr_offsets {
@@ -148,59 +136,11 @@ impl MultiHopSampler {
             one_hop_operations,
         )
     }
-
-    /// One-hop sampling for a set of nodes: returns the concatenated neighbour
-    /// ids, their edge relations, and the per-node start offsets.
-    fn one_hop<R: Rng + ?Sized>(
-        &self,
-        graph: &InMemorySubgraph,
-        nodes: &[NodeId],
-        fanout: usize,
-        rng: &mut R,
-    ) -> (Vec<NodeId>, Vec<RelId>, Vec<usize>) {
-        if self.parallelism <= 1 || nodes.len() < 4 * self.parallelism {
-            return one_hop_chunk(graph, nodes, fanout, self.direction, rng);
-        }
-        // Parallel path: split the Δ across threads; each thread gets its own
-        // seeded RNG so the overall result is still a function of the input RNG.
-        let threads = self.parallelism.min(nodes.len());
-        let chunk_size = nodes.len().div_ceil(threads);
-        let seeds: Vec<u64> = (0..threads).map(|_| rng.gen()).collect();
-        let direction = self.direction;
-
-        let mut partials: Vec<(Vec<NodeId>, Vec<RelId>, Vec<usize>)> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for (i, chunk) in nodes.chunks(chunk_size).enumerate() {
-                let seed = seeds[i];
-                handles.push(scope.spawn(move || {
-                    let mut local_rng = rand::rngs::StdRng::seed_from_u64(seed);
-                    one_hop_chunk(graph, chunk, fanout, direction, &mut local_rng)
-                }));
-            }
-            for h in handles {
-                partials.push(h.join().expect("one-hop sampling thread panicked"));
-            }
-        });
-
-        // Merge the per-chunk results preserving node order.
-        let mut nbrs = Vec::new();
-        let mut rels = Vec::new();
-        let mut offsets = Vec::with_capacity(nodes.len());
-        for (chunk_nbrs, chunk_rels, chunk_offsets) in partials {
-            let base = nbrs.len();
-            for o in chunk_offsets {
-                offsets.push(base + o);
-            }
-            nbrs.extend(chunk_nbrs);
-            rels.extend(chunk_rels);
-        }
-        (nbrs, rels, offsets)
-    }
 }
 
-/// One-hop sampling over a contiguous chunk of nodes (single threaded).
-fn one_hop_chunk<R: Rng + ?Sized>(
+/// One-hop sampling for a set of nodes: returns the concatenated neighbour
+/// ids, their edge relations, and the per-node start offsets.
+fn one_hop<R: Rng + ?Sized>(
     graph: &InMemorySubgraph,
     nodes: &[NodeId],
     fanout: usize,
@@ -287,6 +227,7 @@ mod tests {
     use super::*;
     use marius_graph::Edge;
     use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     /// The paper's Figure 1 / Figure 3 input graph with incoming-edge semantics:
     /// A's in-neighbours are {C, D}, B's are {C, A}, C's are {E, B}, D's is {C}.
@@ -427,33 +368,6 @@ mod tests {
             .collect();
         pairs.sort_unstable();
         assert_eq!(pairs, vec![(1, 3), (2, 7)]);
-    }
-
-    #[test]
-    fn parallel_sampling_matches_structure_of_serial() {
-        // Parallel sampling uses different RNG streams so the exact neighbours
-        // may differ, but the structural properties (validity, per-node counts
-        // with full fanout) must match.
-        let mut edges = Vec::new();
-        for i in 0..200u64 {
-            edges.push(Edge::new(i, (i * 7 + 1) % 200));
-            edges.push(Edge::new((i * 13 + 3) % 200, i));
-        }
-        let graph = InMemorySubgraph::from_edges(&edges);
-        let targets: Vec<NodeId> = (0..50).collect();
-
-        let serial = MultiHopSampler::new(vec![100, 100], SamplingDirection::Both);
-        let parallel = serial.clone().with_parallelism(4);
-        let mut rng1 = StdRng::seed_from_u64(8);
-        let mut rng2 = StdRng::seed_from_u64(8);
-        let d_serial = serial.sample(&graph, &targets, &mut rng1);
-        let d_parallel = parallel.sample(&graph, &targets, &mut rng2);
-        d_serial.validate().unwrap();
-        d_parallel.validate().unwrap();
-        // With fanouts larger than any degree, both collect every edge reachable,
-        // so the edge and node counts must be identical.
-        assert_eq!(d_serial.nbrs().len(), d_parallel.nbrs().len());
-        assert_eq!(d_serial.node_ids().len(), d_parallel.node_ids().len());
     }
 
     #[test]

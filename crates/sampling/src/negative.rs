@@ -10,17 +10,6 @@
 use marius_graph::NodeId;
 use rand::Rng;
 
-/// Which endpoint of a positive edge is replaced to create negatives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CorruptionSide {
-    /// Replace the destination node.
-    Destination,
-    /// Replace the source node.
-    Source,
-    /// Alternate between replacing the source and the destination.
-    Both,
-}
-
 /// Uniform negative sampler over a node-id universe.
 ///
 /// Negatives are shared across the mini batch (one pool of `num_negatives` nodes
@@ -29,32 +18,17 @@ pub enum CorruptionSide {
 #[derive(Debug, Clone)]
 pub struct NegativeSampler {
     num_negatives: usize,
-    corruption: CorruptionSide,
 }
 
 impl NegativeSampler {
     /// Creates a sampler producing `num_negatives` corruptions per mini batch.
     pub fn new(num_negatives: usize) -> Self {
-        NegativeSampler {
-            num_negatives,
-            corruption: CorruptionSide::Destination,
-        }
-    }
-
-    /// Sets which side of the edge is corrupted.
-    pub fn with_corruption(mut self, corruption: CorruptionSide) -> Self {
-        self.corruption = corruption;
-        self
+        NegativeSampler { num_negatives }
     }
 
     /// Number of negatives produced per batch.
     pub fn num_negatives(&self) -> usize {
         self.num_negatives
-    }
-
-    /// The configured corruption side.
-    pub fn corruption(&self) -> CorruptionSide {
-        self.corruption
     }
 
     /// Samples a shared pool of negative node ids uniformly from the candidate
@@ -88,7 +62,7 @@ impl NegativeSampler {
     }
 }
 
-/// Ranking-based evaluation (MRR, Hits@K) for link prediction.
+/// Ranking-based evaluation (MRR) for link prediction.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RankingProtocol;
 
@@ -130,20 +104,6 @@ impl RankingProtocol {
             .map(|(&p, n)| Self::reciprocal_rank(p, n))
             .sum();
         total / positives.len() as f64
-    }
-
-    /// Fraction of positives ranked within the top `k`.
-    pub fn hits_at_k(positives: &[f32], negatives: &[Vec<f32>], k: usize) -> f64 {
-        assert_eq!(positives.len(), negatives.len(), "score length mismatch");
-        if positives.is_empty() {
-            return 0.0;
-        }
-        let hits = positives
-            .iter()
-            .zip(negatives.iter())
-            .filter(|(&p, n)| Self::rank(p, n) <= k)
-            .count();
-        hits as f64 / positives.len() as f64
     }
 }
 
@@ -192,13 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn corruption_side_configurable() {
-        let s = NegativeSampler::new(5).with_corruption(CorruptionSide::Both);
-        assert_eq!(s.corruption(), CorruptionSide::Both);
-        assert_eq!(s.num_negatives(), 5);
-    }
-
-    #[test]
     fn rank_counts_higher_scores() {
         assert_eq!(RankingProtocol::rank(0.9, &[0.1, 0.2, 0.3]), 1);
         assert_eq!(RankingProtocol::rank(0.1, &[0.5, 0.6]), 3);
@@ -235,15 +188,6 @@ mod tests {
     #[test]
     fn mrr_empty_is_zero() {
         assert_eq!(RankingProtocol::mrr(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn hits_at_k_behaviour() {
-        let pos = vec![5.0, 0.0];
-        let negs = vec![vec![1.0, 2.0], vec![1.0, 2.0]];
-        assert!((RankingProtocol::hits_at_k(&pos, &negs, 1) - 0.5).abs() < 1e-12);
-        assert!((RankingProtocol::hits_at_k(&pos, &negs, 3) - 1.0).abs() < 1e-12);
-        assert_eq!(RankingProtocol::hits_at_k(&[], &[], 10), 0.0);
     }
 
     #[test]

@@ -609,12 +609,6 @@ impl PartitionBuffer {
         nodes
     }
 
-    /// `true` if the node's partition is currently resident.
-    pub fn is_resident(&self, node: NodeId) -> bool {
-        let (p, _) = self.node_location[node as usize];
-        self.resident.contains_key(&p)
-    }
-
     /// The dual-sorted in-memory subgraph over the loaded edge buckets.
     pub fn subgraph(&self) -> &InMemorySubgraph {
         &self.subgraph
@@ -625,11 +619,6 @@ impl PartitionBuffer {
     /// mini batch borrows the buffer mutably.
     pub fn subgraph_arc(&self) -> Arc<InMemorySubgraph> {
         Arc::clone(&self.subgraph)
-    }
-
-    /// Number of edges currently in memory.
-    pub fn num_in_memory_edges(&self) -> usize {
-        self.in_memory_edges.len()
     }
 
     /// Gathers the embedding rows of `nodes` into a `(nodes.len(), dim)` tensor.
@@ -742,8 +731,7 @@ mod tests {
             .iter()
             .map(|&(i, j)| buckets[(i * 4 + j) as usize].len())
             .sum();
-        assert_eq!(buffer.num_in_memory_edges(), expected);
-        assert!(buffer.subgraph().num_edges() == expected);
+        assert_eq!(buffer.subgraph().num_edges(), expected);
     }
 
     #[test]
@@ -754,7 +742,6 @@ mod tests {
         let loads = buffer.load_set(&[0, 2]).unwrap();
         assert_eq!(loads, 1);
         assert_eq!(buffer.resident_partitions(), vec![0, 2]);
-        assert!(buffer.is_resident(buffer.assignment().nodes_in(2)[0]));
     }
 
     #[test]
@@ -895,7 +882,7 @@ mod tests {
             assert!(installed <= set.len());
             assert_eq!(seq.resident_partitions(), pipe.resident_partitions());
             assert_eq!(seq.resident_nodes(), pipe.resident_nodes());
-            assert_eq!(seq.num_in_memory_edges(), pipe.num_in_memory_edges());
+            assert_eq!(seq.subgraph().num_edges(), pipe.subgraph().num_edges());
             let nodes = seq.resident_nodes();
             assert_eq!(
                 seq.gather(&nodes[..4]).unwrap(),
@@ -1105,6 +1092,9 @@ mod tests {
         let expected =
             buffer.assignment().nodes_in(2).len() + buffer.assignment().nodes_in(3).len();
         assert_eq!(nodes.len(), expected);
-        assert!(nodes.iter().all(|&n| buffer.is_resident(n)));
+        let assignment = buffer.assignment();
+        assert!(nodes
+            .iter()
+            .all(|&n| [2, 3].contains(&assignment.partition_of(n))));
     }
 }

@@ -213,8 +213,6 @@ pub struct FaultInjector {
     keys: Mutex<HashMap<u64, KeyState>>,
     /// Total faults injected (transient + permanent + torn).
     faults: AtomicU64,
-    /// Total latency spikes injected.
-    spikes: AtomicU64,
     /// Armed outage window start (u64::MAX = disarmed).
     outage_start: AtomicU64,
     /// Armed outage window end (exclusive).
@@ -233,7 +231,6 @@ impl FaultInjector {
             ops: AtomicU64::new(0),
             keys: Mutex::new(HashMap::new()),
             faults: AtomicU64::new(0),
-            spikes: AtomicU64::new(0),
             outage_start: AtomicU64::new(outage_start),
             outage_end: AtomicU64::new(outage_end),
             permanent_after: AtomicU64::new(plan.permanent_after.unwrap_or(u64::MAX)),
@@ -254,11 +251,6 @@ impl FaultInjector {
     /// Total faults injected so far (monotonic).
     pub fn faults_injected(&self) -> u64 {
         self.faults.load(Ordering::Relaxed)
-    }
-
-    /// Total latency spikes injected so far (monotonic).
-    pub fn spikes_injected(&self) -> u64 {
-        self.spikes.load(Ordering::Relaxed)
     }
 
     /// Arms a transient outage window starting `delay_ops` operations from
@@ -343,7 +335,6 @@ impl FaultInjector {
             }
             Ok(spike_roll) => {
                 if spike_roll < self.plan.latency_spike && !self.plan.spike.is_zero() {
-                    self.spikes.fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(self.plan.spike);
                 }
                 Ok(())

@@ -61,20 +61,6 @@ impl IoCostModel {
             stats.reads + stats.writes,
         )
     }
-
-    /// Combines IO time and compute time assuming perfect pipelining (prefetching
-    /// overlaps IO with compute, so the epoch takes the maximum of the two), as
-    /// MariusGNN's pipelined execution aims for.
-    pub fn pipelined_epoch_time(&self, io: Duration, compute: Duration) -> Duration {
-        io.max(compute)
-    }
-
-    /// Combines IO and compute assuming no overlap (the behaviour the paper
-    /// attributes to greedy policies whose unbalanced workloads leave no compute
-    /// to hide IO behind).
-    pub fn serial_epoch_time(&self, io: Duration, compute: Duration) -> Duration {
-        io + compute
-    }
 }
 
 impl Default for IoCostModel {
@@ -118,15 +104,6 @@ mod tests {
             IoCostModel::local_nvme().transfer_time(bytes, 100)
                 < IoCostModel::ebs_gp3().transfer_time(bytes, 100)
         );
-    }
-
-    #[test]
-    fn pipelined_vs_serial() {
-        let m = IoCostModel::default();
-        let io = Duration::from_secs(4);
-        let compute = Duration::from_secs(6);
-        assert_eq!(m.pipelined_epoch_time(io, compute), Duration::from_secs(6));
-        assert_eq!(m.serial_epoch_time(io, compute), Duration::from_secs(10));
     }
 
     #[test]

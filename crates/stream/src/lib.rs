@@ -74,7 +74,7 @@ use marius_telemetry::{Telemetry, NO_LABEL};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// SplitMix64 finalizer mixing the stream seed with a batch index, so each
@@ -247,7 +247,7 @@ impl Ingestor {
                 self.stream.batch_size()
             )));
         }
-        *self.state.lock().expect("stream state poisoned") = cursor;
+        *self.state.lock().unwrap_or_else(PoisonError::into_inner) = cursor;
         Ok(self)
     }
 
@@ -258,7 +258,7 @@ impl Ingestor {
 
     /// The current cursor value.
     pub fn cursor(&self) -> StreamState {
-        *self.state.lock().expect("stream state poisoned")
+        *self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Stages and applies the next `batches` stream batches into `setup`,
@@ -301,7 +301,7 @@ impl Ingestor {
             self.telemetry
                 .counter("ingest.apply_ns")
                 .add_duration(elapsed);
-            let mut state = self.state.lock().expect("stream state poisoned");
+            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
             state.batches_applied += 1;
             state.edges_ingested += delta.len() as u64;
             total += delta.len() as u64;

@@ -42,9 +42,9 @@
 //!   <https://ui.perfetto.dev> — one track per pipeline stage thread, spans
 //!   labelled with step/partition, queue waits visible as gaps.
 //! - [`Telemetry::metrics_json`] renders the registry as an aggregated
-//!   `metrics.json` snapshot (written next to `BENCH_*.json` by the bench
-//!   harnesses). Counters mirror the `EpochReport`/`PipelineReport`
-//!   aggregates exactly — same sums, with per-event provenance in the trace.
+//!   `metrics.json` snapshot (`examples/tracing.rs` writes one). Counters
+//!   mirror the `EpochReport`/`PipelineReport` aggregates exactly — same
+//!   sums, with per-event provenance in the trace.
 //!
 //! ```
 //! use marius_telemetry::{Telemetry, NO_LABEL};

@@ -12,9 +12,6 @@
 //! * All tensors are dense, row-major, two-dimensional `f32` matrices ([`Tensor`]).
 //! * There is no automatic differentiation; the GNN crate implements manual
 //!   backward passes using the same kernels.
-//! * A [`device::DeviceCostModel`] estimates the time an equivalent GPU would need
-//!   for a given kernel so that benchmark harnesses can report "GPU compute"
-//!   analogues next to the measured CPU numbers.
 //!
 //! # Examples
 //!
@@ -27,13 +24,11 @@
 //! assert_eq!(c.get(1, 0), 3.0);
 //! ```
 
-pub mod device;
 pub mod init;
 pub mod ops;
 pub mod segment;
 pub mod tensor;
 
-pub use device::{DeviceCostModel, DeviceKind, TransferDirection};
 pub use init::{glorot_uniform, uniform_init, zeros_init};
 pub use tensor::Tensor;
 

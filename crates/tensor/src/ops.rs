@@ -121,16 +121,6 @@ impl Tensor {
         self.map(|x| if x > 0.0 { 1.0 } else { 0.0 })
     }
 
-    /// Element-wise sigmoid.
-    pub fn sigmoid(&self) -> Tensor {
-        self.map(|x| 1.0 / (1.0 + (-x).exp()))
-    }
-
-    /// Element-wise hyperbolic tangent.
-    pub fn tanh(&self) -> Tensor {
-        self.map(|x| x.tanh())
-    }
-
     /// Leaky ReLU with the given negative slope (used by GAT attention scores).
     pub fn leaky_relu(&self, negative_slope: f32) -> Tensor {
         self.map(|x| if x >= 0.0 { x } else { negative_slope * x })
@@ -175,27 +165,6 @@ impl Tensor {
         out
     }
 
-    /// Normalises each row to unit L2 norm; zero rows are left untouched.
-    pub fn l2_normalize_rows(&self) -> Tensor {
-        let mut out = self.clone();
-        for r in 0..out.rows() {
-            let norm = out.row(r).iter().map(|x| x * x).sum::<f32>().sqrt();
-            if norm > 0.0 {
-                for x in out.row_mut(r) {
-                    *x /= norm;
-                }
-            }
-        }
-        out
-    }
-
-    /// Clips every element into `[-bound, bound]` in place (gradient clipping).
-    pub fn clip_assign(&mut self, bound: f32) {
-        for x in self.data_mut() {
-            *x = x.clamp(-bound, bound);
-        }
-    }
-
     /// Applies `f` to every element, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         let data = self.data().iter().map(|x| f(*x)).collect();
@@ -232,15 +201,6 @@ impl Tensor {
             for (o, x) in out.row_mut(0).iter_mut().zip(self.row(r).iter()) {
                 *o += *x;
             }
-        }
-        out
-    }
-
-    /// Returns per-row sums as a `(rows, 1)` tensor.
-    pub fn sum_cols(&self) -> Tensor {
-        let mut out = Tensor::zeros(self.rows(), 1);
-        for r in 0..self.rows() {
-            out.set(r, 0, self.row(r).iter().sum());
         }
         out
     }
@@ -330,8 +290,7 @@ pub fn dot_rows(query: &[f32], rows: &[f32], out: &mut [f32]) {
 
 /// Number of floating point operations needed for a GEMM of the given shape.
 ///
-/// Used by the device cost model and the benchmark harnesses to report arithmetic
-/// intensity next to wall-clock time.
+/// Used by the perf ledger to report GEMM throughput next to wall-clock time.
 pub fn matmul_flops(m: usize, k: usize, n: usize) -> u64 {
     2 * m as u64 * k as u64 * n as u64
 }
@@ -437,18 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn sigmoid_and_tanh_bounds() {
-        let a = Tensor::from_rows(&[&[-50.0, 0.0, 50.0]]);
-        let s = a.sigmoid();
-        assert!(s.get(0, 0) < 1e-6);
-        assert!(approx_eq(s.get(0, 1), 0.5));
-        assert!(s.get(0, 2) > 1.0 - 1e-6);
-        let t = a.tanh();
-        assert!(t.get(0, 0) < -0.999);
-        assert!(approx_eq(t.get(0, 1), 0.0));
-    }
-
-    #[test]
     fn softmax_rows_sum_to_one() {
         let a = Tensor::from_rows(&[&[1.0, 2.0, 3.0], &[1000.0, 1000.0, 1000.0]]);
         let s = a.softmax_rows();
@@ -471,21 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn l2_normalize_rows_skips_zero_rows() {
-        let a = Tensor::from_rows(&[&[3.0, 4.0], &[0.0, 0.0]]);
-        let n = a.l2_normalize_rows();
-        assert!(approx_eq(n.row(0).iter().map(|x| x * x).sum::<f32>(), 1.0));
-        assert_eq!(n.row(1), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn clip_assign_bounds_values() {
-        let mut a = Tensor::from_rows(&[&[-10.0, 0.5, 10.0]]);
-        a.clip_assign(1.0);
-        assert_eq!(a.row(0), &[-1.0, 0.5, 1.0]);
-    }
-
-    #[test]
     fn rowwise_dot_matches_manual() {
         let a = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Tensor::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
@@ -495,12 +427,9 @@ mod tests {
     }
 
     #[test]
-    fn sum_rows_and_cols() {
+    fn sum_rows_adds_columnwise() {
         let a = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(a.sum_rows().row(0), &[4.0, 6.0]);
-        let sc = a.sum_cols();
-        assert_eq!(sc.get(0, 0), 3.0);
-        assert_eq!(sc.get(1, 0), 7.0);
     }
 
     /// The in-place kernel against the general product it replaces on the

@@ -4,7 +4,7 @@
 //! *contiguously*, separated by an offsets array. That layout turns neighbourhood
 //! aggregation into a *dense segment reduction*: select the neighbour
 //! representations with [`index_select`], then reduce each contiguous segment with
-//! [`segment_sum`] / [`segment_mean`] / [`segment_max`]. These are exactly the
+//! [`segment_sum`] / [`segment_mean`]. These are exactly the
 //! kernels MariusGNN runs on the GPU; here they run on the CPU over the same data
 //! layout.
 
@@ -129,34 +129,6 @@ pub fn segment_mean(input: &Tensor, offsets: &[usize]) -> Result<Tensor> {
             let inv = 1.0 / len as f32;
             for o in out.row_mut(s) {
                 *o *= inv;
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Dense segment max: element-wise maximum across each segment. Empty segments
-/// produce a zero row (rather than `-inf`) so downstream layers stay finite.
-pub fn segment_max(input: &Tensor, offsets: &[usize]) -> Result<Tensor> {
-    validate_offsets(offsets, input.rows())?;
-    let num_segments = offsets.len();
-    let mut out = Tensor::zeros(num_segments, input.cols());
-    for s in 0..num_segments {
-        let start = offsets[s];
-        let end = if s + 1 < num_segments {
-            offsets[s + 1]
-        } else {
-            input.rows()
-        };
-        if start == end {
-            continue;
-        }
-        out.row_mut(s).copy_from_slice(input.row(start));
-        for r in start + 1..end {
-            for (o, x) in out.row_mut(s).iter_mut().zip(input.row(r).iter()) {
-                if *x > *o {
-                    *o = *x;
-                }
             }
         }
     }
@@ -343,14 +315,6 @@ mod tests {
         let x = Tensor::from_rows(&[&[2.0]]);
         let out = segment_mean(&x, &[0, 1]).unwrap();
         assert_eq!(out.get(1, 0), 0.0);
-    }
-
-    #[test]
-    fn segment_max_elementwise() {
-        let x = Tensor::from_rows(&[&[1.0, 5.0], &[3.0, 2.0], &[-1.0, -2.0]]);
-        let out = segment_max(&x, &[0, 2]).unwrap();
-        assert_eq!(out.row(0), &[3.0, 5.0]);
-        assert_eq!(out.row(1), &[-1.0, -2.0]);
     }
 
     #[test]

@@ -201,52 +201,6 @@ impl Tensor {
         })
     }
 
-    /// Appends the rows of `other` below `self`, returning the stacked tensor.
-    pub fn vstack(&self, other: &Tensor) -> Result<Tensor> {
-        if self.rows > 0 && other.rows > 0 && self.cols != other.cols {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape(),
-                rhs: other.shape(),
-                op: "vstack",
-            });
-        }
-        let cols = if self.rows == 0 {
-            other.cols
-        } else {
-            self.cols
-        };
-        let mut data = Vec::with_capacity(self.data.len() + other.data.len());
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Ok(Tensor {
-            data,
-            rows: self.rows + other.rows,
-            cols,
-        })
-    }
-
-    /// Concatenates `self` and `other` column-wise (same number of rows required).
-    pub fn hstack(&self, other: &Tensor) -> Result<Tensor> {
-        if self.rows != other.rows {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape(),
-                rhs: other.shape(),
-                op: "hstack",
-            });
-        }
-        let cols = self.cols + other.cols;
-        let mut data = Vec::with_capacity(self.rows * cols);
-        for r in 0..self.rows {
-            data.extend_from_slice(self.row(r));
-            data.extend_from_slice(other.row(r));
-        }
-        Ok(Tensor {
-            data,
-            rows: self.rows,
-            cols,
-        })
-    }
-
     /// Returns the transpose of the tensor.
     pub fn transpose(&self) -> Tensor {
         let mut out = Tensor::zeros(self.cols, self.rows);
@@ -256,22 +210,6 @@ impl Tensor {
             }
         }
         out
-    }
-
-    /// Returns a copy of the tensor reshaped to `(rows, cols)`.
-    pub fn reshape(&self, rows: usize, cols: usize) -> Result<Tensor> {
-        if rows * cols != self.data.len() {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape(),
-                rhs: (rows, cols),
-                op: "reshape",
-            });
-        }
-        Ok(Tensor {
-            data: self.data.clone(),
-            rows,
-            cols,
-        })
     }
 
     /// Returns the sum of all elements.
@@ -301,16 +239,6 @@ impl Tensor {
     /// Returns the Frobenius norm (square root of the sum of squares).
     pub fn frobenius_norm(&self) -> f32 {
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
-    /// Returns the per-row L2 norms as a `(rows, 1)` tensor.
-    pub fn row_norms(&self) -> Tensor {
-        let mut out = Tensor::zeros(self.rows, 1);
-        for r in 0..self.rows {
-            let norm = self.row(r).iter().map(|x| x * x).sum::<f32>().sqrt();
-            out.set(r, 0, norm);
-        }
-        out
     }
 
     /// Returns `true` if every element is finite (no NaN or infinity).
@@ -429,53 +357,12 @@ mod tests {
     }
 
     #[test]
-    fn vstack_stacks_rows() {
-        let a = Tensor::from_rows(&[&[1.0, 2.0]]);
-        let b = Tensor::from_rows(&[&[3.0, 4.0], &[5.0, 6.0]]);
-        let c = a.vstack(&b).unwrap();
-        assert_eq!(c.shape(), (3, 2));
-        assert_eq!(c.row(2), &[5.0, 6.0]);
-    }
-
-    #[test]
-    fn vstack_with_empty_adopts_other_cols() {
-        let empty = Tensor::zeros(0, 0);
-        let b = Tensor::from_rows(&[&[3.0, 4.0]]);
-        let c = empty.vstack(&b).unwrap();
-        assert_eq!(c.shape(), (1, 2));
-    }
-
-    #[test]
-    fn vstack_mismatched_cols_errors() {
-        let a = Tensor::zeros(1, 2);
-        let b = Tensor::zeros(1, 3);
-        assert!(a.vstack(&b).is_err());
-    }
-
-    #[test]
-    fn hstack_concatenates_columns() {
-        let a = Tensor::from_rows(&[&[1.0], &[2.0]]);
-        let b = Tensor::from_rows(&[&[3.0, 4.0], &[5.0, 6.0]]);
-        let c = a.hstack(&b).unwrap();
-        assert_eq!(c.shape(), (2, 3));
-        assert_eq!(c.row(0), &[1.0, 3.0, 4.0]);
-    }
-
-    #[test]
     fn transpose_swaps_shape_and_values() {
         let t = Tensor::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         let tt = t.transpose();
         assert_eq!(tt.shape(), (3, 2));
         assert_eq!(tt.get(2, 1), 6.0);
         assert_eq!(tt.transpose(), t);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_rows(&[&[1.0, 2.0, 3.0, 4.0]]);
-        let r = t.reshape(2, 2).unwrap();
-        assert_eq!(r.get(1, 0), 3.0);
-        assert!(t.reshape(3, 3).is_err());
     }
 
     #[test]
@@ -492,14 +379,6 @@ mod tests {
     fn empty_mean_is_zero() {
         let t = Tensor::zeros(0, 0);
         assert_eq!(t.mean(), 0.0);
-    }
-
-    #[test]
-    fn row_norms_per_row() {
-        let t = Tensor::from_rows(&[&[3.0, 4.0], &[0.0, 0.0]]);
-        let n = t.row_norms();
-        assert!((n.get(0, 0) - 5.0).abs() < 1e-6);
-        assert_eq!(n.get(1, 0), 0.0);
     }
 
     #[test]

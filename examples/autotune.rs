@@ -4,33 +4,34 @@
 //!
 //! Run with: `cargo run --release --example autotune`
 
-use marius::baselines::AwsInstance;
 use marius::graph::datasets::{DatasetSpec, Task};
 use marius::storage::auto_tune;
 
+/// The AWS P3 instances of the paper's Table 2: name and CPU memory in bytes.
+const INSTANCES: [(&str, u64); 3] = [
+    ("P3.2xLarge", 61_000_000_000),
+    ("P3.8xLarge", 244_000_000_000),
+    ("P3.16xLarge", 488_000_000_000),
+];
+
 fn main() {
     let block_size = 128 * 1024u64; // EBS effective block size used in the paper.
-    let instances = [
-        AwsInstance::P3_2xLarge,
-        AwsInstance::P3_8xLarge,
-        AwsInstance::P3_16xLarge,
-    ];
     println!(
         "{:<16} {:<12} | {:>6} {:>6} {:>6} | mode",
         "dataset", "instance", "p", "l", "c"
     );
     for spec in DatasetSpec::table1() {
-        for instance in instances {
+        for (instance, memory_bytes) in INSTANCES {
             let learnable = !spec.fixed_features && spec.task == Task::LinkPrediction;
             // Reserve ~10% of RAM as working memory (the fudge factor F).
-            let fudge = instance.cpu_memory_bytes() / 10;
+            let fudge = memory_bytes / 10;
             let bytes_per_edge = if spec.num_relations > 1 { 12 } else { 8 };
             let cfg = auto_tune(
                 spec.num_nodes,
                 spec.feat_dim,
                 spec.num_edges,
                 bytes_per_edge,
-                instance.cpu_memory_bytes(),
+                memory_bytes,
                 block_size,
                 fudge,
                 learnable,
@@ -38,7 +39,7 @@ fn main() {
             println!(
                 "{:<16} {:<12} | {:>6} {:>6} {:>6} | {}",
                 spec.name,
-                instance.name(),
+                instance,
                 cfg.physical_partitions,
                 cfg.logical_partitions,
                 cfg.buffer_capacity,

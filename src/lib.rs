@@ -280,10 +280,14 @@
 //!   construction and compute.
 //! * [`core`] — models, the [`Task`] trait and the generic
 //!   [`Trainer`]`<T>` this facade wraps.
-//! * [`baselines`] — DGL/PyG-style cost models used by the benchmark
-//!   harnesses.
+//! * [`serve`] — the read path answering queries over finished checkpoints.
+//! * [`stream`] — streaming edge ingest for continuous training.
+//! * [`telemetry`] — spans, counters and their Chrome-trace / metrics export.
+//!
+//! The paper's structural claims are tests, not tables: DENSE ≡ layer-wise
+//! sampling (Table 6) and the exact COMET / BETA partition-load counts
+//! (Table 8) are pinned in `tests/sampling_and_policies.rs`.
 
-pub use marius_baselines as baselines;
 pub use marius_core as core;
 pub use marius_gnn as gnn;
 pub use marius_graph as graph;
@@ -853,14 +857,10 @@ impl<T: Task> Session<T> {
     /// The task metric (MRR / accuracy) of the most recent training run,
     /// training first if the session has not run yet.
     pub fn evaluate(&mut self) -> Result<f64> {
-        if self.last_report.is_none() {
-            self.train()?;
+        if let Some(report) = &self.last_report {
+            return Ok(report.final_metric());
         }
-        Ok(self
-            .last_report
-            .as_ref()
-            .expect("populated by train() above")
-            .final_metric())
+        Ok(self.train()?.final_metric())
     }
 
     /// The report of the most recent [`Session::train`] call, if any.

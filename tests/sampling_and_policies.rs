@@ -1,9 +1,26 @@
 //! Cross-crate integration tests for the sampling data structures and the
-//! disk-training policies on realistic generated graphs.
+//! disk-training policies on realistic generated graphs, including the
+//! paper's structural claims as exact checks:
+//!
+//! * Table 6 — DENSE computes the same GNN as layer-wise re-sampling
+//!   (bit-identical outputs) while sampling fewer edges
+//!   (`dense_and_layerwise_encoders_agree_bit_for_bit`,
+//!   `layerwise_resamples_what_dense_reuses_exact_edge_counts`).
+//! * Table 8 — COMET pays a bounded partition-load premium over BETA
+//!   (`comet_io_is_close_to_beta_io`), and both disk executors perform exactly
+//!   the loads their plan schedules (`executors_load_exactly_what_the_plan_schedules`).
 
-use marius_baselines::LayerwiseSampler;
+#[path = "support/layerwise.rs"]
+mod layerwise;
+
+use layerwise::LayerwiseSampler;
+use marius_core::{
+    DiskConfig, LinkPredictionTask, ModelConfig, PipelineConfig, TrainConfig, Trainer,
+};
+use marius_gnn::layers::Aggregator;
+use marius_gnn::{EmbeddingTable, Encoder, GraphSageLayer};
 use marius_graph::datasets::{DatasetSpec, ScaledDataset};
-use marius_graph::{InMemorySubgraph, Partitioner};
+use marius_graph::{Edge, InMemorySubgraph, NodeId, Partitioner};
 use marius_sampling::{MultiHopSampler, SamplingDirection};
 use marius_storage::policy::ReplacementPolicy;
 use marius_storage::{edge_permutation_bias, BetaPolicy, CometPolicy, InMemoryPolicy};
@@ -96,19 +113,194 @@ fn policies_are_valid_and_comet_reduces_bias_on_real_buckets() {
     assert!(imbalance(comet.buckets_per_step()) < imbalance(beta.buckets_per_step()));
 }
 
-/// The COMET IO volume stays within a small factor of BETA's (the paper's
-/// argument that the two-level scheme pays at most a 5–25% IO premium).
+const DIRECTIONS: [SamplingDirection; 3] = [
+    SamplingDirection::Incoming,
+    SamplingDirection::Outgoing,
+    SamplingDirection::Both,
+];
+
+/// A 200-node ring where node `i` has in-neighbours `i+1`, `i+17`, `i+34`:
+/// multi-hop neighbourhoods overlap, so layer-wise re-sampling repeats work
+/// DENSE reuses.
+fn ring() -> InMemorySubgraph {
+    let n = 200u64;
+    let edges: Vec<Edge> = (0..n)
+        .flat_map(|i| [1, 17, 34].map(|off| Edge::new((i + off) % n, i)))
+        .collect();
+    InMemorySubgraph::from_edges(&edges)
+}
+
+/// A fanout no node's neighbourhood exceeds, so neither sampler draws from
+/// its RNG and both see every edge in the subgraph's order.
+fn exhaustive_fanout(graph: &InMemorySubgraph) -> usize {
+    graph
+        .nodes()
+        .iter()
+        .map(|&n| graph.incoming(n).len().max(graph.outgoing(n).len()))
+        .max()
+        .unwrap_or(0)
+}
+
+/// Table 6's claim that DENSE changes how a mini batch is sampled, not what
+/// the GNN computes: with exhaustive fanouts, a GraphSage encoder over DENSE
+/// and over layer-wise re-sampled blocks gives every target bit-identical
+/// outputs, for 1-3 layers in every sampling direction, on a ring and on a
+/// generated knowledge graph.
+#[test]
+fn dense_and_layerwise_encoders_agree_bit_for_bit() {
+    let kg = ScaledDataset::generate(&DatasetSpec::fb15k_237().scaled(0.02), 11);
+    let graphs = [
+        ("ring", ring(), 200u64),
+        (
+            "fb15k-237 x0.02",
+            InMemorySubgraph::from_edges(kg.graph.edges()),
+            kg.num_nodes(),
+        ),
+    ];
+    let dim = 8;
+    let targets: Vec<NodeId> = (0..20).collect();
+    for (name, graph, num_nodes) in &graphs {
+        let fanout = exhaustive_fanout(graph);
+        let features =
+            EmbeddingTable::new(*num_nodes as usize, dim, 1.0, &mut StdRng::seed_from_u64(1));
+        for layers in 1..=3 {
+            let mut layer_rng = StdRng::seed_from_u64(layers as u64);
+            let encoder = (0..layers).fold(Encoder::new(), |enc, l| {
+                enc.push_layer(Box::new(GraphSageLayer::new(
+                    dim,
+                    dim,
+                    Aggregator::Mean,
+                    l + 1 < layers,
+                    &mut layer_rng,
+                )))
+            });
+            for direction in DIRECTIONS {
+                let fanouts = vec![fanout; layers];
+                let mut rng = StdRng::seed_from_u64(7);
+                let mut dense = MultiHopSampler::new(fanouts.clone(), direction)
+                    .sample(graph, &targets, &mut rng);
+                let dense_targets = dense.target_nodes().to_vec();
+                let h0 = features.gather(dense.node_ids());
+                let dense_out = encoder.forward(&mut dense, h0).output;
+
+                let sample =
+                    LayerwiseSampler::new(fanouts, direction).sample(graph, &targets, &mut rng);
+                let h0 = features.gather(&sample.base_nodes);
+                let layerwise_out = encoder.forward_contexts(&sample.contexts, h0).output;
+
+                let what = format!("{name}, {layers} layers, {direction:?}");
+                assert_eq!(dense_targets, sample.target_nodes, "{what}");
+                assert_eq!(dense_out.shape(), (targets.len(), dim), "{what}");
+                let bits = |t: &marius_tensor::Tensor| {
+                    t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&dense_out), bits(&layerwise_out), "{what}");
+            }
+        }
+    }
+}
+
+/// Where the two samplers differ is how much they sample: on the ring with
+/// exhaustive fanouts, one layer costs both the same, and every deeper layer
+/// makes layer-wise re-sample neighbourhoods DENSE already holds.
+#[test]
+fn layerwise_resamples_what_dense_reuses_exact_edge_counts() {
+    let graph = ring();
+    let targets: Vec<NodeId> = (0..20).collect();
+    // (layers, direction, DENSE edges, layer-wise edges)
+    let expected = [
+        (1, SamplingDirection::Incoming, 60, 60),
+        (1, SamplingDirection::Outgoing, 60, 60),
+        (1, SamplingDirection::Both, 120, 120),
+        (2, SamplingDirection::Incoming, 162, 222),
+        (2, SamplingDirection::Outgoing, 162, 222),
+        (2, SamplingDirection::Both, 528, 648),
+        (3, SamplingDirection::Incoming, 264, 486),
+        (3, SamplingDirection::Outgoing, 264, 486),
+        (3, SamplingDirection::Both, 936, 1584),
+    ];
+    for (layers, direction, dense_edges, layerwise_edges) in expected {
+        let fanouts = vec![exhaustive_fanout(&graph); layers];
+        let mut rng = StdRng::seed_from_u64(3);
+        let dense =
+            MultiHopSampler::new(fanouts.clone(), direction).sample(&graph, &targets, &mut rng);
+        let layerwise =
+            LayerwiseSampler::new(fanouts, direction).sample(&graph, &targets, &mut rng);
+        assert_eq!(
+            (dense.stats().edges_sampled, layerwise.stats.edges_sampled),
+            (dense_edges, layerwise_edges),
+            "{layers} layers, {direction:?}"
+        );
+    }
+}
+
+/// Table 8: COMET's two-level scheme buys lower bias with more partition
+/// loads than BETA, by a premium that grows with p / c. These are the exact
+/// plan counts, the same for every seed.
 #[test]
 fn comet_io_is_close_to_beta_io() {
-    let p = 16u32;
-    let c = 8usize;
-    let mut rng = StdRng::seed_from_u64(17);
-    let beta = BetaPolicy::new(c).plan(p, &mut rng).unwrap();
-    let comet = CometPolicy::auto(p, c).plan(p, &mut rng).unwrap();
-    let beta_loads = beta.partition_loads() as f64;
-    let comet_loads = comet.partition_loads() as f64;
-    assert!(
-        comet_loads <= 2.0 * beta_loads,
-        "COMET loads {comet_loads} should be within 2x of BETA loads {beta_loads}"
-    );
+    // (p, c, BETA loads, COMET loads)
+    let expected = [
+        (8u32, 4usize, 13usize, 14usize),
+        (16, 8, 25, 28),
+        (16, 4, 46, 58),
+        (32, 8, 86, 116),
+        (64, 16, 166, 232),
+    ];
+    for (p, c, beta_loads, comet_loads) in expected {
+        for seed in 1..=3 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let beta = BetaPolicy::new(c).plan(p, &mut rng).unwrap();
+            let comet = CometPolicy::auto(p, c).plan(p, &mut rng).unwrap();
+            assert_eq!(
+                (beta.partition_loads(), comet.partition_loads()),
+                (beta_loads, comet_loads),
+                "p = {p}, c = {c}, seed {seed}"
+            );
+        }
+    }
+}
+
+/// The executors do the IO the plan schedules: the first epoch of a disk run
+/// starts from an empty buffer and loads exactly `EpochPlan::partition_loads`
+/// partitions (the Table 8 counts above); later epochs start with the
+/// previous epoch's last set resident and load no more. The buffer's own miss
+/// count agrees, and so do the sequential and pipelined executors.
+#[test]
+fn executors_load_exactly_what_the_plan_schedules() {
+    let data = ScaledDataset::generate(&DatasetSpec::fb15k_237().scaled(0.02), 77);
+    let comet = |c| CometPolicy::auto(16, c).plan(16, &mut StdRng::seed_from_u64(0));
+    let beta = |c| BetaPolicy::new(c).plan(16, &mut StdRng::seed_from_u64(0));
+    // (disk config, its plan, the per-epoch loads of a 3-epoch run)
+    let cases = [
+        (DiskConfig::comet(16, 4), comet(4), [58, 58, 58]),
+        (DiskConfig::beta(16, 4), beta(4), [46, 46, 44]),
+        (DiskConfig::comet(16, 8), comet(8), [28, 25, 25]),
+        (DiskConfig::beta(16, 8), beta(8), [25, 21, 22]),
+    ];
+    let trainer = || {
+        let mut train = TrainConfig::quick(3, 5);
+        train.batch_size = 512;
+        Trainer::<LinkPredictionTask>::new(ModelConfig::paper_distmult(8), train)
+    };
+    for (disk, plan, pinned) in cases {
+        let planned = plan.unwrap().partition_loads();
+        let sequential = trainer().train_disk(&data, &disk).unwrap();
+        let pipelined = trainer()
+            .with_pipeline(PipelineConfig::with_workers(1))
+            .train_disk(&data, &disk)
+            .unwrap();
+        for report in [sequential, pipelined] {
+            let loads: Vec<usize> = report.epochs.iter().map(|e| e.partition_loads).collect();
+            assert_eq!(loads, pinned, "{disk:?}");
+            assert_eq!(loads[0], planned, "{disk:?}");
+            assert!(loads.iter().all(|&l| l <= planned), "{disk:?}");
+            for epoch in &report.epochs {
+                assert_eq!(
+                    epoch.buffer_misses, epoch.partition_loads as u64,
+                    "{disk:?}"
+                );
+            }
+        }
+    }
 }
