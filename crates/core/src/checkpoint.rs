@@ -211,11 +211,8 @@ impl Blob {
                 self.dtype.as_str()
             )));
         }
-        Ok(self
-            .data
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
+        let (values, _) = self.data.as_chunks::<4>();
+        Ok(values.iter().map(|&c| f32::from_le_bytes(c)).collect())
     }
 
     /// Decodes the payload as `u64` values.
@@ -227,17 +224,15 @@ impl Blob {
                 self.dtype.as_str()
             )));
         }
-        Ok(self
-            .data
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect())
+        let (values, _) = self.data.as_chunks::<8>();
+        Ok(values.iter().map(|&c| u64::from_le_bytes(c)).collect())
     }
 }
 
 /// An ordered collection of named, shaped tensor blobs: the in-memory form of
-/// a checkpoint's durable state. Produced by [`Persist::save_state`] (and the
-/// `Task::save_state` hooks), consumed by the matching `load_state`.
+/// a checkpoint's durable state. Produced by [`Persist::save_state`] (of the
+/// task's model, the embedding table, the trainer's own blobs), consumed by
+/// the matching `load_state`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StateDict {
     blobs: Vec<Blob>,

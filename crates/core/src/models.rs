@@ -8,7 +8,7 @@ use marius_gnn::loss::{ranking_softmax_loss, softmax_cross_entropy};
 use marius_gnn::{ClassifierHead, DistMult, Encoder, Optimizer, Param};
 use marius_graph::{Edge, InMemorySubgraph, NodeId};
 use marius_sampling::{MultiHopSampler, NegativeSampler, RankingProtocol};
-use marius_tensor::segment::index_add;
+use marius_tensor::segment::{index_add, index_select};
 use marius_tensor::Tensor;
 use rand::Rng;
 use std::collections::HashMap;
@@ -63,7 +63,7 @@ pub fn build_encoder<R: Rng + ?Sized>(config: &ModelConfig, rng: &mut R) -> Enco
 }
 
 // ---------------------------------------------------------------------------
-// Durable model state: the Persist impls behind Task::save_state/load_state.
+// Durable model state: the Persist impls every `Task::Model` carries.
 //
 // Blob names (`model.encoder.l{i}.p{j}`, `model.decoder.relations`,
 // `model.head.p{j}`) index parameters positionally — layer order and the
@@ -147,31 +147,23 @@ impl LinkBatchBuilder {
         rng: &mut R,
     ) -> PreparedLinkBatch {
         // Shared negative pool plus the unique batch endpoints form the targets.
-        let negatives = if self.negative_sampler.num_negatives() > 0 {
-            self.negative_sampler.sample_pool(negative_candidates, rng)
-        } else {
-            Vec::new()
-        };
+        let negatives = self.negative_sampler.sample_pool(negative_candidates, rng);
         let mut position: HashMap<NodeId, usize> = HashMap::new();
         let mut targets: Vec<NodeId> = Vec::new();
-        let intern =
-            |n: NodeId, targets: &mut Vec<NodeId>, position: &mut HashMap<NodeId, usize>| {
-                *position.entry(n).or_insert_with(|| {
-                    targets.push(n);
-                    targets.len() - 1
-                })
-            };
+        let mut intern = |n: NodeId| {
+            *position.entry(n).or_insert_with(|| {
+                targets.push(n);
+                targets.len() - 1
+            })
+        };
         let mut src_idx = Vec::with_capacity(edges.len());
         let mut dst_idx = Vec::with_capacity(edges.len());
         let rels: Vec<u32> = edges.iter().map(|e| e.rel).collect();
         for e in edges {
-            src_idx.push(intern(e.src, &mut targets, &mut position));
-            dst_idx.push(intern(e.dst, &mut targets, &mut position));
+            src_idx.push(intern(e.src));
+            dst_idx.push(intern(e.dst));
         }
-        let neg_idx: Vec<usize> = negatives
-            .iter()
-            .map(|&n| intern(n, &mut targets, &mut position))
-            .collect();
+        let neg_idx: Vec<usize> = negatives.iter().map(|&n| intern(n)).collect();
 
         let sample_start = Instant::now();
         let dense = self.sampler.sample(subgraph, &targets, rng);
@@ -190,6 +182,17 @@ impl LinkBatchBuilder {
             stats,
         }
     }
+}
+
+/// A link-prediction batch after the encoder and decoder forward: the
+/// per-role representations and the scores the loss and MRR read.
+struct LinkForward {
+    acts: marius_gnn::encoder::EncoderActivations,
+    src: Tensor,
+    dst: Tensor,
+    neg: Tensor,
+    pos_scores: Tensor,
+    neg_scores: Tensor,
 }
 
 /// A link-prediction model: GNN encoder (possibly empty) plus DistMult decoder.
@@ -236,29 +239,29 @@ impl LinkPredictionModel {
         self.builder.clone()
     }
 
-    /// Encodes a set of target nodes over the in-memory subgraph, returning their
-    /// final representations, the list of all sampled node ids (for write-back),
-    /// the encoder activations and sampling statistics.
-    fn encode<R: Rng + ?Sized>(
+    /// Gathers a prepared batch's base representations and runs the encoder
+    /// and decoder forward over it.
+    fn forward(
         &self,
         source: &dyn RepresentationSource,
-        subgraph: &InMemorySubgraph,
-        targets: &[NodeId],
-        rng: &mut R,
-    ) -> (
-        marius_gnn::encoder::EncoderActivations,
-        Vec<NodeId>,
-        marius_sampling::SampleStats,
-        Duration,
-    ) {
-        let sample_start = Instant::now();
-        let mut dense = self.builder.sampler.sample(subgraph, targets, rng);
-        let sample_time = sample_start.elapsed();
-        let stats = dense.stats();
-        let node_ids = dense.node_ids().to_vec();
-        let h0 = source.gather(&node_ids);
-        let acts = self.encoder.forward(&mut dense, h0);
-        (acts, node_ids, stats, sample_time)
+        batch: &mut PreparedLinkBatch,
+    ) -> LinkForward {
+        let h0 = source.gather(&batch.node_ids);
+        let acts = self.encoder.forward(&mut batch.dense, h0);
+        let out = &acts.output;
+        let src = index_select(out, &batch.src_idx).expect("src rows");
+        let dst = index_select(out, &batch.dst_idx).expect("dst rows");
+        let neg = index_select(out, &batch.neg_idx).expect("neg rows");
+        let pos_scores = self.decoder.score_positive(&src, &batch.rels, &dst);
+        let neg_scores = self.decoder.score_negatives(&src, &batch.rels, &neg);
+        LinkForward {
+            acts,
+            src,
+            dst,
+            neg,
+            pos_scores,
+            neg_scores,
+        }
     }
 
     /// Runs the compute half of a training step over a batch constructed by
@@ -268,73 +271,53 @@ impl LinkPredictionModel {
     pub fn train_prepared(
         &mut self,
         source: &mut dyn RepresentationSource,
-        prepared: PreparedLinkBatch,
+        mut batch: PreparedLinkBatch,
     ) -> BatchStats {
-        if prepared.examples == 0 {
+        if batch.examples == 0 {
             return BatchStats::default();
         }
-        let PreparedLinkBatch {
-            mut dense,
-            node_ids,
-            src_idx,
-            dst_idx,
-            neg_idx,
-            rels,
-            examples,
-            sample_time,
-            stats,
-        } = prepared;
         let compute_start = Instant::now();
-        let h0 = source.gather(&node_ids);
-        let acts = self.encoder.forward(&mut dense, h0);
-        let out = &acts.output;
-
-        // Gather per-role representations from the encoder output.
-        let src_repr = marius_tensor::segment::index_select(out, &src_idx).expect("src rows");
-        let dst_repr = marius_tensor::segment::index_select(out, &dst_idx).expect("dst rows");
-        let neg_repr = marius_tensor::segment::index_select(out, &neg_idx).expect("neg rows");
-
-        let pos_scores = self.decoder.score_positive(&src_repr, &rels, &dst_repr);
-        let neg_scores = self.decoder.score_negatives(&src_repr, &rels, &neg_repr);
-        let loss = ranking_softmax_loss(&pos_scores, &neg_scores);
+        let f = self.forward(&*source, &mut batch);
+        let loss = ranking_softmax_loss(&f.pos_scores, &f.neg_scores);
 
         // Decoder backward -> per-role gradients.
         let (g_src_pos, g_dst) =
             self.decoder
-                .backward_positive(&src_repr, &rels, &dst_repr, &loss.grad_positive);
+                .backward_positive(&f.src, &batch.rels, &f.dst, &loss.grad_positive);
         let (g_src_neg, g_neg) =
             self.decoder
-                .backward_negatives(&src_repr, &rels, &neg_repr, &loss.grad_negative);
+                .backward_negatives(&f.src, &batch.rels, &f.neg, &loss.grad_negative);
         let g_src = g_src_pos.add(&g_src_neg).expect("src grad shapes");
 
         // Scatter the per-role gradients back onto the encoder output rows.
-        let mut grad_targets = Tensor::zeros(out.rows(), self.output_dim);
-        grad_targets
-            .add_assign(&index_add(out.rows(), self.output_dim, &src_idx, &g_src).expect("scatter"))
-            .expect("shape");
-        grad_targets
-            .add_assign(&index_add(out.rows(), self.output_dim, &dst_idx, &g_dst).expect("scatter"))
-            .expect("shape");
-        grad_targets
-            .add_assign(&index_add(out.rows(), self.output_dim, &neg_idx, &g_neg).expect("scatter"))
-            .expect("shape");
+        let rows = f.acts.output.rows();
+        let mut grad_targets = Tensor::zeros(rows, self.output_dim);
+        for (idx, grad) in [
+            (&batch.src_idx, &g_src),
+            (&batch.dst_idx, &g_dst),
+            (&batch.neg_idx, &g_neg),
+        ] {
+            grad_targets
+                .add_assign(&index_add(rows, self.output_dim, idx, grad).expect("scatter"))
+                .expect("shape");
+        }
 
         // Encoder backward and parameter / embedding updates.
-        let grad_h0 = self.encoder.backward(&acts, &grad_targets);
+        let grad_h0 = self.encoder.backward(&f.acts, &grad_targets);
         self.encoder.step(&self.optimizer);
         self.optimizer.step(self.decoder.relation_param_mut());
         if source.learnable() {
-            source.apply_update(&node_ids, &grad_h0);
+            source.apply_update(&batch.node_ids, &grad_h0);
         }
         let compute_time = compute_start.elapsed();
 
         BatchStats {
             loss: loss.loss,
-            examples,
-            sample_time,
+            examples: batch.examples,
+            sample_time: batch.sample_time,
             compute_time,
-            nodes_sampled: stats.nodes_sampled,
-            edges_sampled: stats.edges_sampled,
+            nodes_sampled: batch.stats.nodes_sampled,
+            edges_sampled: batch.stats.edges_sampled,
         }
     }
 
@@ -352,42 +335,21 @@ impl LinkPredictionModel {
         if edges.is_empty() {
             return 0.0;
         }
-        let neg_sampler = NegativeSampler::new(num_negatives);
+        // Evaluation batches are built like training batches, with the
+        // evaluation negative count.
+        let builder = LinkBatchBuilder {
+            sampler: self.builder.sampler.clone(),
+            negative_sampler: NegativeSampler::new(num_negatives),
+        };
         let mut positives = Vec::with_capacity(edges.len());
         let mut negative_scores = Vec::with_capacity(edges.len());
         // Evaluate in manageable chunks so the target set stays small.
         for chunk in edges.chunks(512) {
-            let negatives = neg_sampler.sample_pool(candidates, rng);
-            let mut position: HashMap<NodeId, usize> = HashMap::new();
-            let mut targets: Vec<NodeId> = Vec::new();
-            let intern =
-                |n: NodeId, targets: &mut Vec<NodeId>, position: &mut HashMap<NodeId, usize>| {
-                    *position.entry(n).or_insert_with(|| {
-                        targets.push(n);
-                        targets.len() - 1
-                    })
-                };
-            let mut src_idx = Vec::new();
-            let mut dst_idx = Vec::new();
-            let rels: Vec<u32> = chunk.iter().map(|e| e.rel).collect();
-            for e in chunk {
-                src_idx.push(intern(e.src, &mut targets, &mut position));
-                dst_idx.push(intern(e.dst, &mut targets, &mut position));
-            }
-            let neg_idx: Vec<usize> = negatives
-                .iter()
-                .map(|&n| intern(n, &mut targets, &mut position))
-                .collect();
-            let (acts, _, _, _) = self.encode(source, subgraph, &targets, rng);
-            let out = &acts.output;
-            let src_repr = marius_tensor::segment::index_select(out, &src_idx).expect("src rows");
-            let dst_repr = marius_tensor::segment::index_select(out, &dst_idx).expect("dst rows");
-            let neg_repr = marius_tensor::segment::index_select(out, &neg_idx).expect("neg rows");
-            let pos = self.decoder.score_positive(&src_repr, &rels, &dst_repr);
-            let neg = self.decoder.score_negatives(&src_repr, &rels, &neg_repr);
-            for (i, _) in chunk.iter().enumerate() {
-                positives.push(pos.get(i, 0));
-                negative_scores.push(neg.row(i).to_vec());
+            let mut batch = builder.prepare(subgraph, chunk, candidates, rng);
+            let f = self.forward(source, &mut batch);
+            for i in 0..chunk.len() {
+                positives.push(f.pos_scores.get(i, 0));
+                negative_scores.push(f.neg_scores.row(i).to_vec());
             }
         }
         RankingProtocol::mrr(&positives, &negative_scores)
@@ -502,24 +464,14 @@ impl NodeClassificationModel {
     pub fn train_prepared(
         &mut self,
         source: &mut dyn RepresentationSource,
-        prepared: PreparedNodeBatch,
+        mut batch: PreparedNodeBatch,
     ) -> BatchStats {
-        if prepared.examples == 0 {
+        if batch.examples == 0 {
             return BatchStats::default();
         }
-        let PreparedNodeBatch {
-            mut dense,
-            node_ids,
-            batch_labels,
-            examples,
-            sample_time,
-            stats,
-        } = prepared;
         let compute_start = Instant::now();
-        let h0 = source.gather(&node_ids);
-        let acts = self.encoder.forward(&mut dense, h0);
-        let logits = self.head.forward(&acts.output);
-        let loss = softmax_cross_entropy(&logits, &batch_labels);
+        let (acts, logits) = self.forward(&*source, &mut batch);
+        let loss = softmax_cross_entropy(&logits, &batch.batch_labels);
         let grad_out = self.head.backward(&acts.output, &loss.grad_logits);
         let grad_h0 = self.encoder.backward(&acts, &grad_out);
         self.encoder.step(&self.optimizer);
@@ -527,21 +479,35 @@ impl NodeClassificationModel {
             self.optimizer.step(p);
         }
         if source.learnable() {
-            source.apply_update(&node_ids, &grad_h0);
+            source.apply_update(&batch.node_ids, &grad_h0);
         }
         let compute_time = compute_start.elapsed();
 
         BatchStats {
             loss: loss.loss,
-            examples,
-            sample_time,
+            examples: batch.examples,
+            sample_time: batch.sample_time,
             compute_time,
-            nodes_sampled: stats.nodes_sampled,
-            edges_sampled: stats.edges_sampled,
+            nodes_sampled: batch.stats.nodes_sampled,
+            edges_sampled: batch.stats.edges_sampled,
         }
     }
 
-    /// Classification accuracy over `nodes`.
+    /// Gathers a prepared batch's base representations and runs the encoder
+    /// and the classifier head over it: the activations and the logits.
+    fn forward(
+        &self,
+        source: &dyn RepresentationSource,
+        batch: &mut PreparedNodeBatch,
+    ) -> (marius_gnn::encoder::EncoderActivations, Tensor) {
+        let h0 = source.gather(&batch.node_ids);
+        let acts = self.encoder.forward(&mut batch.dense, h0);
+        let logits = self.head.forward(&acts.output);
+        (acts, logits)
+    }
+
+    /// Classification accuracy over `nodes` (with per-node `labels`),
+    /// evaluated in batches built like training batches.
     pub fn evaluate_accuracy<R: Rng + ?Sized>(
         &self,
         source: &dyn RepresentationSource,
@@ -553,24 +519,19 @@ impl NodeClassificationModel {
         if nodes.is_empty() {
             return 0.0;
         }
-        let label_of: HashMap<NodeId, u32> =
-            nodes.iter().copied().zip(labels.iter().copied()).collect();
         let mut correct = 0usize;
         let mut total = 0usize;
-        for chunk in nodes.chunks(1024) {
-            let mut dense = self.builder.sampler.sample(subgraph, chunk, rng);
-            let target_order = dense.target_nodes().to_vec();
-            let node_ids = dense.node_ids().to_vec();
-            let h0 = source.gather(&node_ids);
-            let acts = self.encoder.forward(&mut dense, h0);
-            let logits = self.head.forward(&acts.output);
+        for (chunk, chunk_labels) in nodes.chunks(1024).zip(labels.chunks(1024)) {
+            let mut batch = self.builder.prepare(subgraph, chunk, chunk_labels, rng);
+            let (_, logits) = self.forward(source, &mut batch);
             let preds = logits.argmax_rows();
-            for (i, n) in target_order.iter().enumerate() {
-                if preds[i] as u32 == label_of[n] {
-                    correct += 1;
-                }
-                total += 1;
-            }
+            correct += batch
+                .batch_labels
+                .iter()
+                .zip(&preds)
+                .filter(|&(&label, &pred)| pred as u32 == label)
+                .count();
+            total += batch.examples;
         }
         correct as f64 / total.max(1) as f64
     }

@@ -1,5 +1,10 @@
 //! Link prediction as a [`Task`]: edge examples, shared negatives, DistMult
 //! scoring, COMET/BETA disk policies, MRR evaluation.
+//!
+//! The link-prediction workloads differ only in how they split the edge list
+//! — which edges train, and which edges and candidates evaluation ranks. That
+//! difference is an [`EdgeSplit`]; every split gets the one [`Task`]
+//! implementation below.
 
 use super::{graph_err, DiskSetup, Task};
 use crate::config::{DiskConfig, ModelConfig, PolicyKind, TrainConfig};
@@ -14,22 +19,81 @@ use marius_storage::{
     BetaPolicy, CometPolicy, EpochPlan, PartitionBuffer, PartitionStore, Result, StorageError,
 };
 use rand::rngs::StdRng;
+use std::borrow::Cow;
 use std::sync::Arc;
+
+/// How a link-prediction workload splits its edge list. Implementors are the
+/// task values themselves ([`LinkPredictionTask`],
+/// [`super::TemporalLinkPredictionTask`]); each gets the link-prediction
+/// [`Task`] implementation.
+pub(crate) trait EdgeSplit: Sync {
+    /// Tag in store labels and checkpoint manifests ("lp", "tlp").
+    const SLUG: &'static str;
+    /// System name in a disk run's report label ("M-GNN_Disk").
+    const DISK_SYSTEM: &'static str;
+
+    /// The training edges, in the order in-memory epochs and edge buckets
+    /// see them.
+    fn train_edges(data: &ScaledDataset) -> Cow<'_, [Edge]>;
+
+    /// The evaluation inputs. `train_subgraph` is an in-memory run's
+    /// training graph, for splits that evaluate over it; `None` builds
+    /// what evaluation needs from `data`. Must not draw from any RNG.
+    fn eval_inputs(
+        data: &ScaledDataset,
+        train_subgraph: Option<&Arc<InMemorySubgraph>>,
+    ) -> LinkEvalContext;
+}
 
 /// The link-prediction workload (M-GNN's knowledge-graph configuration):
 /// training examples are positive edges, every mini batch shares a pool of
 /// sampled negatives, and disk-based training walks a COMET or BETA epoch
-/// plan over randomly partitioned embeddings.
+/// plan over randomly partitioned embeddings. Trains on the dataset's strided
+/// random split and ranks its test edges against every node.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LinkPredictionTask;
 
-/// Precomputed evaluation inputs for link prediction.
+/// Precomputed evaluation inputs for link prediction: the graph the encoder
+/// samples, the ranking candidates, and the held-out edges.
 pub struct LinkEvalContext {
-    subgraph: Arc<InMemorySubgraph>,
-    candidates: Vec<NodeId>,
+    pub(super) subgraph: Arc<InMemorySubgraph>,
+    pub(super) candidates: Vec<NodeId>,
+    pub(super) test: Vec<Edge>,
 }
 
-impl Task for LinkPredictionTask {
+impl EdgeSplit for LinkPredictionTask {
+    const SLUG: &'static str = "lp";
+    const DISK_SYSTEM: &'static str = "M-GNN_Disk";
+
+    fn train_edges(data: &ScaledDataset) -> Cow<'_, [Edge]> {
+        Cow::Borrowed(&data.train_edges)
+    }
+
+    fn eval_inputs(
+        data: &ScaledDataset,
+        train_subgraph: Option<&Arc<InMemorySubgraph>>,
+    ) -> LinkEvalContext {
+        // MRR ranks over the train-edge subgraph; an in-memory run already
+        // holds it.
+        let subgraph = match train_subgraph {
+            Some(subgraph) => Arc::clone(subgraph),
+            None => Arc::new(InMemorySubgraph::from_edges(&data.train_edges)),
+        };
+        LinkEvalContext {
+            subgraph,
+            candidates: (0..data.num_nodes()).collect(),
+            test: data.test_edges.clone(),
+        }
+    }
+}
+
+fn policy_error() -> StorageError {
+    StorageError::InvalidPlan {
+        reason: "node-cache policy applies to node classification only".into(),
+    }
+}
+
+impl<S: EdgeSplit> Task for S {
     type Example = Edge;
     type Model = LinkPredictionModel;
     type BatchBuilder = LinkBatchBuilder;
@@ -37,7 +101,7 @@ impl Task for LinkPredictionTask {
     type EvalContext = LinkEvalContext;
 
     fn slug(&self) -> &'static str {
-        "lp"
+        S::SLUG
     }
 
     fn metric_name(&self) -> &'static str {
@@ -73,11 +137,11 @@ impl Task for LinkPredictionTask {
     }
 
     fn in_memory_subgraph(&self, data: &ScaledDataset) -> InMemorySubgraph {
-        InMemorySubgraph::from_edges(&data.train_edges)
+        InMemorySubgraph::from_edges(&S::train_edges(data))
     }
 
     fn in_memory_examples(&self, data: &ScaledDataset) -> Vec<Edge> {
-        data.train_edges.clone()
+        S::train_edges(data).into_owned()
     }
 
     fn in_memory_candidates(&self, data: &ScaledDataset) -> Vec<NodeId> {
@@ -107,11 +171,9 @@ impl Task for LinkPredictionTask {
 
     fn disk_label(&self, disk: &DiskConfig) -> Result<String> {
         match disk.policy {
-            PolicyKind::Comet => Ok("M-GNN_Disk (COMET)".into()),
-            PolicyKind::Beta => Ok("M-GNN_Disk (BETA)".into()),
-            PolicyKind::NodeCache => Err(StorageError::InvalidPlan {
-                reason: "node-cache policy applies to node classification only".into(),
-            }),
+            PolicyKind::Comet => Ok(format!("{} (COMET)", S::DISK_SYSTEM)),
+            PolicyKind::Beta => Ok(format!("{} (BETA)", S::DISK_SYSTEM)),
+            PolicyKind::NodeCache => Err(policy_error()),
         }
     }
 
@@ -125,10 +187,15 @@ impl Task for LinkPredictionTask {
     ) -> Result<DiskSetup> {
         let partitioner = Partitioner::new(disk.num_partitions).map_err(graph_err)?;
         let assignment = partitioner.random(data.num_nodes(), rng);
+        // Resuming a streamed run passes the *grown* edge list here; a split
+        // whose train set is the base train set with the streamed suffix
+        // appended makes build_buckets reproduce the bucket contents an
+        // uninterrupted run reached by incremental delta application (both
+        // append in time order).
         let train_graph = marius_graph::EdgeList::from_edges(
             data.num_nodes(),
             data.spec.num_relations,
-            data.train_edges.clone(),
+            S::train_edges(data).into_owned(),
         )
         .map_err(graph_err)?;
         let buckets = partitioner
@@ -171,9 +238,7 @@ impl Task for LinkPredictionTask {
                 policy.plan(p, rng)
             }
             PolicyKind::Beta => BetaPolicy::new(disk.buffer_capacity).plan(p, rng),
-            PolicyKind::NodeCache => Err(StorageError::InvalidPlan {
-                reason: "node-cache policy applies to node classification only".into(),
-            }),
+            PolicyKind::NodeCache => Err(policy_error()),
         }
     }
 
@@ -219,24 +284,12 @@ impl Task for LinkPredictionTask {
         ))))
     }
 
-    fn eval_context(&self, data: &ScaledDataset) -> Self::EvalContext {
-        LinkEvalContext {
-            subgraph: Arc::new(InMemorySubgraph::from_edges(&data.train_edges)),
-            candidates: (0..data.num_nodes()).collect(),
-        }
-    }
-
-    fn in_memory_eval_context(
+    fn eval_context(
         &self,
         data: &ScaledDataset,
-        train_subgraph: &Arc<InMemorySubgraph>,
+        train_subgraph: Option<&Arc<InMemorySubgraph>>,
     ) -> Self::EvalContext {
-        // In-memory training already holds the train-edge subgraph MRR
-        // evaluation ranks over; share it.
-        LinkEvalContext {
-            subgraph: Arc::clone(train_subgraph),
-            candidates: (0..data.num_nodes()).collect(),
-        }
+        S::eval_inputs(data, train_subgraph)
     }
 
     fn evaluate(
@@ -244,31 +297,17 @@ impl Task for LinkPredictionTask {
         model: &Self::Model,
         source: &dyn RepresentationSource,
         ctx: &Self::EvalContext,
-        data: &ScaledDataset,
+        _data: &ScaledDataset,
         train: &TrainConfig,
         rng: &mut StdRng,
     ) -> f64 {
         model.evaluate_mrr(
             source,
             &ctx.subgraph,
-            &data.test_edges,
+            &ctx.test,
             &ctx.candidates,
             train.eval_negatives,
             rng,
         )
-    }
-
-    fn save_state(&self, model: &Self::Model, dict: &mut crate::checkpoint::StateDict) {
-        use crate::checkpoint::Persist;
-        model.save_state(dict);
-    }
-
-    fn load_state(
-        &self,
-        model: &mut Self::Model,
-        dict: &crate::checkpoint::StateDict,
-    ) -> Result<()> {
-        use crate::checkpoint::Persist;
-        model.load_state(dict)
     }
 }

@@ -10,17 +10,19 @@
 //! constructed and applied, how storage is laid out on disk, and how the
 //! model is evaluated — to a [`Task`] implementation.
 //!
-//! Three implementations are provided:
+//! Two implementations are provided:
 //!
-//! * [`LinkPredictionTask`] — examples are edges, batches carry shared
-//!   negatives, storage uses random partitioning with the COMET/BETA
-//!   replacement policies, and evaluation ranks held-out edges by MRR.
+//! * Link prediction, one implementation for both of its edge splits —
+//!   examples are edges, batches carry shared negatives, storage uses random
+//!   partitioning with the COMET/BETA replacement policies, and evaluation
+//!   ranks held-out edges by MRR. The split decides which edges train and
+//!   what evaluation ranks: [`LinkPredictionTask`] uses the dataset's strided
+//!   random split, [`TemporalLinkPredictionTask`] chronological windows
+//!   (generation order is time order) with time-split negative sampling —
+//!   the workload the streaming ingest path fine-tunes.
 //! * [`NodeClassificationTask`] — examples are labeled nodes, storage packs
 //!   the training nodes into leading partitions cached for the whole epoch
 //!   (§5.2), and evaluation measures test-set accuracy.
-//! * [`TemporalLinkPredictionTask`] — link prediction over chronological
-//!   splits (generation order is time order) with time-split negative
-//!   sampling; the workload the streaming ingest path fine-tunes.
 //!
 //! Implementations must preserve the trainer's RNG discipline: any method
 //! that receives an RNG draws from it in a deterministic order (or not at
@@ -31,10 +33,12 @@ mod link_prediction;
 mod node_classification;
 mod temporal_link_prediction;
 
+pub(crate) use link_prediction::EdgeSplit;
 pub use link_prediction::{LinkEvalContext, LinkPredictionTask};
 pub use node_classification::{NodeClassificationTask, NodeEvalContext};
-pub use temporal_link_prediction::{TemporalEvalContext, TemporalLinkPredictionTask};
+pub use temporal_link_prediction::TemporalLinkPredictionTask;
 
+use crate::checkpoint::Persist;
 use crate::config::{DiskConfig, ModelConfig, TrainConfig};
 use crate::models::BatchStats;
 use crate::source::RepresentationSource;
@@ -82,8 +86,12 @@ pub trait Task: Sync {
     /// One training example: an edge for link prediction, a labeled node for
     /// node classification.
     type Example: Clone + Send;
-    /// The trainable model (encoder plus task head/decoder).
-    type Model;
+    /// The trainable model (encoder plus task head/decoder). Its durable
+    /// state (parameters *and* optimizer accumulators) is what `Trainer<T>`
+    /// checkpoints for every task through one generic code path (see
+    /// [`crate::checkpoint`] for the on-disk format): a checkpoint from a
+    /// different architecture fails to load loudly, never partially.
+    type Model: Persist;
     /// The CPU-side batch constructor; shared by reference across the
     /// pipelined runtime's sampling workers.
     type BatchBuilder: Send + Sync;
@@ -216,16 +224,13 @@ pub trait Task: Sync {
     ) -> Result<Box<dyn RepresentationSource>>;
 
     /// Precomputes the evaluation inputs (full-graph structure, test labels,
-    /// ranking candidates). Must not draw from any RNG.
-    fn eval_context(&self, data: &ScaledDataset) -> Self::EvalContext;
-
-    /// [`Task::eval_context`] for in-memory training, where evaluation runs
-    /// over the training graph itself: implementations should share
-    /// `train_subgraph` instead of rebuilding it. Must not draw from any RNG.
-    fn in_memory_eval_context(
+    /// ranking candidates). In-memory training passes its training graph as
+    /// `train_subgraph`: a task that evaluates over that graph shares it
+    /// instead of rebuilding it. Must not draw from any RNG.
+    fn eval_context(
         &self,
         data: &ScaledDataset,
-        train_subgraph: &std::sync::Arc<InMemorySubgraph>,
+        train_subgraph: Option<&std::sync::Arc<InMemorySubgraph>>,
     ) -> Self::EvalContext;
 
     /// Computes the task metric over the held-out split.
@@ -238,20 +243,4 @@ pub trait Task: Sync {
         train: &TrainConfig,
         rng: &mut StdRng,
     ) -> f64;
-
-    /// Appends the model's durable state (parameters *and* optimizer
-    /// accumulators) to a checkpoint dictionary. Together with
-    /// [`Task::load_state`] this is the task half of the durable-state
-    /// contract: `Trainer<T>` checkpoints every task through this one generic
-    /// code path (see [`crate::checkpoint`] for the on-disk format).
-    fn save_state(&self, model: &Self::Model, dict: &mut crate::checkpoint::StateDict);
-
-    /// Restores the model's durable state from a checkpoint dictionary,
-    /// rejecting missing blobs or shape mismatches (a checkpoint from a
-    /// different architecture must fail loudly, not load partially).
-    fn load_state(
-        &self,
-        model: &mut Self::Model,
-        dict: &crate::checkpoint::StateDict,
-    ) -> Result<()>;
 }

@@ -5,7 +5,7 @@ use super::{graph_err, DiskSetup, Task};
 use crate::config::{DiskConfig, ModelConfig, PolicyKind, TrainConfig};
 use crate::models::{BatchStats, NodeBatchBuilder, NodeClassificationModel, PreparedNodeBatch};
 use crate::source::{FixedFeatureSource, RepresentationSource};
-use marius_graph::datasets::ScaledDataset;
+use marius_graph::datasets::{FeatureMatrix, ScaledDataset};
 use marius_graph::{EdgeBucket, InMemorySubgraph, NodeId, Partitioner};
 use marius_storage::policy::ReplacementPolicy;
 use marius_storage::{
@@ -39,6 +39,15 @@ fn require_labels(data: &ScaledDataset) -> Result<()> {
         });
     }
     Ok(())
+}
+
+/// The fixed input features: the base representations in memory and on disk.
+fn features(data: &ScaledDataset) -> Result<&FeatureMatrix> {
+    data.features
+        .as_ref()
+        .ok_or_else(|| StorageError::InvalidPlan {
+            reason: "dataset has no fixed feature matrix for node classification".into(),
+        })
 }
 
 impl Task for NodeClassificationTask {
@@ -84,13 +93,7 @@ impl Task for NodeClassificationTask {
         data: &ScaledDataset,
         _rng: &mut StdRng,
     ) -> Result<Box<dyn RepresentationSource>> {
-        let features = data
-            .features
-            .clone()
-            .ok_or_else(|| StorageError::InvalidPlan {
-                reason: "dataset has no fixed feature matrix for node classification".into(),
-            })?;
-        Ok(Box::new(FixedFeatureSource::new(features)))
+        Ok(Box::new(FixedFeatureSource::new(features(data)?.clone())))
     }
 
     fn in_memory_subgraph(&self, data: &ScaledDataset) -> InMemorySubgraph {
@@ -144,12 +147,7 @@ impl Task for NodeClassificationTask {
         store: PartitionStore,
         rng: &mut StdRng,
     ) -> Result<DiskSetup> {
-        let features = data
-            .features
-            .as_ref()
-            .ok_or_else(|| StorageError::InvalidPlan {
-                reason: "dataset has no fixed feature matrix for node classification".into(),
-            })?;
+        let features = features(data)?;
         require_labels(data)?;
 
         // Partition with training nodes packed into the leading partitions.
@@ -226,31 +224,22 @@ impl Task for NodeClassificationTask {
         data: &ScaledDataset,
         _setup: &DiskSetup,
     ) -> Result<Box<dyn RepresentationSource>> {
-        let features = data
-            .features
-            .clone()
-            .ok_or_else(|| StorageError::InvalidPlan {
-                reason: "dataset has no fixed feature matrix for node classification".into(),
-            })?;
-        Ok(Box::new(FixedFeatureSource::new(features)))
+        Ok(Box::new(FixedFeatureSource::new(features(data)?.clone())))
     }
 
-    fn eval_context(&self, data: &ScaledDataset) -> Self::EvalContext {
-        NodeEvalContext {
-            subgraph: Arc::new(InMemorySubgraph::from_edges(data.graph.edges())),
-            test_labels: labels_for(data, &data.node_split.test),
-        }
-    }
-
-    fn in_memory_eval_context(
+    fn eval_context(
         &self,
         data: &ScaledDataset,
-        train_subgraph: &Arc<InMemorySubgraph>,
+        train_subgraph: Option<&Arc<InMemorySubgraph>>,
     ) -> Self::EvalContext {
-        // In-memory training already holds the full-graph subgraph accuracy
-        // is measured over; share it.
+        // Accuracy is measured over the full graph; in-memory training
+        // already holds it.
+        let subgraph = match train_subgraph {
+            Some(subgraph) => Arc::clone(subgraph),
+            None => Arc::new(InMemorySubgraph::from_edges(data.graph.edges())),
+        };
         NodeEvalContext {
-            subgraph: Arc::clone(train_subgraph),
+            subgraph,
             test_labels: labels_for(data, &data.node_split.test),
         }
     }
@@ -271,19 +260,5 @@ impl Task for NodeClassificationTask {
             &ctx.test_labels,
             rng,
         )
-    }
-
-    fn save_state(&self, model: &Self::Model, dict: &mut crate::checkpoint::StateDict) {
-        use crate::checkpoint::Persist;
-        model.save_state(dict);
-    }
-
-    fn load_state(
-        &self,
-        model: &mut Self::Model,
-        dict: &crate::checkpoint::StateDict,
-    ) -> Result<()> {
-        use crate::checkpoint::Persist;
-        model.load_state(dict)
     }
 }

@@ -1,14 +1,14 @@
-//! Temporal link prediction as a [`Task`]: chronological train/valid/test
-//! windows over the implicit generation-order timestamps, and time-split
-//! negative sampling for evaluation.
+//! Temporal link prediction: the link-prediction [`Task`](super::Task) over
+//! chronological train/valid/test windows of the implicit generation-order
+//! timestamps, with time-split negative sampling for evaluation.
 //!
-//! The workload reuses the link-prediction model stack (DistMult scoring,
-//! shared-negative batches, COMET/BETA disk policies) but replaces the
-//! strided random split with [`marius_graph::temporal::chronological_split`]:
-//! the evaluation windows are the newest edges of the **base** dataset (the
-//! first `spec.num_edges` edges of `data.graph`), and everything older —
-//! plus every edge streamed in after generation — trains. Evaluation is
-//! *time-split*: ranking candidates are
+//! The workload is the link-prediction model stack (DistMult scoring,
+//! shared-negative batches, COMET/BETA disk policies) with a different
+//! [`EdgeSplit`]: [`marius_graph::temporal::chronological_split`] instead of
+//! the strided random split. The evaluation windows are the newest edges of
+//! the **base** dataset (the first `spec.num_edges` edges of `data.graph`),
+//! and everything older — plus every edge streamed in after generation —
+//! trains. Evaluation is *time-split*: ranking candidates are
 //! [`marius_graph::temporal::observed_nodes`] over the base training window
 //! only, so no node participates in evaluation unless it was observed
 //! strictly before the held-out windows, and the evaluation subgraph is the
@@ -17,20 +17,11 @@
 //! ingest cycles and across resumed runs (see `marius_stream` for the ingest
 //! half of the contract).
 
-use super::{graph_err, DiskSetup, Task};
-use crate::config::{DiskConfig, ModelConfig, PolicyKind, TrainConfig};
-use crate::models::{BatchStats, LinkBatchBuilder, LinkPredictionModel, PreparedLinkBatch};
-use crate::source::{RepresentationSource, TableSource};
-use crate::trainer::read_all_embeddings;
-use marius_gnn::EmbeddingTable;
+use super::{EdgeSplit, LinkEvalContext};
 use marius_graph::datasets::ScaledDataset;
 use marius_graph::temporal::{chronological_split, observed_nodes, ChronologicalSplit};
-use marius_graph::{Edge, EdgeBucket, InMemorySubgraph, NodeId, Partitioner};
-use marius_storage::policy::ReplacementPolicy;
-use marius_storage::{
-    BetaPolicy, CometPolicy, EpochPlan, PartitionBuffer, PartitionStore, Result, StorageError,
-};
-use rand::rngs::StdRng;
+use marius_graph::{Edge, InMemorySubgraph};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// The temporal link-prediction workload: chronological splits with frozen
@@ -41,16 +32,6 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TemporalLinkPredictionTask;
 
-/// Precomputed evaluation inputs for temporal link prediction: the frozen
-/// base-train subgraph, the time-split candidate set, and the held-out test
-/// window. All three depend only on the base prefix of the edge list, never
-/// on streamed edges.
-pub struct TemporalEvalContext {
-    subgraph: Arc<InMemorySubgraph>,
-    candidates: Vec<NodeId>,
-    test: Vec<Edge>,
-}
-
 impl TemporalLinkPredictionTask {
     /// The chronological split of `data`'s edge list, with evaluation
     /// windows frozen over the base prefix (`data.spec.num_edges` edges —
@@ -58,268 +39,37 @@ impl TemporalLinkPredictionTask {
     pub fn split(data: &ScaledDataset) -> ChronologicalSplit {
         chronological_split(data.graph.edges(), data.spec.num_edges as usize)
     }
-
-    /// The frozen base training window: the chronologically oldest base
-    /// edges, independent of any streamed suffix.
-    fn base_train(data: &ScaledDataset) -> Vec<Edge> {
-        let base_len = data.spec.num_edges as usize;
-        chronological_split(&data.graph.edges()[..base_len], base_len).train
-    }
 }
 
-impl Task for TemporalLinkPredictionTask {
-    type Example = Edge;
-    type Model = LinkPredictionModel;
-    type BatchBuilder = LinkBatchBuilder;
-    type PreparedBatch = PreparedLinkBatch;
-    type EvalContext = TemporalEvalContext;
+impl EdgeSplit for TemporalLinkPredictionTask {
+    const SLUG: &'static str = "tlp";
+    const DISK_SYSTEM: &'static str = "M-GNN_Stream";
 
-    fn slug(&self) -> &'static str {
-        "tlp"
+    fn train_edges(data: &ScaledDataset) -> Cow<'_, [Edge]> {
+        Cow::Owned(Self::split(data).train)
     }
 
-    fn metric_name(&self) -> &'static str {
-        "MRR"
-    }
-
-    fn build_model(
-        &self,
-        model: &ModelConfig,
-        train: &TrainConfig,
+    /// Never shares the training subgraph: the train set may include streamed
+    /// edges newer than the held-out windows, while evaluation must see only
+    /// the frozen base training window.
+    fn eval_inputs(
         data: &ScaledDataset,
-        rng: &mut StdRng,
-    ) -> Result<Self::Model> {
-        Ok(
-            LinkPredictionModel::new(model, data.spec.num_relations, rng)
-                .with_negatives(train.num_negatives),
-        )
-    }
-
-    fn batch_builder(&self, model: &Self::Model) -> Self::BatchBuilder {
-        model.batch_builder()
-    }
-
-    fn in_memory_source(
-        &self,
-        model: &ModelConfig,
-        data: &ScaledDataset,
-        rng: &mut StdRng,
-    ) -> Result<Box<dyn RepresentationSource>> {
-        let table = EmbeddingTable::new(data.num_nodes() as usize, model.input_dim, 0.1, rng)
-            .with_learning_rate(model.embedding_learning_rate);
-        Ok(Box::new(TableSource::new(table)))
-    }
-
-    fn in_memory_subgraph(&self, data: &ScaledDataset) -> InMemorySubgraph {
-        InMemorySubgraph::from_edges(&Self::split(data).train)
-    }
-
-    fn in_memory_examples(&self, data: &ScaledDataset) -> Vec<Edge> {
-        Self::split(data).train
-    }
-
-    fn in_memory_candidates(&self, data: &ScaledDataset) -> Vec<NodeId> {
-        (0..data.num_nodes()).collect()
-    }
-
-    fn prepare(
-        &self,
-        builder: &Self::BatchBuilder,
-        _data: &ScaledDataset,
-        subgraph: &InMemorySubgraph,
-        batch: &[Edge],
-        candidates: &[NodeId],
-        rng: &mut StdRng,
-    ) -> Self::PreparedBatch {
-        builder.prepare(subgraph, batch, candidates, rng)
-    }
-
-    fn train_prepared(
-        &self,
-        model: &mut Self::Model,
-        source: &mut dyn RepresentationSource,
-        prepared: Self::PreparedBatch,
-    ) -> BatchStats {
-        model.train_prepared(source, prepared)
-    }
-
-    fn disk_label(&self, disk: &DiskConfig) -> Result<String> {
-        match disk.policy {
-            PolicyKind::Comet => Ok("M-GNN_Stream (COMET)".into()),
-            PolicyKind::Beta => Ok("M-GNN_Stream (BETA)".into()),
-            PolicyKind::NodeCache => Err(StorageError::InvalidPlan {
-                reason: "node-cache policy applies to node classification only".into(),
-            }),
-        }
-    }
-
-    fn disk_setup(
-        &self,
-        model: &ModelConfig,
-        data: &ScaledDataset,
-        disk: &DiskConfig,
-        store: PartitionStore,
-        rng: &mut StdRng,
-    ) -> Result<DiskSetup> {
-        let partitioner = Partitioner::new(disk.num_partitions).map_err(graph_err)?;
-        let assignment = partitioner.random(data.num_nodes(), rng);
-        // Resuming a streamed run passes the *grown* edge list here; its
-        // chronological train set equals the base train set with the streamed
-        // suffix appended, so build_buckets reproduces the bucket contents an
-        // uninterrupted run reached by incremental delta application (both
-        // append in time order).
-        let train_graph = marius_graph::EdgeList::from_edges(
-            data.num_nodes(),
-            data.spec.num_relations,
-            Self::split(data).train,
-        )
-        .map_err(graph_err)?;
-        let buckets = partitioner
-            .build_buckets(&train_graph, &assignment)
-            .map_err(graph_err)?;
-        let buffer = PartitionBuffer::new(
-            store.clone(),
-            assignment.clone(),
-            model.input_dim,
-            disk.buffer_capacity,
-            true,
-        )
-        .with_learning_rate(model.embedding_learning_rate);
-        buffer.initialize_random(0.1, rng)?;
-        buffer.initialize_buckets(&buckets)?;
-        Ok(DiskSetup {
-            assignment,
-            buckets,
-            buffer,
-            store,
-            cached_partitions: 0,
-            writeback: true,
-        })
-    }
-
-    fn epoch_plan(
-        &self,
-        disk: &DiskConfig,
-        _setup: &DiskSetup,
-        rng: &mut StdRng,
-    ) -> Result<EpochPlan> {
-        let p = disk.num_partitions;
-        match disk.policy {
-            PolicyKind::Comet => {
-                let policy = if disk.num_logical == 0 {
-                    CometPolicy::auto(p, disk.buffer_capacity)
-                } else {
-                    CometPolicy::new(disk.buffer_capacity, disk.num_logical)
-                };
-                policy.plan(p, rng)
-            }
-            PolicyKind::Beta => BetaPolicy::new(disk.buffer_capacity).plan(p, rng),
-            PolicyKind::NodeCache => Err(StorageError::InvalidPlan {
-                reason: "node-cache policy applies to node classification only".into(),
-            }),
-        }
-    }
-
-    fn step_examples(
-        &self,
-        _data: &ScaledDataset,
-        buckets: &[EdgeBucket],
-        num_partitions: u32,
-        plan: &EpochPlan,
-        step: usize,
-    ) -> Vec<Edge> {
-        let mut edges = Vec::new();
-        for &(i, j) in &plan.bucket_assignment[step] {
-            edges.extend_from_slice(&buckets[(i * num_partitions + j) as usize].edges);
-        }
-        edges
-    }
-
-    fn step_example_count(
-        &self,
-        _data: &ScaledDataset,
-        buckets: &[EdgeBucket],
-        num_partitions: u32,
-        plan: &EpochPlan,
-        step: usize,
-    ) -> usize {
-        plan.bucket_assignment[step]
-            .iter()
-            .map(|&(i, j)| buckets[(i * num_partitions + j) as usize].edges.len())
-            .sum()
-    }
-
-    fn disk_eval_source(
-        &self,
-        model: &ModelConfig,
-        _data: &ScaledDataset,
-        setup: &DiskSetup,
-    ) -> Result<Box<dyn RepresentationSource>> {
-        let flat = read_all_embeddings(&setup.store, &setup.assignment, model.input_dim)?;
-        Ok(Box::new(TableSource::new(EmbeddingTable::from_rows(
-            flat,
-            model.input_dim,
-        ))))
-    }
-
-    fn eval_context(&self, data: &ScaledDataset) -> Self::EvalContext {
-        let base_train = Self::base_train(data);
-        TemporalEvalContext {
+        _train_subgraph: Option<&Arc<InMemorySubgraph>>,
+    ) -> LinkEvalContext {
+        let base_len = data.spec.num_edges as usize;
+        let base_train = chronological_split(&data.graph.edges()[..base_len], base_len).train;
+        LinkEvalContext {
             candidates: observed_nodes(&base_train),
             subgraph: Arc::new(InMemorySubgraph::from_edges(&base_train)),
             test: Self::split(data).test,
         }
-    }
-
-    fn in_memory_eval_context(
-        &self,
-        data: &ScaledDataset,
-        _train_subgraph: &Arc<InMemorySubgraph>,
-    ) -> Self::EvalContext {
-        // Unlike plain link prediction, temporal evaluation cannot share the
-        // training subgraph: the train set may include streamed edges newer
-        // than the held-out windows, while evaluation must see only the
-        // frozen base training window.
-        self.eval_context(data)
-    }
-
-    fn evaluate(
-        &self,
-        model: &Self::Model,
-        source: &dyn RepresentationSource,
-        ctx: &Self::EvalContext,
-        _data: &ScaledDataset,
-        train: &TrainConfig,
-        rng: &mut StdRng,
-    ) -> f64 {
-        model.evaluate_mrr(
-            source,
-            &ctx.subgraph,
-            &ctx.test,
-            &ctx.candidates,
-            train.eval_negatives,
-            rng,
-        )
-    }
-
-    fn save_state(&self, model: &Self::Model, dict: &mut crate::checkpoint::StateDict) {
-        use crate::checkpoint::Persist;
-        model.save_state(dict);
-    }
-
-    fn load_state(
-        &self,
-        model: &mut Self::Model,
-        dict: &crate::checkpoint::StateDict,
-    ) -> Result<()> {
-        use crate::checkpoint::Persist;
-        model.load_state(dict)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::Task;
     use marius_graph::datasets::DatasetSpec;
 
     fn dataset() -> ScaledDataset {
@@ -330,13 +80,13 @@ mod tests {
     fn eval_context_is_frozen_over_the_base_window() {
         let mut data = dataset();
         let task = TemporalLinkPredictionTask;
-        let before = task.eval_context(&data);
+        let before = task.eval_context(&data, None);
         // Stream in edges between existing nodes; the eval inputs must not
         // move.
         for k in 0..50u64 {
             data.graph.push(Edge::new(k % 10, (k + 1) % 10)).unwrap();
         }
-        let after = task.eval_context(&data);
+        let after = task.eval_context(&data, None);
         assert_eq!(before.test, after.test);
         assert_eq!(before.candidates, after.candidates);
         // The grown train set is the base train set plus the streamed suffix.
@@ -348,7 +98,7 @@ mod tests {
     #[test]
     fn candidates_are_restricted_to_observed_nodes() {
         let data = dataset();
-        let ctx = TemporalLinkPredictionTask.eval_context(&data);
+        let ctx = TemporalLinkPredictionTask.eval_context(&data, None);
         assert!(!ctx.candidates.is_empty());
         assert!(ctx.candidates.len() <= data.num_nodes() as usize);
         assert!(ctx.candidates.windows(2).all(|w| w[0] < w[1]));

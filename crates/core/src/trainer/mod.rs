@@ -6,24 +6,31 @@
 //! the training examples assigned to each subgraph as mini batches. Everything
 //! task-specific — what an example is, how batches are prepared and applied,
 //! how storage is partitioned, how the model is evaluated — lives behind the
-//! [`Task`] trait, so the three epoch executors below exist
-//! exactly once:
+//! [`Task`] trait, and every training decision that is not task-specific
+//! exists once:
 //!
-//! * **In-memory** ([`Trainer::train_in_memory`]) — the full graph and all
-//!   base representations stay resident (the M-GNN_Mem configuration).
-//! * **Sequential disk** ([`Trainer::train_disk`] with
-//!   [`crate::config::PipelineConfig::enabled`]` = false`, the default):
-//!   partition swaps, DENSE sampling and compute run back-to-back on the
-//!   calling thread, so epoch time is the *sum* of the three phases. This
-//!   path is also the determinism oracle for the pipeline.
-//! * **Pipelined disk** (`enabled = true`): the epoch runs on
-//!   [`marius_pipeline::Pipeline`] — a prefetcher thread walks the policy's
-//!   `EpochPlan` ahead of the consumer issuing `PartitionStore` reads, a pool
-//!   of workers builds batches (shuffle, negative sampling, DENSE multi-hop
-//!   sampling), the calling thread applies `train_prepared`, and evicted
-//!   dirty partitions are detached to a write-back drain thread that flushes
-//!   them while the next step computes — the compute stage performs no disk
-//!   IO at all, so epoch time approaches the *max* phase.
+//! * **One epoch frame** (`Trainer::run_epochs`): resume overlay, the epoch
+//!   loop, evaluation cadence, report, epoch hook and checkpoint cadence.
+//!   Where the run's state lives is an executor plugged into it:
+//!   * **in memory** ([`Trainer::train_in_memory`]) — the full graph and all
+//!     base representations stay resident (the M-GNN_Mem configuration);
+//!   * **on disk** ([`Trainer::train_disk`]) — partitions live in a
+//!     [`PartitionStore`] behind a bounded buffer walked by the policy's
+//!     `EpochPlan`, with the write-back flush and the streaming ingest hook
+//!     at each epoch boundary.
+//! * **One disk step body**, run by both disk executors: shuffle the step's
+//!   examples with the step's RNG, cut them into batches within the epoch's
+//!   budget, prepare each, and apply `train_prepared` against the buffer.
+//!   *Sequentially* ([`crate::config::PipelineConfig::enabled`]` = false`,
+//!   the default) swaps, sampling and compute run back-to-back on the
+//!   calling thread, so epoch time is the *sum* of the phases; this path is
+//!   the determinism oracle for the pipeline. *Pipelined* (`enabled = true`)
+//!   the epoch runs on [`marius_pipeline::Pipeline`]: a prefetcher issues
+//!   store reads ahead of the consumer, a pool of workers runs the step body,
+//!   the calling thread applies the batches, and evicted dirty partitions are
+//!   written back by a drain thread while the next step computes — the
+//!   compute stage performs no disk IO at all, so epoch time approaches the
+//!   *max* phase.
 //!
 //! Both disk executors derive every in-epoch random draw from
 //! [`marius_pipeline::step_seed`]`(epoch_seed, step)`, which makes their loss
@@ -33,16 +40,17 @@
 //! partition files, invalid plans) propagate as
 //! [`marius_storage::StorageError`] instead of panicking.
 
-use crate::checkpoint::{Checkpoint, CheckpointSnapshot, StateDict, StreamState};
+use crate::checkpoint::{Checkpoint, CheckpointSnapshot, Persist, StateDict, StreamState};
 use crate::config::{DiskConfig, ModelConfig, PipelineConfig, RunConfig, Storage, TrainConfig};
 use crate::models::BatchStats;
 use crate::report::{EpochReport, ExperimentReport};
+use crate::source::RepresentationSource;
 use crate::task::{DiskSetup, Task};
 use marius_graph::datasets::ScaledDataset;
-use marius_graph::PartitionAssignment;
-use marius_pipeline::{step_seed, writeback_safe_point, Pipeline};
-use marius_storage::{IoEnv, PartitionStore, Result, StorageError};
-use marius_telemetry::NO_LABEL;
+use marius_graph::{InMemorySubgraph, NodeId, PartitionAssignment};
+use marius_pipeline::{step_seed, writeback_safe_point, Pipeline, StepContext};
+use marius_storage::{EpochPlan, IoEnv, PartitionBuffer, PartitionStore, Result, StorageError};
+use marius_telemetry::{SpanScope, NO_LABEL};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -147,9 +155,9 @@ pub struct Trainer<T: Task> {
     ingest_hook: Option<IngestHook>,
     /// Shared stream cursor recorded into checkpoint manifests so a streamed
     /// run can be resumed by deterministic replay. The ingest hook advances
-    /// it; [`Trainer::write_checkpoint`] reads it at checkpoint time (the
-    /// hook runs before the boundary's checkpoint, so the cursor and the
-    /// snapshotted bucket files always agree).
+    /// it; the epoch frame reads it at checkpoint time (the hook runs before
+    /// the boundary's checkpoint, so the cursor and the snapshotted bucket
+    /// files always agree).
     stream_state: Option<Arc<Mutex<StreamState>>>,
 }
 
@@ -303,65 +311,12 @@ impl<T: Task> Trainer<T> {
         }
     }
 
-    fn should_checkpoint(&self, epoch_idx: usize) -> bool {
-        self.checkpoint_dir.is_some()
-            && ((epoch_idx + 1).is_multiple_of(self.config.checkpoint_every.max(1))
-                || epoch_idx + 1 == self.config.train.epochs)
-    }
-
-    fn epoch_done(&self, report: &ExperimentReport) -> Result<()> {
-        if let (Some(hook), Some(epoch)) = (&self.epoch_hook, report.epochs.last()) {
-            hook(epoch)?;
-        }
-        Ok(())
-    }
-
-    /// The one generic checkpoint code path both executors funnel through:
-    /// persists the run's description (with `storage` as the running executor
-    /// sees it) next to the cursor and state. `state` carries the task's
-    /// model blobs plus any executor-specific blobs (in-memory source dump,
-    /// example order); `store` is the partition store to snapshot (disk runs
-    /// with write-back), which must be at a write-back safe point.
-    #[allow(clippy::too_many_arguments)]
-    fn write_checkpoint(
-        &self,
-        data: &ScaledDataset,
-        storage: Storage,
-        epochs_completed: usize,
-        rng_state: [u64; 4],
-        state: &StateDict,
-        store: Option<&PartitionStore>,
-        report: &ExperimentReport,
-    ) -> Result<()> {
-        let dir = self
-            .checkpoint_dir
-            .as_ref()
-            .ok_or_else(|| StorageError::InvalidPlan {
-                reason: "checkpoint requested without a checkpoint directory \
-                         (Trainer::with_checkpoint)"
-                    .into(),
-            })?;
-        let config = RunConfig {
-            storage,
-            ..self.config.clone()
-        };
-        let snapshot = CheckpointSnapshot {
-            config: &config,
-            epochs_completed,
-            rng_state,
-            data,
-            state,
-            store,
-            report,
-            // The cursor is plain counters, valid after every update, so a
-            // hook that panicked while holding the lock loses nothing.
-            stream: self
-                .stream_state
-                .as_ref()
-                .map(|s| *s.lock().unwrap_or_else(PoisonError::into_inner)),
-        };
-        crate::checkpoint::write_versioned(dir, &snapshot)?;
-        Ok(())
+    /// The checkpoint root, when epoch `epoch_idx` writes a checkpoint: on
+    /// the cadence, and always after the final epoch.
+    fn checkpoint_due(&self, epoch_idx: usize) -> Option<&Path> {
+        let due = (epoch_idx + 1).is_multiple_of(self.config.checkpoint_every.max(1))
+            || epoch_idx + 1 == self.config.train.epochs;
+        self.checkpoint_dir.as_deref().filter(|_| due)
     }
 
     /// Trains per the description: in memory or out of core, as
@@ -376,243 +331,30 @@ impl<T: Task> Trainer<T> {
     /// Trains with the full graph in memory (the M-GNN_Mem configuration).
     pub fn train_in_memory(&self, data: &ScaledDataset) -> Result<ExperimentReport> {
         let mut rng = StdRng::seed_from_u64(self.config.train.seed);
-        let mut report = ExperimentReport::new("M-GNN_Mem", data.spec.name.clone());
-
-        let subgraph = std::sync::Arc::new(self.task.in_memory_subgraph(data));
+        let subgraph = Arc::new(self.task.in_memory_subgraph(data));
         let candidates = self.task.in_memory_candidates(data);
-        let mut model =
+        let model =
             self.task
                 .build_model(&self.config.model, &self.config.train, data, &mut rng)?;
-        let mut source = self
+        let source = self
             .task
             .in_memory_source(&self.config.model, data, &mut rng)?;
-        let builder = self.task.batch_builder(&model);
         // In-memory training evaluates over the training graph itself, so the
         // evaluation context shares the subgraph instead of rebuilding it.
-        let eval_ctx = self.task.in_memory_eval_context(data, &subgraph);
+        let eval_ctx = self.task.eval_context(data, Some(&subgraph));
         let examples = self.task.in_memory_examples(data);
-        // The shuffle permutes an index vector rather than the examples, so
-        // the cross-epoch shuffle state is a compact, checkpointable value
-        // (shuffling draws only depend on length, so trajectories are
-        // unchanged relative to shuffling the examples directly). The
-        // permuted examples are materialised once per epoch into a reused
-        // scratch buffer, keeping the batch loop allocation-free.
-        let mut order: Vec<u64> = (0..examples.len() as u64).collect();
-        let mut permuted: Vec<T::Example> = Vec::with_capacity(examples.len());
-
-        let mut span = self.env.telemetry.scope("trainer");
-
-        // Resuming: construction above replayed the fresh run's RNG draws;
-        // now overlay the checkpointed state and jump to its epoch.
-        let mut start_epoch = 0usize;
-        if let Some(resume) = &self.resume {
-            span.begin("resume.load", NO_LABEL, NO_LABEL);
-            self.task.load_state(&mut model, &resume.state)?;
-            source.load_state(&resume.state)?;
-            let saved_order = resume.state.require_u64(EXAMPLE_ORDER_BLOB)?;
-            if saved_order.len() != examples.len() {
-                return Err(StorageError::checkpoint(format!(
-                    "checkpointed example order covers {} examples, dataset has {}",
-                    saved_order.len(),
-                    examples.len()
-                )));
-            }
-            order = saved_order;
-            rng = StdRng::from_raw_state(resume.rng_state);
-            start_epoch = resume.epochs_completed;
-            report.epochs = resume.prior_epochs.clone();
-            span.end();
-        }
-
-        for epoch_idx in start_epoch..self.config.train.epochs {
-            let mut epoch = EpochReport {
-                epoch: epoch_idx,
-                ..Default::default()
-            };
-            span.begin("epoch", epoch_idx as i64, NO_LABEL);
-            span.begin("epoch.train", epoch_idx as i64, NO_LABEL);
-            let start = Instant::now();
-            order.shuffle(&mut rng);
-            permuted.clear();
-            permuted.extend(order.iter().map(|&i| examples[i as usize].clone()));
-            for (i, batch) in permuted.chunks(self.config.train.batch_size).enumerate() {
-                if self.config.train.max_batches_per_epoch > 0
-                    && i >= self.config.train.max_batches_per_epoch
-                {
-                    break;
-                }
-                let prepared =
-                    self.task
-                        .prepare(&builder, data, &subgraph, batch, &candidates, &mut rng);
-                let stats = self
-                    .task
-                    .train_prepared(&mut model, source.as_mut(), prepared);
-                accumulate(&mut epoch, &stats);
-            }
-            epoch.epoch_time = start.elapsed();
-            span.end(); // epoch.train
-            let pre_eval_rng = rng.state();
-            epoch.metric = if self.should_evaluate(epoch_idx) {
-                span.timed("epoch.eval", epoch_idx as i64, NO_LABEL, || {
-                    self.task.evaluate(
-                        &model,
-                        source.as_ref(),
-                        &eval_ctx,
-                        data,
-                        &self.config.train,
-                        &mut rng,
-                    )
-                })
-            } else {
-                f64::NAN
-            };
-            finalize(&mut epoch);
-            epoch.mirror_into(&self.env.telemetry);
-            report.epochs.push(epoch);
-            self.epoch_done(&report)?;
-            if self.should_checkpoint(epoch_idx) {
-                span.begin("epoch.checkpoint", epoch_idx as i64, NO_LABEL);
-                let mut state = StateDict::new();
-                self.task.save_state(&model, &mut state);
-                source.save_state(&mut state);
-                state.push_u64(EXAMPLE_ORDER_BLOB, &order);
-                self.write_checkpoint(
-                    data,
-                    Storage::InMemory,
-                    epoch_idx + 1,
-                    self.checkpoint_rng_state(epoch_idx, pre_eval_rng, &rng),
-                    &state,
-                    None,
-                    &report,
-                )?;
-                span.end();
-            }
-            span.end(); // epoch
-        }
-        Ok(report)
-    }
-
-    /// One sequential disk epoch: swaps, sampling and compute interleaved on
-    /// the calling thread. Serves as the determinism oracle for the pipelined
-    /// executor: both derive per-step RNGs from `step_seed(epoch_seed, step)`
-    /// and therefore produce bit-identical loss trajectories.
-    fn run_epoch_sequential(
-        &self,
-        data: &ScaledDataset,
-        plan: &marius_storage::EpochPlan,
-        setup: &mut DiskSetup,
-        epoch_seed: u64,
-        model: &mut T::Model,
-        epoch: &mut EpochReport,
-    ) -> Result<()> {
-        let p = setup.assignment.num_partitions();
-        let builder = self.task.batch_builder(model);
-        let mut batch_counter = 0usize;
-        for (s, set) in plan.partition_sets.iter().enumerate() {
-            let mut step_rng = StdRng::seed_from_u64(step_seed(epoch_seed, s as u64));
-            epoch.partition_loads += setup.buffer.load_set(set)?;
-            // Collect this step's training examples and shuffle them for
-            // mini-batch generation. Steps that only stage partitions into the
-            // buffer carry no examples.
-            let mut examples = self.task.step_examples(data, &setup.buckets, p, plan, s);
-            if examples.is_empty() {
-                continue;
-            }
-            examples.shuffle(&mut step_rng);
-            let candidates = setup.buffer.resident_nodes();
-            // One shared snapshot per step (the subgraph only changes on
-            // load_set); the Arc handle lets each batch borrow the buffer
-            // mutably without deep-copying the CSR structures.
-            let snapshot = setup.buffer.subgraph_arc();
-            for batch in examples.chunks(self.config.train.batch_size) {
-                if self.config.train.max_batches_per_epoch > 0
-                    && batch_counter >= self.config.train.max_batches_per_epoch
-                {
-                    break;
-                }
-                let prepared =
-                    self.task
-                        .prepare(&builder, data, &snapshot, batch, &candidates, &mut step_rng);
-                let stats = self.task.train_prepared(model, &mut setup.buffer, prepared);
-                accumulate(epoch, &stats);
-                batch_counter += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// One pipelined disk epoch on the staged runtime: stage 2 workers shuffle
-    /// the step's examples and build prepared batches (negatives + DENSE
-    /// sampling) while stage 1 prefetches upcoming partition sets and this
-    /// thread consumes `train_prepared` updates.
-    #[allow(clippy::too_many_arguments)]
-    fn run_epoch_pipelined(
-        &self,
-        pipe: &Pipeline,
-        data: &ScaledDataset,
-        plan: &marius_storage::EpochPlan,
-        setup: &mut DiskSetup,
-        epoch_seed: u64,
-        model: &mut T::Model,
-        epoch: &mut EpochReport,
-    ) -> Result<()> {
-        let p = setup.assignment.num_partitions();
-        let batch_size = self.config.train.batch_size;
-        let max_batches = self.config.train.max_batches_per_epoch;
-        // Per-step start offsets into the global batch budget so the cap is
-        // applied identically to the sequential counter even though workers
-        // build steps concurrently.
-        let mut batch_offsets = Vec::with_capacity(plan.partition_sets.len());
-        let mut acc = 0usize;
-        for s in 0..plan.partition_sets.len() {
-            batch_offsets.push(acc);
-            acc += self
-                .task
-                .step_example_count(data, &setup.buckets, p, plan, s)
-                .div_ceil(batch_size);
-        }
-        let builder = self.task.batch_builder(model);
-        let task = &self.task;
-        let buckets = &setup.buckets;
-        let report = pipe.run_epoch(
-            plan,
-            &mut setup.buffer,
-            epoch_seed,
-            |ctx, step_rng, sink| {
-                let mut examples = task.step_examples(data, buckets, p, plan, ctx.step);
-                if examples.is_empty() {
-                    return;
-                }
-                examples.shuffle(step_rng);
-                for (k, chunk) in examples.chunks(batch_size).enumerate() {
-                    if max_batches > 0 && batch_offsets[ctx.step] + k >= max_batches {
-                        break;
-                    }
-                    sink(task.prepare(
-                        &builder,
-                        data,
-                        &ctx.subgraph,
-                        chunk,
-                        &ctx.candidates,
-                        step_rng,
-                    ));
-                }
-            },
-            |buffer, _ctx, prepared| {
-                let stats = task.train_prepared(model, buffer, prepared);
-                accumulate(epoch, &stats);
-            },
-        )?;
-        epoch.partition_loads += report.partition_loads;
-        epoch.io_wait_time += report.compute_stall;
-        // The drain's own queue wait (`writeback_stall`) is deliberately not
-        // folded in: that lane idles between one small write burst per step,
-        // so its wait is "no work yet", not back-pressure, and including it
-        // would swamp the stall signal tracked across bench trajectories.
-        epoch.stall_time += report.prefetch_stall + report.sample_stall;
-        epoch.writeback_time += report.writeback_busy;
-        epoch.overlap = report.overlap_ratio();
-        Ok(())
+        let mut run = InMemory {
+            trainer: self,
+            data,
+            builder: self.task.batch_builder(&model),
+            subgraph,
+            candidates,
+            source,
+            order: (0..examples.len() as u64).collect(),
+            permuted: Vec::with_capacity(examples.len()),
+            examples,
+        };
+        self.run_epochs(data, "M-GNN_Mem".into(), rng, model, &eval_ctx, &mut run)
     }
 
     /// Trains out-of-core with a partition buffer driven by the task's
@@ -621,8 +363,6 @@ impl<T: Task> Trainer<T> {
     pub fn train_disk(&self, data: &ScaledDataset, disk: &DiskConfig) -> Result<ExperimentReport> {
         let mut rng = StdRng::seed_from_u64(self.config.train.seed);
         let label = self.task.disk_label(disk)?;
-        let mut report = ExperimentReport::new(label.clone(), data.spec.name.clone());
-
         let env = IoEnv {
             emulated_device: self.config.emulated_device,
             ..self.env.clone()
@@ -638,34 +378,47 @@ impl<T: Task> Trainer<T> {
             .task
             .disk_setup(&self.config.model, data, disk, store, &mut rng)?;
         setup.buffer.attach_telemetry(&self.env.telemetry);
-        let mut model =
+        let model =
             self.task
                 .build_model(&self.config.model, &self.config.train, data, &mut rng)?;
-        let pipeline = self.config.pipeline.enabled.then(|| {
-            Pipeline::new(self.config.pipeline.clone()).with_telemetry(&self.env.telemetry)
-        });
-        let eval_ctx = self.task.eval_context(data);
-        // Non-writeback buffers hold fixed representations that never change
-        // on disk, so their evaluation source is built once; learnable ones
-        // are reassembled from disk after each epoch's flush.
-        let mut static_eval_source: Option<Box<dyn crate::source::RepresentationSource>> = None;
+        let eval_ctx = self.task.eval_context(data, None);
+        let mut run = Disk {
+            trainer: self,
+            data,
+            disk,
+            setup,
+            pipeline: self.config.pipeline.enabled.then(|| {
+                Pipeline::new(self.config.pipeline.clone()).with_telemetry(&self.env.telemetry)
+            }),
+            fixed_eval_source: None,
+        };
+        let report = self.run_epochs(data, label, rng, model, &eval_ctx, &mut run)?;
+        let _ = run.setup.store.clear();
+        Ok(report)
+    }
 
-        // IO cost model used to estimate disk time for reports.
-        let io_model = self.config.emulated_device.unwrap_or_default();
-
+    /// The one epoch frame every executor runs in: overlay a resumed run's
+    /// state, then per epoch train, do the executor's boundary work,
+    /// evaluate on the cadence, report, fire the hook and checkpoint.
+    /// Construction (by the caller) has already drawn the fresh run's
+    /// set-up randomness from `rng`, which a resume then replaces with the
+    /// checkpointed cursor.
+    fn run_epochs<E: Executor<T>>(
+        &self,
+        data: &ScaledDataset,
+        system: String,
+        mut rng: StdRng,
+        mut model: T::Model,
+        eval_ctx: &T::EvalContext,
+        run: &mut E,
+    ) -> Result<ExperimentReport> {
+        let mut report = ExperimentReport::new(system, data.spec.name.clone());
         let mut span = self.env.telemetry.scope("trainer");
-
-        // Resuming: disk_setup/build_model above replayed the fresh run's RNG
-        // draws (reproducing the partition assignment the snapshot's files
-        // are laid out by); now overlay the checkpointed partition bytes and
-        // model state, restore the RNG cursor, and jump to the saved epoch.
         let mut start_epoch = 0usize;
         if let Some(resume) = &self.resume {
             span.begin("resume.load", NO_LABEL, NO_LABEL);
-            if let Some(snapshot) = resume.store_snapshot() {
-                setup.store.restore_from(snapshot)?;
-            }
-            self.task.load_state(&mut model, &resume.state)?;
+            model.load_state(&resume.state)?;
+            run.resume(resume)?;
             rng = StdRng::from_raw_state(resume.rng_state);
             start_epoch = resume.epochs_completed;
             report.epochs = resume.prior_epochs.clone();
@@ -677,116 +430,400 @@ impl<T: Task> Trainer<T> {
                 epoch: epoch_idx,
                 ..Default::default()
             };
-            setup.store.reset_io_stats();
-            setup.buffer.reset_stats();
             span.begin("epoch", epoch_idx as i64, NO_LABEL);
             span.begin("epoch.train", epoch_idx as i64, NO_LABEL);
             let start = Instant::now();
-            let plan = self.task.epoch_plan(disk, &setup, &mut rng)?;
-            // Every random draw inside the epoch derives from this seed (per
-            // step), so the sequential and pipelined executors are
-            // interchangeable bit-for-bit.
-            let epoch_seed: u64 = rng.gen();
-            match &pipeline {
-                Some(pipe) => self.run_epoch_pipelined(
-                    pipe, data, &plan, &mut setup, epoch_seed, &mut model, &mut epoch,
-                )?,
-                None => self.run_epoch_sequential(
-                    data, &plan, &mut setup, epoch_seed, &mut model, &mut epoch,
-                )?,
-            }
+            run.train_epoch(&mut model, &mut rng, &mut epoch)?;
             span.end(); // epoch.train
-            if setup.writeback {
-                span.timed("epoch.flush", epoch_idx as i64, NO_LABEL, || {
-                    setup.buffer.flush()
-                })?;
-            }
-            if let Some(hook) = &self.ingest_hook {
-                // Staged edge deltas are applied exactly here: after the
-                // epoch's flush (so the write-back ledger is drained and the
-                // store's bucket files agree with the in-memory buckets) and
-                // before evaluation and the boundary's checkpoint. The hook
-                // draws no trainer RNG, so the loss trajectory up to this
-                // boundary is identical to a frozen-dataset run's.
-                writeback_safe_point(&setup.buffer)?;
-                span.begin("epoch.ingest", epoch_idx as i64, NO_LABEL);
-                epoch.edges_ingested = hook(&mut setup, epoch_idx)?;
-                span.end();
-            }
+            run.end_epoch(&mut span, &mut epoch)?;
             epoch.epoch_time = start.elapsed();
-
-            let io = setup.store.io_stats();
-            epoch.io_bytes_read = io.bytes_read;
-            epoch.io_bytes_written = io.bytes_written;
-            epoch.io_time = io_model.stats_time(&io);
-            epoch.io_retries = io.io_retries;
-            epoch.faults_injected = io.faults_injected;
-            epoch.throttle_wait_time = io.throttle_wait;
-            let buffer_stats = setup.buffer.stats();
-            epoch.buffer_hits = buffer_stats.hits;
-            epoch.buffer_misses = buffer_stats.misses;
-            epoch.buffer_evictions = buffer_stats.evictions;
 
             let pre_eval_rng = rng.state();
             epoch.metric = if self.should_evaluate(epoch_idx) {
-                span.begin("epoch.eval", epoch_idx as i64, NO_LABEL);
-                let fresh_eval_source;
-                let eval_source: &dyn crate::source::RepresentationSource = if setup.writeback {
-                    fresh_eval_source =
-                        self.task
-                            .disk_eval_source(&self.config.model, data, &setup)?;
-                    fresh_eval_source.as_ref()
-                } else {
-                    if static_eval_source.is_none() {
-                        static_eval_source = Some(self.task.disk_eval_source(
-                            &self.config.model,
-                            data,
-                            &setup,
-                        )?);
-                    }
-                    static_eval_source.as_deref().expect("populated above")
-                };
-                let metric = self.task.evaluate(
-                    &model,
-                    eval_source,
-                    &eval_ctx,
-                    data,
-                    &self.config.train,
-                    &mut rng,
-                );
-                span.end();
-                metric
+                span.timed("epoch.eval", epoch_idx as i64, NO_LABEL, || {
+                    run.evaluate(&model, eval_ctx, &mut rng)
+                })?
             } else {
                 f64::NAN
             };
             finalize(&mut epoch);
             epoch.mirror_into(&self.env.telemetry);
+            if let Some(hook) = &self.epoch_hook {
+                hook(&epoch)?;
+            }
             report.epochs.push(epoch);
-            self.epoch_done(&report)?;
-            if self.should_checkpoint(epoch_idx) {
+            if let Some(dir) = self.checkpoint_due(epoch_idx) {
                 span.begin("epoch.checkpoint", epoch_idx as i64, NO_LABEL);
-                // The post-epoch flush above already drained the write-back
-                // ledger; assert the safe point all the same before linking
-                // the store's files into the snapshot (a partition with a
-                // detached write-back in flight has stale bytes on disk).
-                writeback_safe_point(&setup.buffer)?;
+                // The task's model blobs plus the executor's own; the run's
+                // description records storage as the running executor sees it.
                 let mut state = StateDict::new();
-                self.task.save_state(&model, &mut state);
-                self.write_checkpoint(
+                model.save_state(&mut state);
+                let (storage, store) = run.checkpoint(&mut state)?;
+                let config = RunConfig {
+                    storage,
+                    ..self.config.clone()
+                };
+                let snapshot = CheckpointSnapshot {
+                    config: &config,
+                    epochs_completed: epoch_idx + 1,
+                    rng_state: self.checkpoint_rng_state(epoch_idx, pre_eval_rng, &rng),
                     data,
-                    Storage::Disk(disk.clone()),
-                    epoch_idx + 1,
-                    self.checkpoint_rng_state(epoch_idx, pre_eval_rng, &rng),
-                    &state,
-                    setup.writeback.then_some(&setup.store),
-                    &report,
-                )?;
+                    state: &state,
+                    store,
+                    report: &report,
+                    // The cursor is plain counters, valid after every update,
+                    // so a hook that panicked while holding the lock loses
+                    // nothing.
+                    stream: self
+                        .stream_state
+                        .as_ref()
+                        .map(|s| *s.lock().unwrap_or_else(PoisonError::into_inner)),
+                };
+                crate::checkpoint::write_versioned(dir, &snapshot)?;
                 span.end();
             }
             span.end(); // epoch
         }
-        let _ = setup.store.clear();
         Ok(report)
+    }
+}
+
+/// Whether the batch with epoch-wide index `batch` lies past the epoch's
+/// batch budget (`max_batches_per_epoch`, 0 = unbounded).
+fn over_budget(train: &TrainConfig, batch: usize) -> bool {
+    train.max_batches_per_epoch > 0 && batch >= train.max_batches_per_epoch
+}
+
+/// What the epoch frame ([`Trainer::run_epochs`]) asks of the place a run's
+/// state lives: in memory ([`InMemory`]) or out of core ([`Disk`]).
+trait Executor<T: Task> {
+    /// Overlays this executor's share of a checkpoint; the model's share is
+    /// already loaded.
+    fn resume(&mut self, checkpoint: &Checkpoint) -> Result<()>;
+
+    /// Trains one epoch. Draws from the run's `rng` are part of every
+    /// checkpointed cursor, so their order is fixed per executor.
+    fn train_epoch(
+        &mut self,
+        model: &mut T::Model,
+        rng: &mut StdRng,
+        epoch: &mut EpochReport,
+    ) -> Result<()>;
+
+    /// Boundary work between an epoch's training and its evaluation.
+    fn end_epoch(&mut self, _span: &mut SpanScope, _epoch: &mut EpochReport) -> Result<()> {
+        Ok(())
+    }
+
+    /// The task metric over this executor's representations.
+    fn evaluate(&mut self, model: &T::Model, ctx: &T::EvalContext, rng: &mut StdRng)
+        -> Result<f64>;
+
+    /// Adds this executor's blobs to a checkpoint's `state`, and returns the
+    /// storage the checkpoint records and the partition store to snapshot.
+    fn checkpoint(&self, state: &mut StateDict) -> Result<(Storage, Option<&PartitionStore>)>;
+}
+
+/// The full graph and all base representations stay resident.
+struct InMemory<'a, T: Task> {
+    trainer: &'a Trainer<T>,
+    data: &'a ScaledDataset,
+    builder: T::BatchBuilder,
+    subgraph: Arc<InMemorySubgraph>,
+    candidates: Vec<NodeId>,
+    source: Box<dyn RepresentationSource>,
+    examples: Vec<T::Example>,
+    /// The shuffle permutes this index vector rather than the examples, so
+    /// the cross-epoch shuffle state is a compact, checkpointable value
+    /// (shuffling draws only depend on length, so trajectories are
+    /// unchanged relative to shuffling the examples directly).
+    order: Vec<u64>,
+    /// The permuted examples, materialised once per epoch into this reused
+    /// scratch buffer, keeping the batch loop allocation-free.
+    permuted: Vec<T::Example>,
+}
+
+impl<T: Task> Executor<T> for InMemory<'_, T> {
+    fn resume(&mut self, checkpoint: &Checkpoint) -> Result<()> {
+        self.source.load_state(&checkpoint.state)?;
+        let saved_order = checkpoint.state.require_u64(EXAMPLE_ORDER_BLOB)?;
+        if saved_order.len() != self.examples.len() {
+            return Err(StorageError::checkpoint(format!(
+                "checkpointed example order covers {} examples, dataset has {}",
+                saved_order.len(),
+                self.examples.len()
+            )));
+        }
+        self.order = saved_order;
+        Ok(())
+    }
+
+    fn train_epoch(
+        &mut self,
+        model: &mut T::Model,
+        rng: &mut StdRng,
+        epoch: &mut EpochReport,
+    ) -> Result<()> {
+        let (task, train) = (&self.trainer.task, &self.trainer.config.train);
+        self.order.shuffle(rng);
+        self.permuted.clear();
+        self.permuted.extend(
+            self.order
+                .iter()
+                .map(|&i| self.examples[i as usize].clone()),
+        );
+        for (i, batch) in self.permuted.chunks(train.batch_size).enumerate() {
+            if over_budget(train, i) {
+                break;
+            }
+            let prepared = task.prepare(
+                &self.builder,
+                self.data,
+                &self.subgraph,
+                batch,
+                &self.candidates,
+                rng,
+            );
+            accumulate(
+                epoch,
+                &task.train_prepared(model, self.source.as_mut(), prepared),
+            );
+        }
+        Ok(())
+    }
+
+    fn evaluate(
+        &mut self,
+        model: &T::Model,
+        ctx: &T::EvalContext,
+        rng: &mut StdRng,
+    ) -> Result<f64> {
+        let trainer = self.trainer;
+        Ok(trainer.task.evaluate(
+            model,
+            self.source.as_ref(),
+            ctx,
+            self.data,
+            &trainer.config.train,
+            rng,
+        ))
+    }
+
+    fn checkpoint(&self, state: &mut StateDict) -> Result<(Storage, Option<&PartitionStore>)> {
+        self.source.save_state(state);
+        state.push_u64(EXAMPLE_ORDER_BLOB, &self.order);
+        Ok((Storage::InMemory, None))
+    }
+}
+
+/// Partitions live on disk behind a bounded buffer; each epoch walks the
+/// policy's plan either on the staged pipeline or, without one, on the
+/// calling thread.
+struct Disk<'a, T: Task> {
+    trainer: &'a Trainer<T>,
+    data: &'a ScaledDataset,
+    disk: &'a DiskConfig,
+    setup: DiskSetup,
+    pipeline: Option<Pipeline>,
+    /// The evaluation source of a buffer without write-back: fixed
+    /// representations never change on disk, so it is built once. Learnable
+    /// ones are reassembled from disk at every evaluation.
+    fixed_eval_source: Option<Box<dyn RepresentationSource>>,
+}
+
+impl<T: Task> Executor<T> for Disk<'_, T> {
+    fn resume(&mut self, checkpoint: &Checkpoint) -> Result<()> {
+        // Construction replayed the fresh run's partition assignment, which
+        // the snapshot's files are laid out by.
+        if let Some(snapshot) = checkpoint.store_snapshot() {
+            self.setup.store.restore_from(snapshot)?;
+        }
+        Ok(())
+    }
+
+    fn train_epoch(
+        &mut self,
+        model: &mut T::Model,
+        rng: &mut StdRng,
+        epoch: &mut EpochReport,
+    ) -> Result<()> {
+        self.setup.store.reset_io_stats();
+        self.setup.buffer.reset_stats();
+        let plan = self.trainer.task.epoch_plan(self.disk, &self.setup, rng)?;
+        // Every random draw inside the epoch derives from this seed (per
+        // step), so the sequential and pipelined executors are
+        // interchangeable bit-for-bit.
+        let epoch_seed: u64 = rng.gen();
+        self.run_steps(&plan, epoch_seed, model, epoch)
+    }
+
+    fn end_epoch(&mut self, span: &mut SpanScope, epoch: &mut EpochReport) -> Result<()> {
+        let setup = &mut self.setup;
+        let epoch_idx = epoch.epoch as i64;
+        if setup.writeback {
+            span.timed("epoch.flush", epoch_idx, NO_LABEL, || setup.buffer.flush())?;
+        }
+        if let Some(hook) = &self.trainer.ingest_hook {
+            // Staged edge deltas are applied exactly here: after the epoch's
+            // flush (so the write-back ledger is drained and the store's
+            // bucket files agree with the in-memory buckets) and before
+            // evaluation and the boundary's checkpoint. The hook draws no
+            // trainer RNG, so the loss trajectory up to this boundary is
+            // identical to a frozen-dataset run's.
+            writeback_safe_point(&setup.buffer)?;
+            span.begin("epoch.ingest", epoch_idx, NO_LABEL);
+            epoch.edges_ingested = hook(setup, epoch.epoch)?;
+            span.end();
+        }
+        let io = setup.store.io_stats();
+        epoch.io_bytes_read = io.bytes_read;
+        epoch.io_bytes_written = io.bytes_written;
+        epoch.io_time = self
+            .trainer
+            .config
+            .emulated_device
+            .unwrap_or_default()
+            .stats_time(&io);
+        epoch.io_retries = io.io_retries;
+        epoch.faults_injected = io.faults_injected;
+        epoch.throttle_wait_time = io.throttle_wait;
+        let buffer_stats = setup.buffer.stats();
+        epoch.buffer_hits = buffer_stats.hits;
+        epoch.buffer_misses = buffer_stats.misses;
+        epoch.buffer_evictions = buffer_stats.evictions;
+        Ok(())
+    }
+
+    fn evaluate(
+        &mut self,
+        model: &T::Model,
+        ctx: &T::EvalContext,
+        rng: &mut StdRng,
+    ) -> Result<f64> {
+        let trainer = self.trainer;
+        let source = match self.fixed_eval_source.take() {
+            Some(source) => source,
+            None => trainer
+                .task
+                .disk_eval_source(&trainer.config.model, self.data, &self.setup)?,
+        };
+        let metric = trainer.task.evaluate(
+            model,
+            source.as_ref(),
+            ctx,
+            self.data,
+            &trainer.config.train,
+            rng,
+        );
+        if !self.setup.writeback {
+            self.fixed_eval_source = Some(source);
+        }
+        Ok(metric)
+    }
+
+    fn checkpoint(&self, _state: &mut StateDict) -> Result<(Storage, Option<&PartitionStore>)> {
+        // The post-epoch flush already drained the write-back ledger; assert
+        // the safe point all the same before linking the store's files into
+        // the snapshot (a partition with a detached write-back in flight has
+        // stale bytes on disk).
+        writeback_safe_point(&self.setup.buffer)?;
+        Ok((
+            Storage::Disk(self.disk.clone()),
+            self.setup.writeback.then_some(&self.setup.store),
+        ))
+    }
+}
+
+impl<T: Task> Disk<'_, T> {
+    /// One disk epoch over `plan`. Both executors run the same step body —
+    /// shuffle the step's examples with `step_seed(epoch_seed, step)`, cut
+    /// them into batches within the epoch's budget, prepare each — and the
+    /// same consumer: `train_prepared` against the buffer.
+    ///
+    /// * **Pipelined** ([`Pipeline::run_epoch`]): a prefetcher walks the plan
+    ///   ahead of the consumer issuing store reads, workers run the step body
+    ///   concurrently, this thread consumes, and evicted dirty partitions are
+    ///   written back by a drain thread while the next step computes.
+    /// * **Sequential** (no pipeline): swap, step body and compute run
+    ///   back-to-back on this thread, so epoch time is the sum of the phases.
+    ///   This path is the determinism oracle for the pipeline.
+    fn run_steps(
+        &mut self,
+        plan: &EpochPlan,
+        epoch_seed: u64,
+        model: &mut T::Model,
+        epoch: &mut EpochReport,
+    ) -> Result<()> {
+        let (task, data) = (&self.trainer.task, self.data);
+        let train = &self.trainer.config.train;
+        let setup = &mut self.setup;
+        let buckets = &setup.buckets;
+        let p = setup.assignment.num_partitions();
+        // Each step's first epoch-wide batch index, so the budget cuts the
+        // same batch whether steps are built in order or concurrently.
+        let mut first_batch = Vec::with_capacity(plan.partition_sets.len());
+        let mut batches = 0usize;
+        for s in 0..plan.partition_sets.len() {
+            first_batch.push(batches);
+            batches += task
+                .step_example_count(data, buckets, p, plan, s)
+                .div_ceil(train.batch_size);
+        }
+        let builder = task.batch_builder(model);
+        let step_body =
+            |ctx: &StepContext, step_rng: &mut StdRng, sink: &mut dyn FnMut(T::PreparedBatch)| {
+                let mut examples = task.step_examples(data, buckets, p, plan, ctx.step);
+                examples.shuffle(step_rng);
+                for (k, chunk) in examples.chunks(train.batch_size).enumerate() {
+                    if over_budget(train, first_batch[ctx.step] + k) {
+                        break;
+                    }
+                    sink(task.prepare(
+                        &builder,
+                        data,
+                        &ctx.subgraph,
+                        chunk,
+                        &ctx.candidates,
+                        step_rng,
+                    ));
+                }
+            };
+        let mut consume = |buffer: &mut PartitionBuffer, _ctx: &StepContext, prepared| {
+            accumulate(epoch, &task.train_prepared(model, buffer, prepared));
+        };
+
+        let Some(pipe) = &self.pipeline else {
+            let mut loads = 0;
+            for (s, set) in plan.partition_sets.iter().enumerate() {
+                let mut step_rng = StdRng::seed_from_u64(step_seed(epoch_seed, s as u64));
+                loads += setup.buffer.load_set(set)?;
+                // One shared snapshot per step (the subgraph only changes on
+                // load_set); the Arc handle lets each batch borrow the buffer
+                // mutably without deep-copying the CSR structures.
+                let ctx = StepContext {
+                    step: s,
+                    set: set.clone(),
+                    candidates: setup.buffer.resident_nodes(),
+                    subgraph: setup.buffer.subgraph_arc(),
+                };
+                step_body(&ctx, &mut step_rng, &mut |prepared| {
+                    consume(&mut setup.buffer, &ctx, prepared)
+                });
+            }
+            epoch.partition_loads += loads;
+            return Ok(());
+        };
+        let report = pipe.run_epoch(plan, &mut setup.buffer, epoch_seed, step_body, consume)?;
+        epoch.partition_loads += report.partition_loads;
+        epoch.io_wait_time += report.compute_stall;
+        // The drain's own queue wait (`writeback_stall`) is deliberately not
+        // folded in: that lane idles between one small write burst per step,
+        // so its wait is "no work yet", not back-pressure, and including it
+        // would swamp the stall signal tracked across bench trajectories.
+        epoch.stall_time += report.prefetch_stall + report.sample_stall;
+        epoch.writeback_time += report.writeback_busy;
+        epoch.overlap = report.overlap_ratio();
+        Ok(())
     }
 }
 
@@ -952,6 +989,87 @@ mod tests {
         assert!(report.epochs[0].metric.is_nan());
         assert!(report.epochs[1].metric.is_nan());
         assert!(report.epochs[2].metric.is_finite());
+    }
+
+    /// One epoch frame: evaluation cadence, epoch hook and checkpoint
+    /// cadence behave the same on the in-memory, sequential-disk and
+    /// pipelined-disk executors.
+    #[test]
+    fn every_executor_runs_the_same_epoch_frame() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let data = lp_dataset();
+        let disk = DiskConfig::comet(8, 4);
+        let runs = [
+            (Storage::InMemory, false),
+            (Storage::Disk(disk.clone()), false),
+            (Storage::Disk(disk), true),
+        ];
+        for (i, (storage, pipelined)) in runs.into_iter().enumerate() {
+            let dir = std::env::temp_dir().join(format!(
+                "marius-frame-{i}-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let calls = Arc::new(AtomicUsize::new(0));
+            let seen = Arc::clone(&calls);
+            let mut trainer = lp_trainer(0)
+                .with_checkpoint(&dir, 2)
+                .with_fallible_epoch_hook(move |_| {
+                    seen.fetch_add(1, Ordering::SeqCst);
+                    Ok(())
+                });
+            if pipelined {
+                trainer = trainer.with_pipeline(marius_pipeline::PipelineConfig::with_workers(1));
+            }
+            trainer.config.storage = storage;
+            trainer.config.train.epochs = 3;
+            trainer.config.eval_every = 2;
+            let report = trainer.train(&data).unwrap();
+            let evaluated: Vec<bool> = report.epochs.iter().map(|e| e.metric.is_finite()).collect();
+            assert_eq!(evaluated, [false, true, true], "run {i}: eval cadence");
+            assert_eq!(calls.load(Ordering::SeqCst), 3, "run {i}: epoch hook");
+            // The cadence checkpoints epoch 2, the final epoch checkpoints
+            // off-cadence.
+            let mut versions: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .filter(|name| name.starts_with("epoch-"))
+                .collect();
+            versions.sort();
+            assert_eq!(versions, ["epoch-000002", "epoch-000003"], "run {i}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// The batch budget cuts at the same epoch-wide batch on every executor,
+    /// including mid-step on the disk paths, where pipeline workers build
+    /// steps concurrently.
+    #[test]
+    fn batch_budget_cuts_the_same_batches_on_every_executor() {
+        let data = lp_dataset();
+        let disk = DiskConfig::comet(8, 4);
+        let budgeted = |pipelined: bool| {
+            let mut trainer = lp_trainer(1);
+            if pipelined {
+                trainer = trainer.with_pipeline(marius_pipeline::PipelineConfig::with_workers(2));
+            }
+            trainer.config.train.max_batches_per_epoch = 12;
+            trainer
+        };
+        let in_memory = budgeted(false).train_in_memory(&data).unwrap();
+        let sequential = budgeted(false).train_disk(&data, &disk).unwrap();
+        let pipelined = budgeted(true).train_disk(&data, &disk).unwrap();
+        for (a, b) in sequential.epochs.iter().zip(&pipelined.epochs) {
+            assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "epoch {}", a.epoch);
+            assert_eq!(a.examples, b.examples, "epoch {}", a.epoch);
+        }
+        let examples =
+            |r: &ExperimentReport| r.epochs.iter().map(|e| e.examples).collect::<Vec<_>>();
+        assert_eq!(examples(&in_memory), [12 * 128, 12 * 128]);
+        // Twelve batches span several plan steps, each ending in a partial
+        // batch, so the disk paths stop short of 12 full batches.
+        assert_eq!(examples(&sequential), [1441, 1531]);
     }
 
     #[test]

@@ -741,7 +741,9 @@ impl PartitionStore {
             if !path.is_file() || is_tmp(&path) {
                 continue;
             }
-            let name = path.file_name().expect("read_dir yields named files");
+            let Some(name) = path.file_name() else {
+                continue;
+            };
             let key = format!("snapshot/{}", name.to_string_lossy());
             let target = staging.join(name);
             // Faulted/retried per file: link/copy staging lives inside the
@@ -780,7 +782,9 @@ impl PartitionStore {
             if !path.is_file() || is_tmp(&path) {
                 continue;
             }
-            let name = path.file_name().expect("read_dir yields named files");
+            let Some(name) = path.file_name() else {
+                continue;
+            };
             let key = format!("restore/{}", name.to_string_lossy());
             let target = self.root.join(name);
             self.retrying(&key, || {
