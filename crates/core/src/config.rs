@@ -249,8 +249,8 @@ pub struct RunConfig {
     pub train: TrainConfig,
     /// Where base representations live; selects the executor.
     pub storage: Storage,
-    /// Staged-runtime configuration for disk-based training; disabled selects
-    /// the sequential fallback.
+    /// Staged-runtime configuration for disk-based training; disabled runs
+    /// the steps in order on the calling thread.
     pub pipeline: PipelineConfig,
     /// Evaluate the task metric every `eval_every` epochs (and always after
     /// the final epoch). `0` and `1` both evaluate every epoch. Skipped epochs

@@ -19,14 +19,14 @@
 //!   [`task::LinkPredictionTask`], [`task::NodeClassificationTask`] and
 //!   [`task::TemporalLinkPredictionTask`] are the built-in workloads.
 //! * [`trainer`] — the single generic [`trainer::Trainer`]`<T: Task>` that owns
-//!   the in-memory, sequential-disk, and pipelined-disk epoch executors once
-//!   for every task, including the partition-buffer walk over a replacement
-//!   policy's epoch plan, per-phase timing (sampling / compute / IO),
-//!   eval-cadence control, per-epoch hooks, and evaluation. Disk-based epochs
-//!   run either sequentially or on the staged [`marius_pipeline::Pipeline`]
-//!   runtime (prefetch / batch construction / compute overlapped), selected by
-//!   [`config::PipelineConfig`]; the two executors are bit-identical under a
-//!   fixed seed.
+//!   the in-memory and disk epoch executors once for every task, including
+//!   the partition-buffer walk over a replacement policy's epoch plan,
+//!   per-phase timing (sampling / compute / IO), eval-cadence control,
+//!   per-epoch hooks, and evaluation. Disk-based epochs run on
+//!   [`marius_pipeline::Pipeline`], in order or with prefetch / batch
+//!   construction / compute overlapped on stage threads, as
+//!   [`config::PipelineConfig`] selects; the two schedules are bit-identical
+//!   under a fixed seed.
 //! * [`report`] — experiment reporting structures (with JSON export) shared by
 //!   the examples and the benchmark harnesses that regenerate the paper's
 //!   tables.

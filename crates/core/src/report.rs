@@ -156,7 +156,7 @@ epoch_report! {
     metric: f64,
     /// Pipelined runs only: summed per-stage busy time divided by epoch wall
     /// time. Values above 1.0 quantify how much work the stages overlapped;
-    /// 0.0 on the sequential path.
+    /// 0.0 on the in-order schedule.
     overlap: f64,
     /// Wall-clock duration of the epoch's training phase.
     epoch_time: Duration => "trainer.epoch_time_ns",
@@ -170,7 +170,7 @@ epoch_report! {
     io_time: Duration,
     /// Pipelined runs only: time the compute consumer spent blocked waiting
     /// for upstream stages (prefetched partitions or constructed batches).
-    /// Zero on the sequential path, where every wait is inline.
+    /// Zero on the in-order schedule, where every wait is inline.
     io_wait_time: Duration => "trainer.io_wait_ns",
     /// Pipelined runs only: time the prefetcher and sampling workers spent
     /// blocked on back-pressure or write-back dependencies. The write-back
@@ -180,7 +180,7 @@ epoch_report! {
     stall_time: Duration => "trainer.stall_ns",
     /// Pipelined runs only: time the write-back drain thread spent writing
     /// evicted dirty partitions to disk, off the compute path. Zero on the
-    /// sequential path, where eviction writes are inline (and land in
+    /// in-order schedule, where eviction writes are inline (and land in
     /// `epoch_time` directly).
     writeback_time: Duration => "trainer.writeback_ns",
     /// Bytes read from disk during the epoch.

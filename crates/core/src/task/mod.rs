@@ -4,8 +4,8 @@
 //! The paper's Figure 2 describes a single processing pipeline that serves
 //! both of its workloads (link prediction and node classification). This
 //! module is that boundary in code: the generic
-//! [`Trainer`](crate::trainer::Trainer) owns the in-memory, sequential-disk
-//! and pipelined-disk epoch executors exactly once, and delegates every
+//! [`Trainer`](crate::trainer::Trainer) owns the in-memory and disk epoch
+//! executors exactly once, and delegates every
 //! task-specific decision — what a training example is, how a mini batch is
 //! constructed and applied, how storage is laid out on disk, and how the
 //! model is evaluated — to a [`Task`] implementation.
@@ -26,8 +26,8 @@
 //!
 //! Implementations must preserve the trainer's RNG discipline: any method
 //! that receives an RNG draws from it in a deterministic order (or not at
-//! all), so that the sequential and pipelined executors remain bit-identical
-//! under a fixed seed.
+//! all), so that the in-order and threaded disk schedules remain
+//! bit-identical under a fixed seed.
 
 mod link_prediction;
 mod node_classification;
@@ -143,8 +143,8 @@ pub trait Task: Sync {
 
     /// Builds one prepared batch: the CPU-side half of a training step
     /// (negative sampling, label alignment, DENSE multi-hop sampling). Runs
-    /// on the calling thread in sequential paths and on sampling workers in
-    /// the pipelined path.
+    /// on the calling thread in memory and on the in-order disk schedule, and
+    /// on sampling workers on the threaded one.
     fn prepare(
         &self,
         builder: &Self::BatchBuilder,

@@ -18,27 +18,25 @@
 //!     [`PartitionStore`] behind a bounded buffer walked by the policy's
 //!     `EpochPlan`, with the write-back flush and the streaming ingest hook
 //!     at each epoch boundary.
-//! * **One disk step body**, run by both disk executors: shuffle the step's
-//!   examples with the step's RNG, cut them into batches within the epoch's
-//!   budget, prepare each, and apply `train_prepared` against the buffer.
-//!   *Sequentially* ([`crate::config::PipelineConfig::enabled`]` = false`,
-//!   the default) swaps, sampling and compute run back-to-back on the
-//!   calling thread, so epoch time is the *sum* of the phases; this path is
-//!   the determinism oracle for the pipeline. *Pipelined* (`enabled = true`)
-//!   the epoch runs on [`marius_pipeline::Pipeline`]: a prefetcher issues
-//!   store reads ahead of the consumer, a pool of workers runs the step body,
-//!   the calling thread applies the batches, and evicted dirty partitions are
-//!   written back by a drain thread while the next step computes — the
-//!   compute stage performs no disk IO at all, so epoch time approaches the
-//!   *max* phase.
+//! * **One disk step**: the disk executor hands each epoch to one
+//!   [`marius_pipeline::Pipeline::run_epoch`] call with one batch body
+//!   (shuffle the step's examples with the step's RNG, cut them into batches
+//!   within the epoch's budget, prepare each) and one consumer
+//!   (`train_prepared` against the buffer). The pipeline owns the rest of the
+//!   step — read the set's buckets and missing partitions, swap, write
+//!   evictions back — and its schedule:
+//!   [`crate::config::PipelineConfig::enabled`]` = false` (the default) runs
+//!   the steps in order on the calling thread, so epoch time is the *sum* of
+//!   the phases; `enabled = true` runs the same stage bodies on stage threads
+//!   that overlap across steps, so epoch time approaches the *max* phase.
 //!
-//! Both disk executors derive every in-epoch random draw from
-//! [`marius_pipeline::step_seed`]`(epoch_seed, step)`, which makes their loss
-//! trajectories bit-identical for a fixed training seed and any worker count
-//! (asserted by the `pipeline_determinism` and `task_equivalence` integration
-//! tests at the workspace root). Disk-path failures (missing or truncated
-//! partition files, invalid plans) propagate as
-//! [`marius_storage::StorageError`] instead of panicking.
+//! Every in-epoch random draw derives from
+//! [`marius_pipeline::step_seed`]`(epoch_seed, step)`, which makes both
+//! schedules' loss trajectories bit-identical for a fixed training seed and
+//! any worker count (asserted by the `pipeline_determinism` and
+//! `task_equivalence` integration tests at the workspace root). Disk-path
+//! failures (missing or truncated partition files, invalid plans) propagate
+//! as [`marius_storage::StorageError`] instead of panicking.
 
 use crate::checkpoint::{Checkpoint, CheckpointSnapshot, Persist, StateDict, StreamState};
 use crate::config::{DiskConfig, ModelConfig, PipelineConfig, RunConfig, Storage, TrainConfig};
@@ -48,7 +46,7 @@ use crate::source::RepresentationSource;
 use crate::task::{DiskSetup, Task};
 use marius_graph::datasets::ScaledDataset;
 use marius_graph::{InMemorySubgraph, NodeId, PartitionAssignment};
-use marius_pipeline::{step_seed, writeback_safe_point, Pipeline, StepContext};
+use marius_pipeline::{writeback_safe_point, Pipeline, StepContext};
 use marius_storage::{EpochPlan, IoEnv, PartitionBuffer, PartitionStore, Result, StorageError};
 use marius_telemetry::{SpanScope, NO_LABEL};
 use rand::rngs::StdRng;
@@ -73,7 +71,7 @@ pub type EpochHook = Box<dyn Fn(&EpochReport) -> Result<()> + Send + Sync>;
 /// zero-based epoch index just trained; returns the number of edges ingested
 /// at this boundary (`0` when the boundary is not an ingest point). The hook
 /// must not consume trainer RNG — it runs outside the seeded epoch executors,
-/// which is what keeps sequential and pipelined streamed runs bit-identical.
+/// which is what keeps in-order and threaded streamed runs bit-identical.
 pub type IngestHook = Box<dyn Fn(&mut DiskSetup, usize) -> Result<u64> + Send + Sync>;
 
 /// Blob name of the in-memory example-order permutation (the cross-epoch
@@ -162,7 +160,7 @@ pub struct Trainer<T: Task> {
 }
 
 impl<T: Task + Default> Trainer<T> {
-    /// Creates a trainer (sequential disk path by default) for a stateless
+    /// Creates a trainer (in-order disk schedule by default) for a stateless
     /// task.
     pub fn new(model: ModelConfig, train: TrainConfig) -> Self {
         Trainer::with_task(T::default(), model, train)
@@ -358,8 +356,8 @@ impl<T: Task> Trainer<T> {
     }
 
     /// Trains out-of-core with a partition buffer driven by the task's
-    /// replacement policy (the M-GNN_Disk configuration). Runs on the staged
-    /// pipeline runtime when `config.pipeline.enabled`, otherwise sequentially.
+    /// replacement policy (the M-GNN_Disk configuration). Steps run on stage
+    /// threads when `config.pipeline.enabled`, otherwise in order.
     pub fn train_disk(&self, data: &ScaledDataset, disk: &DiskConfig) -> Result<ExperimentReport> {
         let mut rng = StdRng::seed_from_u64(self.config.train.seed);
         let label = self.task.disk_label(disk)?;
@@ -387,9 +385,8 @@ impl<T: Task> Trainer<T> {
             data,
             disk,
             setup,
-            pipeline: self.config.pipeline.enabled.then(|| {
-                Pipeline::new(self.config.pipeline.clone()).with_telemetry(&self.env.telemetry)
-            }),
+            pipeline: Pipeline::new(self.config.pipeline.clone())
+                .with_telemetry(&self.env.telemetry),
             fixed_eval_source: None,
         };
         let report = self.run_epochs(data, label, rng, model, &eval_ctx, &mut run)?;
@@ -617,14 +614,13 @@ impl<T: Task> Executor<T> for InMemory<'_, T> {
 }
 
 /// Partitions live on disk behind a bounded buffer; each epoch walks the
-/// policy's plan either on the staged pipeline or, without one, on the
-/// calling thread.
+/// policy's plan on the pipeline, in the schedule its configuration names.
 struct Disk<'a, T: Task> {
     trainer: &'a Trainer<T>,
     data: &'a ScaledDataset,
     disk: &'a DiskConfig,
     setup: DiskSetup,
-    pipeline: Option<Pipeline>,
+    pipeline: Pipeline,
     /// The evaluation source of a buffer without write-back: fixed
     /// representations never change on disk, so it is built once. Learnable
     /// ones are reassembled from disk at every evaluation.
@@ -651,8 +647,7 @@ impl<T: Task> Executor<T> for Disk<'_, T> {
         self.setup.buffer.reset_stats();
         let plan = self.trainer.task.epoch_plan(self.disk, &self.setup, rng)?;
         // Every random draw inside the epoch derives from this seed (per
-        // step), so the sequential and pipelined executors are
-        // interchangeable bit-for-bit.
+        // step), so the two schedules are interchangeable bit-for-bit.
         let epoch_seed: u64 = rng.gen();
         self.run_steps(&plan, epoch_seed, model, epoch)
     }
@@ -735,18 +730,10 @@ impl<T: Task> Executor<T> for Disk<'_, T> {
 }
 
 impl<T: Task> Disk<'_, T> {
-    /// One disk epoch over `plan`. Both executors run the same step body —
-    /// shuffle the step's examples with `step_seed(epoch_seed, step)`, cut
-    /// them into batches within the epoch's budget, prepare each — and the
-    /// same consumer: `train_prepared` against the buffer.
-    ///
-    /// * **Pipelined** ([`Pipeline::run_epoch`]): a prefetcher walks the plan
-    ///   ahead of the consumer issuing store reads, workers run the step body
-    ///   concurrently, this thread consumes, and evicted dirty partitions are
-    ///   written back by a drain thread while the next step computes.
-    /// * **Sequential** (no pipeline): swap, step body and compute run
-    ///   back-to-back on this thread, so epoch time is the sum of the phases.
-    ///   This path is the determinism oracle for the pipeline.
+    /// One disk epoch over `plan` on the pipeline: the batch body shuffles
+    /// the step's examples with the step's RNG, cuts them into batches within
+    /// the epoch's budget and prepares each; the consumer applies
+    /// `train_prepared` against the buffer.
     fn run_steps(
         &mut self,
         plan: &EpochPlan,
@@ -788,33 +775,15 @@ impl<T: Task> Disk<'_, T> {
                     ));
                 }
             };
-        let mut consume = |buffer: &mut PartitionBuffer, _ctx: &StepContext, prepared| {
+        let consume = |buffer: &mut PartitionBuffer, _ctx: &StepContext, prepared| {
             accumulate(epoch, &task.train_prepared(model, buffer, prepared));
         };
 
-        let Some(pipe) = &self.pipeline else {
-            let mut loads = 0;
-            for (s, set) in plan.partition_sets.iter().enumerate() {
-                let mut step_rng = StdRng::seed_from_u64(step_seed(epoch_seed, s as u64));
-                loads += setup.buffer.load_set(set)?;
-                // One shared snapshot per step (the subgraph only changes on
-                // load_set); the Arc handle lets each batch borrow the buffer
-                // mutably without deep-copying the CSR structures.
-                let ctx = StepContext {
-                    step: s,
-                    set: set.clone(),
-                    candidates: setup.buffer.resident_nodes(),
-                    subgraph: setup.buffer.subgraph_arc(),
-                };
-                step_body(&ctx, &mut step_rng, &mut |prepared| {
-                    consume(&mut setup.buffer, &ctx, prepared)
-                });
-            }
-            epoch.partition_loads += loads;
-            return Ok(());
-        };
-        let report = pipe.run_epoch(plan, &mut setup.buffer, epoch_seed, step_body, consume)?;
+        let report =
+            self.pipeline
+                .run_epoch(plan, &mut setup.buffer, epoch_seed, step_body, consume)?;
         epoch.partition_loads += report.partition_loads;
+        // All zero on the in-order schedule, which overlaps nothing.
         epoch.io_wait_time += report.compute_stall;
         // The drain's own queue wait (`writeback_stall`) is deliberately not
         // folded in: that lane idles between one small write burst per step,

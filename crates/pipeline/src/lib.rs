@@ -1,18 +1,27 @@
-//! Staged, multi-threaded training runtime that overlaps disk IO, CPU batch
-//! construction, and model compute (`marius-pipeline`).
+//! The out-of-core training step and its two schedules (`marius-pipeline`).
 //!
-//! The sequential out-of-core trainer pays `IO + sample + compute` per epoch
-//! because every partition swap, every DENSE neighbourhood sample, and every
-//! forward/backward step runs on one thread. This crate turns the epoch into a
-//! four-stage pipeline so the wall time approaches
-//! `max(IO, sample, compute)` — the paper's core systems claim:
+//! Out-of-core training repeats one step per partition set `Sᵢ` of an
+//! [`EpochPlan`]: read the set's edge buckets into a sampling subgraph
+//! (`read_context`), read the partitions the buffer misses
+//! (`read_partitions`), swap them in
+//! ([`PartitionBuffer::install_set`]), write the evicted dirty partitions back
+//! ([`marius_storage::WritebackLedger::write_back`]), then build and train the
+//! step's batches. Each of those stage bodies is written once.
+//! [`Pipeline::run_epoch`] runs them in one of two schedules:
+//!
+//! * **in order** ([`PipelineConfig::enabled`]` = false`) — step after step
+//!   on the calling thread, so epoch time is `IO + sample + compute`. This
+//!   schedule is the determinism oracle for the threaded one;
+//! * **threaded** (`enabled = true`) — the bodies on the stages below, which
+//!   overlap across steps so the wall time approaches
+//!   `max(IO, sample, compute)`, the paper's core systems claim:
 //!
 //! ```text
 //!             EpochPlan (replacement policy: COMET / BETA / node-cache)
 //!                 │ steps S₁ … Sₙ
 //!                 ▼
-//!  ┌──────────────────────────┐   StepIn (partitions + bucket edges
-//!  │ Stage 1: prefetcher      │   + subgraph + candidates)
+//!  ┌──────────────────────────┐   StepContext (subgraph
+//!  │ Stage 1: prefetcher      │   + candidates)
 //!  │ (1 thread)               ├──────────────┐  bounded, depth =
 //!  │ reads PartitionStore     │              │  `prefetch_depth`
 //!  │ ahead of the consumer    │              ▼
@@ -65,16 +74,16 @@
 //! across batch-builder workers (step `s` is owned by worker `s % W`), each
 //! worker preserves within-step batch order, and the consumer drains worker
 //! queues in step order — so batches reach the model in exactly the
-//! deterministic `(step, batch)` order of the sequential trainer.
+//! deterministic `(step, batch)` order of the in-order schedule.
 //!
 //! # Determinism
 //!
 //! All randomness consumed inside the pipeline (shuffling, negative sampling,
 //! DENSE multi-hop sampling) is drawn from per-step RNGs seeded with
-//! [`step_seed`]`(epoch_seed, step)`. The sequential fallback in `marius-core`
-//! uses the same derivation, so for any worker count a pipelined epoch
-//! reproduces the sequential loss trajectory bit-for-bit — the sequential path
-//! is the determinism oracle for this crate.
+//! [`step_seed`]`(epoch_seed, step)`, on either schedule, and both run the
+//! same stage bodies, so for any worker count a threaded epoch reproduces the
+//! in-order one's batches, updates and loss trajectory bit-for-bit — the
+//! in-order schedule is the determinism oracle for the threaded one.
 //!
 //! # Write-back correctness
 //!
@@ -87,9 +96,11 @@
 //! ledger empty. Edge-bucket files are immutable during an epoch and are
 //! prefetched without synchronisation.
 
-use marius_graph::{Edge, InMemorySubgraph, NodeId, PartitionId};
-use marius_storage::{EvictedPartition, PartitionBuffer, Result, StorageError};
-use marius_telemetry::{Histogram, Telemetry, NO_LABEL};
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use marius_graph::{Edge, InMemorySubgraph, NodeId, PartitionAssignment, PartitionId};
+use marius_storage::{EvictedPartition, PartitionBuffer, PartitionStore, Result, StorageError};
+use marius_telemetry::{Histogram, SpanScope, Telemetry, NO_LABEL};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
@@ -103,8 +114,8 @@ pub use marius_storage::EpochPlan;
 /// Configuration of the staged training runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// Whether the pipelined runtime is used at all; `false` selects the
-    /// sequential fallback path in the trainers (the determinism oracle).
+    /// Whether the step's stage bodies run on stage threads; `false` runs
+    /// them in order on the calling thread (the determinism oracle).
     pub enabled: bool,
     /// Number of stage-2 batch-construction worker threads.
     pub num_sampling_workers: usize,
@@ -122,7 +133,7 @@ pub struct PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// A disabled configuration (sequential fallback).
+    /// A disabled configuration (the in-order schedule).
     pub fn disabled() -> Self {
         PipelineConfig {
             enabled: false,
@@ -251,8 +262,8 @@ impl From<PipelineError> for StorageError {
 }
 
 /// Derives the RNG seed for one plan step of one epoch (SplitMix64 over the
-/// epoch seed and step index). Shared by the pipelined runtime and the
-/// sequential fallback so both consume randomness identically.
+/// epoch seed and step index). Shared by both schedules so they consume
+/// randomness identically.
 pub fn step_seed(epoch_seed: u64, step: u64) -> u64 {
     let mut z = epoch_seed
         .wrapping_add(0x9E37_79B9_7F4A_7C15)
@@ -263,31 +274,73 @@ pub fn step_seed(epoch_seed: u64, step: u64) -> u64 {
 }
 
 /// Everything a batch-construction worker (and the consumer) needs to know
-/// about one plan step, assembled by the prefetcher.
+/// about one plan step, built by `read_context`.
 pub struct StepContext {
     /// Step index within the epoch plan.
     pub step: usize,
     /// Physical partitions resident during this step, in plan order.
     pub set: Vec<PartitionId>,
-    /// Node ids of the resident partitions in ascending-partition order —
-    /// identical to `PartitionBuffer::resident_nodes` after the swap, so
-    /// negative sampling draws from the same candidate list as the sequential
-    /// path.
+    /// Node ids of the step's partitions in ascending-partition order: the
+    /// candidate list negative sampling draws from.
     pub candidates: Vec<NodeId>,
-    /// The in-memory subgraph over the step's edge buckets (read in the same
-    /// `set × set` order the sequential `load_set` uses).
-    pub subgraph: Arc<InMemorySubgraph>,
+    /// The in-memory subgraph over the step's edge buckets, read in
+    /// `set × set` order.
+    pub subgraph: InMemorySubgraph,
 }
 
-/// Payload flowing from the context prefetcher to a worker.
-struct StepIn {
-    ctx: Arc<StepContext>,
-    /// Concatenated bucket edges, handed to the buffer on install.
-    edges: Vec<Edge>,
+/// Stage body 1: reads step `step`'s context — the edge buckets between the
+/// partitions of `set`, in `set × set` order, built into the sampling
+/// subgraph, and the candidate nodes of `set` in ascending-partition order.
+/// Bucket files are immutable during an epoch, so this may run arbitrarily
+/// far ahead of the step's swap.
+fn read_context(
+    store: &PartitionStore,
+    assignment: &PartitionAssignment,
+    step: usize,
+    set: &[PartitionId],
+) -> Result<StepContext> {
+    let mut edges: Vec<Edge> = Vec::new();
+    for &i in set {
+        for &j in set {
+            edges.extend_from_slice(&store.read_bucket(i, j)?);
+        }
+    }
+    let mut sorted_set = set.to_vec();
+    sorted_set.sort_unstable();
+    let mut candidates = Vec::new();
+    for &p in &sorted_set {
+        candidates.extend_from_slice(assignment.nodes_in(p));
+    }
+    Ok(StepContext {
+        step,
+        set: set.to_vec(),
+        candidates,
+        subgraph: InMemorySubgraph::from_edges(&edges),
+    })
 }
 
 /// One newly read partition: `(id, embedding values, optimizer state)`.
 type PartitionPayload = (PartitionId, Vec<f32>, Vec<f32>);
+
+/// Stage body 2: reads the partitions `loads` that step `step` must install
+/// (the ones `plan_step_io` lists as missing), one
+/// `partition-prefetch.read` span each.
+fn read_partitions(
+    store: &PartitionStore,
+    loads: &[PartitionId],
+    span: &mut SpanScope,
+    step: usize,
+) -> Result<Vec<PartitionPayload>> {
+    let mut new_parts = Vec::with_capacity(loads.len());
+    for &p in loads {
+        span.begin("partition-prefetch.read", step as i64, i64::from(p));
+        let read = store.read_partition(p);
+        span.end();
+        let (values, state) = read?;
+        new_parts.push((p, values, state));
+    }
+    Ok(new_parts)
+}
 
 /// The partitions to install for one step — the ones not resident when the
 /// step begins. Flows from the partition prefetcher straight to the consumer,
@@ -296,13 +349,10 @@ type StepParts = (usize, Vec<PartitionPayload>);
 
 /// Items flowing from a worker to the consumer.
 enum StepOut<B> {
-    /// Step boundary: the consumer swaps the buffer to `ctx.set` using the
-    /// separately prefetched partition payload (no disk reads on the critical
-    /// path).
-    Begin {
-        ctx: Arc<StepContext>,
-        edges: Vec<Edge>,
-    },
+    /// Step boundary: the consumer swaps the buffer to the context's set
+    /// using the separately prefetched partition payload (no disk reads on
+    /// the critical path).
+    Begin(Arc<StepContext>),
     /// One constructed training batch.
     Batch(B),
     /// The step produced all of its batches.
@@ -502,7 +552,9 @@ fn nanos(cell: &AtomicU64) -> Duration {
 /// upper bounds, wide enough for any practical `queue_depth` configuration.
 const QUEUE_DEPTH_BOUNDS: &[u64] = &[0, 1, 2, 4, 8, 16, 32, 64];
 
-/// Per-stage occupancy and stall counters for one pipelined epoch.
+/// Per-stage occupancy and stall counters for one epoch. The in-order
+/// schedule overlaps nothing and sets only the counts and `wall_time`; its
+/// busy and stall times stay zero.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineReport {
     /// Plan steps executed.
@@ -587,6 +639,44 @@ fn plan_step_io(plan: &EpochPlan, initial_resident: &[PartitionId]) -> StepIoPla
     StepIoPlan { loads, read_after }
 }
 
+/// The in-order schedule: each step's stage bodies back to back on the
+/// calling thread — read the context, read the missing partitions, install
+/// them, write the evictions back — then the step's batches, built with the
+/// step's RNG and applied as they are made.
+fn run_in_order<B, MB, CB>(
+    plan: &EpochPlan,
+    buffer: &mut PartitionBuffer,
+    epoch_seed: u64,
+    make_batches: MB,
+    mut consume: CB,
+) -> Result<PipelineReport>
+where
+    MB: Fn(&StepContext, &mut StdRng, &mut dyn FnMut(B)),
+    CB: FnMut(&mut PartitionBuffer, &StepContext, B),
+{
+    let io_plan = plan_step_io(plan, &buffer.resident_partitions());
+    let store = buffer.store().clone();
+    let ledger = buffer.writeback_ledger();
+    let mut no_spans = Telemetry::disabled().scope("");
+    let mut report = PipelineReport::default();
+    for (s, set) in plan.partition_sets.iter().enumerate() {
+        let ctx = read_context(&store, buffer.assignment(), s, set)?;
+        let new_parts = read_partitions(&store, &io_plan.loads[s], &mut no_spans, s)?;
+        report.partition_loads += new_parts.len();
+        let evicted = buffer.install_set(set, new_parts)?;
+        report.partitions_written_back +=
+            ledger.write_back(&store, &evicted, &mut no_spans, s as i64)?;
+        // The detached generation is on disk: free it before training.
+        drop(evicted);
+        let mut rng = StdRng::seed_from_u64(step_seed(epoch_seed, s as u64));
+        make_batches(&ctx, &mut rng, &mut |batch| {
+            report.batches += 1;
+            consume(buffer, &ctx, batch);
+        });
+    }
+    Ok(report)
+}
+
 /// The staged training runtime. See the crate docs for the stage diagram.
 pub struct Pipeline {
     config: PipelineConfig,
@@ -617,21 +707,60 @@ impl Pipeline {
         &self.config
     }
 
-    /// Runs one training epoch over `plan`, overlapping partition prefetch,
-    /// batch construction, and compute.
+    /// Runs one training epoch over `plan`.
     ///
-    /// * `buffer` — the partition buffer; its store is read by the prefetcher
-    ///   and its resident set is swapped by the consumer as steps complete.
+    /// Every step runs the same four stage bodies — `read_context`,
+    /// `read_partitions` of the partitions the step misses,
+    /// [`PartitionBuffer::install_set`], and
+    /// [`marius_storage::WritebackLedger::write_back`] of the evictions — then
+    /// builds its batches and applies them. With [`PipelineConfig::enabled`]
+    /// the bodies run on the stage threads of the crate docs and overlap
+    /// across steps. Without it they run in step order on the calling thread:
+    /// no threads, no stage spans, no `pipeline.*` counters, no busy or stall
+    /// time, and errors surface as the store raised them. Both schedules feed
+    /// `consume` the same batches in the same order, so the in-order one is
+    /// the threaded one's determinism oracle.
+    ///
+    /// * `buffer` — the partition buffer; its store is read by the stage
+    ///   bodies and its resident set is swapped as steps begin.
     /// * `epoch_seed` — all in-epoch randomness derives from
     ///   [`step_seed`]`(epoch_seed, step)`, making the epoch reproducible for
-    ///   any worker count.
-    /// * `make_batches` — stage-2 body: builds one step's training batches,
-    ///   handing each to the sink (which blocks under back-pressure). Runs on
-    ///   worker threads, once per step.
-    /// * `consume` — stage-3 body: applies one batch to the model. Runs on the
-    ///   calling thread, after the step's partitions are installed in
-    ///   `buffer`.
+    ///   either schedule and any worker count.
+    /// * `make_batches` — builds one step's training batches, handing each
+    ///   to the sink (which blocks under back-pressure). Runs once per step,
+    ///   on worker threads when threaded.
+    /// * `consume` — applies one batch to the model. Runs on the calling
+    ///   thread, after the step's partitions are installed in `buffer`.
     pub fn run_epoch<B, MB, CB>(
+        &self,
+        plan: &EpochPlan,
+        buffer: &mut PartitionBuffer,
+        epoch_seed: u64,
+        make_batches: MB,
+        consume: CB,
+    ) -> Result<PipelineReport>
+    where
+        B: Send,
+        MB: Fn(&StepContext, &mut StdRng, &mut dyn FnMut(B)) + Sync,
+        CB: FnMut(&mut PartitionBuffer, &StepContext, B),
+    {
+        let epoch_start = Instant::now();
+        let mut report = if self.config.enabled && !plan.partition_sets.is_empty() {
+            self.run_threaded(plan, buffer, epoch_seed, make_batches, consume)?
+        } else {
+            run_in_order(plan, buffer, epoch_seed, make_batches, consume)?
+        };
+        report.steps = plan.partition_sets.len();
+        report.wall_time = epoch_start.elapsed();
+        if self.config.enabled {
+            self.mirror_report(&report);
+        }
+        Ok(report)
+    }
+
+    /// The threaded schedule: the stage bodies on the stage threads of the
+    /// crate docs, under their supervision.
+    fn run_threaded<B, MB, CB>(
         &self,
         plan: &EpochPlan,
         buffer: &mut PartitionBuffer,
@@ -644,17 +773,8 @@ impl Pipeline {
         MB: Fn(&StepContext, &mut StdRng, &mut dyn FnMut(B)) + Sync,
         CB: FnMut(&mut PartitionBuffer, &StepContext, B),
     {
-        let epoch_start = Instant::now();
         let num_steps = plan.partition_sets.len();
-        let mut report = PipelineReport {
-            steps: num_steps,
-            ..PipelineReport::default()
-        };
-        if num_steps == 0 {
-            report.wall_time = epoch_start.elapsed();
-            self.mirror_report(&report);
-            return Ok(report);
-        }
+        let mut report = PipelineReport::default();
 
         let workers = self.config.num_sampling_workers.max(1);
         let io_plan = plan_step_io(plan, &buffer.resident_partitions());
@@ -666,7 +786,7 @@ impl Pipeline {
         // step (and batch) queues share one histogram by name, so the export
         // shows the stage edge, not the individual worker lane.
         let qd = |name: &str| telemetry.histogram(name, QUEUE_DEPTH_BOUNDS);
-        let step_queues: Vec<BoundedQueue<StepIn>> = (0..workers)
+        let step_queues: Vec<BoundedQueue<Arc<StepContext>>> = (0..workers)
             .map(|_| {
                 BoundedQueue::with_depth(
                     self.config.prefetch_depth,
@@ -708,7 +828,7 @@ impl Pipeline {
             let record_failure = &record_failure;
             // ---- Stage 1a: the context prefetcher thread. ----------------
             // Bucket files are immutable during the epoch, so step contexts
-            // (edges, subgraph, candidates) can be read arbitrarily far ahead
+            // (subgraph, candidates) can be read arbitrarily far ahead
             // of the consumer — this is what lets stage-2 workers start
             // sampling future steps while earlier steps still compute.
             let ctx_handle = {
@@ -728,37 +848,11 @@ impl Pipeline {
                             }
                             span.begin("context-prefetch.step", s as i64, NO_LABEL);
                             let busy_start = Instant::now();
-                            let step_in = (|| -> Result<StepIn> {
-                                // Read the buckets in the same set × set order
-                                // `load_set` uses so the subgraph (and therefore
-                                // sampling) is identical to the sequential path's.
-                                let mut edges: Vec<Edge> = Vec::new();
-                                for &i in set {
-                                    for &j in set {
-                                        edges.extend_from_slice(&store.read_bucket(i, j)?);
-                                    }
-                                }
-                                let subgraph = Arc::new(InMemorySubgraph::from_edges(&edges));
-                                let mut sorted_set = set.clone();
-                                sorted_set.sort_unstable();
-                                let mut candidates = Vec::new();
-                                for &p in &sorted_set {
-                                    candidates.extend_from_slice(assignment.nodes_in(p));
-                                }
-                                Ok(StepIn {
-                                    ctx: Arc::new(StepContext {
-                                        step: s,
-                                        set: set.clone(),
-                                        candidates,
-                                        subgraph,
-                                    }),
-                                    edges,
-                                })
-                            })();
+                            let ctx = read_context(store, assignment, s, set);
                             add_nanos(&clocks.prefetch_busy, busy_start.elapsed());
                             span.end();
-                            match step_in {
-                                Ok(item) => match step_queues[s % workers].push(item) {
+                            match ctx {
+                                Ok(ctx) => match step_queues[s % workers].push(Arc::new(ctx)) {
                                     Some(waited) => add_nanos(&clocks.prefetch_stall, waited),
                                     None => break 'steps, // closed: epoch aborted
                                 },
@@ -822,17 +916,7 @@ impl Pipeline {
                             }
                             span.begin("partition-prefetch.step", s as i64, NO_LABEL);
                             let busy_start = Instant::now();
-                            let parts = (|| -> Result<Vec<PartitionPayload>> {
-                                let mut new_parts = Vec::with_capacity(io_plan.loads[s].len());
-                                for &p in &io_plan.loads[s] {
-                                    span.begin("partition-prefetch.read", s as i64, p as i64);
-                                    let read = store.read_partition(p);
-                                    span.end();
-                                    let (values, state) = read?;
-                                    new_parts.push((p, values, state));
-                                }
-                                Ok(new_parts)
-                            })();
+                            let parts = read_partitions(store, &io_plan.loads[s], span, s);
                             add_nanos(&clocks.prefetch_busy, busy_start.elapsed());
                             span.end();
                             let failed = parts.is_err();
@@ -876,8 +960,7 @@ impl Pipeline {
                 scope.spawn(move || -> Result<()> {
                     let mut span = telemetry.scope("writeback-drain");
                     let span = &mut span;
-                    let body = || -> Option<StorageError> {
-                        let mut first_err: Option<StorageError> = None;
+                    let body = || -> Result<()> {
                         while let Some(((step, evicted), waited)) = wb_queue.pop() {
                             add_nanos(&clocks.writeback_stall, waited);
                             // The payload is queued by the consumer after its swap
@@ -887,54 +970,44 @@ impl Pipeline {
                             clock.swap.wait_for(step as i64, &clock.abort);
                             span.begin("writeback.step", step as i64, NO_LABEL);
                             let busy_start = Instant::now();
-                            for part in &evicted {
-                                if first_err.is_none() {
-                                    span.begin("writeback.write", step as i64, part.id as i64);
-                                    match store.write_partition(part.id, &part.values, &part.state)
-                                    {
-                                        Ok(()) => {
-                                            clocks.writeback_parts.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                        Err(e) => {
-                                            first_err = Some(e);
-                                            clock.abort();
-                                        }
-                                    }
-                                    span.end();
-                                }
-                                ledger.mark_drained(part.id);
-                            }
+                            let written = ledger.write_back(store, &evicted, span, step as i64);
                             add_nanos(&clocks.writeback_busy, busy_start.elapsed());
                             span.end();
                             clock.writeback.publish(step as i64);
+                            clocks
+                                .writeback_parts
+                                .fetch_add(written? as u64, Ordering::Relaxed);
                         }
-                        first_err
+                        Ok(())
                     };
-                    match catch_unwind(AssertUnwindSafe(body)) {
-                        Ok(None) => Ok(()),
-                        Ok(Some(e)) => Err(PipelineError::wrap("writeback-drain", e)),
+                    let outcome = match catch_unwind(AssertUnwindSafe(body)) {
+                        Ok(Ok(())) => return Ok(()),
+                        Ok(Err(e)) => {
+                            clock.abort();
+                            Err(PipelineError::wrap("writeback-drain", e))
+                        }
                         Err(payload) => {
                             record_failure(PipelineError::panicked(
                                 "writeback-drain",
                                 payload.as_ref(),
                             ));
-                            // The drain can no longer deliver its detached
-                            // payloads. Keep the lane live in degraded mode:
-                            // pop what remains, marking it drained and
-                            // advancing the watermark so no peer blocks
-                            // forever, then abandon anything still pending
-                            // (the run has failed; those bytes are recovered
-                            // from the last checkpoint, not this epoch).
-                            while let Some(((step, evicted), _)) = wb_queue.pop() {
-                                for part in &evicted {
-                                    ledger.mark_drained(part.id);
-                                }
-                                clock.writeback.publish(step as i64);
-                            }
-                            ledger.abandon_pending();
                             Ok(())
                         }
+                    };
+                    // The drain can no longer deliver its detached payloads.
+                    // Keep the lane live in degraded mode: pop what remains,
+                    // marking it drained and advancing the watermark so no
+                    // peer blocks forever, then abandon anything still
+                    // pending (the run has failed; those bytes are recovered
+                    // from the last checkpoint, not this epoch).
+                    while let Some(((step, evicted), _)) = wb_queue.pop() {
+                        for part in &evicted {
+                            ledger.mark_drained(part.id);
+                        }
+                        clock.writeback.publish(step as i64);
                     }
+                    ledger.abandon_pending();
+                    outcome
                 })
             };
 
@@ -950,15 +1023,11 @@ impl Pipeline {
                     let mut span = telemetry.scope(&worker_label);
                     let span = &mut span;
                     let body = || {
-                        while let Some((step_in, waited)) = in_q.pop() {
+                        while let Some((ctx, waited)) = in_q.pop() {
                             add_nanos(&clocks.sample_stall, waited);
-                            let StepIn { ctx, edges } = step_in;
                             // Publish the step boundary immediately so the consumer
                             // can swap the buffer while this worker still samples.
-                            match out_q.push(StepOut::Begin {
-                                ctx: Arc::clone(&ctx),
-                                edges,
-                            }) {
+                            match out_q.push(StepOut::Begin(Arc::clone(&ctx))) {
                                 Some(waited) => add_nanos(&clocks.sample_stall, waited),
                                 None => return,
                             }
@@ -1014,7 +1083,7 @@ impl Pipeline {
                         report.compute_stall += waited;
                         let busy_start = Instant::now();
                         match item {
-                            StepOut::Begin { ctx, edges } => {
+                            StepOut::Begin(ctx) => {
                                 let Some((parts, parts_wait)) = parts_queue.pop() else {
                                     return Err(StorageError::InvalidPlan {
                                         reason: format!("partition prefetch ended before step {s}"),
@@ -1027,12 +1096,7 @@ impl Pipeline {
                                 compute_span.begin("compute.step", s as i64, NO_LABEL);
                                 compute_span.begin("compute.install", s as i64, NO_LABEL);
                                 let install_start = Instant::now();
-                                let (_installs, evicted) = buffer.install_set_deferred(
-                                    &ctx.set,
-                                    new_parts,
-                                    edges,
-                                    Arc::clone(&ctx.subgraph),
-                                )?;
+                                let evicted = buffer.install_set(&ctx.set, new_parts)?;
                                 clock.swap.publish(s as i64);
                                 cur_ctx = Some(ctx);
                                 report.compute_busy += install_start.elapsed();
@@ -1144,8 +1208,6 @@ impl Pipeline {
         report.writeback_busy = nanos(&clocks.writeback_busy);
         report.writeback_stall = nanos(&clocks.writeback_stall);
         report.partitions_written_back = clocks.writeback_parts.load(Ordering::Relaxed) as usize;
-        report.wall_time = epoch_start.elapsed();
-        self.mirror_report(&report);
         Ok(report)
     }
 
@@ -1345,12 +1407,14 @@ mod tests {
 
     #[test]
     fn deterministic_across_worker_counts() {
-        let run = |workers: usize| -> Vec<u64> {
-            let mut buffer = build_buffer(&format!("pipe-det-{workers}"), 50, 5, 2);
+        // (batch stream, partition loads, partition files after flush)
+        let run = |label: &str, config: PipelineConfig| {
+            let mut buffer = build_buffer(&format!("pipe-det-{label}"), 50, 5, 2);
             let plan = pair_plan(5, 2, 21);
-            let pipeline = Pipeline::new(PipelineConfig::with_workers(workers));
+            let assignment = buffer.assignment().clone();
+            let pipeline = Pipeline::new(config);
             let out = Mutex::new(Vec::new());
-            pipeline
+            let report = pipeline
                 .run_epoch(
                     &plan,
                     &mut buffer,
@@ -1360,15 +1424,78 @@ mod tests {
                             sink(((ctx.step as u64) << 32) | (rng.gen::<u64>() >> 32));
                         }
                     },
-                    |_buffer, _ctx, v| out.lock().unwrap().push(v),
+                    |buffer, ctx, v| {
+                        // An update that depends on the batch, so the files
+                        // record the order batches were applied in.
+                        let node = assignment.nodes_in(ctx.set[0])[0];
+                        let grad = marius_tensor::Tensor::full(1, 4, (v % 97) as f32 * 0.01);
+                        buffer.apply_update(&[node], &grad).unwrap();
+                        out.lock().unwrap().push(v);
+                    },
                 )
                 .unwrap();
-            out.into_inner().unwrap()
+            buffer.flush().unwrap();
+            let root = buffer.store().root();
+            let files: Vec<Vec<u8>> = (0..5)
+                .map(|p| std::fs::read(root.join(format!("node_partition_{p}.bin"))).unwrap())
+                .collect();
+            (out.into_inner().unwrap(), report.partition_loads, files)
         };
-        let one = run(1);
-        let four = run(4);
-        assert_eq!(one, four);
-        assert_eq!(one.len(), 3 * pair_plan(5, 2, 21).partition_sets.len());
+        let in_order = run("in-order", PipelineConfig::disabled());
+        let one = run("1", PipelineConfig::with_workers(1));
+        let four = run("4", PipelineConfig::with_workers(4));
+        assert_eq!(
+            in_order.0.len(),
+            3 * pair_plan(5, 2, 21).partition_sets.len()
+        );
+        assert_eq!(in_order.1, pair_plan(5, 2, 21).partition_loads());
+        for (label, threaded) in [("1 worker", one), ("4 workers", four)] {
+            assert_eq!(threaded.0, in_order.0, "{label}: batch stream");
+            assert_eq!(threaded.1, in_order.1, "{label}: partition loads");
+            assert!(threaded.2 == in_order.2, "{label}: partition files differ");
+        }
+    }
+
+    #[test]
+    fn read_context_reads_the_sets_buckets_and_candidates() {
+        let buffer = build_buffer("pipe-context", 40, 4, 2);
+        let (store, assignment) = (buffer.store(), buffer.assignment());
+        let ctx = read_context(store, assignment, 3, &[2, 0]).unwrap();
+        assert_eq!((ctx.step, ctx.set.clone()), (3, vec![2, 0]));
+        // The subgraph holds exactly the four buckets between 0 and 2.
+        let expected: usize = [(2u32, 2u32), (2, 0), (0, 2), (0, 0)]
+            .iter()
+            .map(|&(i, j)| store.read_bucket(i, j).unwrap().len())
+            .sum();
+        assert!(expected > 0);
+        assert_eq!(ctx.subgraph.num_edges(), expected);
+        // Candidates: every node of the set, in ascending-partition order.
+        let mut candidates = assignment.nodes_in(0).to_vec();
+        candidates.extend_from_slice(assignment.nodes_in(2));
+        assert_eq!(ctx.candidates, candidates);
+    }
+
+    #[test]
+    fn in_order_schedule_records_no_pipeline_telemetry() {
+        let telemetry = Telemetry::enabled();
+        let mut buffer = build_buffer("pipe-in-order-telemetry", 40, 4, 2);
+        let plan = pair_plan(4, 2, 13);
+        let pipeline = Pipeline::new(PipelineConfig::disabled()).with_telemetry(&telemetry);
+        let report = pipeline
+            .run_epoch(
+                &plan,
+                &mut buffer,
+                5,
+                |ctx, _rng, sink| sink(ctx.step),
+                |_buffer, _ctx, _step: usize| {},
+            )
+            .unwrap();
+        assert_eq!(report.batches, plan.partition_sets.len());
+        assert_eq!(report.partition_loads, plan.partition_loads());
+        assert_eq!(report.overlap_ratio(), 0.0);
+        assert!(telemetry.span_events().is_empty());
+        let snap = telemetry.metrics_snapshot();
+        assert_eq!(snap.counter("pipeline.steps"), None);
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Integration tests for the asynchronous write-back drain (stage 4).
+//! Integration tests for the write-back of detached evictions, under both
+//! schedules of the step.
 //!
 //! Both tests run against an *emulated slow device* so the window between a
 //! dirty eviction being detached and its bytes landing on disk is wide —
-//! without the split `swap` / `writeback` watermarks, the prefetcher's
-//! re-read of an evicted partition would race (and lose to) the drain and
-//! observe stale bytes.
+//! without the split `swap` / `writeback` watermarks, the threaded
+//! prefetcher's re-read of an evicted partition would race (and lose to) the
+//! drain and observe stale bytes.
 
 use marius_graph::{Edge, EdgeList, NodeId, Partitioner};
 use marius_pipeline::{EpochPlan, Pipeline, PipelineConfig};
@@ -44,12 +45,27 @@ fn slow_buffer(label: &str) -> PartitionBuffer {
     buffer
 }
 
+/// Both schedules: threaded (whose write-back runs on the drain thread) and
+/// in order.
+fn schedules() -> [(&'static str, PipelineConfig); 2] {
+    [
+        ("threaded", PipelineConfig::with_workers(2)),
+        ("in-order", PipelineConfig::disabled()),
+    ]
+}
+
 /// A partition evicted dirty at step 1 and re-read at step 2 must observe the
 /// drained bytes: the prefetcher's re-read has to wait for the write-back
 /// watermark, not just the swap.
 #[test]
 fn reread_after_dirty_eviction_observes_drained_bytes() {
-    let mut buffer = slow_buffer("wb-order");
+    for (label, config) in schedules() {
+        reread_observes_drained_bytes(label, config);
+    }
+}
+
+fn reread_observes_drained_bytes(label: &str, config: PipelineConfig) {
+    let mut buffer = slow_buffer(&format!("wb-order-{label}"));
     let node: NodeId = buffer.assignment().nodes_in(0)[0];
     // Step 0 trains {0, 1} and dirties partition 0; step 1 swaps to {2, 3}
     // (evicting 0 dirty); step 2 re-reads {0, 1}.
@@ -57,7 +73,7 @@ fn reread_after_dirty_eviction_observes_drained_bytes() {
         partition_sets: vec![vec![0, 1], vec![2, 3], vec![0, 1]],
         bucket_assignment: vec![vec![], vec![], vec![]],
     };
-    let pipeline = Pipeline::new(PipelineConfig::with_workers(2));
+    let pipeline = Pipeline::new(config.clone());
     let mut expected: Option<Tensor> = None;
     let mut checked = false;
     let report = pipeline
@@ -86,10 +102,13 @@ fn reread_after_dirty_eviction_observes_drained_bytes() {
             },
         )
         .expect("epoch");
-    assert!(checked, "step 2 never consumed a batch");
-    // The dirty eviction of partition 0 really was drained asynchronously.
-    assert!(report.partitions_written_back >= 1);
-    assert!(report.writeback_busy > std::time::Duration::ZERO);
+    assert!(checked, "{label}: step 2 never consumed a batch");
+    assert!(report.partitions_written_back >= 1, "{label}");
+    if config.enabled {
+        // The dirty eviction of partition 0 really was drained
+        // asynchronously.
+        assert!(report.writeback_busy > std::time::Duration::ZERO);
+    }
     assert_eq!(buffer.writeback_ledger().pending_count(), 0);
     // Nothing is pending, so flush returns without re-writing partition 0.
     buffer.flush().unwrap();
@@ -100,7 +119,13 @@ fn reread_after_dirty_eviction_observes_drained_bytes() {
 /// torn) and detached updates reach disk.
 #[test]
 fn abort_mid_drain_leaves_no_torn_partition_files() {
-    let mut buffer = slow_buffer("wb-abort");
+    for (label, config) in schedules() {
+        abort_leaves_no_torn_files(label, config);
+    }
+}
+
+fn abort_leaves_no_torn_files(label: &str, config: PipelineConfig) {
+    let mut buffer = slow_buffer(&format!("wb-abort-{label}"));
     let node: NodeId = buffer.assignment().nodes_in(0)[0];
     let expected_state_offset = buffer
         .assignment()
@@ -115,7 +140,7 @@ fn abort_mid_drain_leaves_no_torn_partition_files() {
         partition_sets: vec![vec![0, 1], vec![2, 3], vec![0, 1, 2]],
         bucket_assignment: vec![vec![], vec![], vec![]],
     };
-    let pipeline = Pipeline::new(PipelineConfig::with_workers(2));
+    let pipeline = Pipeline::new(config);
     let err = pipeline
         .run_epoch(
             &plan,
@@ -133,7 +158,7 @@ fn abort_mid_drain_leaves_no_torn_partition_files() {
             },
         )
         .expect_err("step 2 exceeds the buffer capacity");
-    assert!(format!("{err}").contains("capacity"));
+    assert!(format!("{err}").contains("capacity"), "{label}: {err}");
     // The abort drained the queue: nothing is pending and every partition
     // file is whole and readable through an unthrottled twin store.
     assert_eq!(buffer.writeback_ledger().pending_count(), 0);

@@ -1,28 +1,23 @@
 //! The partition buffer: the CPU-resident working set of out-of-core training.
 //!
 //! The buffer holds up to `c` physical node partitions (embedding rows plus
-//! optimizer state) and the edge buckets between them. The trainer asks it to
-//! load each `Sᵢ` of an [`crate::policy::EpochPlan`] in turn; the buffer writes
-//! evicted partitions back to the [`PartitionStore`], reads the new ones, and
-//! rebuilds the dual-sorted in-memory subgraph used for neighbourhood sampling
-//! (paper §4.1). Embedding gathers and sparse Adagrad write-backs (Figure 2 steps
-//! 5–6) are served directly from the resident partitions.
+//! optimizer state) and serves embedding gathers and sparse Adagrad
+//! write-backs (Figure 2 steps 5–6) directly from them. It holds no edges:
+//! the edge buckets of a partition set and the sampling subgraph built from
+//! them belong to the step that trains on that set (`marius-pipeline`'s step
+//! context), not to the buffer.
 //!
-//! Two entry points swap the working set:
-//!
-//! * [`PartitionBuffer::load_set`] — the synchronous path: evicts (writing
-//!   dirty partitions back inline), then reads partitions and edge buckets
-//!   from disk on the calling thread.
-//! * [`PartitionBuffer::install_set_deferred`] — the asynchronous path used
-//!   by `marius-pipeline`: the prefetcher thread has already read the
-//!   partition and bucket files, so the swap only moves them into place, and
-//!   dirty evictions are *detached* as owned [`EvictedPartition`] payloads
-//!   instead of being written inline, so the caller can hand them to a
-//!   write-back drain thread while the next step computes — no disk IO on
-//!   the compute thread. The shared [`WritebackLedger`] tracks which partitions have
-//!   detached contents in flight; [`PartitionBuffer::flush`] waits for the
-//!   ledger to drain before touching the same files, and installs reject a
-//!   partition whose write-back is still pending (its disk bytes are stale).
+//! The working set changes in one way, [`PartitionBuffer::install_set`]: the
+//! caller has already read the set's missing partitions from the
+//! [`PartitionStore`], the swap moves them into place, and evicted dirty
+//! partitions are *detached* as owned [`EvictedPartition`] payloads instead
+//! of being written inline. The caller writes them back with
+//! [`WritebackLedger::write_back`] — on a drain thread while the next step
+//! computes, or right after the swap when steps run in order. The shared
+//! [`WritebackLedger`] tracks which partitions have detached contents in
+//! flight; [`PartitionBuffer::flush`] waits for the ledger to drain before
+//! touching the same files, and installs reject a partition whose write-back
+//! is still pending (its disk bytes are stale).
 //!
 //! The buffer itself stays single-threaded (`&mut self` swaps and updates);
 //! cross-thread sharing happens through the [`PartitionStore`], which is
@@ -32,8 +27,8 @@
 
 use crate::disk::PartitionStore;
 use crate::{Result, StorageError};
-use marius_graph::{Edge, InMemorySubgraph, NodeId, PartitionAssignment, PartitionId};
-use marius_telemetry::{Counter, Histogram, Telemetry};
+use marius_graph::{NodeId, PartitionAssignment, PartitionId};
+use marius_telemetry::{Counter, Histogram, SpanScope, Telemetry, NO_LABEL};
 use marius_tensor::Tensor;
 use rand::Rng;
 use std::collections::{HashMap, HashSet};
@@ -55,8 +50,8 @@ struct ResidentPartition {
 /// A dirty partition detached from the buffer on eviction: the owned value and
 /// state buffers form a second, off-buffer generation of the partition that
 /// must reach the [`PartitionStore`] before the partition's file may be read
-/// again. Produced by [`PartitionBuffer::install_set_deferred`] and drained by
-/// the pipeline's write-back thread.
+/// again. Produced by [`PartitionBuffer::install_set`] and written back by
+/// [`WritebackLedger::write_back`].
 #[derive(Debug)]
 pub struct EvictedPartition {
     /// The detached partition's id.
@@ -131,6 +126,35 @@ impl WritebackLedger {
         abandoned
     }
 
+    /// Writes detached evictions to `store`, in order, and marks each one
+    /// drained — also when its write fails or is skipped, so nothing waits on
+    /// bytes that will not land. Writing stops at the first failure, which
+    /// is returned; otherwise returns how many partitions were written. The
+    /// one write-back path: the pipeline's drain thread, its in-order
+    /// schedule and a failed install's rescue all run it. `span` records one
+    /// `writeback.write` span per write, labelled with `step`.
+    pub fn write_back(
+        &self,
+        store: &PartitionStore,
+        evicted: &[EvictedPartition],
+        span: &mut SpanScope,
+        step: i64,
+    ) -> Result<usize> {
+        let mut written = Ok(0);
+        for part in evicted {
+            if let Ok(count) = &mut written {
+                span.begin("writeback.write", step, i64::from(part.id));
+                match store.write_partition(part.id, &part.values, &part.state) {
+                    Ok(()) => *count += 1,
+                    Err(e) => written = Err(e),
+                }
+                span.end();
+            }
+            self.mark_drained(part.id);
+        }
+        written
+    }
+
     /// Blocks until every pending write-back has been marked drained.
     ///
     /// Unlike the single-operation methods above, a waiter cannot safely
@@ -152,22 +176,21 @@ impl WritebackLedger {
 
 /// Monotonic swap-activity counters of a [`PartitionBuffer`]: how many
 /// partitions of each requested set were already resident (hits), how many
-/// had to come from disk or the prefetcher (misses), and how many residents
-/// were evicted to make room. Counted on every swap path (synchronous,
-/// install, deferred); reset per epoch by the trainer via
+/// had to be read from disk (misses), and how many residents were evicted to
+/// make room. Counted on every swap; reset per epoch by the trainer via
 /// [`PartitionBuffer::reset_stats`], like the store's IO stats.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BufferStats {
     /// Requested partitions that were already resident at swap time.
     pub hits: u64,
-    /// Requested partitions that were loaded (or installed prefetched).
+    /// Requested partitions that were read from disk and installed.
     pub misses: u64,
     /// Resident partitions evicted to make room (dirty or clean).
     pub evictions: u64,
 }
 
 /// Live telemetry handles mirroring buffer swap activity under `buffer.*`
-/// names (no-ops until [`PartitionBuffer::with_telemetry`]).
+/// names (no-ops until [`PartitionBuffer::attach_telemetry`]).
 #[derive(Debug, Default)]
 struct BufferTelemetry {
     hits: Counter,
@@ -203,11 +226,6 @@ pub struct PartitionBuffer {
     /// node -> (partition, offset within partition) lookup.
     node_location: Vec<(PartitionId, u32)>,
     resident: HashMap<PartitionId, ResidentPartition>,
-    /// Edges of the currently loaded buckets.
-    in_memory_edges: Vec<Edge>,
-    /// Shared so epoch executors can snapshot it without deep-copying the
-    /// CSR structures (the pipelined path hands pre-built subgraphs in).
-    subgraph: Arc<InMemorySubgraph>,
     /// Shared with the pipeline's write-back drain: which partitions have
     /// detached (deferred-dirty) contents that are not yet on disk.
     ledger: Arc<WritebackLedger>,
@@ -241,8 +259,6 @@ impl PartitionBuffer {
             lr: 0.1,
             node_location,
             resident: HashMap::new(),
-            in_memory_edges: Vec::new(),
-            subgraph: Arc::new(InMemorySubgraph::from_edges(&[])),
             ledger: Arc::new(WritebackLedger::default()),
             stats: BufferStats::default(),
             telemetry: BufferTelemetry::default(),
@@ -253,13 +269,6 @@ impl PartitionBuffer {
     /// `buffer.evictions` counters and the `writeback.ledger_occupancy`
     /// histogram). With a disabled recorder the handles are no-ops; the plain
     /// [`BufferStats`] counters are maintained either way.
-    pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.attach_telemetry(telemetry);
-        self
-    }
-
-    /// In-place form of [`PartitionBuffer::with_telemetry`], for buffers
-    /// already embedded in a larger setup.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.telemetry = BufferTelemetry::attach(telemetry);
     }
@@ -308,7 +317,7 @@ impl PartitionBuffer {
     }
 
     /// Records one completed swap: `hits` partitions of the requested set
-    /// were already resident, `misses` came from disk or the prefetcher.
+    /// were already resident, `misses` were read from disk.
     fn note_swap(&mut self, hits: u64, misses: u64) {
         self.stats.hits += hits;
         self.stats.misses += misses;
@@ -363,86 +372,36 @@ impl PartitionBuffer {
         Ok(())
     }
 
-    /// Loads partition set `set` into the buffer: evicts (writing back) resident
-    /// partitions not in `set`, reads the new ones plus every edge bucket between
-    /// resident partitions, and rebuilds the sampling subgraph.
-    ///
-    /// Returns the number of partitions read from disk.
-    pub fn load_set(&mut self, set: &[PartitionId]) -> Result<usize> {
-        let (_wanted, evicted) = self.begin_swap(set)?;
-        self.write_evicted_inline(evicted)?;
-
-        // Load the missing partitions.
-        let mut loads = 0usize;
-        for &p in set {
-            if !self.resident.contains_key(&p) {
-                let (values, state) = self.store.read_partition(p)?;
-                self.resident.insert(
-                    p,
-                    ResidentPartition {
-                        values,
-                        state,
-                        dirty: false,
-                    },
-                );
-                loads += 1;
-            }
-        }
-
-        // (Re)load every bucket between resident partitions.
-        self.in_memory_edges.clear();
-        let mut edges: Vec<Edge> = Vec::new();
-        for &i in set {
-            for &j in set {
-                let bucket_edges = self.store.read_bucket(i, j)?;
-                edges.extend_from_slice(&bucket_edges);
-            }
-        }
-        self.in_memory_edges = edges;
-        self.subgraph = Arc::new(InMemorySubgraph::from_edges(&self.in_memory_edges));
-        self.note_swap((set.len() - loads) as u64, loads as u64);
-        Ok(loads)
-    }
-
-    /// Installs a partition set whose data was already read from disk (by the
-    /// `marius-pipeline` prefetcher): evicts resident partitions not in `set`,
-    /// moves `new_parts` into residency, and adopts the prefetched edge set
-    /// and sampling subgraph without touching the store's read path.
-    ///
-    /// `new_parts` must contain exactly the partitions of `set` that are not
-    /// currently resident; `edges`/`subgraph` must describe the buckets
-    /// between the partitions of `set` (in the same `set × set` order
-    /// [`PartitionBuffer::load_set`] reads them). Returns the number of
-    /// partitions installed and the evicted dirty partitions.
+    /// Swaps the working set to `set`: evicts resident partitions outside it
+    /// and moves `new_parts` — read from the store by the caller — into
+    /// residency. `new_parts` must hold exactly the partitions of `set` that
+    /// are not resident, none of them with a write-back still pending.
     ///
     /// Evicted dirty partitions are not written back inline but *detached*:
     /// ownership of their value/state buffers transfers to the returned
     /// [`EvictedPartition`]s (a second buffer generation kept alive off the
     /// compute path) and each is marked pending in the [`WritebackLedger`].
-    /// The caller must hand every returned payload to a drain that writes it
-    /// to the store and then calls [`WritebackLedger::mark_drained`] — until
-    /// then the partition's on-disk file holds stale bytes and must not be
-    /// read.
-    pub fn install_set_deferred(
+    /// The caller must write every returned payload back with
+    /// [`WritebackLedger::write_back`] — until then the partition's on-disk
+    /// file holds stale bytes and must not be read. When the install itself
+    /// fails, the detached evictions are written back before the error
+    /// returns, so no training update is lost on the abort path.
+    pub fn install_set(
         &mut self,
         set: &[PartitionId],
         new_parts: Vec<(PartitionId, Vec<f32>, Vec<f32>)>,
-        edges: Vec<Edge>,
-        subgraph: Arc<InMemorySubgraph>,
-    ) -> Result<(usize, Vec<EvictedPartition>)> {
+    ) -> Result<Vec<EvictedPartition>> {
         let (wanted, evicted) = self.begin_swap(set)?;
-        let installs = match self.install_new_parts(&wanted, set, new_parts, edges, subgraph) {
-            Ok(installs) => installs,
-            Err(e) => {
-                // The swap already detached this step's dirty evictions; put
-                // their bytes on disk (best effort) before surfacing the
-                // error so no training update is lost on the abort path. If
-                // the rescue write fails too, the install error stays the
-                // root cause the caller sees.
-                let _ = self.write_evicted_inline(evicted);
-                return Err(e);
-            }
-        };
+        let installs = new_parts.len();
+        if let Err(e) = self.install_new_parts(&wanted, set, new_parts) {
+            // Best effort: if the rescue write fails too, the install error
+            // stays the root cause the caller sees.
+            let mut no_spans = Telemetry::disabled().scope("");
+            let _ = self
+                .ledger
+                .write_back(&self.store, &evicted, &mut no_spans, NO_LABEL);
+            return Err(e);
+        }
         self.note_swap((set.len() - installs) as u64, installs as u64);
         for e in &evicted {
             self.ledger.mark_pending(e.id);
@@ -450,22 +409,22 @@ impl PartitionBuffer {
         self.telemetry
             .ledger_occupancy
             .record(self.ledger.pending_count() as u64);
-        Ok((installs, evicted))
+        Ok(evicted)
     }
 
+    /// Moves `new_parts` into residency, rejecting foreign, already resident
+    /// and write-back-pending partitions, and checks that all of `set` is
+    /// resident afterwards.
     fn install_new_parts(
         &mut self,
         wanted: &HashSet<PartitionId>,
         set: &[PartitionId],
         new_parts: Vec<(PartitionId, Vec<f32>, Vec<f32>)>,
-        edges: Vec<Edge>,
-        subgraph: Arc<InMemorySubgraph>,
-    ) -> Result<usize> {
-        let installs = new_parts.len();
+    ) -> Result<()> {
         for (p, values, state) in new_parts {
             if !wanted.contains(&p) {
                 return Err(StorageError::InvalidPlan {
-                    reason: format!("prefetched partition {p} is not part of the installed set"),
+                    reason: format!("read partition {p} is not part of the installed set"),
                 });
             }
             if self.resident.contains_key(&p) {
@@ -473,7 +432,7 @@ impl PartitionBuffer {
                 // data would silently lose training updates.
                 return Err(StorageError::InvalidPlan {
                     reason: format!(
-                        "prefetched partition {p} is already resident; an install takes only the missing partitions of the set"
+                        "read partition {p} is already resident; an install takes only the missing partitions of the set"
                     ),
                 });
             }
@@ -499,21 +458,19 @@ impl PartitionBuffer {
             if !self.resident.contains_key(&p) {
                 return Err(StorageError::NotResident {
                     reason: format!(
-                        "partition {p} of the installed set was neither resident nor prefetched"
+                        "partition {p} of the installed set was neither resident nor read"
                     ),
                 });
             }
         }
-        self.in_memory_edges = edges;
-        self.subgraph = subgraph;
-        Ok(installs)
+        Ok(())
     }
 
-    /// Shared prologue of the swap paths: validates the set against the
-    /// buffer capacity and evicts resident partitions outside it, detaching
-    /// dirty ones (in ascending id order, for a deterministic write order)
-    /// instead of writing them. Returns the wanted-set lookup and the
-    /// detached evictions.
+    /// First half of a swap: validates the set against the buffer capacity
+    /// and evicts resident partitions outside it, detaching dirty ones (in
+    /// ascending id order, for a deterministic write order) instead of
+    /// writing them. Returns the wanted-set lookup and the detached
+    /// evictions.
     fn begin_swap(
         &mut self,
         set: &[PartitionId],
@@ -552,15 +509,6 @@ impl PartitionBuffer {
         Ok((wanted, evicted))
     }
 
-    /// Writes detached evictions straight back to the store (the synchronous
-    /// swap path, and the deferred path's error recovery).
-    fn write_evicted_inline(&self, evicted: Vec<EvictedPartition>) -> Result<()> {
-        for e in evicted {
-            self.store.write_partition(e.id, &e.values, &e.state)?;
-        }
-        Ok(())
-    }
-
     /// Writes every dirty resident partition back to disk (end of epoch), in
     /// ascending partition-id order. Any evictions still detached to an
     /// asynchronous drain are waited out first, so after `flush` returns the
@@ -589,36 +537,6 @@ impl PartitionBuffer {
         let mut v: Vec<PartitionId> = self.resident.keys().copied().collect();
         v.sort_unstable();
         v
-    }
-
-    /// All node ids whose partitions are currently resident (candidates for
-    /// negative sampling and target selection). Partitions are visited in
-    /// ascending id order so the candidate list — and therefore negative
-    /// sampling under a fixed seed — is deterministic and identical between
-    /// the sequential and pipelined training paths.
-    pub fn resident_nodes(&self) -> Vec<NodeId> {
-        let parts = self.resident_partitions();
-        let total: usize = parts
-            .iter()
-            .map(|&p| self.assignment.nodes_in(p).len())
-            .sum();
-        let mut nodes = Vec::with_capacity(total);
-        for p in parts {
-            nodes.extend_from_slice(self.assignment.nodes_in(p));
-        }
-        nodes
-    }
-
-    /// The dual-sorted in-memory subgraph over the loaded edge buckets.
-    pub fn subgraph(&self) -> &InMemorySubgraph {
-        &self.subgraph
-    }
-
-    /// A shared handle to the same subgraph: epoch executors snapshot this
-    /// (one `Arc` bump) instead of deep-copying the CSR structures before a
-    /// mini batch borrows the buffer mutably.
-    pub fn subgraph_arc(&self) -> Arc<InMemorySubgraph> {
-        Arc::clone(&self.subgraph)
     }
 
     /// Gathers the embedding rows of `nodes` into a `(nodes.len(), dim)` tensor.
@@ -692,7 +610,7 @@ impl PartitionBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marius_graph::{EdgeList, Partitioner};
+    use marius_graph::{Edge, EdgeList, Partitioner};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -720,26 +638,60 @@ mod tests {
         (buffer, buckets)
     }
 
+    /// Installs `set` with `new_parts` and writes the evictions back, the
+    /// way a pipeline step does.
+    fn install_and_write_back(
+        buffer: &mut PartitionBuffer,
+        set: &[PartitionId],
+        new_parts: Vec<(PartitionId, Vec<f32>, Vec<f32>)>,
+    ) -> Result<()> {
+        let evicted = buffer.install_set(set, new_parts)?;
+        let mut no_spans = Telemetry::disabled().scope("");
+        buffer
+            .writeback_ledger()
+            .write_back(buffer.store(), &evicted, &mut no_spans, NO_LABEL)
+            .map(drop)
+    }
+
+    /// One in-order swap to `set`: reads its missing partitions, installs
+    /// them and writes the evictions back. Returns how many were read.
+    fn swap(buffer: &mut PartitionBuffer, set: &[PartitionId]) -> Result<usize> {
+        let mut new_parts = Vec::new();
+        for &p in set {
+            if !buffer.resident.contains_key(&p) {
+                let (values, state) = buffer.store().read_partition(p)?;
+                new_parts.push((p, values, state));
+            }
+        }
+        let reads = new_parts.len();
+        install_and_write_back(buffer, set, new_parts)?;
+        Ok(reads)
+    }
+
     #[test]
     fn load_set_brings_partitions_and_edges_into_memory() {
-        let (mut buffer, buckets) = build_buffer("load-set", 40, 4, 2, true);
-        let loads = buffer.load_set(&[0, 1]).unwrap();
+        // The set's edges belong to the step's context; the pipeline's
+        // `read_context` tests pin them. The buffer holds the partitions.
+        let (mut buffer, _) = build_buffer("load-set", 40, 4, 2, true);
+        let loads = swap(&mut buffer, &[0, 1]).unwrap();
         assert_eq!(loads, 2);
         assert_eq!(buffer.resident_partitions(), vec![0, 1]);
-        // The in-memory edges are exactly the four buckets between 0 and 1.
-        let expected: usize = [(0u32, 0u32), (0, 1), (1, 0), (1, 1)]
-            .iter()
-            .map(|&(i, j)| buckets[(i * 4 + j) as usize].len())
-            .sum();
-        assert_eq!(buffer.subgraph().num_edges(), expected);
+        assert_eq!(
+            buffer.stats(),
+            BufferStats {
+                hits: 0,
+                misses: 2,
+                evictions: 0
+            }
+        );
     }
 
     #[test]
     fn load_set_evicts_and_reuses() {
         let (mut buffer, _) = build_buffer("evict", 40, 4, 2, true);
-        buffer.load_set(&[0, 1]).unwrap();
+        swap(&mut buffer, &[0, 1]).unwrap();
         // Partition 0 stays, 2 is new, 1 is evicted.
-        let loads = buffer.load_set(&[0, 2]).unwrap();
+        let loads = swap(&mut buffer, &[0, 2]).unwrap();
         assert_eq!(loads, 1);
         assert_eq!(buffer.resident_partitions(), vec![0, 2]);
     }
@@ -747,13 +699,13 @@ mod tests {
     #[test]
     fn load_set_respects_capacity() {
         let (mut buffer, _) = build_buffer("capacity", 40, 4, 2, true);
-        assert!(buffer.load_set(&[0, 1, 2]).is_err());
+        assert!(swap(&mut buffer, &[0, 1, 2]).is_err());
     }
 
     #[test]
     fn gather_returns_rows_for_resident_nodes_only() {
         let (mut buffer, _) = build_buffer("gather", 40, 4, 2, true);
-        buffer.load_set(&[1, 3]).unwrap();
+        swap(&mut buffer, &[1, 3]).unwrap();
         let nodes = buffer.assignment().nodes_in(1).to_vec();
         let t = buffer.gather(&nodes[..3]).unwrap();
         assert_eq!(t.shape(), (3, 4));
@@ -765,7 +717,7 @@ mod tests {
     #[test]
     fn updates_persist_across_eviction_and_reload() {
         let (mut buffer, _) = build_buffer("persist", 40, 4, 2, true);
-        buffer.load_set(&[0, 1]).unwrap();
+        swap(&mut buffer, &[0, 1]).unwrap();
         let node = buffer.assignment().nodes_in(0)[0];
         let before = buffer.gather(&[node]).unwrap();
         let grad = Tensor::ones(1, 4);
@@ -774,8 +726,8 @@ mod tests {
         assert_ne!(before, after_update);
         // Evict partition 0, then bring it back: the update must have been
         // written to disk and read back.
-        buffer.load_set(&[1, 2]).unwrap();
-        buffer.load_set(&[0, 1]).unwrap();
+        swap(&mut buffer, &[1, 2]).unwrap();
+        swap(&mut buffer, &[0, 1]).unwrap();
         let reloaded = buffer.gather(&[node]).unwrap();
         assert_eq!(after_update, reloaded);
     }
@@ -783,7 +735,7 @@ mod tests {
     #[test]
     fn non_learnable_buffer_skips_updates_and_writebacks() {
         let (mut buffer, _) = build_buffer("fixed", 40, 4, 2, false);
-        buffer.load_set(&[0, 1]).unwrap();
+        swap(&mut buffer, &[0, 1]).unwrap();
         let node = buffer.assignment().nodes_in(0)[0];
         let before = buffer.gather(&[node]).unwrap();
         buffer.apply_update(&[node], &Tensor::ones(1, 4)).unwrap();
@@ -813,7 +765,7 @@ mod tests {
         let features: Vec<f32> = (0..num_nodes).flat_map(|n| vec![n as f32; dim]).collect();
         buffer.initialize_from_features(&features).unwrap();
         buffer.initialize_buckets(&buckets).unwrap();
-        buffer.load_set(&[0, 1, 2]).unwrap();
+        swap(&mut buffer, &[0, 1, 2]).unwrap();
         let t = buffer.gather(&[7, 2]).unwrap();
         assert_eq!(t.row(0), &[7.0, 7.0, 7.0, 7.0]);
         assert_eq!(t.row(1), &[2.0, 2.0, 2.0, 2.0]);
@@ -823,103 +775,30 @@ mod tests {
     fn io_stats_reflect_partition_traffic() {
         let (mut buffer, _) = build_buffer("iostats", 40, 4, 2, true);
         buffer.store().reset_io_stats();
-        buffer.load_set(&[0, 1]).unwrap();
+        swap(&mut buffer, &[0, 1]).unwrap();
         let stats = buffer.store().io_stats();
         assert!(stats.reads >= 2);
         assert!(stats.bytes_read > 0);
     }
 
-    /// `install_set_deferred` with the detached evictions drained inline, the
-    /// way the pipeline's write-back thread drains them.
-    fn install_and_drain(
-        buffer: &mut PartitionBuffer,
-        set: &[PartitionId],
-        new_parts: Vec<(PartitionId, Vec<f32>, Vec<f32>)>,
-        edges: Vec<Edge>,
-    ) -> Result<usize> {
-        let subgraph = Arc::new(InMemorySubgraph::from_edges(&edges));
-        let (installs, evicted) = buffer.install_set_deferred(set, new_parts, edges, subgraph)?;
-        for e in evicted {
-            buffer.store().write_partition(e.id, &e.values, &e.state)?;
-            buffer.writeback_ledger().mark_drained(e.id);
-        }
-        Ok(installs)
-    }
-
-    #[test]
-    fn prefetched_install_matches_load_set() {
-        // Drive one buffer through load_set and a twin through a prefetched
-        // install; both must end up in identical states, dirty evictions
-        // included.
-        let (mut seq, _) = build_buffer("install-seq", 40, 4, 2, true);
-        let (mut pipe, _) = build_buffer("install-pipe", 40, 4, 2, true);
-        // Same disk contents: copy the sequential store's files over.
-        for p in 0..4u32 {
-            let (v, s) = seq.store().read_partition(p).unwrap();
-            pipe.store().write_partition(p, &v, &s).unwrap();
-            for q in 0..4u32 {
-                let edges = seq.store().read_bucket(p, q).unwrap();
-                pipe.store().write_bucket(p, q, &edges).unwrap();
-            }
-        }
-        for set in [vec![0u32, 1], vec![1, 2], vec![0, 3], vec![0, 1]] {
-            seq.load_set(&set).unwrap();
-            // Prefetch what the install expects: missing partitions + edges.
-            let mut new_parts = Vec::new();
-            for &p in &set {
-                if !pipe.resident_partitions().contains(&p) {
-                    let (v, s) = pipe.store().read_partition(p).unwrap();
-                    new_parts.push((p, v, s));
-                }
-            }
-            let mut edges = Vec::new();
-            for &i in &set {
-                for &j in &set {
-                    edges.extend_from_slice(&pipe.store().read_bucket(i, j).unwrap());
-                }
-            }
-            let installed = install_and_drain(&mut pipe, &set, new_parts, edges).unwrap();
-            assert!(installed <= set.len());
-            assert_eq!(seq.resident_partitions(), pipe.resident_partitions());
-            assert_eq!(seq.resident_nodes(), pipe.resident_nodes());
-            assert_eq!(seq.subgraph().num_edges(), pipe.subgraph().num_edges());
-            let nodes = seq.resident_nodes();
-            assert_eq!(
-                seq.gather(&nodes[..4]).unwrap(),
-                pipe.gather(&nodes[..4]).unwrap()
-            );
-            // Dirty the first resident partition on both sides, so the next
-            // swap's eviction carries an update through each write-back path.
-            let grad = Tensor::ones(1, 4);
-            seq.apply_update(&nodes[..1], &grad).unwrap();
-            pipe.apply_update(&nodes[..1], &grad).unwrap();
-        }
-    }
-
     #[test]
     fn install_rejects_missing_or_foreign_partitions() {
         let (mut buffer, _) = build_buffer("install-invalid", 40, 4, 2, true);
-        // Partition 1 neither resident nor prefetched.
+        // Partition 1 neither resident nor read.
         let (v, s) = buffer.store().read_partition(0).unwrap();
-        let err = install_and_drain(
-            &mut buffer,
-            &[0, 1],
-            vec![(0, v.clone(), s.clone())],
-            Vec::new(),
-        );
+        let err = install_and_write_back(&mut buffer, &[0, 1], vec![(0, v.clone(), s.clone())]);
         assert!(err.is_err());
-        // Prefetched partition outside the set.
-        let err = install_and_drain(
+        // Read partition outside the set.
+        let err = install_and_write_back(
             &mut buffer,
             &[0],
             vec![(0, v.clone(), s.clone()), (3, v, s)],
-            Vec::new(),
         );
         assert!(err.is_err());
-        // Prefetched partition that is already resident.
-        buffer.load_set(&[0, 1]).unwrap();
+        // Read partition that is already resident.
+        swap(&mut buffer, &[0, 1]).unwrap();
         let (v, s) = buffer.store().read_partition(1).unwrap();
-        let err = install_and_drain(&mut buffer, &[1, 2], vec![(1, v, s)], Vec::new()).unwrap_err();
+        let err = install_and_write_back(&mut buffer, &[1, 2], vec![(1, v, s)]).unwrap_err();
         assert!(format!("{err}").contains("already resident"), "{err}");
     }
 
@@ -932,7 +811,7 @@ mod tests {
     #[test]
     fn install_set_deferred_detaches_dirty_evictions() {
         let (mut buffer, _) = build_buffer("deferred-detach", 40, 4, 2, true);
-        buffer.load_set(&[0, 1]).unwrap();
+        swap(&mut buffer, &[0, 1]).unwrap();
         // Dirty partition 0, keep partition 1 clean.
         let node = buffer.assignment().nodes_in(0)[0];
         buffer.apply_update(&[node], &Tensor::ones(1, 4)).unwrap();
@@ -944,15 +823,8 @@ mod tests {
             let (v, s) = buffer.store().read_partition(p).unwrap();
             new_parts.push((p, v, s));
         }
-        let (installs, evicted) = buffer
-            .install_set_deferred(
-                &[2, 3],
-                new_parts,
-                Vec::new(),
-                Arc::new(InMemorySubgraph::from_edges(&[])),
-            )
-            .unwrap();
-        assert_eq!(installs, 2);
+        let evicted = buffer.install_set(&[2, 3], new_parts).unwrap();
+        assert_eq!(buffer.stats().misses, 4);
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].id, 0);
         // Nothing was written inline; the ledger tracks the detached eviction.
@@ -960,77 +832,67 @@ mod tests {
         let ledger = buffer.writeback_ledger();
         assert!(ledger.is_pending(0));
         assert_eq!(ledger.pending_count(), 1);
-        // Drain it the way the pipeline's write-back thread would.
-        let e = &evicted[0];
-        buffer
-            .store()
-            .write_partition(e.id, &e.values, &e.state)
+        // Write it back the way every pipeline schedule does.
+        let written = ledger
+            .write_back(
+                buffer.store(),
+                &evicted,
+                &mut Telemetry::disabled().scope(""),
+                0,
+            )
             .unwrap();
-        ledger.mark_drained(e.id);
+        assert_eq!(written, 1);
         assert!(!ledger.is_pending(0));
         // The drained bytes round-trip: reloading partition 0 sees the update.
-        buffer.load_set(&[0, 1]).unwrap();
+        swap(&mut buffer, &[0, 1]).unwrap();
         assert_eq!(buffer.gather(&[node]).unwrap(), updated);
     }
 
     #[test]
     fn install_rejects_partition_with_pending_writeback() {
         let (mut buffer, _) = build_buffer("deferred-stale", 40, 4, 2, true);
-        buffer.load_set(&[0, 1]).unwrap();
+        swap(&mut buffer, &[0, 1]).unwrap();
         let node = buffer.assignment().nodes_in(0)[0];
         buffer.apply_update(&[node], &Tensor::ones(1, 4)).unwrap();
         let (v2, s2) = buffer.store().read_partition(2).unwrap();
-        let (_, evicted) = buffer
-            .install_set_deferred(
-                &[1, 2],
-                vec![(2, v2, s2)],
-                Vec::new(),
-                Arc::new(InMemorySubgraph::from_edges(&[])),
-            )
-            .unwrap();
+        let evicted = buffer.install_set(&[1, 2], vec![(2, v2, s2)]).unwrap();
         assert_eq!(evicted[0].id, 0);
         // While 0's write-back is pending, its disk bytes are stale:
         // installing a copy read from disk must fail.
         let (v0, s0) = buffer.store().read_partition(0).unwrap();
-        let err =
-            install_and_drain(&mut buffer, &[0, 1], vec![(0, v0, s0)], Vec::new()).unwrap_err();
+        let err = install_and_write_back(&mut buffer, &[0, 1], vec![(0, v0, s0)]).unwrap_err();
         assert!(format!("{err}").contains("pending write-back"));
-        // After draining, the same install succeeds.
-        let e = &evicted[0];
+        // After the write-back, the same install succeeds.
         buffer
-            .store()
-            .write_partition(e.id, &e.values, &e.state)
+            .writeback_ledger()
+            .write_back(
+                buffer.store(),
+                &evicted,
+                &mut Telemetry::disabled().scope(""),
+                1,
+            )
             .unwrap();
-        buffer.writeback_ledger().mark_drained(e.id);
         let (v0, s0) = buffer.store().read_partition(0).unwrap();
-        install_and_drain(&mut buffer, &[0, 1], vec![(0, v0, s0)], Vec::new()).unwrap();
+        install_and_write_back(&mut buffer, &[0, 1], vec![(0, v0, s0)]).unwrap();
     }
 
     #[test]
     fn flush_waits_for_async_drain() {
         let (mut buffer, _) = build_buffer("flush-drain", 40, 4, 2, true);
-        buffer.load_set(&[0, 1]).unwrap();
+        swap(&mut buffer, &[0, 1]).unwrap();
         let node = buffer.assignment().nodes_in(0)[0];
         buffer.apply_update(&[node], &Tensor::ones(1, 4)).unwrap();
         let (v2, s2) = buffer.store().read_partition(2).unwrap();
-        let (_, evicted) = buffer
-            .install_set_deferred(
-                &[1, 2],
-                vec![(2, v2, s2)],
-                Vec::new(),
-                Arc::new(InMemorySubgraph::from_edges(&[])),
-            )
-            .unwrap();
+        let evicted = buffer.install_set(&[1, 2], vec![(2, v2, s2)]).unwrap();
         let ledger = buffer.writeback_ledger();
         let store = buffer.store().clone();
         // Drain on another thread after a delay; flush must block until the
         // write has landed before returning.
         let drainer = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(30));
-            for e in &evicted {
-                store.write_partition(e.id, &e.values, &e.state).unwrap();
-                ledger.mark_drained(e.id);
-            }
+            ledger
+                .write_back(&store, &evicted, &mut Telemetry::disabled().scope(""), 1)
+                .unwrap();
         });
         buffer.flush().unwrap();
         assert_eq!(buffer.writeback_ledger().pending_count(), 0);
@@ -1066,7 +928,7 @@ mod tests {
             store.write_partition(p, &values, &state).unwrap();
         }
         let mut buffer = PartitionBuffer::new(store, assignment, dim, 2, true);
-        buffer.load_set(&[0, 1]).unwrap();
+        swap(&mut buffer, &[0, 1]).unwrap();
         // A run across the partition boundary, a reversed (non-coalescible)
         // order, and repeats.
         for nodes in [
@@ -1086,15 +948,16 @@ mod tests {
 
     #[test]
     fn resident_nodes_lists_every_node_of_resident_partitions() {
+        // The step's candidate list is its context's (pinned by the
+        // pipeline's `read_context` tests); the buffer serves every node of
+        // its resident partitions and no other.
         let (mut buffer, _) = build_buffer("resident-nodes", 40, 4, 2, true);
-        buffer.load_set(&[2, 3]).unwrap();
-        let nodes = buffer.resident_nodes();
-        let expected =
-            buffer.assignment().nodes_in(2).len() + buffer.assignment().nodes_in(3).len();
-        assert_eq!(nodes.len(), expected);
-        let assignment = buffer.assignment();
-        assert!(nodes
-            .iter()
-            .all(|&n| [2, 3].contains(&assignment.partition_of(n))));
+        swap(&mut buffer, &[2, 3]).unwrap();
+        assert_eq!(buffer.resident_partitions(), vec![2, 3]);
+        let assignment = buffer.assignment().clone();
+        for n in 0..40u64 {
+            let resident = [2, 3].contains(&assignment.partition_of(n));
+            assert_eq!(buffer.gather(&[n]).is_ok(), resident, "node {n}");
+        }
     }
 }

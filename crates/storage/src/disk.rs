@@ -127,6 +127,44 @@ fn decode_f32s(bytes: &[u8]) -> Vec<f32> {
         .collect()
 }
 
+/// Encodes edges as the fixed-width records of bucket and delta files:
+/// `src: u64 LE, dst: u64 LE, rel: u32 LE`, [`Edge::DISK_BYTES`] per edge.
+pub fn encode_edges(edges: &[Edge]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(edges.len() * Edge::DISK_BYTES);
+    for e in edges {
+        buf.extend_from_slice(&e.src.to_le_bytes());
+        buf.extend_from_slice(&e.dst.to_le_bytes());
+        buf.extend_from_slice(&e.rel.to_le_bytes());
+    }
+    buf
+}
+
+/// Decodes [`encode_edges`] records. A length that is not a whole number of
+/// records is an [`std::io::ErrorKind::InvalidData`] error: a torn file
+/// fails loudly instead of loading the edges before the cut.
+pub fn decode_edges(bytes: &[u8]) -> Result<Vec<Edge>> {
+    let (records, torn) = bytes.as_chunks::<{ Edge::DISK_BYTES }>();
+    if !torn.is_empty() {
+        return Err(StorageError::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!(
+                "edge file length {} is not a multiple of the {}-byte edge record",
+                bytes.len(),
+                Edge::DISK_BYTES
+            ),
+        )));
+    }
+    Ok(records
+        .iter()
+        .map(|rec| {
+            let src = u64::from_le_bytes(std::array::from_fn(|i| rec[i]));
+            let dst = u64::from_le_bytes(std::array::from_fn(|i| rec[8 + i]));
+            let rel = u32::from_le_bytes(std::array::from_fn(|i| rec[16 + i]));
+            Edge::with_rel(src, rel, dst)
+        })
+        .collect())
+}
+
 /// Atomically materialises `src`'s bytes at `dst`: hard-links when the two
 /// paths share a filesystem (snapshots of multi-gigabyte partition files cost
 /// one directory entry), falling back to a full copy. Because every mutation
@@ -452,21 +490,17 @@ impl PartitionStore {
         }
     }
 
-    /// Atomically places `bytes` at `path` under fault injection and retry.
-    /// `key` is the stable operation key for the fault/jitter schedules.
-    fn place(&self, key: &str, path: &Path, bytes: &[u8]) -> Result<()> {
+    /// Atomically places `bytes` at `path` with the store's fault injection
+    /// and retry applied; `key` is the stable operation key for the
+    /// fault/jitter schedules. Charges no IO byte counters: partition and
+    /// bucket writes charge their own, and the checkpoint writer relies on it
+    /// so durability traffic does not skew the per-epoch IO accounting
+    /// (retries still count into `io_retries`).
+    pub fn place_file(&self, key: &str, path: &Path, bytes: &[u8]) -> Result<()> {
         self.retrying(key, || {
             self.check_write_fault(key, path, bytes)?;
             atomic_write(path, bytes).map_err(StorageError::from)
         })
-    }
-
-    /// Atomically places `bytes` at `path` with the store's fault injection
-    /// and retry applied, without charging the IO byte counters (the
-    /// checkpoint writer uses this so durability traffic does not skew the
-    /// per-epoch IO accounting; retries still count into `io_retries`).
-    pub fn place_file(&self, key: &str, path: &Path, bytes: &[u8]) -> Result<()> {
-        self.place(key, path, bytes)
     }
 
     /// Charges one op of `bytes` against the emulated device, if any, and
@@ -573,7 +607,7 @@ impl PartitionStore {
         for s in state {
             buf.extend_from_slice(&s.to_le_bytes());
         }
-        self.place(&format!("partition/{id}"), &self.partition_path(id), &buf)?;
+        self.place_file(&format!("partition/{id}"), &self.partition_path(id), &buf)?;
         self.note_write(buf.len() as u64);
         self.throttle_op(buf.len() as u64);
         Ok(())
@@ -670,13 +704,8 @@ impl PartitionStore {
 
     /// Writes an edge bucket as fixed-width records.
     pub fn write_bucket(&self, src: PartitionId, dst: PartitionId, edges: &[Edge]) -> Result<()> {
-        let mut buf = Vec::with_capacity(edges.len() * Edge::DISK_BYTES);
-        for e in edges {
-            buf.extend_from_slice(&e.src.to_le_bytes());
-            buf.extend_from_slice(&e.dst.to_le_bytes());
-            buf.extend_from_slice(&e.rel.to_le_bytes());
-        }
-        self.place(
+        let buf = encode_edges(edges);
+        self.place_file(
             &format!("bucket/{src}_{dst}"),
             &self.bucket_path(src, dst),
             &buf,
@@ -706,14 +735,7 @@ impl PartitionStore {
         };
         self.note_read(buf.len().max(1) as u64);
         self.throttle_op(buf.len().max(1) as u64);
-        let mut edges = Vec::with_capacity(buf.len() / Edge::DISK_BYTES);
-        for rec in buf.chunks_exact(Edge::DISK_BYTES) {
-            let src_id = u64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
-            let dst_id = u64::from_le_bytes(rec[8..16].try_into().expect("8 bytes"));
-            let rel = u32::from_le_bytes(rec[16..20].try_into().expect("4 bytes"));
-            edges.push(Edge::with_rel(src_id, rel, dst_id));
-        }
-        Ok(edges)
+        decode_edges(&buf)
     }
 
     /// Snapshots every completed store file (node partitions and edge
@@ -736,26 +758,7 @@ impl PartitionStore {
             fs::remove_dir_all(&staging)?;
         }
         fs::create_dir_all(&staging)?;
-        for entry in fs::read_dir(&self.root)? {
-            let path = entry?.path();
-            if !path.is_file() || is_tmp(&path) {
-                continue;
-            }
-            let Some(name) = path.file_name() else {
-                continue;
-            };
-            let key = format!("snapshot/{}", name.to_string_lossy());
-            let target = staging.join(name);
-            // Faulted/retried per file: link/copy staging lives inside the
-            // snapshot's own staging dir, so a failing attempt tears nothing
-            // the store (or a finished snapshot) can observe.
-            self.retrying(&key, || {
-                if let Some(f) = &self.faults {
-                    f.check_write(&key, |_| {})?;
-                }
-                atomic_link_or_copy(&path, &target).map_err(StorageError::from)
-            })?;
-        }
+        self.link_files(&self.root, &staging, "snapshot")?;
         if dst.exists() {
             fs::remove_dir_all(dst)?;
         }
@@ -777,7 +780,15 @@ impl PartitionStore {
             )));
         }
         fs::create_dir_all(&self.root)?;
-        for entry in fs::read_dir(src)? {
+        self.link_files(src, &self.root, "restore")
+    }
+
+    /// Links (or copies) every completed, non-`.tmp` file of `from` into
+    /// `to`, one atomic placement per file, faulted and retried under the
+    /// operation key `{key_prefix}/{file name}`. The snapshot and restore
+    /// walks.
+    fn link_files(&self, from: &Path, to: &Path, key_prefix: &str) -> Result<()> {
+        for entry in fs::read_dir(from)? {
             let path = entry?.path();
             if !path.is_file() || is_tmp(&path) {
                 continue;
@@ -785,8 +796,10 @@ impl PartitionStore {
             let Some(name) = path.file_name() else {
                 continue;
             };
-            let key = format!("restore/{}", name.to_string_lossy());
-            let target = self.root.join(name);
+            let key = format!("{key_prefix}/{}", name.to_string_lossy());
+            let target = to.join(name);
+            // Each placement stages inside `to`, so a failing attempt tears
+            // nothing a reader of `from` (or a finished snapshot) observes.
             self.retrying(&key, || {
                 if let Some(f) = &self.faults {
                     f.check_write(&key, |_| {})?;
@@ -953,10 +966,28 @@ mod tests {
     #[test]
     fn bucket_roundtrip_and_missing_bucket_is_empty() {
         let store = temp_store("bucket-roundtrip");
-        let edges = vec![Edge::with_rel(7, 2, 9), Edge::new(1, 1)];
+        let edges = vec![
+            Edge::with_rel(7, 2, 9),
+            Edge::new(1, 1),
+            Edge::with_rel(u64::MAX, u32::MAX, 3),
+        ];
         store.write_bucket(0, 1, &edges).unwrap();
         assert_eq!(store.read_bucket(0, 1).unwrap(), edges);
         assert!(store.read_bucket(5, 5).unwrap().is_empty());
+        // A file cut short by part of a record is an error, not a prefix.
+        let path = store.bucket_path(0, 1);
+        let whole = fs::read(&path).unwrap();
+        for cut in 1..Edge::DISK_BYTES {
+            fs::write(&path, &whole[..whole.len() - cut]).unwrap();
+            let err = store.read_bucket(0, 1).unwrap_err();
+            assert!(
+                matches!(&err, StorageError::Io(e) if e.kind() == std::io::ErrorKind::InvalidData),
+                "cut {cut}: {err}"
+            );
+            assert!(format!("{err}").contains("multiple"), "cut {cut}: {err}");
+        }
+        fs::write(&path, &whole).unwrap();
+        assert_eq!(store.read_bucket(0, 1).unwrap(), edges);
     }
 
     #[test]

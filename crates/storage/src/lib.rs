@@ -7,9 +7,8 @@
 //!   instrumented IO counter so experiments can report bytes moved, read counts
 //!   and the smallest read size (the quantities §6 reasons about).
 //! * [`buffer::PartitionBuffer`] — the fixed-capacity CPU buffer that holds `c`
-//!   physical partitions and the `c²` edge buckets between them, swaps
-//!   partitions according to a replacement policy, and serves embedding
-//!   gathers/updates for mini-batch training.
+//!   physical node partitions, swaps them according to a replacement policy,
+//!   and serves embedding gathers/updates for mini-batch training.
 //! * [`policy`] — partition replacement and mini-batch assignment policies:
 //!   [`policy::CometPolicy`] (the paper's contribution, §5.1),
 //!   [`policy::BetaPolicy`] (the prior state of the art from Marius, used as the
@@ -27,24 +26,26 @@
 //!   emulated device a run attaches to every store it opens, carried as one
 //!   value and applied by one function ([`env::IoEnv::open_store`]).
 //!
-//! # The asynchronous (pipelined) path
+//! # One swap path
 //!
-//! The storage layer is consumed from two execution modes. The sequential
-//! trainers call [`buffer::PartitionBuffer::load_set`], which performs every
-//! disk read inline. The staged runtime in `marius-pipeline` instead reads
-//! partition and bucket files on dedicated prefetcher threads — the
-//! [`disk::PartitionStore`] is `Send + Sync` (plain paths plus atomic IO
-//! counters), so any number of threads may read concurrently — and hands the
-//! already-deserialized data to the compute thread, which swaps it into the
-//! buffer with [`buffer::PartitionBuffer::install_set_deferred`] without
-//! touching the store's read path. Write-backs of dirty partitions are
-//! *detached* from the swap as owned [`buffer::EvictedPartition`] payloads and
-//! drained to the store by a dedicated write-back thread while the next step
-//! computes; the shared [`buffer::WritebackLedger`] (plus the pipeline's
-//! write-back watermark) guarantees a partition's file is never re-read before
-//! its pending write-back lands, and [`disk::PartitionStore::write_partition`]
-//! renames completed temp files into place so no reader can observe a torn
-//! partition even across an abort.
+//! The buffer's working set changes in one way, whichever schedule drives the
+//! training step (`marius-pipeline` runs it in order on the calling thread or
+//! on overlapping stage threads). The step reads the set's edge buckets and
+//! the partitions the buffer misses from the [`disk::PartitionStore`] — which
+//! is `Send + Sync` (plain paths plus atomic IO counters), so any number of
+//! threads may read concurrently — and
+//! [`buffer::PartitionBuffer::install_set`] moves the partitions into place
+//! without touching the store. Dirty evictions are *detached* from the swap
+//! as owned [`buffer::EvictedPartition`] payloads and written back by
+//! [`buffer::WritebackLedger::write_back`], on a drain thread while the next
+//! step computes or right after the swap. The ledger (plus the pipeline's
+//! write-back watermark) guarantees a partition's file is never re-read
+//! before its pending write-back lands, and
+//! [`disk::PartitionStore::write_partition`] renames completed temp files
+//! into place so no reader can observe a torn partition even across an
+//! abort.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod buffer;
 pub mod disk;

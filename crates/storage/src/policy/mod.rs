@@ -184,18 +184,15 @@ pub(crate) fn greedy_pair_coverage<R: Rng + ?Sized>(
                 }
             }
         }
-        let (gain, oi, evict_idx) = best.expect("outside is non-empty while pairs remain");
-        if gain == 0 {
-            // Every remaining pair is between two outside items; bring one in and
-            // continue (this still terminates because the swapped-in item then
-            // pairs with future arrivals).
-            let cand = outside.swap_remove(oi);
-            let evicted = std::mem::replace(&mut current[evict_idx], cand);
-            outside.push(evicted);
-            mark(&current, &mut covered);
-            sets.push(current.clone());
-            continue;
-        }
+        // `capacity ≥ 2` and `n > capacity` leave both sets non-empty.
+        let Some((_, oi, evict_idx)) = best else {
+            return Err(StorageError::InvalidPlan {
+                reason: "greedy cover found no swap while pairs remain".into(),
+            });
+        };
+        // A swap that uncovers nothing (every remaining pair lies between two
+        // outside items) is still taken: the swapped-in item pairs with
+        // future arrivals, so the loop terminates.
         let cand = outside.swap_remove(oi);
         let evicted = std::mem::replace(&mut current[evict_idx], cand);
         outside.push(evicted);

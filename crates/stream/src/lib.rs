@@ -44,7 +44,7 @@
 //! either is grown. The trainer invokes the ingest hook after an epoch's
 //! training and before its evaluation and checkpoint, and the hook draws no
 //! trainer RNG — the loss trajectory up to any boundary is bit-identical to
-//! a frozen-dataset run's, sequential and pipelined executors stay
+//! a frozen-dataset run's, the in-order and threaded disk schedules stay
 //! interchangeable, and the boundary's checkpoint snapshots the grown
 //! buckets together with the cursor that reproduces them.
 //!
@@ -69,6 +69,7 @@
 
 use marius_core::{DiskSetup, StreamState};
 use marius_graph::Edge;
+use marius_storage::disk::{decode_edges, encode_edges};
 use marius_storage::{PartitionStore, Result, StorageError};
 use marius_telemetry::{Telemetry, NO_LABEL};
 use rand::rngs::StdRng;
@@ -145,42 +146,6 @@ impl EdgeStream {
             })
             .collect()
     }
-}
-
-/// Encodes edges in the store's fixed-width bucket record format
-/// (`src: u64 LE, dst: u64 LE, rel: u32 LE` — [`Edge::DISK_BYTES`] per
-/// record), the wire format of staged delta files.
-pub fn encode_edges(edges: &[Edge]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(edges.len() * Edge::DISK_BYTES);
-    for e in edges {
-        buf.extend_from_slice(&e.src.to_le_bytes());
-        buf.extend_from_slice(&e.dst.to_le_bytes());
-        buf.extend_from_slice(&e.rel.to_le_bytes());
-    }
-    buf
-}
-
-/// Decodes a delta file's bytes back into edges, rejecting lengths that are
-/// not a whole number of records (a torn file must fail loudly, not load a
-/// prefix).
-pub fn decode_edges(bytes: &[u8]) -> Result<Vec<Edge>> {
-    if !bytes.len().is_multiple_of(Edge::DISK_BYTES) {
-        return Err(StorageError::NotResident {
-            reason: format!(
-                "delta file length {} is not a multiple of the {}-byte edge record",
-                bytes.len(),
-                Edge::DISK_BYTES
-            ),
-        });
-    }
-    let mut edges = Vec::with_capacity(bytes.len() / Edge::DISK_BYTES);
-    for rec in bytes.chunks_exact(Edge::DISK_BYTES) {
-        let src = u64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
-        let dst = u64::from_le_bytes(rec[8..16].try_into().expect("8 bytes"));
-        let rel = u32::from_le_bytes(rec[16..20].try_into().expect("4 bytes"));
-        edges.push(Edge::with_rel(src, rel, dst));
-    }
-    Ok(edges)
 }
 
 /// The staged on-disk name of delta `k` (zero-padded so directory listings
@@ -312,8 +277,8 @@ impl Ingestor {
 
 /// Applies one decoded delta to a run's [`DiskSetup`]: appends each edge to
 /// its `(partition(src), partition(dst))` bucket in memory, then rewrites
-/// every touched bucket file so the store agrees (the pipelined executor's
-/// prefetcher reads subgraph edges from the bucket *files*). Appending in
+/// every touched bucket file so the store agrees (every training step reads
+/// its subgraph edges from the bucket *files*). Appending in
 /// delta order keeps the per-bucket edge order identical to what a full
 /// bucket rebuild from the grown, time-ordered edge list produces — the
 /// invariant streamed-run resume relies on.

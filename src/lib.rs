@@ -782,8 +782,8 @@ impl<T: Task> Session<T> {
     /// The loop is deterministic end to end: the stream is a pure function
     /// of `(config.seed, batch index)`, ingest consumes no trainer RNG, and
     /// application happens outside the seeded epoch executors — so streamed
-    /// runs are bit-identical across reruns and across the sequential and
-    /// pipelined executors, exactly like frozen-dataset runs.
+    /// runs are bit-identical across reruns and across the in-order and
+    /// threaded disk schedules, exactly like frozen-dataset runs.
     pub fn stream(&mut self, config: StreamConfig) -> Result<ExperimentReport> {
         config.validate()?;
         if !matches!(self.trainer.config.storage, Storage::Disk(_)) {

@@ -113,10 +113,10 @@ fn maybe_emit_json(report: &ExperimentReport, seed: u64, label: &str) {
     }
 }
 
-/// Runs the same pipelined-disk training twice per seed — healthy device vs
-/// `IoFaultPlan::flaky(seed)` — and asserts the flaky run both *absorbed*
-/// faults (non-zero injected/retry counters) and reproduced the healthy
-/// trajectory bit for bit.
+/// Runs the same disk training twice per seed under `pipeline` — healthy
+/// device vs `IoFaultPlan::flaky(seed)` — and asserts the flaky run both
+/// *absorbed* faults (non-zero injected/retry counters) and reproduced the
+/// healthy trajectory bit for bit.
 fn flaky_is_bit_exact<T: Task + Default + Clone>(
     label: &str,
     task: T,
@@ -124,6 +124,7 @@ fn flaky_is_bit_exact<T: Task + Default + Clone>(
     model: ModelConfig,
     train: TrainConfig,
     disk: DiskConfig,
+    pipeline: PipelineConfig,
 ) {
     for seed in chaos_seeds() {
         let mut clean = Session::builder()
@@ -132,7 +133,7 @@ fn flaky_is_bit_exact<T: Task + Default + Clone>(
             .model(model.clone())
             .train(train.clone())
             .storage(Storage::Disk(disk.clone()))
-            .pipeline(PipelineConfig::with_workers(2))
+            .pipeline(pipeline.clone())
             .build()
             .unwrap();
         let clean_report = clean.train().unwrap();
@@ -143,7 +144,7 @@ fn flaky_is_bit_exact<T: Task + Default + Clone>(
             .model(model.clone())
             .train(train.clone())
             .storage(Storage::Disk(disk.clone()))
-            .pipeline(PipelineConfig::with_workers(2))
+            .pipeline(pipeline.clone())
             .fault_plan(IoFaultPlan::flaky(seed))
             .build()
             .unwrap();
@@ -167,26 +168,32 @@ fn flaky_is_bit_exact<T: Task + Default + Clone>(
 
 #[test]
 fn link_prediction_survives_a_flaky_disk_bit_exactly() {
-    flaky_is_bit_exact(
-        "lp",
-        LinkPredictionTask,
-        lp_dataset,
-        lp_model(),
-        lp_train(3),
-        DiskConfig::comet(8, 4),
-    );
+    for pipeline in [PipelineConfig::with_workers(2), PipelineConfig::disabled()] {
+        flaky_is_bit_exact(
+            "lp",
+            LinkPredictionTask,
+            lp_dataset,
+            lp_model(),
+            lp_train(3),
+            DiskConfig::comet(8, 4),
+            pipeline,
+        );
+    }
 }
 
 #[test]
 fn node_classification_survives_a_flaky_disk_bit_exactly() {
-    flaky_is_bit_exact(
-        "nc",
-        NodeClassificationTask,
-        nc_dataset,
-        nc_model(),
-        nc_train(3),
-        DiskConfig::node_cache(8, 6),
-    );
+    for pipeline in [PipelineConfig::with_workers(2), PipelineConfig::disabled()] {
+        flaky_is_bit_exact(
+            "nc",
+            NodeClassificationTask,
+            nc_dataset,
+            nc_model(),
+            nc_train(3),
+            DiskConfig::node_cache(8, 6),
+            pipeline,
+        );
+    }
 }
 
 /// A device that dies mid-run (every operation past a point fails
