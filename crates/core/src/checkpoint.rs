@@ -40,10 +40,8 @@
 //!
 //! A manifest is `RunConfig` + cursor + blobs + epochs: the run's description
 //! (one [`RunConfig`], the same value the trainer, the `marius::Session`
-//! builder and [`Checkpoint`] hold, written and read by its `to_json` /
-//! `from_json` pair), how far the run got, the index into `state.bin`, and
-//! the per-epoch reports (written and read by the field table that declares
-//! [`EpochReport`]):
+//! builder and [`Checkpoint`] hold), how far the run got, the index into
+//! `state.bin`, and the per-epoch reports:
 //!
 //! ```json
 //! {
@@ -69,7 +67,20 @@
 //! ```
 //!
 //! (Grouped here by meaning; on disk `epochs_completed` and `rng` keep the
-//! places version 1 gave them, and readers look keys up by name.) A manifest
+//! places version 1 gave them, and readers look keys up by name.)
+//!
+//! The schema is declared by field tables, once per record: the `record!`
+//! list at the bottom of this module names each config record's keys in
+//! order (`RunConfig`, `ModelConfig`, `TrainConfig`, `DiskConfig`,
+//! `PipelineConfig`, `IoCostModel`, `StreamState`, `DatasetSpec`,
+//! [`BlobEntry`]), and the table that declares [`EpochReport`] names the
+//! epoch keys. The writer and the reader of each record both expand from its
+//! table, and the document goes through the one JSON module,
+//! [`marius_telemetry::json`]. Readers are total: a missing key, a value of
+//! the wrong type, or an integer out of range for its field (a
+//! `num_partitions` past `u32::MAX`) is a typed [`StorageError::Checkpoint`],
+//! never a panic and never a silent truncation; so are blob shapes whose
+//! byte size overflows and blob names that repeat. A manifest
 //! does **not** hold the run's IO environment ([`marius_storage::IoEnv`]:
 //! fault injector, retry policy, telemetry recorder) — those are attachments
 //! of a process, handed to whoever resumes the run.
@@ -105,19 +116,21 @@
 //! uninterrupted run.
 
 use crate::config::{
-    DiskConfig, ModelConfig, PipelineConfig, PolicyKind, RunConfig, Storage, TrainConfig,
+    DiskConfig, EncoderKind, ModelConfig, PipelineConfig, PolicyKind, RunConfig, Storage,
+    TrainConfig,
 };
 use crate::report::{EpochReport, ExperimentReport};
 use marius_gnn::EmbeddingTable;
 use marius_graph::datasets::{DatasetSpec, ScaledDataset, Task as DatasetTask};
 use marius_sampling::SamplingDirection;
 use marius_storage::{atomic_write, IoCostModel, PartitionStore, Result, StorageError};
-use marius_telemetry::json::escape;
+use marius_telemetry::json::Json;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-pub mod json;
-use json::Json;
+/// The one JSON module, [`marius_telemetry::json`], also under the path the
+/// manifest parser had when it lived here (the perf harness imports it so).
+pub use marius_telemetry::json;
 
 /// Format identifier stamped into every manifest.
 pub const FORMAT: &str = "marius-checkpoint";
@@ -354,7 +367,9 @@ impl StateDict {
     }
 
     /// Rebuilds a dictionary from manifest entries plus the `state.bin`
-    /// buffer, verifying every length, element width, and checksum.
+    /// buffer, verifying every length, element width, and checksum, with
+    /// checked arithmetic throughout: a shape whose byte size overflows, or
+    /// a name that appears twice, is a typed error like any other lie.
     pub fn decode(entries: &[BlobEntry], bytes: &[u8]) -> Result<Self> {
         let mut dict = StateDict::new();
         for e in entries {
@@ -371,7 +386,8 @@ impl StateDict {
                     bytes.len()
                 )));
             };
-            if e.len_bytes != e.rows * e.cols * e.dtype.width() {
+            let shape_bytes = e.rows.checked_mul(e.cols);
+            if shape_bytes.and_then(|n| n.checked_mul(e.dtype.width())) != Some(e.len_bytes) {
                 return Err(corrupt(format!(
                     "blob {:?} length {} does not match shape ({}, {}) of {}",
                     e.name,
@@ -380,6 +396,9 @@ impl StateDict {
                     e.cols,
                     e.dtype.as_str()
                 )));
+            }
+            if dict.get(&e.name).is_some() {
+                return Err(corrupt(format!("blob {:?} appears twice", e.name)));
             }
             let data = bytes[e.offset..end].to_vec();
             let sum = fnv1a64(&data);
@@ -595,6 +614,15 @@ fn version_name(epochs_completed: usize) -> String {
     format!("epoch-{epochs_completed:06}")
 }
 
+/// The epoch of the version the `LATEST` pointer under `root` names — the
+/// inverse of the `epoch-NNNNNN` names [`write_versioned`] gives versions —
+/// or `None` when there is no readable pointer. One small read, so a
+/// reloading reader can tell "nothing new" without opening the checkpoint.
+pub fn latest_epoch(root: &Path) -> Option<usize> {
+    let name = fs::read_to_string(root.join("LATEST")).ok()?;
+    name.trim().strip_prefix("epoch-")?.parse().ok()
+}
+
 /// Removes version directories older than the newest two (the current one and
 /// its predecessor, kept so a crash while *reading* the newest never strands
 /// the operator), plus any abandoned `.tmp` staging directories.
@@ -702,74 +730,49 @@ impl Checkpoint {
 
     /// Loads and verifies one specific version directory.
     fn open_version(dir: PathBuf) -> Result<Self> {
-        let manifest = fs::read_to_string(dir.join("manifest.json")).map_err(|e| {
+        let manifest = fs::read(dir.join("manifest.json")).map_err(|e| {
             corrupt(format!(
                 "checkpoint version {} is missing its manifest ({e})",
                 dir.display()
             ))
         })?;
-        let doc = Json::parse(&manifest)
-            .map_err(|e| corrupt(format!("manifest at {} is invalid: {e}", dir.display())))?;
-
-        if doc.str_field("format")? != FORMAT {
-            return Err(corrupt("manifest is not a marius checkpoint"));
-        }
-        let version = doc.u64_field("version")?;
-        if version != FORMAT_VERSION {
-            return Err(corrupt(format!(
-                "checkpoint format version {version} is not supported (this build speaks {FORMAT_VERSION})"
-            )));
-        }
-
-        let rng_arr = doc.field("rng")?.as_array()?;
-        if rng_arr.len() != 4 {
-            return Err(corrupt("rng cursor must have 4 words"));
-        }
-        let mut rng_state = [0u64; 4];
-        for (i, w) in rng_arr.iter().enumerate() {
-            rng_state[i] = w.as_hex_u64()?;
-        }
-
-        let entries: Vec<BlobEntry> = doc
-            .field("blobs")?
-            .as_array()?
-            .iter()
-            .map(blob_entry_from_json)
-            .collect::<Result<_>>()?;
+        let doc = read_manifest(&dir, &manifest)?;
         let bin = fs::read(dir.join("state.bin"))?;
-        let state = StateDict::decode(&entries, &bin)?;
-
-        let has_store_snapshot = doc.bool_field("store_snapshot")?;
-        if has_store_snapshot && !dir.join("partitions").is_dir() {
+        let ckpt = Self::decode(dir, &doc, &bin)?;
+        if ckpt.store_snapshot().is_some_and(|p| !p.is_dir()) {
             return Err(corrupt(format!(
                 "checkpoint {} promises a partition snapshot but has none",
-                dir.display()
+                ckpt.dir.display()
             )));
         }
+        Ok(ckpt)
+    }
 
-        let prior_epochs = doc
-            .field("epochs")?
-            .as_array()?
-            .iter()
-            .map(EpochReport::from_manifest_json)
-            .collect::<Result<_>>()?;
-
+    /// Decodes a version from its manifest (read by [`read_manifest`]) and
+    /// its `state.bin` bytes, verifying every blob; touches no file.
+    fn decode(dir: PathBuf, doc: &Json, bin: &[u8]) -> Result<Self> {
+        let rng: Vec<Hex> = Codec::from_json(doc.field("rng")?)?;
+        let rng_state = <[Hex; 4]>::try_from(rng)
+            .map_err(|_| corrupt("rng cursor must have 4 words"))?
+            .map(|w| w.0);
+        let entries: Vec<BlobEntry> = Codec::from_json(doc.field("blobs")?)?;
+        let dataset = doc.field("dataset")?;
         Ok(Checkpoint {
-            dir,
-            config: RunConfig::from_json(&doc)?,
-            epochs_completed: doc.u64_field("epochs_completed")? as usize,
+            config: Codec::from_json(doc)?,
+            epochs_completed: Codec::from_json(doc.field("epochs_completed")?)?,
             rng_state,
-            dataset_spec: dataset_from_json(doc.field("dataset")?)?,
-            dataset_seed: doc.field("dataset")?.u64_field("seed")?,
+            dataset_spec: Codec::from_json(dataset)?,
+            dataset_seed: Codec::from_json(dataset.field("seed")?)?,
             // Manifests written before streaming existed have no "stream"
             // field at all; both that and an explicit null mean "no stream".
             stream: match doc.field("stream") {
-                Ok(j) => stream_from_json(j)?,
+                Ok(j) => Codec::from_json(j)?,
                 Err(_) => None,
             },
-            state,
-            has_store_snapshot,
-            prior_epochs,
+            state: StateDict::decode(&entries, bin)?,
+            has_store_snapshot: Codec::from_json(doc.field("store_snapshot")?)?,
+            prior_epochs: Codec::from_json(doc.field("epochs")?)?,
+            dir,
         })
     }
 
@@ -781,312 +784,229 @@ impl Checkpoint {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Manifest rendering.
-// ---------------------------------------------------------------------------
-
-/// Renders `{"key":value,..}` from already-rendered values.
-pub(crate) fn json_object<K: AsRef<str>>(fields: &[(K, String)]) -> String {
-    let fields = fields
-        .iter()
-        .map(|(key, value)| format!("\"{}\":{value}", key.as_ref()));
-    format!("{{{}}}", fields.collect::<Vec<_>>().join(","))
+/// Parses a manifest's bytes and checks that it is a checkpoint this build
+/// speaks (format name and version).
+fn read_manifest(dir: &Path, bytes: &[u8]) -> Result<Json> {
+    let doc = std::str::from_utf8(bytes)
+        .map_err(|e| e.to_string())
+        .and_then(|text| Json::parse(text).map_err(|e| e.0))
+        .map_err(|e| corrupt(format!("manifest at {} is invalid: {e}", dir.display())))?;
+    if doc.str_field("format")? != FORMAT {
+        return Err(corrupt("manifest is not a marius checkpoint"));
+    }
+    let version = u64::from_json(doc.field("version")?)?;
+    if version != FORMAT_VERSION {
+        return Err(corrupt(format!(
+            "checkpoint format version {version} is not supported (this build speaks {FORMAT_VERSION})"
+        )));
+    }
+    Ok(doc)
 }
 
-/// Renders `[item,..]` from already-rendered items.
-fn json_array(items: impl Iterator<Item = String>) -> String {
-    format!("[{}]", items.collect::<Vec<_>>().join(","))
+// ---------------------------------------------------------------------------
+// The manifest codec: one field table per record.
+// ---------------------------------------------------------------------------
+
+/// One manifest value's JSON spelling, both ways. Readers are total: a value
+/// of the wrong shape, or out of range for its Rust type, is a typed
+/// [`StorageError::Checkpoint`] — never a panic, never a silent truncation.
+pub(crate) trait Codec: Sized {
+    /// The value as JSON.
+    fn to_json(&self) -> Json;
+    /// Reads back what [`Codec::to_json`] wrote.
+    fn from_json(j: &Json) -> Result<Self>;
+}
+
+/// Declares leaf codecs, one line each: `Type: |value| write, |json| read;`.
+macro_rules! leaf {
+    ($($t:ty: |$v:ident| $write:expr, |$j:ident| $read:expr;)*) => {$(
+        impl Codec for $t {
+            fn to_json(&self) -> Json {
+                let $v = self;
+                $write
+            }
+            fn from_json($j: &Json) -> Result<Self> {
+                $read
+            }
+        }
+    )*};
+}
+
+/// A 64-bit word spelled as its `"0x…"` bit pattern (checksums, RNG words).
+struct Hex(u64);
+
+// Integers are read exactly, as `u64`, and narrowed by `TryFrom`. Finite
+// floats round-trip exactly through Rust's shortest-display formatting, so
+// config floats — always finite — are plain JSON numbers.
+leaf! {
+    u64: |v| Json::Num(v.to_string()), |j| Ok(j.as_u64()?);
+    usize: |v| Json::Num(v.to_string()), |j| narrow(j);
+    u32: |v| Json::Num(v.to_string()), |j| narrow(j);
+    f64: |v| Json::Num(v.to_string()), |j| Ok(j.as_f64()?);
+    f32: |v| Json::Num(v.to_string()), |j| Ok(j.as_f64()? as f32);
+    bool: |v| Json::Bool(*v), |j| Ok(j.as_bool()?);
+    String: |v| Json::Str(v.clone()), |j| Ok(j.as_str()?.to_string());
+    Hex: |v| Json::hex(v.0), |j| Ok(Hex(j.as_hex_u64()?));
+    DType: |v| Json::Str(v.as_str().into()), |j| DType::parse(j.as_str()?);
+}
+
+fn narrow<T: TryFrom<u64>>(j: &Json) -> Result<T> {
+    let v = j.as_u64()?;
+    let ty = std::any::type_name::<T>();
+    T::try_from(v).map_err(|_| corrupt(format!("{v} is out of range for {ty}")))
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
+    }
+    fn from_json(j: &Json) -> Result<Self> {
+        j.as_array()?.iter().map(T::from_json).collect()
+    }
+}
+
+/// `None` is `null`.
+impl<T: Codec> Codec for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_json)
+    }
+    fn from_json(j: &Json) -> Result<Self> {
+        (*j != Json::Null).then(|| T::from_json(j)).transpose()
+    }
+}
+
+/// Enums are spelled by their `Debug` names, one list of variants each.
+macro_rules! enum_codec {
+    ($($t:ident: [$($v:ident),*],)*) => {$(
+        impl Codec for $t {
+            fn to_json(&self) -> Json {
+                Json::Str(format!("{self:?}"))
+            }
+            fn from_json(j: &Json) -> Result<Self> {
+                let name = j.as_str()?;
+                let known = [$($t::$v),*].into_iter().find(|v| format!("{v:?}") == name);
+                known.ok_or_else(|| corrupt(format!("unknown {} {name:?}", stringify!($t))))
+            }
+        }
+    )*};
+}
+
+enum_codec! {
+    EncoderKind: [GraphSage, Gat, Gcn, None],
+    SamplingDirection: [Incoming, Outgoing, Both],
+    PolicyKind: [Comet, Beta, NodeCache],
+    DatasetTask: [LinkPrediction, NodeClassification],
+}
+
+/// Declares records: `Type { field, field as "key", field in Wrapper, .. }`
+/// lists one JSON object's keys in order (a key defaults to the field name;
+/// `in Wrapper` spells the field through a newtype such as [`Hex`]). Both
+/// directions expand from the list; readers look keys up by name, so keys a
+/// record no longer has (`pipeline.synchronous_writeback`) are ignored.
+macro_rules! record {
+    ($($t:ident { $($field:ident $(as $key:literal)? $(in $wrap:ident)?),* })*) => {$(
+        impl Codec for $t {
+            fn to_json(&self) -> Json {
+                Json::obj([$(
+                    (record!(@key $field $($key)?), record!(@put self.$field $(, $wrap)?)),
+                )*])
+            }
+            fn from_json(j: &Json) -> Result<Self> {
+                Ok($t {$(
+                    $field: record!(@get j.field(record!(@key $field $($key)?))? $(, $wrap)?),
+                )*})
+            }
+        }
+    )*};
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+    (@put $v:expr) => { Codec::to_json(&$v) };
+    (@put $v:expr, $wrap:ident) => { $wrap($v).to_json() };
+    (@get $j:expr) => { Codec::from_json($j)? };
+    (@get $j:expr, $wrap:ident) => { $wrap::from_json($j)?.0 };
+}
+
+record! {
+    RunConfig {
+        task, checkpoint_every as "every", eval_every, emulated_device, model, train, storage,
+        pipeline
+    }
+    ModelConfig {
+        encoder, num_layers, hidden_dim, output_dim, input_dim, fanouts, direction,
+        learning_rate, embedding_learning_rate
+    }
+    TrainConfig { batch_size, num_negatives, eval_negatives, epochs, seed, max_batches_per_epoch }
+    DiskConfig { policy, num_partitions, buffer_capacity, num_logical }
+    PipelineConfig { enabled, num_sampling_workers, queue_depth, prefetch_depth, writeback_depth }
+    IoCostModel { bandwidth_bytes_per_sec, iops, block_size }
+    StreamState { seed, batch_size, batches_applied, edges_ingested }
+    DatasetSpec {
+        name, num_nodes, num_edges, feat_dim, num_relations, num_classes, train_fraction, task,
+        degree_exponent, fixed_features
+    }
+    BlobEntry { name, rows, cols, dtype, offset, len_bytes, fnv64 in Hex }
+}
+
+/// `{"kind": "memory"}`, or `{"kind": "disk"}` followed by the
+/// [`DiskConfig`]'s fields.
+impl Codec for Storage {
+    fn to_json(&self) -> Json {
+        let (kind, rest) = match self {
+            Storage::InMemory => ("memory", Vec::new()),
+            Storage::Disk(d) => ("disk", pairs(d)),
+        };
+        let mut fields = vec![("kind".to_string(), Json::Str(kind.into()))];
+        fields.extend(rest);
+        Json::Obj(fields)
+    }
+    fn from_json(j: &Json) -> Result<Self> {
+        match j.str_field("kind")? {
+            "memory" => Ok(Storage::InMemory),
+            "disk" => Ok(Storage::Disk(DiskConfig::from_json(j)?)),
+            other => Err(corrupt(format!("unknown storage kind {other:?}"))),
+        }
+    }
+}
+
+/// A record's `(key, value)` pairs (every record renders as an object).
+fn pairs<T: Codec>(record: &T) -> Vec<(String, Json)> {
+    match record.to_json() {
+        Json::Obj(pairs) => pairs,
+        _ => Vec::new(),
+    }
 }
 
 fn manifest_json(s: &CheckpointSnapshot<'_>, entries: &[BlobEntry]) -> String {
-    let mut fields = vec![
-        ("format", format!("\"{FORMAT}\"")),
-        ("version", FORMAT_VERSION.to_string()),
-    ];
-    fields.extend(s.config.json_fields());
+    let key = |k: &str, v: Json| (k.to_string(), v);
+    let mut dataset = pairs(&s.data.spec);
+    dataset.push(key("seed", s.data.seed.to_json()));
+    let mut fields = pairs(s.config);
     // Format version 1 interleaves the cursor's two scalars with the
     // description; they keep those places so that re-rendering a parsed
     // manifest reproduces it byte for byte.
-    fields.insert(3, ("epochs_completed", s.epochs_completed.to_string()));
-    let rng = s.rng_state.iter().map(|w| format!("\"{w:#018x}\""));
-    fields.insert(6, ("rng", json_array(rng)));
-    let epochs = s.report.epochs.iter().map(EpochReport::to_manifest_json);
+    fields.insert(0, key("format", Json::Str(FORMAT.into())));
+    fields.insert(1, key("version", FORMAT_VERSION.to_json()));
+    fields.insert(3, key("epochs_completed", s.epochs_completed.to_json()));
+    fields.insert(6, key("rng", Vec::from(s.rng_state.map(Hex)).to_json()));
+    let blobs = entries.iter().map(Codec::to_json).collect();
     fields.extend([
-        ("dataset", dataset_to_json(&s.data.spec, s.data.seed)),
-        ("stream", stream_to_json(s.stream.as_ref())),
-        ("store_snapshot", s.store.is_some().to_string()),
-        ("blobs", json_array(entries.iter().map(blob_entry_to_json))),
-        ("epochs", json_array(epochs)),
+        key("dataset", Json::Obj(dataset)),
+        key("stream", s.stream.to_json()),
+        key("store_snapshot", s.store.is_some().to_json()),
+        key("blobs", Json::Arr(blobs)),
+        key("epochs", Codec::to_json(&s.report.epochs)),
     ]);
-    json_object(&fields)
+    Json::Obj(fields).render()
 }
 
 impl RunConfig {
-    /// The description's manifest fields, in manifest order.
-    fn json_fields(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("task", format!("\"{}\"", escape(&self.task))),
-            ("every", self.checkpoint_every.to_string()),
-            ("eval_every", self.eval_every.to_string()),
-            (
-                "emulated_device",
-                emulated_device_to_json(self.emulated_device.as_ref()),
-            ),
-            ("model", model_to_json(&self.model)),
-            ("train", train_to_json(&self.train)),
-            ("storage", storage_to_json(&self.storage)),
-            ("pipeline", pipeline_to_json(&self.pipeline)),
-        ]
-    }
-
-    /// Renders the description as one JSON object under the manifest's keys
-    /// (`task`, `every`, `eval_every`, `emulated_device`, `model`, `train`,
-    /// `storage`, `pipeline`).
+    /// Renders the description alone as one JSON object under the
+    /// manifest's keys (`task`, `every`, `eval_every`, `emulated_device`,
+    /// `model`, `train`, `storage`, `pipeline`). A whole manifest reads back
+    /// as the same description.
     pub fn to_json(&self) -> String {
-        json_object(&self.json_fields())
+        Codec::to_json(self).render()
     }
-
-    /// Reads a description back from any JSON object carrying those keys — a
-    /// whole checkpoint manifest included.
-    pub fn from_json(j: &Json) -> Result<Self> {
-        Ok(RunConfig {
-            task: j.str_field("task")?.to_string(),
-            model: model_from_json(j.field("model")?)?,
-            train: train_from_json(j.field("train")?)?,
-            storage: storage_from_json(j.field("storage")?)?,
-            pipeline: pipeline_from_json(j.field("pipeline")?)?,
-            eval_every: j.u64_field("eval_every")? as usize,
-            checkpoint_every: j.u64_field("every")? as usize,
-            emulated_device: emulated_device_from_json(j.field("emulated_device")?)?,
-        })
-    }
-}
-
-fn blob_entry_to_json(e: &BlobEntry) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"rows\":{},\"cols\":{},\"dtype\":\"{}\",\
-         \"offset\":{},\"len_bytes\":{},\"fnv64\":\"{:#018x}\"}}",
-        escape(&e.name),
-        e.rows,
-        e.cols,
-        e.dtype.as_str(),
-        e.offset,
-        e.len_bytes,
-        e.fnv64,
-    )
-}
-
-fn blob_entry_from_json(j: &Json) -> Result<BlobEntry> {
-    Ok(BlobEntry {
-        name: j.str_field("name")?.to_string(),
-        rows: j.u64_field("rows")? as usize,
-        cols: j.u64_field("cols")? as usize,
-        dtype: DType::parse(j.str_field("dtype")?)?,
-        offset: j.u64_field("offset")? as usize,
-        len_bytes: j.u64_field("len_bytes")? as usize,
-        fnv64: j.field("fnv64")?.as_hex_u64()?,
-    })
-}
-
-// Finite floats round-trip exactly through Rust's shortest-display formatting
-// (`format!("{v}")` emits the shortest string that parses back to the same
-// bits), so config floats — always finite — are stored as plain JSON numbers.
-
-/// Reads the string field `key` as the variant of `all` with that name (as
-/// `derive(Debug)` prints it, which is also how the writers spell it).
-fn variant<T: Copy + std::fmt::Debug>(j: &Json, key: &str, all: &[T]) -> Result<T> {
-    let name = j.str_field(key)?;
-    all.iter()
-        .copied()
-        .find(|v| format!("{v:?}") == name)
-        .ok_or_else(|| corrupt(format!("unknown {key} {name:?}")))
-}
-
-fn model_to_json(m: &ModelConfig) -> String {
-    format!(
-        "{{\"encoder\":\"{:?}\",\"num_layers\":{},\"hidden_dim\":{},\"output_dim\":{},\
-         \"input_dim\":{},\"fanouts\":{},\"direction\":\"{:?}\",\
-         \"learning_rate\":{},\"embedding_learning_rate\":{}}}",
-        m.encoder,
-        m.num_layers,
-        m.hidden_dim,
-        m.output_dim,
-        m.input_dim,
-        json_array(m.fanouts.iter().map(|f| f.to_string())),
-        m.direction,
-        m.learning_rate,
-        m.embedding_learning_rate,
-    )
-}
-
-fn model_from_json(j: &Json) -> Result<ModelConfig> {
-    use crate::config::EncoderKind::{Gat, Gcn, GraphSage, None};
-    use SamplingDirection::{Both, Incoming, Outgoing};
-    let fanouts = j
-        .field("fanouts")?
-        .as_array()?
-        .iter()
-        .map(|f| f.as_u64().map(|v| v as usize))
-        .collect::<Result<Vec<usize>>>()?;
-    Ok(ModelConfig {
-        encoder: variant(j, "encoder", &[GraphSage, Gat, Gcn, None])?,
-        num_layers: j.u64_field("num_layers")? as usize,
-        hidden_dim: j.u64_field("hidden_dim")? as usize,
-        output_dim: j.u64_field("output_dim")? as usize,
-        input_dim: j.u64_field("input_dim")? as usize,
-        fanouts,
-        direction: variant(j, "direction", &[Incoming, Outgoing, Both])?,
-        learning_rate: j.f64_field("learning_rate")? as f32,
-        embedding_learning_rate: j.f64_field("embedding_learning_rate")? as f32,
-    })
-}
-
-fn emulated_device_to_json(io: Option<&IoCostModel>) -> String {
-    match io {
-        None => "null".to_string(),
-        Some(io) => format!(
-            "{{\"bandwidth_bytes_per_sec\":{},\"iops\":{},\"block_size\":{}}}",
-            io.bandwidth_bytes_per_sec, io.iops, io.block_size,
-        ),
-    }
-}
-
-fn emulated_device_from_json(j: &Json) -> Result<Option<IoCostModel>> {
-    match j {
-        Json::Null => Ok(None),
-        obj => Ok(Some(IoCostModel {
-            bandwidth_bytes_per_sec: obj.f64_field("bandwidth_bytes_per_sec")?,
-            iops: obj.f64_field("iops")?,
-            block_size: obj.u64_field("block_size")?,
-        })),
-    }
-}
-
-fn train_to_json(t: &TrainConfig) -> String {
-    format!(
-        "{{\"batch_size\":{},\"num_negatives\":{},\"eval_negatives\":{},\"epochs\":{},\
-         \"seed\":{},\"max_batches_per_epoch\":{}}}",
-        t.batch_size, t.num_negatives, t.eval_negatives, t.epochs, t.seed, t.max_batches_per_epoch,
-    )
-}
-
-fn train_from_json(j: &Json) -> Result<TrainConfig> {
-    Ok(TrainConfig {
-        batch_size: j.u64_field("batch_size")? as usize,
-        num_negatives: j.u64_field("num_negatives")? as usize,
-        eval_negatives: j.u64_field("eval_negatives")? as usize,
-        epochs: j.u64_field("epochs")? as usize,
-        seed: j.u64_field("seed")?,
-        max_batches_per_epoch: j.u64_field("max_batches_per_epoch")? as usize,
-    })
-}
-
-fn storage_to_json(s: &Storage) -> String {
-    match s {
-        Storage::InMemory => "{\"kind\":\"memory\"}".to_string(),
-        Storage::Disk(d) => format!(
-            "{{\"kind\":\"disk\",\"policy\":\"{:?}\",\"num_partitions\":{},\
-             \"buffer_capacity\":{},\"num_logical\":{}}}",
-            d.policy, d.num_partitions, d.buffer_capacity, d.num_logical,
-        ),
-    }
-}
-
-fn storage_from_json(j: &Json) -> Result<Storage> {
-    use PolicyKind::{Beta, Comet, NodeCache};
-    match j.str_field("kind")? {
-        "memory" => Ok(Storage::InMemory),
-        "disk" => Ok(Storage::Disk(DiskConfig {
-            policy: variant(j, "policy", &[Comet, Beta, NodeCache])?,
-            num_partitions: j.u64_field("num_partitions")? as u32,
-            buffer_capacity: j.u64_field("buffer_capacity")? as usize,
-            num_logical: j.u64_field("num_logical")? as u32,
-        })),
-        other => Err(corrupt(format!("unknown storage kind {other:?}"))),
-    }
-}
-
-fn pipeline_to_json(p: &PipelineConfig) -> String {
-    format!(
-        "{{\"enabled\":{},\"num_sampling_workers\":{},\"queue_depth\":{},\
-         \"prefetch_depth\":{},\"writeback_depth\":{}}}",
-        p.enabled, p.num_sampling_workers, p.queue_depth, p.prefetch_depth, p.writeback_depth,
-    )
-}
-
-/// Manifests written while the pipeline still had its inline write-back
-/// measurement mode carry a `synchronous_writeback` key; it is ignored.
-fn pipeline_from_json(j: &Json) -> Result<PipelineConfig> {
-    Ok(PipelineConfig {
-        enabled: j.bool_field("enabled")?,
-        num_sampling_workers: j.u64_field("num_sampling_workers")? as usize,
-        queue_depth: j.u64_field("queue_depth")? as usize,
-        prefetch_depth: j.u64_field("prefetch_depth")? as usize,
-        writeback_depth: j.u64_field("writeback_depth")? as usize,
-    })
-}
-
-fn stream_to_json(s: Option<&StreamState>) -> String {
-    match s {
-        None => "null".to_string(),
-        Some(s) => format!(
-            "{{\"seed\":{},\"batch_size\":{},\"batches_applied\":{},\"edges_ingested\":{}}}",
-            s.seed, s.batch_size, s.batches_applied, s.edges_ingested,
-        ),
-    }
-}
-
-fn stream_from_json(j: &Json) -> Result<Option<StreamState>> {
-    match j {
-        Json::Null => Ok(None),
-        obj => Ok(Some(StreamState {
-            seed: obj.u64_field("seed")?,
-            batch_size: obj.u64_field("batch_size")? as usize,
-            batches_applied: obj.u64_field("batches_applied")?,
-            edges_ingested: obj.u64_field("edges_ingested")?,
-        })),
-    }
-}
-
-fn dataset_to_json(spec: &DatasetSpec, seed: u64) -> String {
-    let classes = match spec.num_classes {
-        Some(c) => c.to_string(),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"name\":\"{}\",\"num_nodes\":{},\"num_edges\":{},\"feat_dim\":{},\
-         \"num_relations\":{},\"num_classes\":{classes},\"train_fraction\":{},\
-         \"task\":\"{:?}\",\"degree_exponent\":{},\"fixed_features\":{},\"seed\":{seed}}}",
-        escape(&spec.name),
-        spec.num_nodes,
-        spec.num_edges,
-        spec.feat_dim,
-        spec.num_relations,
-        spec.train_fraction,
-        spec.task,
-        spec.degree_exponent,
-        spec.fixed_features,
-    )
-}
-
-fn dataset_from_json(j: &Json) -> Result<DatasetSpec> {
-    use DatasetTask::{LinkPrediction, NodeClassification};
-    let num_classes = match j.field("num_classes")? {
-        Json::Null => None,
-        v => Some(v.as_u64()? as usize),
-    };
-    Ok(DatasetSpec {
-        name: j.str_field("name")?.to_string(),
-        num_nodes: j.u64_field("num_nodes")?,
-        num_edges: j.u64_field("num_edges")?,
-        feat_dim: j.u64_field("feat_dim")? as usize,
-        num_relations: j.u64_field("num_relations")? as u32,
-        num_classes,
-        train_fraction: j.f64_field("train_fraction")?,
-        task: variant(j, "task", &[LinkPrediction, NodeClassification])?,
-        degree_exponent: j.f64_field("degree_exponent")?,
-        fixed_features: j.bool_field("fixed_features")?,
-    })
 }
 
 #[cfg(test)]
@@ -1179,6 +1099,10 @@ mod tests {
         // Lie about the shape: length/shape mismatch.
         let mut bad = entries.clone();
         bad[0].rows = 7;
+        let err = StateDict::decode(&bad, &bytes).unwrap_err();
+        assert!(format!("{err}").contains("shape"), "{err}");
+        // A shape whose byte size overflows is a lie too, not a panic.
+        (bad[0].rows, bad[0].cols, bad[0].len_bytes) = (1 << 62, 4, 0);
         let err = StateDict::decode(&bad, &bytes).unwrap_err();
         assert!(format!("{err}").contains("shape"), "{err}");
     }
@@ -1343,6 +1267,77 @@ mod tests {
         assert_eq!(ckpt.prior_epochs.len(), 3);
         assert_eq!(ckpt.prior_epochs[2].metric.to_bits(), 0x3fdc_cccc_cccc_cccd);
         assert_eq!(ckpt.prior_epochs[2].edges_sampled, 199);
+    }
+
+    /// Runs the decode [`Checkpoint::open`] runs on a version's two files,
+    /// from memory.
+    fn decode(manifest: &[u8], bin: &[u8]) -> Result<Checkpoint> {
+        let dir = PathBuf::from("in-memory");
+        let doc = read_manifest(&dir, manifest)?;
+        Checkpoint::decode(dir, &doc, bin)
+    }
+
+    /// Every proper prefix of `bytes`, then every single-bit flip of it.
+    fn mutants(bytes: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+        let cuts = (0..bytes.len()).map(|n| bytes[..n].to_vec());
+        let flips = (0..bytes.len() * 8).map(|bit| {
+            let mut flipped = bytes.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            flipped
+        });
+        cuts.chain(flips)
+    }
+
+    #[test]
+    fn bad_golden_bytes_are_typed_errors_never_panics() {
+        let goldens: [(&str, &[u8]); 2] = [
+            (
+                include_str!("../tests/fixtures/golden_lp_disk/manifest.json"),
+                include_bytes!("../tests/fixtures/golden_lp_disk/state.bin"),
+            ),
+            (
+                include_str!("../tests/fixtures/golden_nc_memory/manifest.json"),
+                include_bytes!("../tests/fixtures/golden_nc_memory/state.bin"),
+            ),
+        ];
+        for (manifest, bin) in goldens {
+            let manifest = manifest.as_bytes();
+            decode(manifest, bin).unwrap();
+            // Every prefix and every single-bit flip of either file: `Ok` or
+            // a `StorageError` (a panic fails the test).
+            for m in mutants(manifest) {
+                let _ = decode(&m, bin);
+            }
+            for b in mutants(bin) {
+                let _ = decode(manifest, &b);
+            }
+            // Every cut of state.bin loses bytes some blob needs.
+            assert!((0..bin.len()).all(|n| decode(manifest, &bin[..n]).is_err()));
+        }
+    }
+
+    #[test]
+    fn an_out_of_range_integer_is_a_typed_error_not_a_truncation() {
+        let manifest = include_str!("../tests/fixtures/golden_lp_disk/manifest.json");
+        let bin = include_bytes!("../tests/fixtures/golden_lp_disk/state.bin");
+        // 2^32 + 16 read `as u32` would be 16.
+        let wide = manifest.replace("\"num_partitions\":4", "\"num_partitions\":4294967312");
+        assert_ne!(wide, manifest);
+        let err = decode(wide.as_bytes(), bin).unwrap_err();
+        assert!(matches!(err, StorageError::Checkpoint { .. }), "{err}");
+        assert!(format!("{err}").contains("4294967312"), "{err}");
+    }
+
+    #[test]
+    fn latest_epoch_parses_the_pointer() {
+        let dir = temp_root("latest-epoch");
+        fs::create_dir_all(&dir).unwrap();
+        assert_eq!(latest_epoch(&dir), None);
+        fs::write(dir.join("LATEST"), "epoch-000042\n").unwrap();
+        assert_eq!(latest_epoch(&dir), Some(42));
+        fs::write(dir.join("LATEST"), "garbage").unwrap();
+        assert_eq!(latest_epoch(&dir), None);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! produces a machine-readable document (the chaos suites write it as
 //! `BENCH_*.json` so fault trajectories can be compared across commits).
 
-use crate::checkpoint::{json::Json, json_object};
-use marius_storage::{Result, StorageError};
-use marius_telemetry::json::{escape, num};
+use crate::checkpoint::Codec;
+use marius_storage::Result;
+use marius_telemetry::json::Json;
 use marius_telemetry::Telemetry;
 use std::time::Duration;
 
@@ -24,8 +24,8 @@ trait Field: Sized {
     const BITS: bool = false;
     fn to_word(&self) -> u64;
     fn from_word(word: u64) -> Self;
-    fn to_json(&self) -> String {
-        self.to_word().to_string()
+    fn report_json(&self) -> Json {
+        Json::Num(self.to_word().to_string())
     }
 }
 
@@ -56,8 +56,8 @@ impl Field for f64 {
     fn from_word(word: u64) -> Self {
         f64::from_bits(word)
     }
-    fn to_json(&self) -> String {
-        num(*self)
+    fn report_json(&self) -> Json {
+        Json::float(*self)
     }
 }
 
@@ -70,27 +70,32 @@ impl Field for Duration {
     fn from_word(word: u64) -> Self {
         Duration::from_nanos(word)
     }
-    fn to_json(&self) -> String {
-        num(self.as_secs_f64())
+    fn report_json(&self) -> Json {
+        Json::float(self.as_secs_f64())
     }
 }
 
-fn manifest_field<F: Field>(name: &str, value: &F) -> (String, String) {
+fn manifest_field<F: Field>(name: &str, value: &F) -> (String, Json) {
     let word = value.to_word();
     let value = if F::BITS {
-        format!("\"{word:#018x}\"")
+        Json::hex(word)
     } else {
-        word.to_string()
+        Json::Num(word.to_string())
     };
     (format!("{name}{}", F::MANIFEST_SUFFIX), value)
 }
 
-fn json_field<F: Field>(name: &str, value: &F) -> (String, String) {
-    (format!("{name}{}", F::JSON_SUFFIX), value.to_json())
+fn json_field<F: Field>(name: &str, value: &F) -> (String, Json) {
+    (format!("{name}{}", F::JSON_SUFFIX), value.report_json())
 }
 
-fn read_field<F: Field>(j: &Json, name: &str) -> Result<F> {
-    let value = j.field(&format!("{name}{}", F::MANIFEST_SUFFIX))?;
+/// Reads one manifest field; a field that is absent reads as `absent` when
+/// there is one. A field that is present but malformed is always an error.
+fn read_field<F: Field>(j: &Json, name: &str, absent: Option<F>) -> Result<F> {
+    let value = match (j.field(&format!("{name}{}", F::MANIFEST_SUFFIX)), absent) {
+        (Err(_), Some(absent)) => return Ok(absent),
+        (value, _) => value?,
+    };
     Ok(F::from_word(if F::BITS {
         value.as_hex_u64()?
     } else {
@@ -112,24 +117,25 @@ macro_rules! epoch_report {
             $( $(#[$doc])* pub $field: $ty, )*
         }
 
-        impl EpochReport {
-            /// One entry of a manifest's `"epochs"` array: every field,
-            /// bit-exactly.
-            pub(crate) fn to_manifest_json(&self) -> String {
-                json_object(&[$( manifest_field(stringify!($field), &self.$field), )*])
+        /// One entry of a manifest's `"epochs"` array: every field,
+        /// bit-exactly.
+        impl Codec for EpochReport {
+            fn to_json(&self) -> Json {
+                Json::Obj(vec![$( manifest_field(stringify!($field), &self.$field), )*])
             }
 
-            /// Reads back what [`EpochReport::to_manifest_json`] wrote.
-            pub(crate) fn from_manifest_json(j: &Json) -> Result<Self> {
+            fn from_json(j: &Json) -> Result<Self> {
                 Ok(EpochReport {
-                    $( $field: read_field(j, stringify!($field))$(.or::<StorageError>(Ok($absent)))? ?, )*
+                    $( $field: read_field(j, stringify!($field), None $(.or(Some($absent)))?)?, )*
                 })
             }
+        }
 
+        impl EpochReport {
             /// The epoch's object in [`ExperimentReport::to_json`]: durations
             /// in (fractional) seconds, non-finite floats as `null`.
-            fn to_json(&self) -> String {
-                json_object(&[$( json_field(stringify!($field), &self.$field), )*])
+            fn report_json(&self) -> Json {
+                Json::Obj(vec![$( json_field(stringify!($field), &self.$field), )*])
             }
 
             /// Mirrors one finalized epoch into `trainer.*` counters, so
@@ -276,18 +282,20 @@ impl ExperimentReport {
     /// emitted in (fractional) seconds; skipped-evaluation metrics are
     /// rendered as `null`.
     pub fn to_json(&self) -> String {
-        let epochs: Vec<String> = self.epochs.iter().map(EpochReport::to_json).collect();
-        format!(
-            "{{\"system\":\"{}\",\"dataset\":\"{}\",\"final_metric\":{},\"best_metric\":{},\
-             \"avg_epoch_time_s\":{},\"total_time_s\":{},\"epochs\":[{}]}}",
-            escape(&self.system),
-            escape(&self.dataset),
-            num(self.final_metric()),
-            num(self.best_metric()),
-            num(self.avg_epoch_time().as_secs_f64()),
-            num(self.total_time().as_secs_f64()),
-            epochs.join(","),
-        )
+        let epochs = self.epochs.iter().map(EpochReport::report_json);
+        Json::obj([
+            ("system", Json::Str(self.system.clone())),
+            ("dataset", Json::Str(self.dataset.clone())),
+            ("final_metric", Json::float(self.final_metric())),
+            ("best_metric", Json::float(self.best_metric())),
+            (
+                "avg_epoch_time_s",
+                Json::float(self.avg_epoch_time().as_secs_f64()),
+            ),
+            ("total_time_s", Json::float(self.total_time().as_secs_f64())),
+            ("epochs", Json::Arr(epochs.collect())),
+        ])
+        .render()
     }
 
     /// Renders the report as an aligned text table (one row per epoch).
@@ -309,6 +317,18 @@ impl ExperimentReport {
             ));
         }
         out
+    }
+}
+
+/// The manifest codec under the names the tests below call it by.
+#[cfg(test)]
+impl EpochReport {
+    fn to_manifest_json(&self) -> String {
+        Codec::to_json(self).render()
+    }
+
+    fn from_manifest_json(j: &Json) -> Result<Self> {
+        Codec::from_json(j)
     }
 }
 

@@ -150,6 +150,7 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use marius_core::checkpoint::latest_epoch;
 use marius_core::{read_all_embeddings, Checkpoint, DiskConfig, EncoderKind, PolicyKind, Storage};
 use marius_gnn::DistMult;
 use marius_graph::{NodeId, PartitionId, Partitioner, RelId};
@@ -646,11 +647,11 @@ impl LoadSpec {
                 }
             },
             Storage::Disk(disk) => {
-                if !ckpt.has_store_snapshot {
+                let Some(snapshot) = ckpt.store_snapshot() else {
                     return Err(StorageError::checkpoint(
                         "checkpoint carries no partition snapshot to serve from",
                     ));
-                }
+                };
                 // Replay the partition assignment exactly as training derived
                 // it: the assignment draw is the trainer RNG's first use, so
                 // seeding with the training seed and replaying that prefix
@@ -661,7 +662,7 @@ impl LoadSpec {
                         reason: format!("cannot replay the partition assignment: {e}"),
                     })?
                     .random(num_nodes, &mut rng);
-                let store = self.env.open_store(ckpt.dir.join("partitions"))?;
+                let store = self.env.open_store(snapshot)?;
                 match self.mode {
                     ServeMode::InMemory => {
                         let flat = read_all_embeddings(&store, &assignment, dim)?;
@@ -690,13 +691,6 @@ impl LoadSpec {
             num_relations,
         })
     }
-}
-
-/// Reads the `LATEST` pointer and parses its `epoch-NNNNNN` name, so a
-/// reload can no-op without the full (store-opening, blob-verifying) load.
-fn peek_latest_epoch(root: &Path) -> Option<usize> {
-    let name = std::fs::read_to_string(root.join("LATEST")).ok()?;
-    name.trim().strip_prefix("epoch-")?.parse().ok()
 }
 
 /// A read-only serving handle over one loaded checkpoint root. Shareable
@@ -904,7 +898,7 @@ impl Server {
         // Cheap no-op check: parse LATEST before paying for a full verified
         // load. An unreadable/unparseable pointer falls through to the full
         // open, which produces the proper typed error.
-        if peek_latest_epoch(&self.spec.root) == Some(current) {
+        if latest_epoch(&self.spec.root) == Some(current) {
             return Ok(None);
         }
         let fresh = self.spec.load()?;
@@ -1188,22 +1182,5 @@ mod tests {
         let disk = DiskConfig::node_cache(8, 4);
         let err = heat_order(&disk, &mut StdRng::seed_from_u64(1)).unwrap_err();
         assert!(format!("{err}").contains("node classification"), "{err}");
-    }
-
-    #[test]
-    fn peek_latest_epoch_parses_the_pointer() {
-        let dir = std::env::temp_dir().join(format!(
-            "marius-serve-peek-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        assert_eq!(peek_latest_epoch(&dir), None);
-        std::fs::write(dir.join("LATEST"), "epoch-000042\n").unwrap();
-        assert_eq!(peek_latest_epoch(&dir), Some(42));
-        std::fs::write(dir.join("LATEST"), "garbage").unwrap();
-        assert_eq!(peek_latest_epoch(&dir), None);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

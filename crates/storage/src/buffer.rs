@@ -413,8 +413,9 @@ impl PartitionBuffer {
     }
 
     /// Moves `new_parts` into residency, rejecting foreign, already resident
-    /// and write-back-pending partitions, and checks that all of `set` is
-    /// resident afterwards.
+    /// and write-back-pending partitions and payloads that are not one row of
+    /// values and state per node of the partition, and checks that all of
+    /// `set` is resident afterwards.
     fn install_new_parts(
         &mut self,
         wanted: &HashSet<PartitionId>,
@@ -442,6 +443,18 @@ impl PartitionBuffer {
                 return Err(StorageError::InvalidPlan {
                     reason: format!(
                         "partition {p} still has a pending write-back; installing it would revive stale disk bytes"
+                    ),
+                });
+            }
+            // Gathers and updates index the payload by node offset, so a
+            // short (or long) one must not get in.
+            let len = self.assignment.nodes_in(p).len() * self.dim;
+            if values.len() != len || state.len() != len {
+                return Err(StorageError::NotResident {
+                    reason: format!(
+                        "partition {p} payload holds {} values and {} state words, not {len}",
+                        values.len(),
+                        state.len()
                     ),
                 });
             }
@@ -800,6 +813,29 @@ mod tests {
         let (v, s) = buffer.store().read_partition(1).unwrap();
         let err = install_and_write_back(&mut buffer, &[1, 2], vec![(1, v, s)]).unwrap_err();
         assert!(format!("{err}").contains("already resident"), "{err}");
+    }
+
+    #[test]
+    fn a_cut_partition_file_fails_the_swap_with_a_typed_error() {
+        let (mut buffer, _) = build_buffer("cut-file", 40, 4, 2, true);
+        swap(&mut buffer, &[0, 1]).unwrap();
+        // Four bytes short: the last state word is gone.
+        let path = buffer.store().partition_path(2);
+        let whole = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &whole[..whole.len() - 4]).unwrap();
+        let err = swap(&mut buffer, &[1, 2]).unwrap_err();
+        assert!(matches!(err, StorageError::NotResident { .. }), "{err}");
+        // Nothing half-installed: the buffer still serves its set.
+        assert_eq!(buffer.resident_partitions(), vec![0, 1]);
+        let node = buffer.assignment().nodes_in(1)[0];
+        buffer.apply_update(&[node], &Tensor::ones(1, 4)).unwrap();
+        // A payload one word short is refused by the install itself.
+        std::fs::write(&path, &whole).unwrap();
+        let (v, mut s) = buffer.store().read_partition(2).unwrap();
+        s.pop();
+        let err = install_and_write_back(&mut buffer, &[1, 2], vec![(2, v, s)]).unwrap_err();
+        assert!(matches!(err, StorageError::NotResident { .. }), "{err}");
+        assert!(format!("{err}").contains("state words"), "{err}");
     }
 
     #[test]

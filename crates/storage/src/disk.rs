@@ -582,7 +582,7 @@ impl PartitionStore {
         }
     }
 
-    fn partition_path(&self, id: PartitionId) -> PathBuf {
+    pub(crate) fn partition_path(&self, id: PartitionId) -> PathBuf {
         self.root.join(format!("node_partition_{id}.bin"))
     }
 
@@ -592,6 +592,13 @@ impl PartitionStore {
 
     /// Writes a node partition: `values` and `state` are the embedding rows and
     /// optimizer state, stored back to back.
+    ///
+    /// The file layout is a little-endian `u64` header holding `values.len()`,
+    /// then the values as little-endian `f32` words, then the state words —
+    /// as many as there are values, so a whole file is exactly
+    /// `8 + 2 × 4 × values.len()` bytes. [`PartitionStore::read_partition`]
+    /// accepts only that length; [`PartitionStore::read_partition_expect`]
+    /// reads the header and the value words alone.
     ///
     /// The write is atomic with respect to concurrent readers: bytes land in a
     /// per-partition temporary file that is renamed over the real path only
@@ -613,7 +620,9 @@ impl PartitionStore {
         Ok(())
     }
 
-    /// Reads a node partition back as `(values, state)`.
+    /// Reads a node partition back as `(values, state)`. A file that is not
+    /// exactly the layout [`PartitionStore::write_partition`] writes — cut
+    /// anywhere, or extended — is a typed [`StorageError::NotResident`].
     pub fn read_partition(&self, id: PartitionId) -> Result<(Vec<f32>, Vec<f32>)> {
         let key = format!("partition/{id}");
         self.retrying(&key, || {
@@ -664,6 +673,16 @@ impl PartitionStore {
         self.throttle_op(buf.len() as u64);
         let (value_len, body) = partition_header(id, &buf)?;
         let (values, state) = split_values(id, body, value_len)?;
+        if state.len() != values.len() {
+            return Err(StorageError::NotResident {
+                reason: format!(
+                    "partition {id} file holds {} optimizer-state bytes behind {} value bytes, \
+                     not as many",
+                    state.len(),
+                    values.len()
+                ),
+            });
+        }
         Ok((decode_f32s(values), decode_f32s(state)))
     }
 
@@ -897,15 +916,25 @@ mod tests {
             }
             match store.read_partition(0) {
                 Ok((v, s)) => {
-                    assert!(cut >= values_end, "cut {cut} served a short block");
+                    assert_eq!(cut, whole.len(), "cut {cut} served a short file");
                     assert_eq!(v, values);
-                    assert_eq!(s.len(), (cut - values_end) / 4);
+                    assert_eq!(s, [0.25; 6]);
                 }
                 Err(e) => {
-                    assert!(cut < values_end, "cut {cut} refused a whole block: {e}");
+                    assert!(cut < whole.len(), "refused the whole file: {e}");
                     assert!(matches!(e, StorageError::NotResident { .. }), "{e}");
                 }
             }
+        }
+        // A file extended by less than a word (or by one) is not the layout
+        // either; the value-only reader never looks past the values.
+        for extra in 1..=4 {
+            let mut longer = whole.clone();
+            longer.extend(std::iter::repeat_n(0u8, extra));
+            fs::write(&path, &longer).unwrap();
+            let err = store.read_partition(0).unwrap_err();
+            assert!(matches!(err, StorageError::NotResident { .. }), "{err}");
+            assert_eq!(store.read_partition_expect(0, 3, 2).unwrap(), values);
         }
         // A header that claims more values than any file could hold.
         let mut lying = whole.clone();

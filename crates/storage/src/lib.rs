@@ -160,6 +160,14 @@ impl From<std::io::Error> for StorageError {
     }
 }
 
+/// A document that does not parse, or does not have the shape a reader asks
+/// for, is a checkpoint error with the parser's text.
+impl From<marius_telemetry::json::JsonError> for StorageError {
+    fn from(e: marius_telemetry::json::JsonError) -> Self {
+        StorageError::checkpoint(e.0)
+    }
+}
+
 /// Convenience result alias for storage operations.
 pub type Result<T> = std::result::Result<T, StorageError>;
 

@@ -12,8 +12,8 @@
 //!   `EpochReport` aggregates exactly (same nanosecond sums), and the
 //!   queue/buffer/storage instruments are populated.
 
-use marius::core::checkpoint::json::Json;
 use marius::graph::datasets::{DatasetSpec, ScaledDataset};
+use marius::telemetry::json::Json;
 use marius::{
     DiskConfig, ExperimentReport, ModelConfig, NodeClassificationTask, PipelineConfig, Session,
     Storage, Telemetry, TrainConfig,
