@@ -23,7 +23,7 @@
 //!   the partition-buffer walk over a replacement policy's epoch plan,
 //!   per-phase timing (sampling / compute / IO), eval-cadence control,
 //!   per-epoch hooks, and evaluation. Disk-based epochs run on
-//!   [`marius_pipeline::Pipeline`], in order or with prefetch / batch
+//!   [`marius_pipeline::run_epoch`], in order or with prefetch / batch
 //!   construction / compute overlapped on stage threads, as
 //!   [`config::PipelineConfig`] selects; the two schedules are bit-identical
 //!   under a fixed seed.
@@ -60,6 +60,7 @@ pub use models::{
 pub use report::{EpochReport, ExperimentReport};
 pub use source::{FixedFeatureSource, RepresentationSource, TableSource};
 pub use task::{
-    DiskSetup, LinkPredictionTask, NodeClassificationTask, Task, TemporalLinkPredictionTask,
+    link_prediction_plan, DiskSetup, LinkPredictionTask, NodeClassificationTask, Task,
+    TemporalLinkPredictionTask,
 };
 pub use trainer::{read_all_embeddings, EpochHook, IngestHook, Trainer};

@@ -93,6 +93,27 @@ fn policy_error() -> StorageError {
     }
 }
 
+/// The epoch plan `disk`'s replacement policy draws from `rng` for link
+/// prediction: COMET (with `l` auto-tuned when `num_logical` is 0) or BETA;
+/// the node-cache policy belongs to node classification and is rejected.
+/// Training plans every disk epoch with it, and the serving layer replays it
+/// to rank partitions for cache admission.
+pub fn link_prediction_plan(disk: &DiskConfig, rng: &mut StdRng) -> Result<EpochPlan> {
+    let p = disk.num_partitions;
+    match disk.policy {
+        PolicyKind::Comet => {
+            let policy = if disk.num_logical == 0 {
+                CometPolicy::auto(p, disk.buffer_capacity)
+            } else {
+                CometPolicy::new(disk.buffer_capacity, disk.num_logical)
+            };
+            policy.plan(p, rng)
+        }
+        PolicyKind::Beta => BetaPolicy::new(disk.buffer_capacity).plan(p, rng),
+        PolicyKind::NodeCache => Err(policy_error()),
+    }
+}
+
 impl<S: EdgeSplit> Task for S {
     type Example = Edge;
     type Model = LinkPredictionModel;
@@ -227,19 +248,7 @@ impl<S: EdgeSplit> Task for S {
         _setup: &DiskSetup,
         rng: &mut StdRng,
     ) -> Result<EpochPlan> {
-        let p = disk.num_partitions;
-        match disk.policy {
-            PolicyKind::Comet => {
-                let policy = if disk.num_logical == 0 {
-                    CometPolicy::auto(p, disk.buffer_capacity)
-                } else {
-                    CometPolicy::new(disk.buffer_capacity, disk.num_logical)
-                };
-                policy.plan(p, rng)
-            }
-            PolicyKind::Beta => BetaPolicy::new(disk.buffer_capacity).plan(p, rng),
-            PolicyKind::NodeCache => Err(policy_error()),
-        }
+        link_prediction_plan(disk, rng)
     }
 
     fn step_examples(

@@ -34,7 +34,7 @@ mod node_classification;
 mod temporal_link_prediction;
 
 pub(crate) use link_prediction::EdgeSplit;
-pub use link_prediction::{LinkEvalContext, LinkPredictionTask};
+pub use link_prediction::{link_prediction_plan, LinkEvalContext, LinkPredictionTask};
 pub use node_classification::{NodeClassificationTask, NodeEvalContext};
 pub use temporal_link_prediction::TemporalLinkPredictionTask;
 

@@ -106,16 +106,20 @@ mod tests {
 
     #[test]
     fn trains_in_memory_and_improves() {
-        use crate::config::{ModelConfig, TrainConfig};
+        use crate::config::{ModelConfig, RunConfig, TrainConfig};
         use crate::trainer::Trainer;
         let data = dataset();
         let mut train = TrainConfig::quick(2, 9);
         train.batch_size = 128;
         train.num_negatives = 32;
         train.eval_negatives = 64;
-        let trainer: Trainer<TemporalLinkPredictionTask> =
-            Trainer::new(ModelConfig::paper_distmult(12), train);
-        let report = trainer.train_in_memory(&data).unwrap();
+        let config = RunConfig {
+            model: ModelConfig::paper_distmult(12),
+            train,
+            ..RunConfig::default()
+        };
+        let trainer = Trainer::from_config(TemporalLinkPredictionTask, config, Default::default());
+        let report = trainer.train(&data).unwrap();
         assert_eq!(report.epochs.len(), 2);
         assert!(report.final_metric() > 0.1, "MRR {}", report.final_metric());
     }

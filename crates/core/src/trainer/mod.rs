@@ -9,17 +9,21 @@
 //! [`Task`] trait, and every training decision that is not task-specific
 //! exists once:
 //!
+//! * **One description, one entry point**: a trainer is built by
+//!   [`Trainer::from_config`] from a [`RunConfig`] and an [`IoEnv`], and run
+//!   by [`Trainer::train`]; `config.storage` alone says where the run's
+//!   state lives.
 //! * **One epoch frame** (`Trainer::run_epochs`): resume overlay, the epoch
 //!   loop, evaluation cadence, report, epoch hook and checkpoint cadence.
 //!   Where the run's state lives is an executor plugged into it:
-//!   * **in memory** ([`Trainer::train_in_memory`]) — the full graph and all
-//!     base representations stay resident (the M-GNN_Mem configuration);
-//!   * **on disk** ([`Trainer::train_disk`]) — partitions live in a
+//!   * **in memory** ([`Storage::InMemory`]) — the full graph and all base
+//!     representations stay resident (the M-GNN_Mem configuration);
+//!   * **on disk** ([`Storage::Disk`]) — partitions live in a
 //!     [`PartitionStore`] behind a bounded buffer walked by the policy's
 //!     `EpochPlan`, with the write-back flush and the streaming ingest hook
 //!     at each epoch boundary.
 //! * **One disk step**: the disk executor hands each epoch to one
-//!   [`marius_pipeline::Pipeline::run_epoch`] call with one batch body
+//!   [`marius_pipeline::run_epoch`] call with one batch body
 //!   (shuffle the step's examples with the step's RNG, cut them into batches
 //!   within the epoch's budget, prepare each) and one consumer
 //!   (`train_prepared` against the buffer). The pipeline owns the rest of the
@@ -39,14 +43,14 @@
 //! as [`marius_storage::StorageError`] instead of panicking.
 
 use crate::checkpoint::{Checkpoint, CheckpointSnapshot, Persist, StateDict, StreamState};
-use crate::config::{DiskConfig, ModelConfig, PipelineConfig, RunConfig, Storage, TrainConfig};
+use crate::config::{DiskConfig, RunConfig, Storage, TrainConfig};
 use crate::models::BatchStats;
 use crate::report::{EpochReport, ExperimentReport};
 use crate::source::RepresentationSource;
 use crate::task::{DiskSetup, Task};
 use marius_graph::datasets::ScaledDataset;
 use marius_graph::{InMemorySubgraph, NodeId, PartitionAssignment};
-use marius_pipeline::{writeback_safe_point, Pipeline, StepContext};
+use marius_pipeline::{run_epoch, writeback_safe_point, StepContext};
 use marius_storage::{EpochPlan, IoEnv, PartitionBuffer, PartitionStore, Result, StorageError};
 use marius_telemetry::{SpanScope, NO_LABEL};
 use rand::rngs::StdRng;
@@ -75,13 +79,18 @@ pub type EpochHook = Box<dyn Fn(&EpochReport) -> Result<()> + Send + Sync>;
 pub type IngestHook = Box<dyn Fn(&mut DiskSetup, usize) -> Result<u64> + Send + Sync>;
 
 /// Blob name of the in-memory example-order permutation (the cross-epoch
-/// shuffle state of [`Trainer::train_in_memory`]).
+/// shuffle state of in-memory training).
 const EXAMPLE_ORDER_BLOB: &str = "trainer.example_order";
 
 /// Reads every node partition back from disk and assembles a flat
 /// `num_nodes × dim` embedding buffer indexed by global node id. Used to run
 /// full-graph evaluation after a disk-based training epoch, and by the
 /// serving layer to materialise a checkpoint's partition snapshot in memory.
+///
+/// Each partition is read through [`PartitionStore::read_partition_expect`]
+/// with the row count the assignment gives it: only the header and the
+/// values leave the device (never the optimizer state), and a file holding
+/// more or fewer rows than the assignment is a typed error.
 ///
 /// Rows are copied one maximal run of consecutive node ids at a time: for the
 /// common case where a partition's nodes are contiguous (e.g. the §5.2
@@ -95,8 +104,8 @@ pub fn read_all_embeddings(
 ) -> Result<Vec<f32>> {
     let mut flat = vec![0.0f32; assignment.num_nodes() as usize * dim];
     for p in 0..assignment.num_partitions() {
-        let (values, _state) = store.read_partition(p)?;
         let nodes = assignment.nodes_in(p);
+        let values = store.read_partition_expect(p, nodes.len(), dim)?;
         let mut start = 0usize;
         while start < nodes.len() {
             let mut end = start + 1;
@@ -135,9 +144,9 @@ pub struct Trainer<T: Task> {
     /// emulated device. Checkpoints persist it whole, and a resumed trainer is
     /// built from the one a manifest carries.
     pub config: RunConfig,
-    /// Fault injector, retry policy and telemetry recorder attached to the
-    /// run's partition store and cloned into every layer of the run. Its
-    /// `emulated_device` stays `None`: the device belongs to `config`.
+    /// Fault injector, retry policy and telemetry recorder: the run's
+    /// partition store opens under it, and every layer over the store reads
+    /// it from there.
     env: IoEnv,
     epoch_hook: Option<EpochHook>,
     /// Root directory of the full durable checkpoints written at epoch
@@ -159,64 +168,32 @@ pub struct Trainer<T: Task> {
     stream_state: Option<Arc<Mutex<StreamState>>>,
 }
 
-impl<T: Task + Default> Trainer<T> {
-    /// Creates a trainer (in-order disk schedule by default) for a stateless
-    /// task.
-    pub fn new(model: ModelConfig, train: TrainConfig) -> Self {
-        Trainer::with_task(T::default(), model, train)
-    }
-}
-
 impl<T: Task> Trainer<T> {
-    /// Creates a trainer for an explicit task value.
-    pub fn with_task(task: T, model: ModelConfig, train: TrainConfig) -> Self {
-        let config = RunConfig {
-            model,
-            train,
-            ..RunConfig::default()
-        };
-        Trainer::from_config(task, config, IoEnv::default())
-    }
-
     /// The one constructor every trainer comes out of — fresh
     /// (`marius::SessionBuilder::build`), resumed from a manifest's
     /// description (`marius::Session::resume_from`, followed by
     /// [`Trainer::with_resume`]) or rebuilt after a failure with the failed
     /// run's environment. `config.task` is overwritten with the task's slug.
+    ///
+    /// `env` holds the run's fault injector and retry policy (faults are
+    /// injected and retried entirely inside the store, so the loss
+    /// trajectory stays bit-identical to a fault-free run while the retry
+    /// layer absorbs them — see [`marius_storage::fault`]) and the telemetry
+    /// recorder every layer of the run records into (never consuming
+    /// randomness; a disabled handle, the default, costs nothing). The
+    /// emulated device is `config.emulated_device`.
     pub fn from_config(task: T, mut config: RunConfig, env: IoEnv) -> Self {
         config.task = task.slug().to_string();
         Trainer {
             task,
             config,
-            env: IoEnv::default(),
+            env,
             epoch_hook: None,
             checkpoint_dir: None,
             resume: None,
             ingest_hook: None,
             stream_state: None,
         }
-        .with_io_env(env)
-    }
-
-    /// Selects the pipelined disk-training runtime.
-    pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
-        self.config.pipeline = pipeline;
-        self
-    }
-
-    /// Attaches the run's IO environment: the fault injector and retry policy
-    /// of the partition store (faults are injected and retried entirely
-    /// inside the store, so the loss trajectory stays bit-identical to a
-    /// fault-free run while the retry layer absorbs them — see
-    /// [`marius_storage::fault`]) and the telemetry recorder every layer of
-    /// the run records into (never consuming randomness; a disabled handle,
-    /// the default, costs nothing). An environment that names an emulated
-    /// device sets the run's ([`RunConfig::emulated_device`], which is what
-    /// checkpoints persist).
-    pub fn with_io_env(mut self, mut env: IoEnv) -> Self {
-        self.config.emulated_device = env.emulated_device.take().or(self.config.emulated_device);
-        self.env = env;
-        self
     }
 
     /// The IO environment attached to this trainer.
@@ -231,7 +208,7 @@ impl<T: Task> Trainer<T> {
     }
 
     /// Installs a callback invoked after every completed epoch: an `Err`
-    /// aborts the run and propagates to the `train_*` caller.
+    /// aborts the run and propagates to the [`Trainer::train`] caller.
     pub fn with_fallible_epoch_hook(
         mut self,
         hook: impl Fn(&EpochReport) -> Result<()> + Send + Sync + 'static,
@@ -327,7 +304,7 @@ impl<T: Task> Trainer<T> {
     }
 
     /// Trains with the full graph in memory (the M-GNN_Mem configuration).
-    pub fn train_in_memory(&self, data: &ScaledDataset) -> Result<ExperimentReport> {
+    fn train_in_memory(&self, data: &ScaledDataset) -> Result<ExperimentReport> {
         let mut rng = StdRng::seed_from_u64(self.config.train.seed);
         let subgraph = Arc::new(self.task.in_memory_subgraph(data));
         let candidates = self.task.in_memory_candidates(data);
@@ -357,25 +334,24 @@ impl<T: Task> Trainer<T> {
 
     /// Trains out-of-core with a partition buffer driven by the task's
     /// replacement policy (the M-GNN_Disk configuration). Steps run on stage
-    /// threads when `config.pipeline.enabled`, otherwise in order.
-    pub fn train_disk(&self, data: &ScaledDataset, disk: &DiskConfig) -> Result<ExperimentReport> {
+    /// threads when `config.pipeline.enabled`, otherwise in order. `disk` is
+    /// `config.storage`'s.
+    fn train_disk(&self, data: &ScaledDataset, disk: &DiskConfig) -> Result<ExperimentReport> {
         let mut rng = StdRng::seed_from_u64(self.config.train.seed);
         let label = self.task.disk_label(disk)?;
-        let env = IoEnv {
-            emulated_device: self.config.emulated_device,
-            ..self.env.clone()
-        };
-        let store = env.open_store(PartitionStore::temp_path(&format!(
+        let mut store = self.env.open_store(PartitionStore::temp_path(&format!(
             "{}-{}-{}",
             self.task.slug(),
             data.spec.name.replace('.', "-"),
             label.replace([' ', '(', ')'], "")
         )))?;
+        if let Some(device) = self.config.emulated_device {
+            store = store.with_emulated_device(device);
+        }
         store.clear()?;
-        let mut setup = self
+        let setup = self
             .task
             .disk_setup(&self.config.model, data, disk, store, &mut rng)?;
-        setup.buffer.attach_telemetry(&self.env.telemetry);
         let model =
             self.task
                 .build_model(&self.config.model, &self.config.train, data, &mut rng)?;
@@ -385,8 +361,6 @@ impl<T: Task> Trainer<T> {
             data,
             disk,
             setup,
-            pipeline: Pipeline::new(self.config.pipeline.clone())
-                .with_telemetry(&self.env.telemetry),
             fixed_eval_source: None,
         };
         let report = self.run_epochs(data, label, rng, model, &eval_ctx, &mut run)?;
@@ -451,17 +425,12 @@ impl<T: Task> Trainer<T> {
             report.epochs.push(epoch);
             if let Some(dir) = self.checkpoint_due(epoch_idx) {
                 span.begin("epoch.checkpoint", epoch_idx as i64, NO_LABEL);
-                // The task's model blobs plus the executor's own; the run's
-                // description records storage as the running executor sees it.
+                // The task's model blobs plus the executor's own.
                 let mut state = StateDict::new();
                 model.save_state(&mut state);
-                let (storage, store) = run.checkpoint(&mut state)?;
-                let config = RunConfig {
-                    storage,
-                    ..self.config.clone()
-                };
+                let store = run.checkpoint(&mut state)?;
                 let snapshot = CheckpointSnapshot {
-                    config: &config,
+                    config: &self.config,
                     epochs_completed: epoch_idx + 1,
                     rng_state: self.checkpoint_rng_state(epoch_idx, pre_eval_rng, &rng),
                     data,
@@ -517,8 +486,8 @@ trait Executor<T: Task> {
         -> Result<f64>;
 
     /// Adds this executor's blobs to a checkpoint's `state`, and returns the
-    /// storage the checkpoint records and the partition store to snapshot.
-    fn checkpoint(&self, state: &mut StateDict) -> Result<(Storage, Option<&PartitionStore>)>;
+    /// partition store to snapshot, if any.
+    fn checkpoint(&self, state: &mut StateDict) -> Result<Option<&PartitionStore>>;
 }
 
 /// The full graph and all base representations stay resident.
@@ -606,10 +575,10 @@ impl<T: Task> Executor<T> for InMemory<'_, T> {
         ))
     }
 
-    fn checkpoint(&self, state: &mut StateDict) -> Result<(Storage, Option<&PartitionStore>)> {
+    fn checkpoint(&self, state: &mut StateDict) -> Result<Option<&PartitionStore>> {
         self.source.save_state(state);
         state.push_u64(EXAMPLE_ORDER_BLOB, &self.order);
-        Ok((Storage::InMemory, None))
+        Ok(None)
     }
 }
 
@@ -620,7 +589,6 @@ struct Disk<'a, T: Task> {
     data: &'a ScaledDataset,
     disk: &'a DiskConfig,
     setup: DiskSetup,
-    pipeline: Pipeline,
     /// The evaluation source of a buffer without write-back: fixed
     /// representations never change on disk, so it is built once. Learnable
     /// ones are reassembled from disk at every evaluation.
@@ -716,16 +684,13 @@ impl<T: Task> Executor<T> for Disk<'_, T> {
         Ok(metric)
     }
 
-    fn checkpoint(&self, _state: &mut StateDict) -> Result<(Storage, Option<&PartitionStore>)> {
+    fn checkpoint(&self, _state: &mut StateDict) -> Result<Option<&PartitionStore>> {
         // The post-epoch flush already drained the write-back ledger; assert
         // the safe point all the same before linking the store's files into
         // the snapshot (a partition with a detached write-back in flight has
         // stale bytes on disk).
         writeback_safe_point(&self.setup.buffer)?;
-        Ok((
-            Storage::Disk(self.disk.clone()),
-            self.setup.writeback.then_some(&self.setup.store),
-        ))
+        Ok(self.setup.writeback.then_some(&self.setup.store))
     }
 }
 
@@ -779,9 +744,14 @@ impl<T: Task> Disk<'_, T> {
             accumulate(epoch, &task.train_prepared(model, buffer, prepared));
         };
 
-        let report =
-            self.pipeline
-                .run_epoch(plan, &mut setup.buffer, epoch_seed, step_body, consume)?;
+        let report = run_epoch(
+            &self.trainer.config.pipeline,
+            plan,
+            &mut setup.buffer,
+            epoch_seed,
+            step_body,
+            consume,
+        )?;
         epoch.partition_loads += report.partition_loads;
         // All zero on the in-order schedule, which overlaps nothing.
         epoch.io_wait_time += report.compute_stall;
@@ -799,6 +769,7 @@ impl<T: Task> Disk<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ModelConfig, PipelineConfig};
     use crate::task::{LinkPredictionTask, NodeClassificationTask};
     use marius_graph::datasets::{DatasetSpec, ScaledDataset};
     use marius_graph::Partitioner;
@@ -809,7 +780,7 @@ mod tests {
         ScaledDataset::generate(&DatasetSpec::fb15k_237().scaled(0.015), 3)
     }
 
-    fn lp_trainer(layers: usize) -> Trainer<LinkPredictionTask> {
+    fn lp_trainer(layers: usize, storage: Storage) -> Trainer<LinkPredictionTask> {
         let mut model = ModelConfig::paper_link_prediction_graphsage(12).shrunk(5, 12);
         if layers == 0 {
             model = ModelConfig::paper_distmult(12);
@@ -818,26 +789,44 @@ mod tests {
         train.batch_size = 128;
         train.num_negatives = 32;
         train.eval_negatives = 64;
-        Trainer::new(model, train)
+        let config = RunConfig {
+            model,
+            train,
+            storage,
+            ..RunConfig::default()
+        };
+        Trainer::from_config(LinkPredictionTask, config, IoEnv::default())
     }
 
     fn nc_dataset() -> ScaledDataset {
         ScaledDataset::generate(&DatasetSpec::ogbn_arxiv().scaled(0.008), 21)
     }
 
-    fn nc_trainer() -> Trainer<NodeClassificationTask> {
+    fn nc_trainer(storage: Storage) -> Trainer<NodeClassificationTask> {
         let mut model = ModelConfig::paper_node_classification(128, 16);
         model.num_layers = 2;
         model.fanouts = vec![8, 5];
         let mut train = TrainConfig::quick(2, 13);
         train.batch_size = 128;
-        Trainer::new(model, train)
+        let config = RunConfig {
+            model,
+            train,
+            storage,
+            ..RunConfig::default()
+        };
+        Trainer::from_config(NodeClassificationTask, config, IoEnv::default())
+    }
+
+    /// `trainer` with the threaded schedule of `workers` stage-2 workers.
+    fn threaded<T: Task>(mut trainer: Trainer<T>, workers: usize) -> Trainer<T> {
+        trainer.config.pipeline = PipelineConfig::with_workers(workers);
+        trainer
     }
 
     #[test]
     fn in_memory_link_prediction_produces_improving_mrr() {
         let data = lp_dataset();
-        let report = lp_trainer(0).train_in_memory(&data).unwrap();
+        let report = lp_trainer(0, Storage::InMemory).train(&data).unwrap();
         assert_eq!(report.epochs.len(), 2);
         assert!(report.final_metric() > 0.1, "MRR {}", report.final_metric());
         assert!(report.epochs[0].examples > 0);
@@ -847,8 +836,8 @@ mod tests {
     #[test]
     fn disk_link_prediction_with_comet_runs_and_learns() {
         let data = lp_dataset();
-        let disk = DiskConfig::comet(8, 4);
-        let report = lp_trainer(1).train_disk(&data, &disk).unwrap();
+        let disk = Storage::Disk(DiskConfig::comet(8, 4));
+        let report = lp_trainer(1, disk).train(&data).unwrap();
         assert_eq!(report.epochs.len(), 2);
         assert!(report.epochs[0].partition_loads >= 4);
         assert!(report.epochs[0].io_bytes_read > 0);
@@ -862,8 +851,8 @@ mod tests {
     #[test]
     fn disk_link_prediction_with_beta_runs() {
         let data = lp_dataset();
-        let report = lp_trainer(1)
-            .train_disk(&data, &DiskConfig::beta(8, 4))
+        let report = lp_trainer(1, Storage::Disk(DiskConfig::beta(8, 4)))
+            .train(&data)
             .unwrap();
         assert_eq!(report.epochs.len(), 2);
         assert!(report.system.contains("BETA"));
@@ -873,8 +862,8 @@ mod tests {
     #[test]
     fn disk_link_prediction_rejects_node_cache_policy() {
         let data = lp_dataset();
-        let err = lp_trainer(1)
-            .train_disk(&data, &DiskConfig::node_cache(8, 4))
+        let err = lp_trainer(1, Storage::Disk(DiskConfig::node_cache(8, 4)))
+            .train(&data)
             .unwrap_err();
         assert!(format!("{err}").contains("node classification"));
     }
@@ -882,12 +871,9 @@ mod tests {
     #[test]
     fn pipelined_link_prediction_matches_sequential_losses() {
         let data = lp_dataset();
-        let disk = DiskConfig::comet(8, 4);
-        let sequential = lp_trainer(1).train_disk(&data, &disk).unwrap();
-        let pipelined = lp_trainer(1)
-            .with_pipeline(marius_pipeline::PipelineConfig::with_workers(1))
-            .train_disk(&data, &disk)
-            .unwrap();
+        let disk = Storage::Disk(DiskConfig::comet(8, 4));
+        let sequential = lp_trainer(1, disk.clone()).train(&data).unwrap();
+        let pipelined = threaded(lp_trainer(1, disk), 1).train(&data).unwrap();
         for (a, b) in sequential.epochs.iter().zip(&pipelined.epochs) {
             assert_eq!(a.loss, b.loss, "epoch {} loss drifted", a.epoch);
             assert_eq!(a.metric, b.metric, "epoch {} metric drifted", a.epoch);
@@ -899,7 +885,7 @@ mod tests {
     #[test]
     fn in_memory_node_classification_beats_random_guessing() {
         let data = nc_dataset();
-        let report = nc_trainer().train_in_memory(&data).unwrap();
+        let report = nc_trainer(Storage::InMemory).train(&data).unwrap();
         assert_eq!(report.epochs.len(), 2);
         let chance = 1.0 / data.spec.num_classes.unwrap() as f64;
         assert!(
@@ -914,8 +900,8 @@ mod tests {
     #[test]
     fn disk_node_classification_with_node_cache_runs_and_learns() {
         let data = nc_dataset();
-        let disk = DiskConfig::node_cache(8, 6);
-        let report = nc_trainer().train_disk(&data, &disk).unwrap();
+        let disk = Storage::Disk(DiskConfig::node_cache(8, 6));
+        let report = nc_trainer(disk).train(&data).unwrap();
         assert_eq!(report.epochs.len(), 2);
         // The caching policy loads the buffer once per epoch and performs no
         // swaps during it.
@@ -927,8 +913,8 @@ mod tests {
     #[test]
     fn disk_node_classification_rejects_non_cache_policy() {
         let data = nc_dataset();
-        let err = nc_trainer()
-            .train_disk(&data, &DiskConfig::comet(8, 4))
+        let err = nc_trainer(Storage::Disk(DiskConfig::comet(8, 4)))
+            .train(&data)
             .unwrap_err();
         assert!(format!("{err}").contains("training-node caching policy"));
     }
@@ -936,12 +922,9 @@ mod tests {
     #[test]
     fn pipelined_node_classification_matches_sequential_losses() {
         let data = nc_dataset();
-        let disk = DiskConfig::node_cache(8, 6);
-        let sequential = nc_trainer().train_disk(&data, &disk).unwrap();
-        let pipelined = nc_trainer()
-            .with_pipeline(marius_pipeline::PipelineConfig::with_workers(1))
-            .train_disk(&data, &disk)
-            .unwrap();
+        let disk = Storage::Disk(DiskConfig::node_cache(8, 6));
+        let sequential = nc_trainer(disk.clone()).train(&data).unwrap();
+        let pipelined = threaded(nc_trainer(disk), 1).train(&data).unwrap();
         for (a, b) in sequential.epochs.iter().zip(&pipelined.epochs) {
             assert_eq!(a.loss, b.loss, "epoch {} loss drifted", a.epoch);
             assert_eq!(a.metric, b.metric, "epoch {} metric drifted", a.epoch);
@@ -951,10 +934,10 @@ mod tests {
     #[test]
     fn eval_cadence_skips_intermediate_epochs_and_keeps_the_final_one() {
         let data = lp_dataset();
-        let mut trainer = lp_trainer(0);
+        let mut trainer = lp_trainer(0, Storage::InMemory);
         trainer.config.train.epochs = 3;
         trainer.config.eval_every = 3;
-        let report = trainer.train_in_memory(&data).unwrap();
+        let report = trainer.train(&data).unwrap();
         assert!(report.epochs[0].metric.is_nan());
         assert!(report.epochs[1].metric.is_nan());
         assert!(report.epochs[2].metric.is_finite());
@@ -982,16 +965,15 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
             let calls = Arc::new(AtomicUsize::new(0));
             let seen = Arc::clone(&calls);
-            let mut trainer = lp_trainer(0)
+            let mut trainer = lp_trainer(0, storage)
                 .with_checkpoint(&dir, 2)
                 .with_fallible_epoch_hook(move |_| {
                     seen.fetch_add(1, Ordering::SeqCst);
                     Ok(())
                 });
             if pipelined {
-                trainer = trainer.with_pipeline(marius_pipeline::PipelineConfig::with_workers(1));
+                trainer = threaded(trainer, 1);
             }
-            trainer.config.storage = storage;
             trainer.config.train.epochs = 3;
             trainer.config.eval_every = 2;
             let report = trainer.train(&data).unwrap();
@@ -1017,18 +999,15 @@ mod tests {
     #[test]
     fn batch_budget_cuts_the_same_batches_on_every_executor() {
         let data = lp_dataset();
-        let disk = DiskConfig::comet(8, 4);
-        let budgeted = |pipelined: bool| {
-            let mut trainer = lp_trainer(1);
-            if pipelined {
-                trainer = trainer.with_pipeline(marius_pipeline::PipelineConfig::with_workers(2));
-            }
+        let disk = Storage::Disk(DiskConfig::comet(8, 4));
+        let budgeted = |storage: Storage| {
+            let mut trainer = lp_trainer(1, storage);
             trainer.config.train.max_batches_per_epoch = 12;
             trainer
         };
-        let in_memory = budgeted(false).train_in_memory(&data).unwrap();
-        let sequential = budgeted(false).train_disk(&data, &disk).unwrap();
-        let pipelined = budgeted(true).train_disk(&data, &disk).unwrap();
+        let in_memory = budgeted(Storage::InMemory).train(&data).unwrap();
+        let sequential = budgeted(disk.clone()).train(&data).unwrap();
+        let pipelined = threaded(budgeted(disk), 2).train(&data).unwrap();
         for (a, b) in sequential.epochs.iter().zip(&pipelined.epochs) {
             assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "epoch {}", a.epoch);
             assert_eq!(a.examples, b.examples, "epoch {}", a.epoch);
@@ -1048,13 +1027,13 @@ mod tests {
         let data = lp_dataset();
         let calls = Arc::new(AtomicUsize::new(0));
         let seen = Arc::clone(&calls);
-        let report = lp_trainer(0)
+        let report = lp_trainer(0, Storage::InMemory)
             .with_fallible_epoch_hook(move |e| {
                 assert!(e.examples > 0);
                 seen.fetch_add(1, Ordering::SeqCst);
                 Ok(())
             })
-            .train_in_memory(&data)
+            .train(&data)
             .unwrap();
         assert_eq!(calls.load(Ordering::SeqCst), report.epochs.len());
     }
@@ -1079,6 +1058,32 @@ mod tests {
         let flat = read_all_embeddings(&store, &assignment, dim).unwrap();
         for n in 0..9usize {
             assert_eq!(flat[n * dim], n as f32);
+        }
+    }
+
+    /// A partition file whose row count disagrees with the assignment — one
+    /// row short or one row long, with a consistent header — is a typed
+    /// error, not a slice panic.
+    #[test]
+    fn read_all_embeddings_rejects_a_partition_of_the_wrong_row_count() {
+        use marius_graph::PartitionAssignment;
+        let assignment = PartitionAssignment::from_vec(vec![0, 0, 1, 1, 1, 0], 2).unwrap();
+        let dim = 4usize;
+        for (label, delta) in [("short", -1isize), ("long", 1)] {
+            let store = PartitionStore::open_temp(&format!("read-all-{label}")).unwrap();
+            store.clear().unwrap();
+            for p in 0..2u32 {
+                let rows = assignment
+                    .nodes_in(p)
+                    .len()
+                    .saturating_add_signed(delta * p as isize);
+                let values = vec![1.0f32; rows * dim];
+                store.write_partition(p, &values, &values).unwrap();
+            }
+            assert!(
+                read_all_embeddings(&store, &assignment, dim).is_err(),
+                "{label} partition accepted"
+            );
         }
     }
 

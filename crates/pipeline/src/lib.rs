@@ -7,7 +7,7 @@
 //! ([`PartitionBuffer::install_set`]), write the evicted dirty partitions back
 //! ([`marius_storage::WritebackLedger::write_back`]), then build and train the
 //! step's batches. Each of those stage bodies is written once.
-//! [`Pipeline::run_epoch`] runs them in one of two schedules:
+//! [`run_epoch`] runs them in one of two schedules:
 //!
 //! * **in order** ([`PipelineConfig::enabled`]` = false`) — step after step
 //!   on the calling thread, so epoch time is `IO + sample + compute`. This
@@ -194,7 +194,7 @@ pub fn writeback_safe_point(buffer: &PartitionBuffer) -> Result<()> {
 /// storage error that survived the store's retry budget — is converted into
 /// a `PipelineError`, the transition clock is aborted, every queue is
 /// closed, the write-back ledger is drained to a safe point, and the error
-/// surfaces from `Pipeline::run_epoch` as
+/// surfaces from [`run_epoch`] as
 /// [`StorageError::Pipeline`] (via the [`From`] impl) so trainers and
 /// sessions observe one typed error instead of a deadlock or a poisoned
 /// lock.
@@ -376,7 +376,7 @@ struct BoundedQueue<T> {
     not_full: Condvar,
     capacity: usize,
     /// Post-push occupancy samples (a disabled no-op handle unless the
-    /// pipeline was built with telemetry).
+    /// store's recorder is enabled).
     depth: Histogram,
 }
 
@@ -677,584 +677,563 @@ where
     Ok(report)
 }
 
-/// The staged training runtime. See the crate docs for the stage diagram.
-pub struct Pipeline {
-    config: PipelineConfig,
-    telemetry: Telemetry,
+/// Runs one training epoch over `plan`.
+///
+/// Every step runs the same four stage bodies — `read_context`,
+/// `read_partitions` of the partitions the step misses,
+/// [`PartitionBuffer::install_set`], and
+/// [`marius_storage::WritebackLedger::write_back`] of the evictions — then
+/// builds its batches and applies them. With [`PipelineConfig::enabled`]
+/// the bodies run on the stage threads of the crate docs and overlap
+/// across steps. Without it they run in step order on the calling thread:
+/// no threads, no stage spans, no `pipeline.*` counters, no busy or stall
+/// time, and errors surface as the store raised them. Both schedules feed
+/// `consume` the same batches in the same order, so the in-order one is
+/// the threaded one's determinism oracle.
+///
+/// * `config` — the schedule and, when threaded, its worker count and
+///   queue depths.
+/// * `buffer` — the partition buffer; its store is read by the stage
+///   bodies and its resident set is swapped as steps begin. The threaded
+///   schedule records into the recorder of the store's
+///   [`marius_storage::IoEnv`]: every stage thread records spans under
+///   its own track, every bounded queue samples its occupancy into a
+///   `pipeline.queue_depth.*` histogram, and the [`PipelineReport`]
+///   aggregates are mirrored into `pipeline.*` counters.
+/// * `epoch_seed` — all in-epoch randomness derives from
+///   [`step_seed`]`(epoch_seed, step)`, making the epoch reproducible for
+///   either schedule and any worker count.
+/// * `make_batches` — builds one step's training batches, handing each
+///   to the sink (which blocks under back-pressure). Runs once per step,
+///   on worker threads when threaded.
+/// * `consume` — applies one batch to the model. Runs on the calling
+///   thread, after the step's partitions are installed in `buffer`.
+pub fn run_epoch<B, MB, CB>(
+    config: &PipelineConfig,
+    plan: &EpochPlan,
+    buffer: &mut PartitionBuffer,
+    epoch_seed: u64,
+    make_batches: MB,
+    consume: CB,
+) -> Result<PipelineReport>
+where
+    B: Send,
+    MB: Fn(&StepContext, &mut StdRng, &mut dyn FnMut(B)) + Sync,
+    CB: FnMut(&mut PartitionBuffer, &StepContext, B),
+{
+    let epoch_start = Instant::now();
+    let mut report = if config.enabled && !plan.partition_sets.is_empty() {
+        run_threaded(config, plan, buffer, epoch_seed, make_batches, consume)?
+    } else {
+        run_in_order(plan, buffer, epoch_seed, make_batches, consume)?
+    };
+    report.steps = plan.partition_sets.len();
+    report.wall_time = epoch_start.elapsed();
+    if config.enabled {
+        mirror_report(&buffer.store().env().telemetry, &report);
+    }
+    Ok(report)
 }
 
-impl Pipeline {
-    /// Creates a runtime with the given configuration (telemetry disabled).
-    pub fn new(config: PipelineConfig) -> Self {
-        Pipeline {
-            config,
-            telemetry: Telemetry::disabled(),
-        }
-    }
+/// The threaded schedule: the stage bodies on the stage threads of the
+/// crate docs, under their supervision.
+fn run_threaded<B, MB, CB>(
+    config: &PipelineConfig,
+    plan: &EpochPlan,
+    buffer: &mut PartitionBuffer,
+    epoch_seed: u64,
+    make_batches: MB,
+    mut consume: CB,
+) -> Result<PipelineReport>
+where
+    B: Send,
+    MB: Fn(&StepContext, &mut StdRng, &mut dyn FnMut(B)) + Sync,
+    CB: FnMut(&mut PartitionBuffer, &StepContext, B),
+{
+    let num_steps = plan.partition_sets.len();
+    let mut report = PipelineReport::default();
 
-    /// Attaches a telemetry recorder: every stage thread records spans under
-    /// its own track, every bounded queue samples its occupancy into a
-    /// `pipeline.queue_depth.*` histogram, and `run_epoch` mirrors the
-    /// [`PipelineReport`] aggregates into `pipeline.*` counters. A disabled
-    /// handle restores the zero-overhead default.
-    pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.telemetry = telemetry.clone();
-        self
-    }
+    let workers = config.num_sampling_workers.max(1);
+    let io_plan = plan_step_io(plan, &buffer.resident_partitions());
+    let store = buffer.store().clone();
+    let assignment = buffer.assignment().clone();
 
-    /// The runtime's configuration.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
+    let telemetry = &store.env().telemetry;
+    // Queue-occupancy histograms, sampled after every push. All workers'
+    // step (and batch) queues share one histogram by name, so the export
+    // shows the stage edge, not the individual worker lane.
+    let qd = |name: &str| telemetry.histogram(name, QUEUE_DEPTH_BOUNDS);
+    let step_queues: Vec<BoundedQueue<Arc<StepContext>>> = (0..workers)
+        .map(|_| BoundedQueue::with_depth(config.prefetch_depth, qd("pipeline.queue_depth.step")))
+        .collect();
+    let batch_queues: Vec<BoundedQueue<StepOut<B>>> = (0..workers)
+        .map(|_| BoundedQueue::with_depth(config.queue_depth, qd("pipeline.queue_depth.batch")))
+        .collect();
+    let parts_queue: BoundedQueue<Result<StepParts>> = BoundedQueue::with_depth(
+        config.prefetch_depth.max(1),
+        qd("pipeline.queue_depth.parts"),
+    );
+    // Consumer → write-back drain: one item per step, even when the step
+    // evicted nothing, so the `writeback` watermark advances in step
+    // order and every re-read dependency eventually unblocks.
+    let wb_queue: BoundedQueue<(usize, Vec<EvictedPartition>)> = BoundedQueue::with_depth(
+        config.writeback_depth.max(1),
+        qd("pipeline.queue_depth.writeback"),
+    );
+    let ledger = buffer.writeback_ledger();
+    let clock = TransitionClock::new();
+    let clocks = StageClocks::default();
+    // First stage failure recorded by the supervision layer (a panic or
+    // a typed error caught at a stage boundary). The first entry wins:
+    // later failures are cascades of the aborted shutdown it triggers.
+    let failure: Mutex<Option<PipelineError>> = Mutex::new(None);
+    let record_failure = |err: PipelineError| {
+        let mut slot = failure.lock().unwrap_or_else(PoisonError::into_inner);
+        slot.get_or_insert(err);
+        drop(slot);
+        clock.abort();
+    };
 
-    /// Runs one training epoch over `plan`.
-    ///
-    /// Every step runs the same four stage bodies — `read_context`,
-    /// `read_partitions` of the partitions the step misses,
-    /// [`PartitionBuffer::install_set`], and
-    /// [`marius_storage::WritebackLedger::write_back`] of the evictions — then
-    /// builds its batches and applies them. With [`PipelineConfig::enabled`]
-    /// the bodies run on the stage threads of the crate docs and overlap
-    /// across steps. Without it they run in step order on the calling thread:
-    /// no threads, no stage spans, no `pipeline.*` counters, no busy or stall
-    /// time, and errors surface as the store raised them. Both schedules feed
-    /// `consume` the same batches in the same order, so the in-order one is
-    /// the threaded one's determinism oracle.
-    ///
-    /// * `buffer` — the partition buffer; its store is read by the stage
-    ///   bodies and its resident set is swapped as steps begin.
-    /// * `epoch_seed` — all in-epoch randomness derives from
-    ///   [`step_seed`]`(epoch_seed, step)`, making the epoch reproducible for
-    ///   either schedule and any worker count.
-    /// * `make_batches` — builds one step's training batches, handing each
-    ///   to the sink (which blocks under back-pressure). Runs once per step,
-    ///   on worker threads when threaded.
-    /// * `consume` — applies one batch to the model. Runs on the calling
-    ///   thread, after the step's partitions are installed in `buffer`.
-    pub fn run_epoch<B, MB, CB>(
-        &self,
-        plan: &EpochPlan,
-        buffer: &mut PartitionBuffer,
-        epoch_seed: u64,
-        make_batches: MB,
-        consume: CB,
-    ) -> Result<PipelineReport>
-    where
-        B: Send,
-        MB: Fn(&StepContext, &mut StdRng, &mut dyn FnMut(B)) + Sync,
-        CB: FnMut(&mut PartitionBuffer, &StepContext, B),
-    {
-        let epoch_start = Instant::now();
-        let mut report = if self.config.enabled && !plan.partition_sets.is_empty() {
-            self.run_threaded(plan, buffer, epoch_seed, make_batches, consume)?
-        } else {
-            run_in_order(plan, buffer, epoch_seed, make_batches, consume)?
-        };
-        report.steps = plan.partition_sets.len();
-        report.wall_time = epoch_start.elapsed();
-        if self.config.enabled {
-            self.mirror_report(&report);
-        }
-        Ok(report)
-    }
-
-    /// The threaded schedule: the stage bodies on the stage threads of the
-    /// crate docs, under their supervision.
-    fn run_threaded<B, MB, CB>(
-        &self,
-        plan: &EpochPlan,
-        buffer: &mut PartitionBuffer,
-        epoch_seed: u64,
-        make_batches: MB,
-        mut consume: CB,
-    ) -> Result<PipelineReport>
-    where
-        B: Send,
-        MB: Fn(&StepContext, &mut StdRng, &mut dyn FnMut(B)) + Sync,
-        CB: FnMut(&mut PartitionBuffer, &StepContext, B),
-    {
-        let num_steps = plan.partition_sets.len();
-        let mut report = PipelineReport::default();
-
-        let workers = self.config.num_sampling_workers.max(1);
-        let io_plan = plan_step_io(plan, &buffer.resident_partitions());
-        let store = buffer.store().clone();
-        let assignment = buffer.assignment().clone();
-
-        let telemetry = &self.telemetry;
-        // Queue-occupancy histograms, sampled after every push. All workers'
-        // step (and batch) queues share one histogram by name, so the export
-        // shows the stage edge, not the individual worker lane.
-        let qd = |name: &str| telemetry.histogram(name, QUEUE_DEPTH_BOUNDS);
-        let step_queues: Vec<BoundedQueue<Arc<StepContext>>> = (0..workers)
-            .map(|_| {
-                BoundedQueue::with_depth(
-                    self.config.prefetch_depth,
-                    qd("pipeline.queue_depth.step"),
-                )
-            })
-            .collect();
-        let batch_queues: Vec<BoundedQueue<StepOut<B>>> = (0..workers)
-            .map(|_| {
-                BoundedQueue::with_depth(self.config.queue_depth, qd("pipeline.queue_depth.batch"))
-            })
-            .collect();
-        let parts_queue: BoundedQueue<Result<StepParts>> = BoundedQueue::with_depth(
-            self.config.prefetch_depth.max(1),
-            qd("pipeline.queue_depth.parts"),
-        );
-        // Consumer → write-back drain: one item per step, even when the step
-        // evicted nothing, so the `writeback` watermark advances in step
-        // order and every re-read dependency eventually unblocks.
-        let wb_queue: BoundedQueue<(usize, Vec<EvictedPartition>)> = BoundedQueue::with_depth(
-            self.config.writeback_depth.max(1),
-            qd("pipeline.queue_depth.writeback"),
-        );
-        let ledger = buffer.writeback_ledger();
-        let clock = TransitionClock::new();
-        let clocks = StageClocks::default();
-        // First stage failure recorded by the supervision layer (a panic or
-        // a typed error caught at a stage boundary). The first entry wins:
-        // later failures are cascades of the aborted shutdown it triggers.
-        let failure: Mutex<Option<PipelineError>> = Mutex::new(None);
-        let record_failure = |err: PipelineError| {
-            let mut slot = failure.lock().unwrap_or_else(PoisonError::into_inner);
-            slot.get_or_insert(err);
-            drop(slot);
-            clock.abort();
-        };
-
-        let consumer_result: Result<()> = std::thread::scope(|scope| {
-            let record_failure = &record_failure;
-            // ---- Stage 1a: the context prefetcher thread. ----------------
-            // Bucket files are immutable during the epoch, so step contexts
-            // (subgraph, candidates) can be read arbitrarily far ahead
-            // of the consumer — this is what lets stage-2 workers start
-            // sampling future steps while earlier steps still compute.
-            let ctx_handle = {
-                let step_queues = &step_queues;
-                let batch_queues = &batch_queues;
-                let clock = &clock;
-                let clocks = &clocks;
-                let store = &store;
-                let assignment = &assignment;
-                scope.spawn(move || {
-                    let mut span = telemetry.scope("context-prefetch");
-                    let span = &mut span;
-                    let body = || {
-                        'steps: for (s, set) in plan.partition_sets.iter().enumerate() {
-                            if clock.abort.load(Ordering::Relaxed) {
-                                break 'steps;
-                            }
-                            span.begin("context-prefetch.step", s as i64, NO_LABEL);
-                            let busy_start = Instant::now();
-                            let ctx = read_context(store, assignment, s, set);
-                            add_nanos(&clocks.prefetch_busy, busy_start.elapsed());
-                            span.end();
-                            match ctx {
-                                Ok(ctx) => match step_queues[s % workers].push(Arc::new(ctx)) {
-                                    Some(waited) => add_nanos(&clocks.prefetch_stall, waited),
-                                    None => break 'steps, // closed: epoch aborted
-                                },
-                                Err(e) => {
-                                    // Surface the error through the worker queue
-                                    // that owns this step so the consumer sees it
-                                    // in order, then stop prefetching.
-                                    batch_queues[s % workers].push(StepOut::Err(
-                                        PipelineError::wrap("context-prefetch", e),
-                                    ));
-                                    break 'steps;
-                                }
-                            }
+    let consumer_result: Result<()> = std::thread::scope(|scope| {
+        let record_failure = &record_failure;
+        // ---- Stage 1a: the context prefetcher thread. ----------------
+        // Bucket files are immutable during the epoch, so step contexts
+        // (subgraph, candidates) can be read arbitrarily far ahead
+        // of the consumer — this is what lets stage-2 workers start
+        // sampling future steps while earlier steps still compute.
+        let ctx_handle = {
+            let step_queues = &step_queues;
+            let batch_queues = &batch_queues;
+            let clock = &clock;
+            let clocks = &clocks;
+            let store = &store;
+            let assignment = &assignment;
+            scope.spawn(move || {
+                let mut span = telemetry.scope("context-prefetch");
+                let span = &mut span;
+                let body = || {
+                    'steps: for (s, set) in plan.partition_sets.iter().enumerate() {
+                        if clock.abort.load(Ordering::Relaxed) {
+                            break 'steps;
                         }
-                    };
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(body)) {
-                        record_failure(PipelineError::panicked(
-                            "context-prefetch",
-                            payload.as_ref(),
-                        ));
-                    }
-                    // Close on every exit path (including aborts raised by
-                    // another stage, and panics caught above) so the stage-2
-                    // workers never block on a producer that has stopped.
-                    for q in step_queues.iter() {
-                        q.close();
-                    }
-                })
-            };
-
-            // ---- Stage 1b: the partition prefetcher thread. --------------
-            // Partition files are rewritten by the write-back drain after an
-            // eviction, so each read waits for the *write-back* watermark to
-            // pass the partition's last eviction before it is issued: only
-            // then are the file's bytes the evicted generation's, not stale.
-            let parts_handle = {
-                let parts_queue = &parts_queue;
-                let clock = &clock;
-                let clocks = &clocks;
-                let io_plan = &io_plan;
-                let store = &store;
-                scope.spawn(move || {
-                    let mut span = telemetry.scope("partition-prefetch");
-                    let span = &mut span;
-                    let body = || {
-                        'steps: for s in 0..plan.partition_sets.len() {
-                            if clock.abort.load(Ordering::Relaxed) {
-                                break 'steps;
-                            }
-                            let dep = io_plan.read_after[s];
-                            if dep >= 0 {
-                                span.begin("partition-prefetch.wait-writeback", s as i64, NO_LABEL);
-                                add_nanos(
-                                    &clocks.prefetch_stall,
-                                    clock.writeback.wait_for(dep, &clock.abort),
-                                );
-                                span.end();
-                            }
-                            if clock.abort.load(Ordering::Relaxed) {
-                                break 'steps;
-                            }
-                            span.begin("partition-prefetch.step", s as i64, NO_LABEL);
-                            let busy_start = Instant::now();
-                            let parts = read_partitions(store, &io_plan.loads[s], span, s);
-                            add_nanos(&clocks.prefetch_busy, busy_start.elapsed());
-                            span.end();
-                            let failed = parts.is_err();
-                            let parts = parts
-                                .map(|p| (s, p))
-                                .map_err(|e| PipelineError::wrap("partition-prefetch", e));
-                            match parts_queue.push(parts) {
-                                Some(waited) => add_nanos(&clocks.prefetch_stall, waited),
-                                None => break 'steps,
-                            }
-                            if failed {
-                                break 'steps;
-                            }
-                        }
-                    };
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(body)) {
-                        record_failure(PipelineError::panicked(
-                            "partition-prefetch",
-                            payload.as_ref(),
-                        ));
-                    }
-                    // Close on every exit path so the consumer never blocks
-                    // on a prefetcher that has stopped.
-                    parts_queue.close();
-                })
-            };
-
-            // ---- Stage 4: the write-back drain thread. -------------------
-            // Receives each step's detached dirty evictions from the consumer
-            // and writes them to the store off the compute path. The drain
-            // keeps writing even after an abort (losing detached updates, or
-            // leaving stale bytes unannounced, would corrupt the store), and
-            // only stops writing after a disk error of its own — from then on
-            // it still marks payloads drained so nothing waits forever.
-            let wb_handle = {
-                let wb_queue = &wb_queue;
-                let clock = &clock;
-                let clocks = &clocks;
-                let store = &store;
-                let ledger = Arc::clone(&ledger);
-                scope.spawn(move || -> Result<()> {
-                    let mut span = telemetry.scope("writeback-drain");
-                    let span = &mut span;
-                    let body = || -> Result<()> {
-                        while let Some(((step, evicted), waited)) = wb_queue.pop() {
-                            add_nanos(&clocks.writeback_stall, waited);
-                            // The payload is queued by the consumer after its swap
-                            // publish, so this wait documents (and cheaply
-                            // enforces) that the drain never runs ahead of the
-                            // swap that detached its generation.
-                            clock.swap.wait_for(step as i64, &clock.abort);
-                            span.begin("writeback.step", step as i64, NO_LABEL);
-                            let busy_start = Instant::now();
-                            let written = ledger.write_back(store, &evicted, span, step as i64);
-                            add_nanos(&clocks.writeback_busy, busy_start.elapsed());
-                            span.end();
-                            clock.writeback.publish(step as i64);
-                            clocks
-                                .writeback_parts
-                                .fetch_add(written? as u64, Ordering::Relaxed);
-                        }
-                        Ok(())
-                    };
-                    let outcome = match catch_unwind(AssertUnwindSafe(body)) {
-                        Ok(Ok(())) => return Ok(()),
-                        Ok(Err(e)) => {
-                            clock.abort();
-                            Err(PipelineError::wrap("writeback-drain", e))
-                        }
-                        Err(payload) => {
-                            record_failure(PipelineError::panicked(
-                                "writeback-drain",
-                                payload.as_ref(),
-                            ));
-                            Ok(())
-                        }
-                    };
-                    // The drain can no longer deliver its detached payloads.
-                    // Keep the lane live in degraded mode: pop what remains,
-                    // marking it drained and advancing the watermark so no
-                    // peer blocks forever, then abandon anything still
-                    // pending (the run has failed; those bytes are recovered
-                    // from the last checkpoint, not this epoch).
-                    while let Some(((step, evicted), _)) = wb_queue.pop() {
-                        for part in &evicted {
-                            ledger.mark_drained(part.id);
-                        }
-                        clock.writeback.publish(step as i64);
-                    }
-                    ledger.abandon_pending();
-                    outcome
-                })
-            };
-
-            // ---- Stage 2: batch-construction workers. --------------------
-            let mut worker_handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let in_q = &step_queues[w];
-                let out_q = &batch_queues[w];
-                let clocks = &clocks;
-                let make_batches = &make_batches;
-                let worker_label = format!("batch-worker-{w}");
-                worker_handles.push(scope.spawn(move || {
-                    let mut span = telemetry.scope(&worker_label);
-                    let span = &mut span;
-                    let body = || {
-                        while let Some((ctx, waited)) = in_q.pop() {
-                            add_nanos(&clocks.sample_stall, waited);
-                            // Publish the step boundary immediately so the consumer
-                            // can swap the buffer while this worker still samples.
-                            match out_q.push(StepOut::Begin(Arc::clone(&ctx))) {
-                                Some(waited) => add_nanos(&clocks.sample_stall, waited),
-                                None => return,
-                            }
-                            let mut rng =
-                                StdRng::seed_from_u64(step_seed(epoch_seed, ctx.step as u64));
-                            span.begin("sample.step", ctx.step as i64, NO_LABEL);
-                            let step_start = Instant::now();
-                            let mut sink_wait = Duration::ZERO;
-                            let mut closed = false;
-                            let mut sink = |batch: B| match out_q.push(StepOut::Batch(batch)) {
-                                Some(waited) => sink_wait += waited,
-                                None => closed = true,
-                            };
-                            make_batches(&ctx, &mut rng, &mut sink);
-                            let sink_wait = sink_wait;
-                            add_nanos(
-                                &clocks.sample_busy,
-                                step_start.elapsed().saturating_sub(sink_wait),
-                            );
-                            add_nanos(&clocks.sample_stall, sink_wait);
-                            span.end();
-                            if closed {
-                                return;
-                            }
-                            match out_q.push(StepOut::End) {
-                                Some(waited) => add_nanos(&clocks.sample_stall, waited),
-                                None => return,
-                            }
-                        }
-                    };
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(body)) {
-                        record_failure(PipelineError::panicked("batch-worker", payload.as_ref()));
-                    }
-                    // Idempotent: lets the consumer drain what was produced
-                    // and then observe the end of this worker's stream.
-                    out_q.close();
-                }));
-            }
-
-            // ---- Stage 3: the compute consumer (this thread). ------------
-            let mut compute_span = telemetry.scope("compute");
-            let compute_span = &mut compute_span;
-            let mut run_consumer = || -> Result<()> {
-                for s in 0..num_steps {
-                    let q = &batch_queues[s % workers];
-                    let mut cur_ctx: Option<Arc<StepContext>> = None;
-                    loop {
-                        let Some((item, waited)) = q.pop() else {
-                            return Err(StorageError::InvalidPlan {
-                                reason: format!("pipeline stage 2 ended before step {s} completed"),
-                            });
-                        };
-                        report.compute_stall += waited;
+                        span.begin("context-prefetch.step", s as i64, NO_LABEL);
                         let busy_start = Instant::now();
-                        match item {
-                            StepOut::Begin(ctx) => {
-                                let Some((parts, parts_wait)) = parts_queue.pop() else {
-                                    return Err(StorageError::InvalidPlan {
-                                        reason: format!("partition prefetch ended before step {s}"),
-                                    });
-                                };
-                                report.compute_stall += parts_wait;
-                                let (parts_step, new_parts) = parts?;
-                                debug_assert_eq!(parts_step, s, "partition payload out of order");
-                                report.partition_loads += new_parts.len();
-                                compute_span.begin("compute.step", s as i64, NO_LABEL);
-                                compute_span.begin("compute.install", s as i64, NO_LABEL);
-                                let install_start = Instant::now();
-                                let evicted = buffer.install_set(&ctx.set, new_parts)?;
-                                clock.swap.publish(s as i64);
-                                cur_ctx = Some(ctx);
-                                report.compute_busy += install_start.elapsed();
-                                compute_span.end();
-                                // Hand the detached generation to the drain.
-                                // Pushed even when empty so the write-back
-                                // watermark advances through every step. A
-                                // full queue here is write-back back-pressure
-                                // on compute, booked as a stall.
-                                if let Some(waited) = wb_queue.push((s, evicted)) {
-                                    report.compute_stall += waited;
-                                }
+                        let ctx = read_context(store, assignment, s, set);
+                        add_nanos(&clocks.prefetch_busy, busy_start.elapsed());
+                        span.end();
+                        match ctx {
+                            Ok(ctx) => match step_queues[s % workers].push(Arc::new(ctx)) {
+                                Some(waited) => add_nanos(&clocks.prefetch_stall, waited),
+                                None => break 'steps, // closed: epoch aborted
+                            },
+                            Err(e) => {
+                                // Surface the error through the worker queue
+                                // that owns this step so the consumer sees it
+                                // in order, then stop prefetching.
+                                batch_queues[s % workers]
+                                    .push(StepOut::Err(PipelineError::wrap("context-prefetch", e)));
+                                break 'steps;
                             }
-                            StepOut::Batch(batch) => {
-                                let ctx =
-                                    cur_ctx.as_ref().ok_or_else(|| StorageError::InvalidPlan {
-                                        reason: format!("batch before Begin in step {s}"),
-                                    })?;
-                                report.batches += 1;
-                                compute_span.begin("compute.batch", s as i64, NO_LABEL);
-                                consume(buffer, ctx, batch);
-                                compute_span.end();
-                                report.compute_busy += busy_start.elapsed();
-                            }
-                            StepOut::End => {
-                                report.compute_busy += busy_start.elapsed();
-                                compute_span.end();
-                                break;
-                            }
-                            StepOut::Err(e) => return Err(e),
                         }
                     }
+                };
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(body)) {
+                    record_failure(PipelineError::panicked(
+                        "context-prefetch",
+                        payload.as_ref(),
+                    ));
                 }
-                Ok(())
-            };
-            // The consumer runs under the same supervision as the spawned
-            // stages: a panic in user compute code (or the buffer) converts
-            // to a typed error after an orderly shutdown instead of
-            // unwinding through the scope and cascading into every thread.
-            let result: Result<()> = match catch_unwind(AssertUnwindSafe(&mut run_consumer)) {
-                Ok(r) => r.map_err(|e| PipelineError::wrap("compute", e)),
-                Err(payload) => {
-                    let err = PipelineError::panicked("compute", payload.as_ref());
-                    record_failure(err.clone());
-                    Err(err.into())
+                // Close on every exit path (including aborts raised by
+                // another stage, and panics caught above) so the stage-2
+                // workers never block on a producer that has stopped.
+                for q in step_queues.iter() {
+                    q.close();
                 }
-            };
+            })
+        };
 
-            // Shut everything down (idempotent) so the scope can join even on
-            // the error path. The write-back queue is closed only now — after
-            // the consumer's last push — and close lets the drain pop what
-            // remains, so the drain writes out every detached eviction
-            // (success *and* abort paths) before the scope joins it.
-            clock.abort();
-            for q in step_queues.iter() {
-                q.close();
-            }
-            for q in batch_queues.iter() {
-                q.close();
-            }
-            parts_queue.close();
-            wb_queue.close();
-            // Join every stage before arbitrating so late failures are
-            // recorded and no thread outlives the verdict. Stage bodies catch
-            // their own panics, so these joins cannot themselves panic.
-            for handle in worker_handles {
-                let _ = handle.join();
-            }
-            let _ = ctx_handle.join();
-            let _ = parts_handle.join();
-            let wb_result = match wb_handle.join() {
-                Ok(r) => r,
-                Err(payload) => {
-                    Err(PipelineError::panicked("writeback-drain", payload.as_ref()).into())
+        // ---- Stage 1b: the partition prefetcher thread. --------------
+        // Partition files are rewritten by the write-back drain after an
+        // eviction, so each read waits for the *write-back* watermark to
+        // pass the partition's last eviction before it is issued: only
+        // then are the file's bytes the evicted generation's, not stale.
+        let parts_handle = {
+            let parts_queue = &parts_queue;
+            let clock = &clock;
+            let clocks = &clocks;
+            let io_plan = &io_plan;
+            let store = &store;
+            scope.spawn(move || {
+                let mut span = telemetry.scope("partition-prefetch");
+                let span = &mut span;
+                let body = || {
+                    'steps: for s in 0..plan.partition_sets.len() {
+                        if clock.abort.load(Ordering::Relaxed) {
+                            break 'steps;
+                        }
+                        let dep = io_plan.read_after[s];
+                        if dep >= 0 {
+                            span.begin("partition-prefetch.wait-writeback", s as i64, NO_LABEL);
+                            add_nanos(
+                                &clocks.prefetch_stall,
+                                clock.writeback.wait_for(dep, &clock.abort),
+                            );
+                            span.end();
+                        }
+                        if clock.abort.load(Ordering::Relaxed) {
+                            break 'steps;
+                        }
+                        span.begin("partition-prefetch.step", s as i64, NO_LABEL);
+                        let busy_start = Instant::now();
+                        let parts = read_partitions(store, &io_plan.loads[s], span, s);
+                        add_nanos(&clocks.prefetch_busy, busy_start.elapsed());
+                        span.end();
+                        let failed = parts.is_err();
+                        let parts = parts
+                            .map(|p| (s, p))
+                            .map_err(|e| PipelineError::wrap("partition-prefetch", e));
+                        match parts_queue.push(parts) {
+                            Some(waited) => add_nanos(&clocks.prefetch_stall, waited),
+                            None => break 'steps,
+                        }
+                        if failed {
+                            break 'steps;
+                        }
+                    }
+                };
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(body)) {
+                    record_failure(PipelineError::panicked(
+                        "partition-prefetch",
+                        payload.as_ref(),
+                    ));
                 }
-            };
-            let recorded = failure
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
-            // Arbitration: a recorded stage failure is the root cause of any
-            // cascade it triggered (closed queues, protocol errors), so it
-            // wins; a drain disk error likewise outranks the consumer's
-            // secondary verdict.
-            let outcome = match (result, wb_result, recorded) {
-                (_, _, Some(root)) => Err(root.into()),
-                (r, Ok(()), None) => r,
-                (_, Err(e), None) => Err(e),
-            };
-            if outcome.is_err() {
-                // A failed epoch may leave detached evictions that can no
-                // longer land. Nothing may block on them: the run is being
-                // abandoned and recovery goes through checkpoints.
+                // Close on every exit path so the consumer never blocks
+                // on a prefetcher that has stopped.
+                parts_queue.close();
+            })
+        };
+
+        // ---- Stage 4: the write-back drain thread. -------------------
+        // Receives each step's detached dirty evictions from the consumer
+        // and writes them to the store off the compute path. The drain
+        // keeps writing even after an abort (losing detached updates, or
+        // leaving stale bytes unannounced, would corrupt the store), and
+        // only stops writing after a disk error of its own — from then on
+        // it still marks payloads drained so nothing waits forever.
+        let wb_handle = {
+            let wb_queue = &wb_queue;
+            let clock = &clock;
+            let clocks = &clocks;
+            let store = &store;
+            let ledger = Arc::clone(&ledger);
+            scope.spawn(move || -> Result<()> {
+                let mut span = telemetry.scope("writeback-drain");
+                let span = &mut span;
+                let body = || -> Result<()> {
+                    while let Some(((step, evicted), waited)) = wb_queue.pop() {
+                        add_nanos(&clocks.writeback_stall, waited);
+                        // The payload is queued by the consumer after its swap
+                        // publish, so this wait documents (and cheaply
+                        // enforces) that the drain never runs ahead of the
+                        // swap that detached its generation.
+                        clock.swap.wait_for(step as i64, &clock.abort);
+                        span.begin("writeback.step", step as i64, NO_LABEL);
+                        let busy_start = Instant::now();
+                        let written = ledger.write_back(store, &evicted, span, step as i64);
+                        add_nanos(&clocks.writeback_busy, busy_start.elapsed());
+                        span.end();
+                        clock.writeback.publish(step as i64);
+                        clocks
+                            .writeback_parts
+                            .fetch_add(written? as u64, Ordering::Relaxed);
+                    }
+                    Ok(())
+                };
+                let outcome = match catch_unwind(AssertUnwindSafe(body)) {
+                    Ok(Ok(())) => return Ok(()),
+                    Ok(Err(e)) => {
+                        clock.abort();
+                        Err(PipelineError::wrap("writeback-drain", e))
+                    }
+                    Err(payload) => {
+                        record_failure(PipelineError::panicked(
+                            "writeback-drain",
+                            payload.as_ref(),
+                        ));
+                        Ok(())
+                    }
+                };
+                // The drain can no longer deliver its detached payloads.
+                // Keep the lane live in degraded mode: pop what remains,
+                // marking it drained and advancing the watermark so no
+                // peer blocks forever, then abandon anything still
+                // pending (the run has failed; those bytes are recovered
+                // from the last checkpoint, not this epoch).
+                while let Some(((step, evicted), _)) = wb_queue.pop() {
+                    for part in &evicted {
+                        ledger.mark_drained(part.id);
+                    }
+                    clock.writeback.publish(step as i64);
+                }
                 ledger.abandon_pending();
-            }
-            outcome
-        });
+                outcome
+            })
+        };
 
-        consumer_result?;
-        debug_assert_eq!(
-            ledger.pending_count(),
-            0,
-            "every detached eviction must drain before run_epoch returns"
-        );
-        report.prefetch_busy = nanos(&clocks.prefetch_busy);
-        report.prefetch_stall = nanos(&clocks.prefetch_stall);
-        report.sample_busy = nanos(&clocks.sample_busy);
-        report.sample_stall = nanos(&clocks.sample_stall);
-        report.writeback_busy = nanos(&clocks.writeback_busy);
-        report.writeback_stall = nanos(&clocks.writeback_stall);
-        report.partitions_written_back = clocks.writeback_parts.load(Ordering::Relaxed) as usize;
-        Ok(report)
-    }
-
-    /// Mirrors one epoch's [`PipelineReport`] into the `pipeline.*` counters,
-    /// so `metrics.json` aggregates agree with the report fields exactly
-    /// (the counters accumulate across epochs).
-    fn mirror_report(&self, report: &PipelineReport) {
-        if !self.telemetry.is_enabled() {
-            return;
+        // ---- Stage 2: batch-construction workers. --------------------
+        let mut worker_handles = Vec::with_capacity(workers);
+        for w in 0..workers {
+            let in_q = &step_queues[w];
+            let out_q = &batch_queues[w];
+            let clocks = &clocks;
+            let make_batches = &make_batches;
+            let worker_label = format!("batch-worker-{w}");
+            worker_handles.push(scope.spawn(move || {
+                let mut span = telemetry.scope(&worker_label);
+                let span = &mut span;
+                let body = || {
+                    while let Some((ctx, waited)) = in_q.pop() {
+                        add_nanos(&clocks.sample_stall, waited);
+                        // Publish the step boundary immediately so the consumer
+                        // can swap the buffer while this worker still samples.
+                        match out_q.push(StepOut::Begin(Arc::clone(&ctx))) {
+                            Some(waited) => add_nanos(&clocks.sample_stall, waited),
+                            None => return,
+                        }
+                        let mut rng = StdRng::seed_from_u64(step_seed(epoch_seed, ctx.step as u64));
+                        span.begin("sample.step", ctx.step as i64, NO_LABEL);
+                        let step_start = Instant::now();
+                        let mut sink_wait = Duration::ZERO;
+                        let mut closed = false;
+                        let mut sink = |batch: B| match out_q.push(StepOut::Batch(batch)) {
+                            Some(waited) => sink_wait += waited,
+                            None => closed = true,
+                        };
+                        make_batches(&ctx, &mut rng, &mut sink);
+                        let sink_wait = sink_wait;
+                        add_nanos(
+                            &clocks.sample_busy,
+                            step_start.elapsed().saturating_sub(sink_wait),
+                        );
+                        add_nanos(&clocks.sample_stall, sink_wait);
+                        span.end();
+                        if closed {
+                            return;
+                        }
+                        match out_q.push(StepOut::End) {
+                            Some(waited) => add_nanos(&clocks.sample_stall, waited),
+                            None => return,
+                        }
+                    }
+                };
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(body)) {
+                    record_failure(PipelineError::panicked("batch-worker", payload.as_ref()));
+                }
+                // Idempotent: lets the consumer drain what was produced
+                // and then observe the end of this worker's stream.
+                out_q.close();
+            }));
         }
-        let t = &self.telemetry;
-        t.counter("pipeline.steps").add(report.steps as u64);
-        t.counter("pipeline.batches").add(report.batches as u64);
-        t.counter("pipeline.partition_loads")
-            .add(report.partition_loads as u64);
-        t.counter("pipeline.prefetch_busy_ns")
-            .add_duration(report.prefetch_busy);
-        t.counter("pipeline.prefetch_stall_ns")
-            .add_duration(report.prefetch_stall);
-        t.counter("pipeline.sample_busy_ns")
-            .add_duration(report.sample_busy);
-        t.counter("pipeline.sample_stall_ns")
-            .add_duration(report.sample_stall);
-        t.counter("pipeline.compute_busy_ns")
-            .add_duration(report.compute_busy);
-        t.counter("pipeline.compute_stall_ns")
-            .add_duration(report.compute_stall);
-        t.counter("pipeline.writeback_busy_ns")
-            .add_duration(report.writeback_busy);
-        t.counter("pipeline.writeback_stall_ns")
-            .add_duration(report.writeback_stall);
-        t.counter("pipeline.partitions_written_back")
-            .add(report.partitions_written_back as u64);
-        t.counter("pipeline.wall_time_ns")
-            .add_duration(report.wall_time);
+
+        // ---- Stage 3: the compute consumer (this thread). ------------
+        let mut compute_span = telemetry.scope("compute");
+        let compute_span = &mut compute_span;
+        let mut run_consumer = || -> Result<()> {
+            for s in 0..num_steps {
+                let q = &batch_queues[s % workers];
+                let mut cur_ctx: Option<Arc<StepContext>> = None;
+                loop {
+                    let Some((item, waited)) = q.pop() else {
+                        return Err(StorageError::InvalidPlan {
+                            reason: format!("pipeline stage 2 ended before step {s} completed"),
+                        });
+                    };
+                    report.compute_stall += waited;
+                    let busy_start = Instant::now();
+                    match item {
+                        StepOut::Begin(ctx) => {
+                            let Some((parts, parts_wait)) = parts_queue.pop() else {
+                                return Err(StorageError::InvalidPlan {
+                                    reason: format!("partition prefetch ended before step {s}"),
+                                });
+                            };
+                            report.compute_stall += parts_wait;
+                            let (parts_step, new_parts) = parts?;
+                            debug_assert_eq!(parts_step, s, "partition payload out of order");
+                            report.partition_loads += new_parts.len();
+                            compute_span.begin("compute.step", s as i64, NO_LABEL);
+                            compute_span.begin("compute.install", s as i64, NO_LABEL);
+                            let install_start = Instant::now();
+                            let evicted = buffer.install_set(&ctx.set, new_parts)?;
+                            clock.swap.publish(s as i64);
+                            cur_ctx = Some(ctx);
+                            report.compute_busy += install_start.elapsed();
+                            compute_span.end();
+                            // Hand the detached generation to the drain.
+                            // Pushed even when empty so the write-back
+                            // watermark advances through every step. A
+                            // full queue here is write-back back-pressure
+                            // on compute, booked as a stall.
+                            if let Some(waited) = wb_queue.push((s, evicted)) {
+                                report.compute_stall += waited;
+                            }
+                        }
+                        StepOut::Batch(batch) => {
+                            let ctx =
+                                cur_ctx.as_ref().ok_or_else(|| StorageError::InvalidPlan {
+                                    reason: format!("batch before Begin in step {s}"),
+                                })?;
+                            report.batches += 1;
+                            compute_span.begin("compute.batch", s as i64, NO_LABEL);
+                            consume(buffer, ctx, batch);
+                            compute_span.end();
+                            report.compute_busy += busy_start.elapsed();
+                        }
+                        StepOut::End => {
+                            report.compute_busy += busy_start.elapsed();
+                            compute_span.end();
+                            break;
+                        }
+                        StepOut::Err(e) => return Err(e),
+                    }
+                }
+            }
+            Ok(())
+        };
+        // The consumer runs under the same supervision as the spawned
+        // stages: a panic in user compute code (or the buffer) converts
+        // to a typed error after an orderly shutdown instead of
+        // unwinding through the scope and cascading into every thread.
+        let result: Result<()> = match catch_unwind(AssertUnwindSafe(&mut run_consumer)) {
+            Ok(r) => r.map_err(|e| PipelineError::wrap("compute", e)),
+            Err(payload) => {
+                let err = PipelineError::panicked("compute", payload.as_ref());
+                record_failure(err.clone());
+                Err(err.into())
+            }
+        };
+
+        // Shut everything down (idempotent) so the scope can join even on
+        // the error path. The write-back queue is closed only now — after
+        // the consumer's last push — and close lets the drain pop what
+        // remains, so the drain writes out every detached eviction
+        // (success *and* abort paths) before the scope joins it.
+        clock.abort();
+        for q in step_queues.iter() {
+            q.close();
+        }
+        for q in batch_queues.iter() {
+            q.close();
+        }
+        parts_queue.close();
+        wb_queue.close();
+        // Join every stage before arbitrating so late failures are
+        // recorded and no thread outlives the verdict. Stage bodies catch
+        // their own panics, so these joins cannot themselves panic.
+        for handle in worker_handles {
+            let _ = handle.join();
+        }
+        let _ = ctx_handle.join();
+        let _ = parts_handle.join();
+        let wb_result = match wb_handle.join() {
+            Ok(r) => r,
+            Err(payload) => {
+                Err(PipelineError::panicked("writeback-drain", payload.as_ref()).into())
+            }
+        };
+        let recorded = failure
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        // Arbitration: a recorded stage failure is the root cause of any
+        // cascade it triggered (closed queues, protocol errors), so it
+        // wins; a drain disk error likewise outranks the consumer's
+        // secondary verdict.
+        let outcome = match (result, wb_result, recorded) {
+            (_, _, Some(root)) => Err(root.into()),
+            (r, Ok(()), None) => r,
+            (_, Err(e), None) => Err(e),
+        };
+        if outcome.is_err() {
+            // A failed epoch may leave detached evictions that can no
+            // longer land. Nothing may block on them: the run is being
+            // abandoned and recovery goes through checkpoints.
+            ledger.abandon_pending();
+        }
+        outcome
+    });
+
+    consumer_result?;
+    debug_assert_eq!(
+        ledger.pending_count(),
+        0,
+        "every detached eviction must drain before run_epoch returns"
+    );
+    report.prefetch_busy = nanos(&clocks.prefetch_busy);
+    report.prefetch_stall = nanos(&clocks.prefetch_stall);
+    report.sample_busy = nanos(&clocks.sample_busy);
+    report.sample_stall = nanos(&clocks.sample_stall);
+    report.writeback_busy = nanos(&clocks.writeback_busy);
+    report.writeback_stall = nanos(&clocks.writeback_stall);
+    report.partitions_written_back = clocks.writeback_parts.load(Ordering::Relaxed) as usize;
+    Ok(report)
+}
+
+/// Mirrors one epoch's [`PipelineReport`] into the `pipeline.*` counters,
+/// so `metrics.json` aggregates agree with the report fields exactly
+/// (the counters accumulate across epochs).
+fn mirror_report(t: &Telemetry, report: &PipelineReport) {
+    if !t.is_enabled() {
+        return;
     }
+    t.counter("pipeline.steps").add(report.steps as u64);
+    t.counter("pipeline.batches").add(report.batches as u64);
+    t.counter("pipeline.partition_loads")
+        .add(report.partition_loads as u64);
+    t.counter("pipeline.prefetch_busy_ns")
+        .add_duration(report.prefetch_busy);
+    t.counter("pipeline.prefetch_stall_ns")
+        .add_duration(report.prefetch_stall);
+    t.counter("pipeline.sample_busy_ns")
+        .add_duration(report.sample_busy);
+    t.counter("pipeline.sample_stall_ns")
+        .add_duration(report.sample_stall);
+    t.counter("pipeline.compute_busy_ns")
+        .add_duration(report.compute_busy);
+    t.counter("pipeline.compute_stall_ns")
+        .add_duration(report.compute_stall);
+    t.counter("pipeline.writeback_busy_ns")
+        .add_duration(report.writeback_busy);
+    t.counter("pipeline.writeback_stall_ns")
+        .add_duration(report.writeback_stall);
+    t.counter("pipeline.partitions_written_back")
+        .add(report.partitions_written_back as u64);
+    t.counter("pipeline.wall_time_ns")
+        .add_duration(report.wall_time);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use marius_graph::{EdgeList, Partitioner};
-    use marius_storage::PartitionStore;
+    use marius_storage::{IoEnv, PartitionStore};
     use marius_telemetry::Phase;
     use rand::Rng;
 
     fn build_buffer(label: &str, num_nodes: u64, p: u32, capacity: usize) -> PartitionBuffer {
+        observed_buffer(&Telemetry::disabled(), label, num_nodes, p, capacity)
+    }
+
+    /// [`build_buffer`] over a store opened under an env carrying
+    /// `telemetry`: the one attachment the store, the buffer and the
+    /// pipeline all record through.
+    fn observed_buffer(
+        telemetry: &Telemetry,
+        label: &str,
+        num_nodes: u64,
+        p: u32,
+        capacity: usize,
+    ) -> PartitionBuffer {
         let mut rng = StdRng::seed_from_u64(11);
         let mut el = EdgeList::new(num_nodes);
         for i in 0..num_nodes {
@@ -1264,7 +1243,11 @@ mod tests {
         let partitioner = Partitioner::new(p).unwrap();
         let assignment = partitioner.random(num_nodes, &mut rng);
         let buckets = partitioner.build_buckets(&el, &assignment).unwrap();
-        let store = PartitionStore::open_temp(label).unwrap();
+        let env = IoEnv {
+            telemetry: telemetry.clone(),
+            ..IoEnv::default()
+        };
+        let store = env.open_store(PartitionStore::temp_path(label)).unwrap();
         store.clear().unwrap();
         let buffer = PartitionBuffer::new(store, assignment, 4, capacity, true);
         buffer.initialize_random(0.1, &mut rng).unwrap();
@@ -1324,31 +1307,31 @@ mod tests {
         for workers in [1usize, 3] {
             let mut buffer = build_buffer(&format!("pipe-visit-{workers}"), 60, 6, 3);
             let plan = pair_plan(6, 3, 5);
-            let pipeline = Pipeline::new(PipelineConfig::with_workers(workers));
+            let config = PipelineConfig::with_workers(workers);
             let seen = Mutex::new(Vec::<(usize, usize)>::new());
-            let report = pipeline
-                .run_epoch(
-                    &plan,
-                    &mut buffer,
-                    99,
-                    |ctx, rng, sink| {
-                        // One "batch" per assigned bucket, tagged with a random
-                        // draw so determinism is observable.
-                        for (k, _) in plan.bucket_assignment[ctx.step].iter().enumerate() {
-                            let _ = rng.gen::<u64>();
-                            sink((ctx.step, k));
-                        }
-                    },
-                    |buffer, ctx, (step, k)| {
-                        assert_eq!(buffer.resident_partitions(), {
-                            let mut s = ctx.set.clone();
-                            s.sort_unstable();
-                            s
-                        });
-                        seen.lock().unwrap().push((step, k));
-                    },
-                )
-                .unwrap();
+            let report = run_epoch(
+                &config,
+                &plan,
+                &mut buffer,
+                99,
+                |ctx, rng, sink| {
+                    // One "batch" per assigned bucket, tagged with a random
+                    // draw so determinism is observable.
+                    for (k, _) in plan.bucket_assignment[ctx.step].iter().enumerate() {
+                        let _ = rng.gen::<u64>();
+                        sink((ctx.step, k));
+                    }
+                },
+                |buffer, ctx, (step, k)| {
+                    assert_eq!(buffer.resident_partitions(), {
+                        let mut s = ctx.set.clone();
+                        s.sort_unstable();
+                        s
+                    });
+                    seen.lock().unwrap().push((step, k));
+                },
+            )
+            .unwrap();
             let seen = seen.into_inner().unwrap();
             let expected: Vec<(usize, usize)> = plan
                 .bucket_assignment
@@ -1370,23 +1353,23 @@ mod tests {
         // epoch plus flush, reading the store back must show every update.
         let mut buffer = build_buffer("pipe-update", 40, 4, 2);
         let plan = pair_plan(4, 2, 9);
-        let pipeline = Pipeline::new(PipelineConfig::with_workers(2));
+        let config = PipelineConfig::with_workers(2);
         let assignment = buffer.assignment().clone();
         let mut touched: Vec<NodeId> = Vec::new();
-        pipeline
-            .run_epoch(
-                &plan,
-                &mut buffer,
-                17,
-                |ctx, _rng, sink| sink(ctx.set[0]),
-                |buffer, _ctx, partition: PartitionId| {
-                    let node = assignment.nodes_in(partition)[0];
-                    let grad = marius_tensor::Tensor::ones(1, 4);
-                    buffer.apply_update(&[node], &grad).unwrap();
-                    touched.push(node);
-                },
-            )
-            .unwrap();
+        run_epoch(
+            &config,
+            &plan,
+            &mut buffer,
+            17,
+            |ctx, _rng, sink| sink(ctx.set[0]),
+            |buffer, _ctx, partition: PartitionId| {
+                let node = assignment.nodes_in(partition)[0];
+                let grad = marius_tensor::Tensor::ones(1, 4);
+                buffer.apply_update(&[node], &grad).unwrap();
+                touched.push(node);
+            },
+        )
+        .unwrap();
         buffer.flush().unwrap();
         assert!(!touched.is_empty());
         // A second pipelined pass observes the updated values via gather.
@@ -1412,28 +1395,27 @@ mod tests {
             let mut buffer = build_buffer(&format!("pipe-det-{label}"), 50, 5, 2);
             let plan = pair_plan(5, 2, 21);
             let assignment = buffer.assignment().clone();
-            let pipeline = Pipeline::new(config);
             let out = Mutex::new(Vec::new());
-            let report = pipeline
-                .run_epoch(
-                    &plan,
-                    &mut buffer,
-                    4242,
-                    |ctx, rng, sink| {
-                        for _ in 0..3 {
-                            sink(((ctx.step as u64) << 32) | (rng.gen::<u64>() >> 32));
-                        }
-                    },
-                    |buffer, ctx, v| {
-                        // An update that depends on the batch, so the files
-                        // record the order batches were applied in.
-                        let node = assignment.nodes_in(ctx.set[0])[0];
-                        let grad = marius_tensor::Tensor::full(1, 4, (v % 97) as f32 * 0.01);
-                        buffer.apply_update(&[node], &grad).unwrap();
-                        out.lock().unwrap().push(v);
-                    },
-                )
-                .unwrap();
+            let report = run_epoch(
+                &config,
+                &plan,
+                &mut buffer,
+                4242,
+                |ctx, rng, sink| {
+                    for _ in 0..3 {
+                        sink(((ctx.step as u64) << 32) | (rng.gen::<u64>() >> 32));
+                    }
+                },
+                |buffer, ctx, v| {
+                    // An update that depends on the batch, so the files
+                    // record the order batches were applied in.
+                    let node = assignment.nodes_in(ctx.set[0])[0];
+                    let grad = marius_tensor::Tensor::full(1, 4, (v % 97) as f32 * 0.01);
+                    buffer.apply_update(&[node], &grad).unwrap();
+                    out.lock().unwrap().push(v);
+                },
+            )
+            .unwrap();
             buffer.flush().unwrap();
             let root = buffer.store().root();
             let files: Vec<Vec<u8>> = (0..5)
@@ -1478,18 +1460,18 @@ mod tests {
     #[test]
     fn in_order_schedule_records_no_pipeline_telemetry() {
         let telemetry = Telemetry::enabled();
-        let mut buffer = build_buffer("pipe-in-order-telemetry", 40, 4, 2);
+        let mut buffer = observed_buffer(&telemetry, "pipe-in-order-telemetry", 40, 4, 2);
         let plan = pair_plan(4, 2, 13);
-        let pipeline = Pipeline::new(PipelineConfig::disabled()).with_telemetry(&telemetry);
-        let report = pipeline
-            .run_epoch(
-                &plan,
-                &mut buffer,
-                5,
-                |ctx, _rng, sink| sink(ctx.step),
-                |_buffer, _ctx, _step: usize| {},
-            )
-            .unwrap();
+        let config = PipelineConfig::disabled();
+        let report = run_epoch(
+            &config,
+            &plan,
+            &mut buffer,
+            5,
+            |ctx, _rng, sink| sink(ctx.step),
+            |_buffer, _ctx, _step: usize| {},
+        )
+        .unwrap();
         assert_eq!(report.batches, plan.partition_sets.len());
         assert_eq!(report.partition_loads, plan.partition_loads());
         assert_eq!(report.overlap_ratio(), 0.0);
@@ -1505,21 +1487,21 @@ mod tests {
         // every detached eviction on disk.
         let mut buffer = build_buffer("pipe-safe-point", 40, 4, 2);
         let plan = pair_plan(4, 2, 13);
-        let pipeline = Pipeline::new(PipelineConfig::with_workers(2));
+        let config = PipelineConfig::with_workers(2);
         let assignment = buffer.assignment().clone();
-        pipeline
-            .run_epoch(
-                &plan,
-                &mut buffer,
-                23,
-                |ctx, _rng, sink| sink(ctx.set[0]),
-                |buffer, _ctx, partition: PartitionId| {
-                    let node = assignment.nodes_in(partition)[0];
-                    let grad = marius_tensor::Tensor::ones(1, 4);
-                    buffer.apply_update(&[node], &grad).unwrap();
-                },
-            )
-            .unwrap();
+        run_epoch(
+            &config,
+            &plan,
+            &mut buffer,
+            23,
+            |ctx, _rng, sink| sink(ctx.set[0]),
+            |buffer, _ctx, partition: PartitionId| {
+                let node = assignment.nodes_in(partition)[0];
+                let grad = marius_tensor::Tensor::ones(1, 4);
+                buffer.apply_update(&[node], &grad).unwrap();
+            },
+        )
+        .unwrap();
         writeback_safe_point(&buffer).unwrap();
         assert_eq!(buffer.writeback_ledger().pending_count(), 0);
     }
@@ -1527,23 +1509,29 @@ mod tests {
     #[test]
     fn telemetry_spans_and_counters_mirror_report() {
         let telemetry = Telemetry::enabled();
-        let mut buffer = build_buffer("pipe-telemetry", 60, 6, 3);
+        let mut buffer = observed_buffer(&telemetry, "pipe-telemetry", 60, 6, 3);
         let plan = pair_plan(6, 3, 5);
-        let pipeline = Pipeline::new(PipelineConfig::with_workers(2)).with_telemetry(&telemetry);
-        let report = pipeline
-            .run_epoch(
-                &plan,
-                &mut buffer,
-                99,
-                |ctx, _rng, sink| {
-                    for k in 0..plan.bucket_assignment[ctx.step].len() {
-                        sink((ctx.step, k));
-                    }
-                },
-                |_buffer, _ctx, _batch: (usize, usize)| {},
-            )
-            .unwrap();
+        let config = PipelineConfig::with_workers(2);
+        let report = run_epoch(
+            &config,
+            &plan,
+            &mut buffer,
+            99,
+            |ctx, _rng, sink| {
+                for k in 0..plan.bucket_assignment[ctx.step].len() {
+                    sink((ctx.step, k));
+                }
+            },
+            |_buffer, _ctx, _batch: (usize, usize)| {},
+        )
+        .unwrap();
         let snap = telemetry.metrics_snapshot();
+        // The store and the buffer recorded into the same registry through
+        // the store's env.
+        assert!(snap.counter("storage.reads").unwrap_or(0) > 0);
+        let swaps =
+            snap.counter("buffer.hits").unwrap_or(0) + snap.counter("buffer.misses").unwrap_or(0);
+        assert!(swaps > 0);
         // Counters mirror the report exactly.
         assert_eq!(snap.counter("pipeline.steps"), Some(report.steps as u64));
         assert_eq!(
@@ -1589,30 +1577,27 @@ mod tests {
 
     #[test]
     fn telemetry_does_not_change_batch_stream() {
-        let run = |telemetry: Option<Telemetry>| -> Vec<u64> {
-            let mut buffer = build_buffer("pipe-telem-det", 50, 5, 2);
+        let run = |telemetry: Telemetry| -> Vec<u64> {
+            let mut buffer = observed_buffer(&telemetry, "pipe-telem-det", 50, 5, 2);
             let plan = pair_plan(5, 2, 21);
-            let mut pipeline = Pipeline::new(PipelineConfig::with_workers(3));
-            if let Some(t) = &telemetry {
-                pipeline = pipeline.with_telemetry(t);
-            }
+            let config = PipelineConfig::with_workers(3);
             let out = Mutex::new(Vec::new());
-            pipeline
-                .run_epoch(
-                    &plan,
-                    &mut buffer,
-                    4242,
-                    |ctx, rng, sink| {
-                        for _ in 0..3 {
-                            sink(((ctx.step as u64) << 32) | (rng.gen::<u64>() >> 32));
-                        }
-                    },
-                    |_buffer, _ctx, v| out.lock().unwrap().push(v),
-                )
-                .unwrap();
+            run_epoch(
+                &config,
+                &plan,
+                &mut buffer,
+                4242,
+                |ctx, rng, sink| {
+                    for _ in 0..3 {
+                        sink(((ctx.step as u64) << 32) | (rng.gen::<u64>() >> 32));
+                    }
+                },
+                |_buffer, _ctx, v| out.lock().unwrap().push(v),
+            )
+            .unwrap();
             out.into_inner().unwrap()
         };
-        assert_eq!(run(None), run(Some(Telemetry::enabled())));
+        assert_eq!(run(Telemetry::disabled()), run(Telemetry::enabled()));
     }
 
     #[test]
@@ -1621,8 +1606,9 @@ mod tests {
         let plan = pair_plan(4, 2, 3);
         // Delete every partition file: the prefetcher's first read fails.
         buffer.store().clear().unwrap();
-        let pipeline = Pipeline::new(PipelineConfig::with_workers(2));
-        let result = pipeline.run_epoch(
+        let config = PipelineConfig::with_workers(2);
+        let result = run_epoch(
+            &config,
             &plan,
             &mut buffer,
             1,

@@ -5,8 +5,8 @@
 //! lock panic on the caller's thread.
 
 use marius_graph::{Edge, EdgeList, Partitioner};
-use marius_pipeline::{EpochPlan, Pipeline, PipelineConfig};
-use marius_storage::{IoFaultPlan, PartitionBuffer, PartitionStore, StorageError};
+use marius_pipeline::{run_epoch, EpochPlan, PipelineConfig};
+use marius_storage::{IoEnv, IoFaultPlan, PartitionBuffer, PartitionStore, StorageError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -22,13 +22,12 @@ fn buffer_with(label: &str, faults: bool) -> PartitionBuffer {
     let partitioner = Partitioner::new(4).unwrap();
     let assignment = partitioner.random(num_nodes, &mut rng);
     let buckets = partitioner.build_buckets(&el, &assignment).unwrap();
-    let store = PartitionStore::open_temp(label).unwrap();
-    store.clear().unwrap();
-    let store = if faults {
-        store.with_fault_plan(IoFaultPlan::quiet(11))
-    } else {
-        store
+    let env = IoEnv {
+        faults: faults.then(|| IoFaultPlan::quiet(11).build()),
+        ..IoEnv::default()
     };
+    let store = env.open_store(PartitionStore::temp_path(label)).unwrap();
+    store.clear().unwrap();
     let buffer = PartitionBuffer::new(store, assignment, 4, 2, true);
     buffer.initialize_random(0.1, &mut rng).unwrap();
     buffer.initialize_buckets(&buckets).unwrap();
@@ -50,20 +49,22 @@ fn permanent_fault_surfaces_as_a_typed_pipeline_error() {
     let mut buffer = buffer_with("supervision-permanent", true);
     let injector = buffer
         .store()
-        .fault_injector()
+        .env()
+        .faults
+        .as_ref()
         .expect("injector attached")
         .clone();
     injector.arm_permanent(0);
-    let pipeline = Pipeline::new(PipelineConfig::with_workers(2));
-    let err = pipeline
-        .run_epoch(
-            &three_step_plan(),
-            &mut buffer,
-            7,
-            |ctx, _rng, sink| sink(ctx.step),
-            |_buffer, _ctx, _step: usize| {},
-        )
-        .expect_err("every disk op fails permanently");
+    let config = PipelineConfig::with_workers(2);
+    let err = run_epoch(
+        &config,
+        &three_step_plan(),
+        &mut buffer,
+        7,
+        |ctx, _rng, sink| sink(ctx.step),
+        |_buffer, _ctx, _step: usize| {},
+    )
+    .expect_err("every disk op fails permanently");
     match &err {
         StorageError::Pipeline { stage, reason } => {
             assert!(
@@ -92,20 +93,20 @@ fn permanent_fault_surfaces_as_a_typed_pipeline_error() {
 #[test]
 fn compute_panic_converts_to_typed_error_and_buffer_survives() {
     let mut buffer = buffer_with("supervision-compute-panic", false);
-    let pipeline = Pipeline::new(PipelineConfig::with_workers(2));
-    let err = pipeline
-        .run_epoch(
-            &three_step_plan(),
-            &mut buffer,
-            7,
-            |ctx, _rng, sink| sink(ctx.step),
-            |_buffer, _ctx, step: usize| {
-                if step == 1 {
-                    panic!("injected compute panic");
-                }
-            },
-        )
-        .expect_err("the compute stage panics at step 1");
+    let config = PipelineConfig::with_workers(2);
+    let err = run_epoch(
+        &config,
+        &three_step_plan(),
+        &mut buffer,
+        7,
+        |ctx, _rng, sink| sink(ctx.step),
+        |_buffer, _ctx, step: usize| {
+            if step == 1 {
+                panic!("injected compute panic");
+            }
+        },
+    )
+    .expect_err("the compute stage panics at step 1");
     match &err {
         StorageError::Pipeline { stage, reason } => {
             assert_eq!(stage, "compute");
@@ -119,15 +120,15 @@ fn compute_panic_converts_to_typed_error_and_buffer_survives() {
     // The supervision layer contained the panic: the same buffer runs a
     // clean epoch to completion.
     let mut consumed = 0usize;
-    pipeline
-        .run_epoch(
-            &three_step_plan(),
-            &mut buffer,
-            9,
-            |ctx, _rng, sink| sink(ctx.step),
-            |_buffer, _ctx, _step: usize| consumed += 1,
-        )
-        .expect("clean rerun after a contained panic");
+    run_epoch(
+        &config,
+        &three_step_plan(),
+        &mut buffer,
+        9,
+        |ctx, _rng, sink| sink(ctx.step),
+        |_buffer, _ctx, _step: usize| consumed += 1,
+    )
+    .expect("clean rerun after a contained panic");
     assert_eq!(consumed, 3);
     buffer.flush().unwrap();
 }
@@ -137,21 +138,21 @@ fn compute_panic_converts_to_typed_error_and_buffer_survives() {
 #[test]
 fn worker_panic_is_attributed_to_the_batch_worker_stage() {
     let mut buffer = buffer_with("supervision-worker-panic", false);
-    let pipeline = Pipeline::new(PipelineConfig::with_workers(2));
-    let err = pipeline
-        .run_epoch(
-            &three_step_plan(),
-            &mut buffer,
-            7,
-            |ctx, _rng, sink| {
-                if ctx.step == 1 {
-                    panic!("injected worker panic");
-                }
-                sink(ctx.step);
-            },
-            |_buffer, _ctx, _step: usize| {},
-        )
-        .expect_err("a stage-2 worker panics");
+    let config = PipelineConfig::with_workers(2);
+    let err = run_epoch(
+        &config,
+        &three_step_plan(),
+        &mut buffer,
+        7,
+        |ctx, _rng, sink| {
+            if ctx.step == 1 {
+                panic!("injected worker panic");
+            }
+            sink(ctx.step);
+        },
+        |_buffer, _ctx, _step: usize| {},
+    )
+    .expect_err("a stage-2 worker panics");
     match &err {
         StorageError::Pipeline { stage, reason } => {
             assert_eq!(stage, "batch-worker");

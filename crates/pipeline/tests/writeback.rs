@@ -8,7 +8,7 @@
 //! drain and observe stale bytes.
 
 use marius_graph::{Edge, EdgeList, NodeId, Partitioner};
-use marius_pipeline::{EpochPlan, Pipeline, PipelineConfig};
+use marius_pipeline::{run_epoch, EpochPlan, PipelineConfig};
 use marius_storage::{IoCostModel, PartitionBuffer, PartitionStore};
 use marius_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -73,35 +73,34 @@ fn reread_observes_drained_bytes(label: &str, config: PipelineConfig) {
         partition_sets: vec![vec![0, 1], vec![2, 3], vec![0, 1]],
         bucket_assignment: vec![vec![], vec![], vec![]],
     };
-    let pipeline = Pipeline::new(config.clone());
     let mut expected: Option<Tensor> = None;
     let mut checked = false;
-    let report = pipeline
-        .run_epoch(
-            &plan,
-            &mut buffer,
-            7,
-            |ctx, _rng, sink| sink(ctx.step),
-            |buffer, _ctx, step: usize| match step {
-                0 => {
-                    buffer.apply_update(&[node], &Tensor::ones(1, 4)).unwrap();
-                    expected = Some(buffer.gather(&[node]).unwrap());
-                }
-                2 => {
-                    // The re-installed copy of partition 0 was read from disk
-                    // by the prefetcher; stale bytes here would mean the read
-                    // beat the write-back drain.
-                    assert_eq!(
-                        buffer.gather(&[node]).unwrap(),
-                        *expected.as_ref().expect("step 0 ran first"),
-                        "re-read partition lost the update written back asynchronously"
-                    );
-                    checked = true;
-                }
-                _ => {}
-            },
-        )
-        .expect("epoch");
+    let report = run_epoch(
+        &config,
+        &plan,
+        &mut buffer,
+        7,
+        |ctx, _rng, sink| sink(ctx.step),
+        |buffer, _ctx, step: usize| match step {
+            0 => {
+                buffer.apply_update(&[node], &Tensor::ones(1, 4)).unwrap();
+                expected = Some(buffer.gather(&[node]).unwrap());
+            }
+            2 => {
+                // The re-installed copy of partition 0 was read from disk
+                // by the prefetcher; stale bytes here would mean the read
+                // beat the write-back drain.
+                assert_eq!(
+                    buffer.gather(&[node]).unwrap(),
+                    *expected.as_ref().expect("step 0 ran first"),
+                    "re-read partition lost the update written back asynchronously"
+                );
+                checked = true;
+            }
+            _ => {}
+        },
+    )
+    .expect("epoch");
     assert!(checked, "{label}: step 2 never consumed a batch");
     assert!(report.partitions_written_back >= 1, "{label}");
     if config.enabled {
@@ -140,24 +139,23 @@ fn abort_leaves_no_torn_files(label: &str, config: PipelineConfig) {
         partition_sets: vec![vec![0, 1], vec![2, 3], vec![0, 1, 2]],
         bucket_assignment: vec![vec![], vec![], vec![]],
     };
-    let pipeline = Pipeline::new(config);
-    let err = pipeline
-        .run_epoch(
-            &plan,
-            &mut buffer,
-            11,
-            |ctx, _rng, sink| sink(ctx.step),
-            |buffer, ctx, step: usize| {
-                if step == 0 {
-                    // Dirty both partitions of the first set.
-                    for &p in &ctx.set {
-                        let n = buffer.assignment().nodes_in(p)[0];
-                        buffer.apply_update(&[n], &Tensor::ones(1, 4)).unwrap();
-                    }
+    let err = run_epoch(
+        &config,
+        &plan,
+        &mut buffer,
+        11,
+        |ctx, _rng, sink| sink(ctx.step),
+        |buffer, ctx, step: usize| {
+            if step == 0 {
+                // Dirty both partitions of the first set.
+                for &p in &ctx.set {
+                    let n = buffer.assignment().nodes_in(p)[0];
+                    buffer.apply_update(&[n], &Tensor::ones(1, 4)).unwrap();
                 }
-            },
-        )
-        .expect_err("step 2 exceeds the buffer capacity");
+            }
+        },
+    )
+    .expect_err("step 2 exceeds the buffer capacity");
     assert!(format!("{err}").contains("capacity"), "{label}: {err}");
     // The abort drained the queue: nothing is pending and every partition
     // file is whole and readable through an unthrottled twin store.

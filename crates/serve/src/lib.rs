@@ -64,11 +64,12 @@
 //!
 //! * **Transient device faults** are absorbed below the query: the backing
 //!   `PartitionStore` opens with [`RetryPolicy::default_transient`] (override
-//!   via [`ServeConfig::with_retry_policy`]) and a seeded
-//!   [`IoFaultPlan`]/[`FaultInjector`] can be attached for chaos testing. A
-//!   read that exhausts the store's retry budget is re-run whole-query up to
-//!   [`ServeConfig::with_query_retries`] times against a freshly pinned
-//!   snapshot; each absorbed exhaustion counts into `server.error.transient`.
+//!   via [`ServeConfig::with_retry_policy`]) and a seeded [`FaultInjector`]
+//!   can be attached via [`ServeConfig::with_fault_injector`] for chaos
+//!   testing. A read that exhausts the store's retry budget is re-run
+//!   whole-query up to [`ServeConfig::with_query_retries`] times against a
+//!   freshly pinned snapshot; each absorbed exhaustion counts into
+//!   `server.error.transient`.
 //!   Because queries draw no RNG, a retried query's answer is bit-identical
 //!   to a fault-free run's.
 //! * **Corrupted cached copies** enter the *quarantine* degraded mode: every
@@ -151,11 +152,12 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use marius_core::checkpoint::latest_epoch;
-use marius_core::{read_all_embeddings, Checkpoint, DiskConfig, EncoderKind, PolicyKind, Storage};
+use marius_core::{
+    link_prediction_plan, read_all_embeddings, Checkpoint, DiskConfig, EncoderKind, Storage,
+};
 use marius_gnn::DistMult;
 use marius_graph::{NodeId, PartitionId, Partitioner, RelId};
-use marius_storage::policy::{BetaPolicy, CometPolicy, ReplacementPolicy};
-use marius_storage::{FaultInjector, IoEnv, IoFaultPlan, Result, RetryPolicy, StorageError};
+use marius_storage::{FaultInjector, IoEnv, Result, RetryPolicy, StorageError};
 use marius_telemetry::{Counter, Histogram, Telemetry, NO_LABEL};
 use marius_tensor::ops::dot_rows;
 use marius_tensor::Tensor;
@@ -222,16 +224,12 @@ impl ServeConfig {
         self
     }
 
-    /// Attaches a deterministic fault schedule to the backing store —
-    /// mirrors `Session::builder().fault_plan(..)` on the training side, so
-    /// chaos suites can replay the exact same injected-fault regimes against
-    /// the read path.
-    pub fn with_fault_plan(self, plan: IoFaultPlan) -> Self {
-        self.with_fault_injector(plan.build())
-    }
-
-    /// Attaches a shared, already-built [`FaultInjector`] handle (useful to
-    /// arm outages/permanent failures mid-run from the test driving it).
+    /// Attaches a deterministic fault injector to the backing store
+    /// (`plan.build()` of a [`marius_storage::IoFaultPlan`]) — mirrors
+    /// `SessionBuilder::fault_injector` on the training side, so chaos suites
+    /// can replay the exact same injected-fault regimes against the read
+    /// path. The handle is shared: the test driving it can arm
+    /// outages/permanent failures mid-run.
     pub fn with_fault_injector(mut self, faults: Arc<FaultInjector>) -> Self {
         self.env.faults = Some(faults);
         self
@@ -808,8 +806,8 @@ impl Server {
         &self.telemetry
     }
 
-    /// The fault injector attached via [`ServeConfig::with_fault_plan`] /
-    /// [`ServeConfig::with_fault_injector`], if any — chaos suites use this
+    /// The fault injector attached via [`ServeConfig::with_fault_injector`],
+    /// if any — chaos suites use this
     /// to arm outages or permanent failures mid-run.
     pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
         self.spec.env.faults.as_ref()
@@ -1059,26 +1057,14 @@ fn elapsed_us(start: Instant) -> u64 {
 }
 
 /// Ranks partitions hottest-first for cache admission by replaying the
-/// checkpoint's replacement policy: partitions a COMET/BETA epoch plan
-/// schedules in more sets (and earlier) are the ones training touched most,
-/// and a zipfian read mix over the same assignment concentrates there too.
+/// checkpoint's replacement policy ([`link_prediction_plan`]): partitions a
+/// COMET/BETA epoch plan schedules in more sets (and earlier) are the ones
+/// training touched most, and a zipfian read mix over the same assignment
+/// concentrates there too. A node-cache checkpoint belongs to node
+/// classification and is rejected.
 fn heat_order(disk: &DiskConfig, rng: &mut StdRng) -> Result<Vec<PartitionId>> {
     let p = disk.num_partitions;
-    let plan = match disk.policy {
-        PolicyKind::Comet => {
-            if disk.num_logical == 0 {
-                CometPolicy::auto(p, disk.buffer_capacity).plan(p, rng)?
-            } else {
-                CometPolicy::new(disk.buffer_capacity, disk.num_logical).plan(p, rng)?
-            }
-        }
-        PolicyKind::Beta => BetaPolicy::new(disk.buffer_capacity).plan(p, rng)?,
-        PolicyKind::NodeCache => {
-            return Err(StorageError::checkpoint(
-                "node-cache checkpoints belong to node classification and cannot be served",
-            ))
-        }
-    };
+    let plan = link_prediction_plan(disk, rng)?;
     let mut uses = vec![0usize; p as usize];
     let mut first_seen = vec![usize::MAX; p as usize];
     for (step, set) in plan.partition_sets.iter().enumerate() {

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use marius_gnn::DistMult;
 use marius_graph::{NodeId, PartitionId, Partitioner, RelId};
-use marius_storage::PartitionStore;
+use marius_storage::{IoEnv, PartitionStore};
 use marius_telemetry::Telemetry;
 use marius_tensor::Tensor;
 use proptest::prelude::*;
@@ -50,9 +50,11 @@ impl Fixture {
             .unwrap()
             .random(n as u64, &mut rng);
         let telemetry = Telemetry::enabled();
-        let store = PartitionStore::open_temp(label)
-            .unwrap()
-            .with_telemetry(&telemetry);
+        let env = IoEnv {
+            telemetry: telemetry.clone(),
+            ..IoEnv::default()
+        };
+        let store = env.open_store(PartitionStore::temp_path(label)).unwrap();
         store.clear().unwrap();
         for p in 0..partitions {
             let values: Vec<f32> = assignment

@@ -190,8 +190,9 @@ pub struct BufferStats {
 }
 
 /// Live telemetry handles mirroring buffer swap activity under `buffer.*`
-/// names (no-ops until [`PartitionBuffer::attach_telemetry`]).
-#[derive(Debug, Default)]
+/// names, in the recorder of the store's [`crate::IoEnv`] (no-ops under a
+/// disabled one).
+#[derive(Debug)]
 struct BufferTelemetry {
     hits: Counter,
     misses: Counter,
@@ -231,12 +232,16 @@ pub struct PartitionBuffer {
     ledger: Arc<WritebackLedger>,
     /// Swap hit/miss/eviction counters (always on; plain integers).
     stats: BufferStats,
-    /// Live `buffer.*` telemetry (no-ops unless a recorder is attached).
+    /// Live `buffer.*` telemetry (no-ops under a disabled recorder).
     telemetry: BufferTelemetry,
 }
 
 impl PartitionBuffer {
     /// Creates a buffer over `store` for the given node-partition assignment.
+    /// The buffer records into the recorder of the store's
+    /// [`crate::IoEnv`]: the `buffer.hits` / `buffer.misses` /
+    /// `buffer.evictions` counters and the `writeback.ledger_occupancy`
+    /// histogram. The plain [`BufferStats`] counters are kept either way.
     pub fn new(
         store: PartitionStore,
         assignment: PartitionAssignment,
@@ -251,7 +256,6 @@ impl PartitionBuffer {
             }
         }
         PartitionBuffer {
-            store,
             assignment,
             dim,
             capacity,
@@ -261,16 +265,9 @@ impl PartitionBuffer {
             resident: HashMap::new(),
             ledger: Arc::new(WritebackLedger::default()),
             stats: BufferStats::default(),
-            telemetry: BufferTelemetry::default(),
+            telemetry: BufferTelemetry::attach(&store.env().telemetry),
+            store,
         }
-    }
-
-    /// Attaches live telemetry (`buffer.hits` / `buffer.misses` /
-    /// `buffer.evictions` counters and the `writeback.ledger_occupancy`
-    /// histogram). With a disabled recorder the handles are no-ops; the plain
-    /// [`BufferStats`] counters are maintained either way.
-    pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.telemetry = BufferTelemetry::attach(telemetry);
     }
 
     /// A shared handle to the write-back ledger, for the drain thread that

@@ -7,9 +7,9 @@
 //! sequential transfers — the access pattern whose size §6 reasons about when it
 //! bounds the number of physical partitions.
 
-use crate::fault::{FaultInjector, IoFaultPlan};
+use crate::env::IoEnv;
 use crate::io_model::IoCostModel;
-use crate::retry::{self, RetryPolicy};
+use crate::retry;
 use crate::{Result, StorageError};
 use marius_graph::{Edge, PartitionId};
 use marius_telemetry::{Counter, Telemetry};
@@ -195,9 +195,9 @@ pub struct IoStats {
     /// Size in bytes of the smallest read performed (0 if none yet).
     pub min_read_bytes: u64,
     /// Number of transparently retried operations (transient faults absorbed
-    /// by the store's [`RetryPolicy`] without surfacing to callers).
+    /// by the store's [`crate::RetryPolicy`] without surfacing to callers).
     pub io_retries: u64,
-    /// Number of faults injected by the attached
+    /// Number of faults injected by the store's
     /// [`crate::fault::FaultInjector`], if any (0 on real devices).
     pub faults_injected: u64,
     /// Total time operations spent blocked on the emulated device's
@@ -262,10 +262,10 @@ impl IoCounters {
     }
 }
 
-/// Live telemetry counter handles mirroring the store's IO activity into a
-/// [`Telemetry`] registry under `storage.*` names. All handles are no-ops
-/// until a recorder is attached via [`PartitionStore::with_telemetry`].
-#[derive(Debug, Default, Clone)]
+/// Live telemetry counter handles mirroring the store's IO activity into the
+/// [`Telemetry`] registry of the store's [`IoEnv`] under `storage.*` names.
+/// All handles are no-ops under a disabled recorder.
+#[derive(Debug, Clone)]
 struct StoreTelemetry {
     reads: Counter,
     writes: Counter,
@@ -347,31 +347,41 @@ impl DeviceGate {
 /// reproduce the paper's IO regime, where a prefetching pipeline has real
 /// latency to hide.
 ///
-/// A run's stores get the `with_*` attachments below from one function,
-/// [`crate::IoEnv::open_store`]; call them only on a store you open yourself.
+/// A store carries the [`IoEnv`] it was opened under
+/// ([`PartitionStore::env`]): its fault injector and retry policy apply to
+/// every operation, and its recorder receives the `storage.*` counters
+/// (`storage.reads`, `storage.writes`, `storage.bytes_read`,
+/// `storage.bytes_written`, `storage.io_retries`, `storage.faults_injected`,
+/// `storage.throttle_wait_ns`). [`PartitionStore::open`] opens under the
+/// default environment; [`IoEnv::open_store`] under any other.
 #[derive(Debug, Clone)]
 pub struct PartitionStore {
     root: PathBuf,
     counters: Arc<IoCounters>,
     /// When set, reads/writes are slowed to this shared device emulation.
     throttle: Option<Arc<DeviceGate>>,
-    /// When set, reads/writes are checked against this deterministic fault
-    /// schedule (see [`crate::fault`]).
-    faults: Option<Arc<FaultInjector>>,
-    /// Retry policy applied to every fallible store operation.
-    retry: RetryPolicy,
-    /// Live `storage.*` counters (no-ops unless a recorder is attached).
+    /// Fault injector, retry policy and recorder, fixed at open.
+    env: IoEnv,
+    /// Live `storage.*` counters (no-ops under a disabled recorder).
     telemetry: StoreTelemetry,
 }
 
 impl PartitionStore {
-    /// Opens (creating if necessary) a partition store rooted at `root`.
+    /// Opens (creating if necessary) a partition store rooted at `root`
+    /// under the default [`IoEnv`]: no fault injection, the default
+    /// transient retry policy, no telemetry.
     ///
     /// Stale `*.tmp` staging files left behind by an interrupted atomic
     /// write (a crash, or an injected torn write) are swept on open: they
     /// are torn by definition and no reader ever observes them, but leaving
     /// them around leaks disk and confuses directory listings.
     pub fn open(root: impl AsRef<Path>) -> Result<Self> {
+        Self::open_under(root, IoEnv::default())
+    }
+
+    /// [`PartitionStore::open`] under `env`; [`IoEnv::open_store`] is its
+    /// public face.
+    pub(crate) fn open_under(root: impl AsRef<Path>, env: IoEnv) -> Result<Self> {
         fs::create_dir_all(root.as_ref())?;
         for entry in fs::read_dir(root.as_ref())? {
             let path = entry?.path();
@@ -383,10 +393,16 @@ impl PartitionStore {
             root: root.as_ref().to_path_buf(),
             counters: Arc::new(IoCounters::default()),
             throttle: None,
-            faults: None,
-            retry: RetryPolicy::default_transient(),
-            telemetry: StoreTelemetry::default(),
+            telemetry: StoreTelemetry::attach(&env.telemetry),
+            env,
         })
+    }
+
+    /// The IO environment this store was opened under; layers built over
+    /// the store (the buffer, the pipeline, the stream ingestor) record into
+    /// its recorder.
+    pub fn env(&self) -> &IoEnv {
+        &self.env
     }
 
     /// Emulates a block device: every subsequent read/write op (from this
@@ -399,67 +415,29 @@ impl PartitionStore {
         self
     }
 
-    /// Attaches a deterministic fault injector (shared by every clone of
-    /// this store): each subsequent operation is checked against the
-    /// injector's schedule and may fail transiently, fail permanently, tear
-    /// its staging file, or suffer a latency spike. Sibling of
-    /// [`PartitionStore::with_emulated_device`]; see [`crate::fault`].
-    pub fn with_fault_injector(mut self, faults: Arc<FaultInjector>) -> Self {
-        self.faults = Some(faults);
-        self
-    }
-
-    /// Convenience: builds and attaches the injector for `plan`.
-    pub fn with_fault_plan(self, plan: IoFaultPlan) -> Self {
-        self.with_fault_injector(plan.build())
-    }
-
-    /// Overrides the retry policy applied to every store operation
-    /// (defaults to [`RetryPolicy::default_transient`]).
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// The fault injector attached to this store, if any.
-    pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.faults.as_ref()
-    }
-
-    /// Attaches live telemetry counters (`storage.reads`, `storage.writes`,
-    /// `storage.bytes_read`, `storage.bytes_written`, `storage.io_retries`,
-    /// `storage.faults_injected`, `storage.throttle_wait_ns`) mirroring this
-    /// store's IO activity — including every clone taken *after* this call.
-    /// With a disabled recorder the handles are no-ops and the hot path is
-    /// unchanged.
-    pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.telemetry = StoreTelemetry::attach(telemetry);
-        self
-    }
-
     /// Runs `op` under the store's retry policy, classifying errors through
     /// [`StorageError::is_transient`] and counting retries into the IO stats
-    /// (and, when telemetry is attached, into the `storage.io_retries` /
+    /// (and, under an enabled recorder, into the `storage.io_retries` /
     /// `storage.faults_injected` counters as deltas around the operation).
     fn retrying<T>(&self, key: &str, op: impl FnMut() -> Result<T>) -> Result<T> {
         if !self.telemetry.io_retries.is_enabled() {
             return retry::with_retry(
-                &self.retry,
-                self.retry.op_seed(key),
+                &self.env.retry,
+                self.env.retry.op_seed(key),
                 &self.counters.io_retries,
                 op,
             );
         }
         let retries_before = self.counters.io_retries.load(Ordering::Relaxed);
-        let faults_before = self.faults.as_ref().map_or(0, |f| f.faults_injected());
+        let faults_before = self.env.faults.as_ref().map_or(0, |f| f.faults_injected());
         let out = retry::with_retry(
-            &self.retry,
-            self.retry.op_seed(key),
+            &self.env.retry,
+            self.env.retry.op_seed(key),
             &self.counters.io_retries,
             op,
         );
         let retries_after = self.counters.io_retries.load(Ordering::Relaxed);
-        let faults_after = self.faults.as_ref().map_or(0, |f| f.faults_injected());
+        let faults_after = self.env.faults.as_ref().map_or(0, |f| f.faults_injected());
         self.telemetry
             .io_retries
             .add(retries_after.saturating_sub(retries_before));
@@ -469,9 +447,9 @@ impl PartitionStore {
         out
     }
 
-    /// Checks a read against the fault schedule, if one is attached.
+    /// Checks a read against the fault schedule, if the store has one.
     fn check_read_fault(&self, key: &str) -> Result<()> {
-        match &self.faults {
+        match &self.env.faults {
             Some(f) => f.check_read(key),
             None => Ok(()),
         }
@@ -481,7 +459,7 @@ impl PartitionStore {
     /// leaves a prefix of `bytes` at `path`'s staging sibling — exactly the
     /// litter a crash mid-[`atomic_write`] would leave — before failing.
     fn check_write_fault(&self, key: &str, path: &Path, bytes: &[u8]) -> Result<()> {
-        match &self.faults {
+        match &self.env.faults {
             Some(f) => f.check_write(key, |frac| {
                 let torn = ((bytes.len() as f64) * frac) as usize;
                 let _ = fs::write(tmp_sibling(path), &bytes[..torn.min(bytes.len())]);
@@ -556,7 +534,7 @@ impl PartitionStore {
     /// Returns a snapshot of the IO counters.
     pub fn io_stats(&self) -> IoStats {
         let mut stats = self.counters.snapshot();
-        if let Some(faults) = &self.faults {
+        if let Some(faults) = &self.env.faults {
             stats.faults_injected = faults
                 .faults_injected()
                 .saturating_sub(self.counters.faults_baseline.load(Ordering::Relaxed));
@@ -575,7 +553,7 @@ impl PartitionStore {
         self.counters.throttle_wait_ns.store(0, Ordering::Relaxed);
         // The injector's fault counter is monotonic (it is shared across
         // clones and trainer restarts); re-baseline instead of resetting.
-        if let Some(faults) = &self.faults {
+        if let Some(faults) = &self.env.faults {
             self.counters
                 .faults_baseline
                 .store(faults.faults_injected(), Ordering::Relaxed);
@@ -820,7 +798,7 @@ impl PartitionStore {
             // Each placement stages inside `to`, so a failing attempt tears
             // nothing a reader of `from` (or a finished snapshot) observes.
             self.retrying(&key, || {
-                if let Some(f) = &self.faults {
+                if let Some(f) = &self.env.faults {
                     f.check_write(&key, |_| {})?;
                 }
                 atomic_link_or_copy(&path, &target).map_err(StorageError::from)
@@ -848,7 +826,16 @@ mod tests {
     use super::*;
 
     fn temp_store(label: &str) -> PartitionStore {
-        let store = PartitionStore::open_temp(label).unwrap();
+        faulty_store(label, None)
+    }
+
+    /// A cleared temp store opened under an env carrying `plan`'s injector.
+    fn faulty_store(label: &str, plan: Option<crate::fault::IoFaultPlan>) -> PartitionStore {
+        let env = IoEnv {
+            faults: plan.map(|p| p.build()),
+            ..IoEnv::default()
+        };
+        let store = env.open_store(PartitionStore::temp_path(label)).unwrap();
         store.clear().unwrap();
         store
     }
@@ -1162,7 +1149,7 @@ mod tests {
             spike: Duration::ZERO,
             ..IoFaultPlan::quiet(42)
         };
-        let store = temp_store("flaky-roundtrip").with_fault_plan(plan);
+        let store = faulty_store("flaky-roundtrip", Some(plan));
         let values = vec![1.5f32; 32];
         let state = vec![0.25f32; 32];
         for id in 0..8 {
@@ -1192,7 +1179,7 @@ mod tests {
     #[test]
     fn permanent_fault_surfaces_without_retry_exhaustion_noise() {
         use crate::fault::IoFaultPlan;
-        let store = temp_store("permanent-fault").with_fault_plan(IoFaultPlan::permanent(1, 0));
+        let store = faulty_store("permanent-fault", Some(IoFaultPlan::permanent(1, 0)));
         let err = store.write_partition(0, &[1.0], &[0.0]).unwrap_err();
         assert!(!err.is_transient());
         assert!(format!("{err}").contains("permanent"), "{err}");
@@ -1204,11 +1191,11 @@ mod tests {
     #[test]
     fn outage_longer_than_the_retry_budget_exhausts_it() {
         use crate::fault::IoFaultPlan;
-        let store = temp_store("outage-exhaust").with_fault_plan(IoFaultPlan::outage(3, 0, 50));
+        let store = faulty_store("outage-exhaust", Some(IoFaultPlan::outage(3, 0, 50)));
         let err = store.read_partition(0).unwrap_err();
         assert!(err.is_transient());
         assert!(format!("{err}").contains("budget"), "{err}");
-        let budget = RetryPolicy::default_transient().max_retries as u64;
+        let budget = crate::RetryPolicy::default_transient().max_retries as u64;
         assert_eq!(store.io_stats().io_retries, budget);
     }
 }

@@ -7,10 +7,11 @@
 //! devices), where transient read/write errors, latency spikes, and
 //! interrupted processes are the normal operating regime rather than the
 //! exception. This module makes that regime *reproducible*: an
-//! [`IoFaultPlan`] is a seed-driven schedule of injected faults, pluggable
-//! into [`crate::disk::PartitionStore`] alongside
-//! [`crate::disk::PartitionStore::with_emulated_device`], so every chaos
-//! scenario can be replayed exactly from its seed.
+//! [`IoFaultPlan`] is a seed-driven schedule of injected faults, attached to
+//! a [`crate::disk::PartitionStore`] by opening it under an
+//! [`crate::IoEnv`] that carries the plan's injector
+//! ([`crate::IoEnv::open_store`]), so every chaos scenario can be replayed
+//! exactly from its seed.
 //!
 //! # The fault model
 //!
@@ -107,9 +108,9 @@ pub struct Outage {
 ///
 /// Sibling of [`crate::io_model::IoCostModel`]: where the cost model answers
 /// "how slow is this device", the fault plan answers "how does it fail".
-/// Build one with a constructor, customize fields, then attach it to a store
-/// via [`crate::disk::PartitionStore::with_fault_injector`] (or through the
-/// trainer/session facades).
+/// Build one with a constructor, customize fields, then open a store under
+/// an [`crate::IoEnv`] whose `faults` holds [`IoFaultPlan::build`]'s
+/// injector (or hand the injector to the session/serve facades).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IoFaultPlan {
     /// Seed from which every decision is derived.

@@ -22,9 +22,11 @@
 //!   volume into epoch-time analogues, and by
 //!   [`disk::PartitionStore::with_emulated_device`] to slow the store down to a
 //!   real device's speed for overlap experiments.
-//! * [`env::IoEnv`] — the fault injector, retry policy, telemetry recorder and
-//!   emulated device a run attaches to every store it opens, carried as one
-//!   value and applied by one function ([`env::IoEnv::open_store`]).
+//! * [`env::IoEnv`] — the fault injector, retry policy and telemetry
+//!   recorder a run attaches to every store it opens, carried as one value
+//!   and applied by one function ([`env::IoEnv::open_store`]). The store
+//!   keeps it ([`disk::PartitionStore::env`]), and the buffer built over the
+//!   store records into its recorder.
 //!
 //! # One swap path
 //!

@@ -71,7 +71,7 @@ use marius_core::{DiskSetup, StreamState};
 use marius_graph::Edge;
 use marius_storage::disk::{decode_edges, encode_edges};
 use marius_storage::{PartitionStore, Result, StorageError};
-use marius_telemetry::{Telemetry, NO_LABEL};
+use marius_telemetry::NO_LABEL;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -160,20 +160,20 @@ pub fn delta_file_name(k: u64) -> String {
 pub struct Ingestor {
     stream: EdgeStream,
     /// Store whose root holds the staged `delta-*.bin` files; staging rides
-    /// its fault injection, retry policy and telemetry.
+    /// the fault injection, retry policy and telemetry of its env.
     staging: PartitionStore,
     /// Shared cursor: how far the stream has been applied. The trainer
     /// records it into checkpoint manifests via
     /// `Trainer::set_stream_state`.
     state: Arc<Mutex<StreamState>>,
-    telemetry: Telemetry,
 }
 
 impl Ingestor {
-    /// Creates an ingestor staging deltas under `staging`'s root. The store
-    /// carries the fault-injection/retry/telemetry configuration for the
-    /// staging writes (configure it with the usual `PartitionStore`
-    /// builders before passing it in).
+    /// Creates an ingestor staging deltas under `staging`'s root. Staging
+    /// writes run under the store's [`marius_storage::IoEnv`] (open it with
+    /// [`marius_storage::IoEnv::open_store`]), and ingest progress records
+    /// into that env's recorder: `ingest.*` counters and
+    /// `ingest.stage`/`ingest.apply` trace spans.
     pub fn new(stream: EdgeStream, staging: PartitionStore) -> Self {
         let state = StreamState {
             seed: stream.seed(),
@@ -185,15 +185,7 @@ impl Ingestor {
             stream,
             staging,
             state: Arc::new(Mutex::new(state)),
-            telemetry: Telemetry::disabled(),
         }
-    }
-
-    /// Attaches a telemetry recorder: ingest progress lands in `ingest.*`
-    /// counters and `ingest.stage`/`ingest.apply` trace spans.
-    pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.telemetry = telemetry.clone();
-        self
     }
 
     /// Fast-forwards the cursor to a checkpointed [`StreamState`] (resuming
@@ -236,7 +228,8 @@ impl Ingestor {
     /// unabsorbed injected fault) propagates before the cursor advances:
     /// the failed delta is never applied, and at most `.tmp` litter remains.
     pub fn ingest(&self, setup: &mut DiskSetup, batches: usize) -> Result<u64> {
-        let mut span = self.telemetry.scope("ingest");
+        let telemetry = &self.staging.env().telemetry;
+        let mut span = telemetry.scope("ingest");
         let mut total = 0u64;
         for _ in 0..batches {
             let k = self.cursor().batches_applied;
@@ -251,7 +244,7 @@ impl Ingestor {
                 .and_then(|()| std::fs::read(&path).map_err(StorageError::from));
             span.end();
             let staged = staged?;
-            self.telemetry.counter("ingest.batches_staged").incr();
+            telemetry.counter("ingest.batches_staged").incr();
             let delta = decode_edges(&staged)?;
             span.begin("ingest.apply", k as i64, NO_LABEL);
             let start = Instant::now();
@@ -259,13 +252,11 @@ impl Ingestor {
             let elapsed = start.elapsed();
             span.end();
             applied?;
-            self.telemetry.counter("ingest.deltas_applied").incr();
-            self.telemetry
+            telemetry.counter("ingest.deltas_applied").incr();
+            telemetry
                 .counter("ingest.edges_appended")
                 .add(delta.len() as u64);
-            self.telemetry
-                .counter("ingest.apply_ns")
-                .add_duration(elapsed);
+            telemetry.counter("ingest.apply_ns").add_duration(elapsed);
             let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
             state.batches_applied += 1;
             state.edges_ingested += delta.len() as u64;

@@ -93,7 +93,7 @@
 //!     .model(ModelConfig::paper_distmult(32))
 //!     .train(TrainConfig::quick(4, 42))
 //!     .storage(Storage::Disk(marius::DiskConfig::comet(16, 4)))
-//!     .fault_plan(IoFaultPlan::flaky(7)) // chaos testing; omit on real devices
+//!     .fault_injector(IoFaultPlan::flaky(7).build()) // chaos testing; omit on real devices
 //!     .checkpoint_to("run/checkpoints", 1)
 //!     .build()?;
 //! // Transient faults retry invisibly; anything worse auto-resumes from the
@@ -453,34 +453,24 @@ impl<T: Task> SessionBuilder<T> {
     }
 
     /// Runs disk training against an emulated IO device instead of the raw
-    /// local filesystem (see `PartitionStore::with_emulated_device`). Part of
-    /// the run's description: checkpoints record it and a resumed run trains
-    /// against the same device.
+    /// local filesystem (see [`storage::PartitionStore::with_emulated_device`]).
+    /// Part of the run's description: checkpoints record it and a resumed
+    /// run trains against the same device.
     pub fn emulated_device(mut self, model: IoCostModel) -> Self {
         self.config.emulated_device = Some(model);
         self
     }
 
-    /// Arms a deterministic IO fault plan on the run's partition store (chaos
-    /// testing): disk training and checkpoint placement then experience the
-    /// plan's seeded schedule of transient failures, torn writes and latency
+    /// Arms a deterministic IO fault injector on the run's partition stores
+    /// (chaos testing; build one with [`IoFaultPlan::build`]): disk training,
+    /// stream staging and checkpoint placement then experience the plan's
+    /// seeded schedule of transient failures, torn writes and latency
     /// spikes. Faults absorbed by the retry layer leave the loss trajectory
-    /// bit-identical to a fault-free run. See `marius_storage::fault`.
-    pub fn fault_plan(self, plan: IoFaultPlan) -> Self {
-        self.fault_injector(plan.build())
-    }
-
-    /// Attaches an existing fault injector (shared, so callers can read its
-    /// counters or arm outage/permanent windows mid-run).
+    /// bit-identical to a fault-free run. The injector is shared, so callers
+    /// can read its counters or arm outage/permanent windows mid-run. See
+    /// `marius_storage::fault`.
     pub fn fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
         self.env.faults = Some(injector);
-        self
-    }
-
-    /// Overrides the bounded-exponential-backoff policy the store applies to
-    /// transient IO failures ([`RetryPolicy::default_transient`] otherwise).
-    pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.env.retry = policy;
         self
     }
 
@@ -711,7 +701,7 @@ impl<T: Task + Default> Session<T> {
             })?;
         let stream = session.edge_stream(&config);
         // Replay the stream up to the cursor: the grown edge list makes the
-        // construction replay inside train_disk rebuild the same buckets the
+        // construction replay inside train() rebuild the same buckets the
         // uninterrupted run grew incrementally (chronological split: base
         // train ++ streamed edges, in time order).
         for k in 0..cursor.batches_applied {
@@ -818,13 +808,15 @@ impl<T: Task> Session<T> {
     /// store opens under the session's IO environment, so ingest IO degrades
     /// (and is observed) exactly like training IO.
     fn make_ingestor(&self, stream: EdgeStream) -> Result<Ingestor> {
-        let env = self.trainer.io_env();
-        let staging = env.open_store(PartitionStore::temp_path(&format!(
-            "stream-staging-{}",
-            stream.seed()
-        )))?;
+        let staging = self
+            .trainer
+            .io_env()
+            .open_store(PartitionStore::temp_path(&format!(
+                "stream-staging-{}",
+                stream.seed()
+            )))?;
         staging.clear()?;
-        Ok(Ingestor::new(stream, staging).with_telemetry(&env.telemetry))
+        Ok(Ingestor::new(stream, staging))
     }
 
     /// Arms the trainer's ingest hook and stream cursor for a continuous
@@ -1102,10 +1094,6 @@ mod tests {
         // the retry budget forces a failure once a checkpoint exists.
         let injector = IoFaultPlan::quiet(0).build();
         let hook_injector = Arc::clone(&injector);
-        let retry = RetryPolicy {
-            max_retries: 3,
-            ..RetryPolicy::default_transient()
-        };
         let telemetry = Telemetry::enabled();
         let mut train = quick_train();
         train.epochs = 4;
@@ -1115,7 +1103,6 @@ mod tests {
             .train(train)
             .storage(Storage::Disk(DiskConfig::comet(4, 2)))
             .fault_injector(Arc::clone(&injector))
-            .retry_policy(retry)
             .telemetry(&telemetry)
             .checkpoint_to(&dir, 1)
             .on_epoch(move |epoch| {
@@ -1132,13 +1119,13 @@ mod tests {
             "the outage forced no restart"
         );
         // The session is now the one rebuilt from the manifest, under the
-        // failed one's environment: the same injector (not a copy), the same
-        // policy, the live recorder.
+        // failed one's environment: the same injector (not a copy), the
+        // default retry policy, the live recorder.
         let trainer = session.trainer();
         assert!(trainer.resumed_from().is_some(), "not rebuilt");
         let env = trainer.io_env();
         assert!(Arc::ptr_eq(env.faults.as_ref().unwrap(), &injector));
-        assert_eq!(env.retry, retry);
+        assert_eq!(env.retry, RetryPolicy::default_transient());
         assert!(env.telemetry.is_enabled());
         let _ = std::fs::remove_dir_all(&dir);
     }

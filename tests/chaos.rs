@@ -145,7 +145,7 @@ fn flaky_is_bit_exact<T: Task + Default + Clone>(
             .train(train.clone())
             .storage(Storage::Disk(disk.clone()))
             .pipeline(pipeline.clone())
-            .fault_plan(IoFaultPlan::flaky(seed))
+            .fault_injector(IoFaultPlan::flaky(seed).build())
             .build()
             .unwrap();
         let flaky_report = flaky.train().unwrap();
@@ -208,7 +208,7 @@ fn permanent_device_failure_surfaces_as_a_typed_error() {
         .train(lp_train(3))
         .storage(Storage::Disk(DiskConfig::comet(8, 4)))
         .pipeline(PipelineConfig::with_workers(2))
-        .fault_plan(IoFaultPlan::permanent(7, 50))
+        .fault_injector(IoFaultPlan::permanent(7, 50).build())
         .build()
         .unwrap();
     let err = session.train().expect_err("the device dies 50 ops in");

@@ -2,27 +2,44 @@
 //! dataset generation → partitioned on-disk storage → COMET/BETA epoch plans →
 //! DENSE sampling → GNN training → MRR evaluation.
 
-use marius_core::{DiskConfig, LinkPredictionTask, ModelConfig, TrainConfig, Trainer};
+use marius_core::{
+    DiskConfig, LinkPredictionTask, ModelConfig, RunConfig, Storage, TrainConfig, Trainer,
+};
 use marius_graph::datasets::{DatasetSpec, ScaledDataset};
+use marius_storage::IoEnv;
 
 fn dataset() -> ScaledDataset {
     ScaledDataset::generate(&DatasetSpec::fb15k_237().scaled(0.02), 31)
 }
 
-fn trainer(epochs: usize) -> Trainer<LinkPredictionTask> {
+fn trainer(epochs: usize, storage: Storage) -> Trainer<LinkPredictionTask> {
     let model = ModelConfig::paper_link_prediction_graphsage(16).shrunk(8, 16);
     let mut train = TrainConfig::quick(epochs, 31);
     train.batch_size = 256;
     train.num_negatives = 64;
     train.eval_negatives = 100;
-    Trainer::new(model, train)
+    link_prediction(model, train, storage)
+}
+
+fn link_prediction(
+    model: ModelConfig,
+    train: TrainConfig,
+    storage: Storage,
+) -> Trainer<LinkPredictionTask> {
+    let config = RunConfig {
+        model,
+        train,
+        storage,
+        ..RunConfig::default()
+    };
+    Trainer::from_config(LinkPredictionTask, config, IoEnv::default())
 }
 
 #[test]
 fn in_memory_link_prediction_learns_beyond_random() {
     let data = dataset();
-    let report = trainer(3)
-        .train_in_memory(&data)
+    let report = trainer(3, Storage::InMemory)
+        .train(&data)
         .expect("in-memory training");
     // A random ranker over 100 negatives scores ~0.05 MRR; the trained model
     // must do at least twice as well after three epochs.
@@ -38,10 +55,11 @@ fn in_memory_link_prediction_learns_beyond_random() {
 #[test]
 fn disk_based_comet_training_approaches_in_memory_quality() {
     let data = dataset();
-    let t = trainer(3);
-    let mem = t.train_in_memory(&data).expect("in-memory training");
-    let comet = t
-        .train_disk(&data, &DiskConfig::comet(8, 4))
+    let mem = trainer(3, Storage::InMemory)
+        .train(&data)
+        .expect("in-memory training");
+    let comet = trainer(3, Storage::Disk(DiskConfig::comet(8, 4)))
+        .train(&data)
         .expect("disk training");
     assert!(
         comet.final_metric() > 0.1,
@@ -69,12 +87,15 @@ fn decoder_only_distmult_trains_out_of_core_with_both_policies() {
     let mut train = TrainConfig::quick(2, 17);
     train.batch_size = 256;
     train.num_negatives = 64;
-    let t: Trainer<LinkPredictionTask> = Trainer::new(model, train);
-    let comet = t
-        .train_disk(&data, &DiskConfig::comet(8, 4))
-        .expect("disk training");
-    let beta = t
-        .train_disk(&data, &DiskConfig::beta(8, 4))
+    let comet = link_prediction(
+        model.clone(),
+        train.clone(),
+        Storage::Disk(DiskConfig::comet(8, 4)),
+    )
+    .train(&data)
+    .expect("disk training");
+    let beta = link_prediction(model, train, Storage::Disk(DiskConfig::beta(8, 4)))
+        .train(&data)
         .expect("disk training");
     assert!(comet.final_metric() > 0.05);
     assert!(beta.final_metric() > 0.05);
@@ -87,8 +108,8 @@ fn decoder_only_distmult_trains_out_of_core_with_both_policies() {
 #[test]
 fn epoch_reports_contain_consistent_bookkeeping() {
     let data = dataset();
-    let report = trainer(2)
-        .train_disk(&data, &DiskConfig::comet(8, 4))
+    let report = trainer(2, Storage::Disk(DiskConfig::comet(8, 4)))
+        .train(&data)
         .expect("disk training");
     for epoch in &report.epochs {
         assert!(epoch.epoch_time >= epoch.sample_time);

@@ -1,29 +1,38 @@
 //! End-to-end integration tests for node classification: fixed features,
 //! three-layer sampled GraphSage, in-memory versus the §5.2 caching policy.
 
-use marius_core::{DiskConfig, ModelConfig, NodeClassificationTask, TrainConfig, Trainer};
+use marius_core::{
+    DiskConfig, ModelConfig, NodeClassificationTask, RunConfig, Storage, TrainConfig, Trainer,
+};
 use marius_graph::datasets::{DatasetSpec, ScaledDataset};
+use marius_storage::IoEnv;
 
 fn dataset() -> ScaledDataset {
     ScaledDataset::generate(&DatasetSpec::ogbn_arxiv().scaled(0.01), 77)
 }
 
-fn trainer(epochs: usize) -> Trainer<NodeClassificationTask> {
+fn trainer(epochs: usize, storage: Storage) -> Trainer<NodeClassificationTask> {
     let spec_dim = DatasetSpec::ogbn_arxiv().feat_dim;
     let mut model = ModelConfig::paper_node_classification(spec_dim, 24);
     model.num_layers = 2;
     model.fanouts = vec![10, 5];
     let mut train = TrainConfig::quick(epochs, 77);
     train.batch_size = 256;
-    Trainer::new(model, train)
+    let config = RunConfig {
+        model,
+        train,
+        storage,
+        ..RunConfig::default()
+    };
+    Trainer::from_config(NodeClassificationTask, config, IoEnv::default())
 }
 
 #[test]
 fn in_memory_node_classification_beats_chance_substantially() {
     let data = dataset();
     let chance = 1.0 / data.spec.num_classes.unwrap() as f64;
-    let report = trainer(3)
-        .train_in_memory(&data)
+    let report = trainer(3, Storage::InMemory)
+        .train(&data)
         .expect("in-memory training");
     assert!(
         report.final_metric() > 3.0 * chance,
@@ -36,10 +45,11 @@ fn in_memory_node_classification_beats_chance_substantially() {
 #[test]
 fn disk_based_node_classification_matches_in_memory_closely() {
     let data = dataset();
-    let t = trainer(3);
-    let mem = t.train_in_memory(&data).expect("in-memory training");
-    let disk = t
-        .train_disk(&data, &DiskConfig::node_cache(8, 6))
+    let mem = trainer(3, Storage::InMemory)
+        .train(&data)
+        .expect("in-memory training");
+    let disk = trainer(3, Storage::Disk(DiskConfig::node_cache(8, 6)))
+        .train(&data)
         .expect("disk training");
     // The paper finds the caching policy loses at most a fraction of a percent
     // of accuracy; at this scale allow a modest relative gap.
@@ -58,9 +68,8 @@ fn disk_based_node_classification_matches_in_memory_closely() {
 #[test]
 fn node_cache_policy_performs_io_only_between_epochs() {
     let data = dataset();
-    let t = trainer(2);
-    let disk = t
-        .train_disk(&data, &DiskConfig::node_cache(8, 6))
+    let disk = trainer(2, Storage::Disk(DiskConfig::node_cache(8, 6)))
+        .train(&data)
         .expect("disk training");
     // Every epoch reads the (re-randomised) buffer contents once; writes are
     // unnecessary because features are fixed.

@@ -9,32 +9,51 @@
 //!   partition written back to disk) even though sampling runs concurrently.
 
 use marius_core::{
-    DiskConfig, LinkPredictionTask, ModelConfig, NodeClassificationTask, PipelineConfig,
-    TrainConfig, Trainer,
+    DiskConfig, LinkPredictionTask, ModelConfig, NodeClassificationTask, PipelineConfig, RunConfig,
+    Storage, TrainConfig, Trainer,
 };
 use marius_graph::datasets::{DatasetSpec, ScaledDataset};
+use marius_storage::IoEnv;
 
 fn lp_dataset() -> ScaledDataset {
     ScaledDataset::generate(&DatasetSpec::fb15k_237().scaled(0.02), 77)
 }
 
-fn lp_trainer() -> Trainer<LinkPredictionTask> {
+/// A disk run over `disk` on the `pipeline` schedule.
+fn disk_run(
+    model: ModelConfig,
+    train: TrainConfig,
+    disk: &DiskConfig,
+    pipeline: PipelineConfig,
+) -> RunConfig {
+    RunConfig {
+        model,
+        train,
+        storage: Storage::Disk(disk.clone()),
+        pipeline,
+        ..RunConfig::default()
+    }
+}
+
+fn lp_trainer(disk: &DiskConfig, pipeline: PipelineConfig) -> Trainer<LinkPredictionTask> {
     let model = ModelConfig::paper_link_prediction_graphsage(16).shrunk(6, 16);
     let mut train = TrainConfig::quick(3, 77);
     train.batch_size = 192;
     train.num_negatives = 48;
     train.eval_negatives = 64;
-    Trainer::new(model, train)
+    let config = disk_run(model, train, disk, pipeline);
+    Trainer::from_config(LinkPredictionTask, config, IoEnv::default())
 }
 
 #[test]
 fn pipelined_single_worker_reproduces_sequential_loss_trajectory() {
     let data = lp_dataset();
     let disk = DiskConfig::comet(8, 4);
-    let sequential = lp_trainer().train_disk(&data, &disk).expect("sequential");
-    let pipelined = lp_trainer()
-        .with_pipeline(PipelineConfig::with_workers(1))
-        .train_disk(&data, &disk)
+    let sequential = lp_trainer(&disk, PipelineConfig::default())
+        .train(&data)
+        .expect("sequential");
+    let pipelined = lp_trainer(&disk, PipelineConfig::with_workers(1))
+        .train(&data)
         .expect("pipelined");
 
     assert_eq!(sequential.epochs.len(), pipelined.epochs.len());
@@ -60,15 +79,15 @@ fn pipelined_single_worker_reproduces_sequential_loss_trajectory() {
 fn pipelined_multi_worker_smoke_loss_finite_and_partitions_written_back() {
     let data = lp_dataset();
     let disk = DiskConfig::beta(8, 4);
-    let report = lp_trainer()
-        .with_pipeline(PipelineConfig {
-            enabled: true,
-            num_sampling_workers: 4,
-            queue_depth: 3,
-            prefetch_depth: 2,
-            ..PipelineConfig::default()
-        })
-        .train_disk(&data, &disk)
+    let pipeline = PipelineConfig {
+        enabled: true,
+        num_sampling_workers: 4,
+        queue_depth: 3,
+        prefetch_depth: 2,
+        ..PipelineConfig::default()
+    };
+    let report = lp_trainer(&disk, pipeline)
+        .train(&data)
         .expect("pipelined multi-worker");
 
     assert_eq!(report.epochs.len(), 3);
@@ -81,12 +100,14 @@ fn pipelined_multi_worker_smoke_loss_finite_and_partitions_written_back() {
         assert!(epoch.io_bytes_read > 0);
         assert!(epoch.io_bytes_written > 0);
     }
-    // train_disk ends with a full write-back; the final MRR evaluation reads
+    // A disk run ends with a full write-back; the final MRR evaluation reads
     // every partition file back successfully, so learning must be visible.
     assert!(report.final_metric() > 0.0);
     // Multi-worker runs share the per-step seed discipline, so they too match
     // the sequential oracle exactly.
-    let sequential = lp_trainer().train_disk(&data, &disk).expect("sequential");
+    let sequential = lp_trainer(&disk, PipelineConfig::default())
+        .train(&data)
+        .expect("sequential");
     for (seq, pipe) in sequential.epochs.iter().zip(&report.epochs) {
         assert_eq!(seq.loss, pipe.loss, "epoch {}", seq.epoch);
     }
@@ -103,12 +124,18 @@ fn pipelined_node_classification_matches_sequential() {
     train.batch_size = 128;
     let disk = DiskConfig::node_cache(8, 6);
 
-    let sequential = Trainer::<NodeClassificationTask>::new(model.clone(), train.clone())
-        .train_disk(&data, &disk)
+    let in_order = disk_run(
+        model.clone(),
+        train.clone(),
+        &disk,
+        PipelineConfig::default(),
+    );
+    let sequential = Trainer::from_config(NodeClassificationTask, in_order, IoEnv::default())
+        .train(&data)
         .expect("sequential");
-    let pipelined = Trainer::<NodeClassificationTask>::new(model, train)
-        .with_pipeline(PipelineConfig::with_workers(2))
-        .train_disk(&data, &disk)
+    let threaded = disk_run(model, train, &disk, PipelineConfig::with_workers(2));
+    let pipelined = Trainer::from_config(NodeClassificationTask, threaded, IoEnv::default())
+        .train(&data)
         .expect("pipelined");
 
     for (seq, pipe) in sequential.epochs.iter().zip(&pipelined.epochs) {

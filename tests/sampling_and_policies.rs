@@ -15,7 +15,8 @@ mod layerwise;
 
 use layerwise::LayerwiseSampler;
 use marius_core::{
-    DiskConfig, LinkPredictionTask, ModelConfig, PipelineConfig, TrainConfig, Trainer,
+    DiskConfig, LinkPredictionTask, ModelConfig, PipelineConfig, RunConfig, Storage, TrainConfig,
+    Trainer,
 };
 use marius_gnn::layers::Aggregator;
 use marius_gnn::{EmbeddingTable, Encoder, GraphSageLayer};
@@ -23,7 +24,7 @@ use marius_graph::datasets::{DatasetSpec, ScaledDataset};
 use marius_graph::{Edge, InMemorySubgraph, NodeId, Partitioner};
 use marius_sampling::{MultiHopSampler, SamplingDirection};
 use marius_storage::policy::ReplacementPolicy;
-use marius_storage::{edge_permutation_bias, BetaPolicy, CometPolicy, InMemoryPolicy};
+use marius_storage::{edge_permutation_bias, BetaPolicy, CometPolicy, InMemoryPolicy, IoEnv};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -278,17 +279,25 @@ fn executors_load_exactly_what_the_plan_schedules() {
         (DiskConfig::comet(16, 8), comet(8), [28, 25, 25]),
         (DiskConfig::beta(16, 8), beta(8), [25, 21, 22]),
     ];
-    let trainer = || {
+    let trainer = |disk: &DiskConfig, pipeline| {
         let mut train = TrainConfig::quick(3, 5);
         train.batch_size = 512;
-        Trainer::<LinkPredictionTask>::new(ModelConfig::paper_distmult(8), train)
+        let config = RunConfig {
+            model: ModelConfig::paper_distmult(8),
+            train,
+            storage: Storage::Disk(disk.clone()),
+            pipeline,
+            ..RunConfig::default()
+        };
+        Trainer::from_config(LinkPredictionTask, config, IoEnv::default())
     };
     for (disk, plan, pinned) in cases {
         let planned = plan.unwrap().partition_loads();
-        let sequential = trainer().train_disk(&data, &disk).unwrap();
-        let pipelined = trainer()
-            .with_pipeline(PipelineConfig::with_workers(1))
-            .train_disk(&data, &disk)
+        let sequential = trainer(&disk, PipelineConfig::default())
+            .train(&data)
+            .unwrap();
+        let pipelined = trainer(&disk, PipelineConfig::with_workers(1))
+            .train(&data)
             .unwrap();
         for report in [sequential, pipelined] {
             let loads: Vec<usize> = report.epochs.iter().map(|e| e.partition_loads).collect();

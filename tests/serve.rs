@@ -7,6 +7,7 @@ use std::sync::Mutex;
 
 use marius::graph::datasets::{DatasetSpec, ScaledDataset};
 use marius::graph::{NodeId, RelId};
+use marius::storage::PartitionStore;
 use marius::{
     DiskConfig, LinkPredictionTask, ModelConfig, Prediction, ServeConfig, Server, Session, Storage,
     Telemetry, TrainConfig, ZipfWorkload,
@@ -45,6 +46,27 @@ fn train_disk_checkpoint(dir: &Path) {
         .build()
         .unwrap();
     session.train().unwrap();
+}
+
+/// A partition snapshot holding one row fewer than the replayed assignment
+/// gives its partition — header consistent, so the file itself reads — makes
+/// an in-memory open a typed error, not a slice panic.
+#[test]
+fn in_memory_open_rejects_a_partition_of_the_wrong_row_count() {
+    let dir = temp_dir("short-partition");
+    train_disk_checkpoint(&dir);
+    let latest = std::fs::read_to_string(dir.join("LATEST")).unwrap();
+    let snapshot = PartitionStore::open(dir.join(latest.trim()).join("partitions")).unwrap();
+    let (values, state) = snapshot.read_partition(1).unwrap();
+    let short = values.len() - 8; // one DistMult(8) row
+    snapshot
+        .write_partition(1, &values[..short], &state[..short])
+        .unwrap();
+    let Err(err) = Server::from_checkpoint(&dir) else {
+        panic!("a short partition was accepted");
+    };
+    assert!(format!("{err}").contains("partition 1"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A byte budget that admits some but not all of the tiny checkpoint's eight

@@ -174,7 +174,7 @@ fn flaky_reads_serve_bit_identical_with_deterministic_counters() {
                 &dir,
                 ServeConfig::read_cache(PARTIAL_BUDGET)
                     .with_telemetry(&telemetry)
-                    .with_fault_plan(exhausting_plan(seed))
+                    .with_fault_injector(exhausting_plan(seed).build())
                     .with_retry_policy(tight)
                     .with_query_retries(8),
             )
@@ -244,7 +244,8 @@ fn flaky_reads_survive_a_concurrent_storm() {
 
         let server = Server::from_checkpoint_with(
             &dir,
-            ServeConfig::read_cache(PARTIAL_BUDGET).with_fault_plan(IoFaultPlan::flaky(seed)),
+            ServeConfig::read_cache(PARTIAL_BUDGET)
+                .with_fault_injector(IoFaultPlan::flaky(seed).build()),
         )
         .unwrap();
         let results: Mutex<Vec<Option<Vec<u64>>>> = Mutex::new(vec![None; queries.len()]);
@@ -513,7 +514,7 @@ fn overload_sheds_and_deadlines_trip_as_typed_rejections() {
     let server = Server::from_checkpoint_with(
         &dir,
         ServeConfig::read_cache(1)
-            .with_fault_plan(slow_plan)
+            .with_fault_injector(slow_plan.build())
             .with_max_in_flight(1),
     )
     .unwrap();

@@ -15,8 +15,8 @@
 use marius::graph::datasets::{DatasetSpec, ScaledDataset};
 use marius::stream::{delta_file_name, EdgeStream, Ingestor};
 use marius::{
-    DiskConfig, ExperimentReport, IoFaultPlan, ModelConfig, PipelineConfig, RetryPolicy, Session,
-    Storage, StreamConfig, Task, TemporalLinkPredictionTask, TrainConfig,
+    DiskConfig, ExperimentReport, IoEnv, IoFaultPlan, ModelConfig, PipelineConfig, RetryPolicy,
+    Session, Storage, StreamConfig, Task, TemporalLinkPredictionTask, TrainConfig,
 };
 use marius_storage::PartitionStore;
 use rand::rngs::StdRng;
@@ -100,7 +100,7 @@ fn flaky_streamed_run_is_bit_identical_to_fault_free() {
             .train(train_config())
             .storage(Storage::Disk(DiskConfig::comet(8, 4)))
             .pipeline(PipelineConfig::with_workers(2))
-            .fault_plan(IoFaultPlan::flaky(seed))
+            .fault_injector(IoFaultPlan::flaky(seed).build())
             .build()
             .unwrap();
         let flaky_report = flaky.stream(cfg).unwrap();
@@ -141,10 +141,14 @@ fn torn_delta_mid_ingest_is_never_applied() {
         max_consecutive: u32::MAX,
         ..IoFaultPlan::quiet(5)
     };
-    let staging = PartitionStore::open_temp("stream-torn-staging")
-        .unwrap()
-        .with_fault_injector(torn_plan.build())
-        .with_retry_policy(RetryPolicy::no_retries());
+    let env = IoEnv {
+        faults: Some(torn_plan.build()),
+        retry: RetryPolicy::no_retries(),
+        ..IoEnv::default()
+    };
+    let staging = env
+        .open_store(PartitionStore::temp_path("stream-torn-staging"))
+        .unwrap();
     staging.clear().unwrap();
     let staging_root = staging.root().to_path_buf();
     let ingestor = Ingestor::new(EdgeStream::new(5, data.num_nodes(), 3, 16), staging);

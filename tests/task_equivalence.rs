@@ -9,10 +9,11 @@
 //! or epoch orchestration shows up here as a bit-level mismatch.
 
 use marius_core::{
-    DiskConfig, LinkPredictionTask, ModelConfig, NodeClassificationTask, PipelineConfig,
-    TrainConfig, Trainer,
+    DiskConfig, LinkPredictionTask, ModelConfig, NodeClassificationTask, PipelineConfig, RunConfig,
+    Storage, TrainConfig, Trainer,
 };
 use marius_graph::datasets::{DatasetSpec, ScaledDataset};
+use marius_storage::IoEnv;
 
 /// Per-epoch golden values: (loss bits, metric bits, examples).
 type Golden = &'static [(u64, u64, usize)];
@@ -75,76 +76,103 @@ fn lp_dataset() -> ScaledDataset {
     ScaledDataset::generate(&DatasetSpec::fb15k_237().scaled(0.015), 3)
 }
 
-fn lp_trainer() -> Trainer<LinkPredictionTask> {
+fn lp_trainer(storage: Storage, pipeline: PipelineConfig) -> Trainer<LinkPredictionTask> {
     let model = ModelConfig::paper_link_prediction_graphsage(12).shrunk(5, 12);
     let mut train = TrainConfig::quick(2, 9);
     train.batch_size = 128;
     train.num_negatives = 32;
     train.eval_negatives = 64;
-    Trainer::new(model, train)
+    let config = RunConfig {
+        model,
+        train,
+        storage,
+        pipeline,
+        ..RunConfig::default()
+    };
+    Trainer::from_config(LinkPredictionTask, config, IoEnv::default())
 }
 
 fn nc_dataset() -> ScaledDataset {
     ScaledDataset::generate(&DatasetSpec::ogbn_arxiv().scaled(0.008), 21)
 }
 
-fn nc_trainer() -> Trainer<NodeClassificationTask> {
+fn nc_trainer(storage: Storage, pipeline: PipelineConfig) -> Trainer<NodeClassificationTask> {
     let mut model = ModelConfig::paper_node_classification(128, 16);
     model.num_layers = 2;
     model.fanouts = vec![8, 5];
     let mut train = TrainConfig::quick(2, 13);
     train.batch_size = 128;
-    Trainer::new(model, train)
+    let config = RunConfig {
+        model,
+        train,
+        storage,
+        pipeline,
+        ..RunConfig::default()
+    };
+    Trainer::from_config(NodeClassificationTask, config, IoEnv::default())
+}
+
+/// The in-order disk schedule (the default).
+fn in_order() -> PipelineConfig {
+    PipelineConfig::default()
 }
 
 #[test]
 fn link_prediction_in_memory_matches_seed_trainer_bit_for_bit() {
-    let report = lp_trainer().train_in_memory(&lp_dataset()).unwrap();
+    let report = lp_trainer(Storage::InMemory, in_order())
+        .train(&lp_dataset())
+        .unwrap();
     assert_matches_golden(&report, LP_MEM, "lp in-memory");
 }
 
 #[test]
 fn link_prediction_sequential_disk_matches_seed_trainer_bit_for_bit() {
     let data = lp_dataset();
-    let comet = lp_trainer()
-        .train_disk(&data, &DiskConfig::comet(8, 4))
+    let comet = lp_trainer(Storage::Disk(DiskConfig::comet(8, 4)), in_order())
+        .train(&data)
         .unwrap();
     assert_matches_golden(&comet, LP_DISK_COMET, "lp disk comet sequential");
-    let beta = lp_trainer()
-        .train_disk(&data, &DiskConfig::beta(8, 4))
+    let beta = lp_trainer(Storage::Disk(DiskConfig::beta(8, 4)), in_order())
+        .train(&data)
         .unwrap();
     assert_matches_golden(&beta, LP_DISK_BETA, "lp disk beta sequential");
 }
 
 #[test]
 fn link_prediction_pipelined_disk_matches_seed_trainer_bit_for_bit() {
-    let report = lp_trainer()
-        .with_pipeline(PipelineConfig::with_workers(2))
-        .train_disk(&lp_dataset(), &DiskConfig::comet(8, 4))
-        .unwrap();
+    let report = lp_trainer(
+        Storage::Disk(DiskConfig::comet(8, 4)),
+        PipelineConfig::with_workers(2),
+    )
+    .train(&lp_dataset())
+    .unwrap();
     assert_matches_golden(&report, LP_DISK_COMET, "lp disk comet pipelined");
 }
 
 #[test]
 fn node_classification_in_memory_matches_seed_trainer_bit_for_bit() {
-    let report = nc_trainer().train_in_memory(&nc_dataset()).unwrap();
+    let report = nc_trainer(Storage::InMemory, in_order())
+        .train(&nc_dataset())
+        .unwrap();
     assert_matches_golden(&report, NC_MEM, "nc in-memory");
 }
 
 #[test]
 fn node_classification_sequential_disk_matches_seed_trainer_bit_for_bit() {
-    let report = nc_trainer()
-        .train_disk(&nc_dataset(), &DiskConfig::node_cache(8, 6))
+    let report = nc_trainer(Storage::Disk(DiskConfig::node_cache(8, 6)), in_order())
+        .train(&nc_dataset())
         .unwrap();
     assert_matches_golden(&report, NC_DISK, "nc disk sequential");
 }
 
 #[test]
 fn node_classification_pipelined_disk_matches_seed_trainer_bit_for_bit() {
-    let report = nc_trainer()
-        .with_pipeline(PipelineConfig::with_workers(2))
-        .train_disk(&nc_dataset(), &DiskConfig::node_cache(8, 6))
-        .unwrap();
+    let report = nc_trainer(
+        Storage::Disk(DiskConfig::node_cache(8, 6)),
+        PipelineConfig::with_workers(2),
+    )
+    .train(&nc_dataset())
+    .unwrap();
     assert_matches_golden(&report, NC_DISK, "nc disk pipelined");
 }
 
