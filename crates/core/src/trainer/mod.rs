@@ -740,7 +740,7 @@ impl<T: Task> Disk<'_, T> {
                     ));
                 }
             };
-        let consume = |buffer: &mut PartitionBuffer, _ctx: &StepContext, prepared| {
+        let consume = |buffer: &mut PartitionBuffer, prepared| {
             accumulate(epoch, &task.train_prepared(model, buffer, prepared));
         };
 

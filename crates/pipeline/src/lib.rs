@@ -21,10 +21,10 @@
 //!                 │ steps S₁ … Sₙ
 //!                 ▼
 //!  ┌──────────────────────────┐   StepContext (subgraph
-//!  │ Stage 1: prefetcher      │   + candidates)
-//!  │ (1 thread)               ├──────────────┐  bounded, depth =
-//!  │ reads PartitionStore     │              │  `prefetch_depth`
-//!  │ ahead of the consumer    │              ▼
+//!  │ Stage 1: prefetchers     │   + candidates)
+//!  │ (2 threads: contexts and ├──────────────┐  bounded, depth =
+//!  │ partitions) read the     │              │  `prefetch_depth`
+//!  │ PartitionStore ahead     │              ▼
 //!  └──────────────────────────┘   ┌──────────────────────────┐
 //!        ▲ waits for              │ Stage 2: batch builders  │
 //!        │ `writeback ≥ e`       │ (`num_sampling_workers`  │
@@ -33,36 +33,35 @@
 //!        │ re-reading its file    │ sampling + DENSE         │
 //!        │                        │ multi-hop sampling       │
 //!        │                        └────────────┬─────────────┘
-//!        │                                     │ StepOut::{Begin,Batch,End}
+//!        │                                     │ StepOut::{Batch,End}
 //!        │                                     │ bounded, depth = `queue_depth`
 //!        │                                     ▼
 //!  ┌─────┴────────────────────────────────────────────────────┐
 //!  │ Stage 3: compute consumer (the calling thread)           │
-//!  │ installs prefetched partitions into the PartitionBuffer, │
-//!  │ detaching evicted dirty partitions (a second buffer      │
-//!  │ generation), publishes `swap = s`, and applies           │
-//!  │ train_prepared / optimizer updates — no disk IO at all   │
+//!  │ at step s installs the plan's set s from the prefetched  │
+//!  │ partitions, detaching evicted dirty partitions (a second │
+//!  │ buffer generation), then applies the step's batches —    │
+//!  │ train_prepared / optimizer updates, no disk IO at all    │
 //!  └───────────┬──────────────────────────────────────────────┘
 //!              │ (step, Vec<EvictedPartition>)
 //!              │ bounded, depth = `writeback_depth`
 //!              ▼
 //!  ┌──────────────────────────────────────────────────────────┐
 //!  │ Stage 4: write-back drain (1 thread)                     │
-//!  │ waits for `swap ≥ s`, writes the step's detached dirty   │
-//!  │ partitions to the PartitionStore, marks them drained in  │
-//!  │ the WritebackLedger, publishes `writeback = s`           │
+//!  │ writes the step's detached dirty partitions to the       │
+//!  │ PartitionStore, marks them drained in the                │
+//!  │ WritebackLedger, publishes `writeback = s`               │
 //!  └──────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! The transition clock carries **two** step watermarks. `swap` — the
-//! highest step whose buffer swap has completed — is published by the
-//! consumer the moment the step's partitions are installed (batches may flow
-//! and the write-back lane may drain that step's detached generation).
-//! `writeback` — the highest step whose detached evictions are durably on
-//! disk — is published by the drain and is what the partition prefetcher
-//! waits on before re-reading an evicted partition's file. Splitting the two
-//! is what removes the last synchronous disk IO from stage 3: under the old
-//! single watermark, eviction writes had to finish inside the swap.
+//! The stages share **one** step watermark, `writeback`: the highest step
+//! whose detached evictions are durably on disk. The drain publishes it and
+//! the partition prefetcher waits on it before re-reading an evicted
+//! partition's file. The drain itself waits on no watermark: the consumer
+//! pushes a step's evictions onto the write-back queue only after it has
+//! installed that step, so the queue orders every write after the swap that
+//! detached it. Eviction writes never run inside the swap, which keeps all
+//! disk IO off stage 3.
 //!
 //! # Queue semantics
 //!
@@ -75,6 +74,21 @@
 //! worker preserves within-step batch order, and the consumer drains worker
 //! queues in step order — so batches reach the model in exactly the
 //! deterministic `(step, batch)` order of the in-order schedule.
+//!
+//! # Supervision
+//!
+//! Every stage — the four spawned ones and the consumer on the calling
+//! thread — runs in one harness: it opens the stage's span track, runs the
+//! stage body under the epoch's one `catch_unwind`, then runs the stage's
+//! exit action, which closes the stage's queues (the drain's drains and
+//! abandons what is left instead). A body returns a typed error and a panic
+//! is caught; both take the same route, one first-wins slot that raises the
+//! abort. The prefetchers poll the abort and the watermark wait observes
+//! it; the closed queues stop the other stages. Later failures are cascades
+//! of that abort and lose. The slot's error surfaces from [`run_epoch`] as
+//! [`StorageError::Pipeline`], naming the stage: `"context-prefetch"`,
+//! `"partition-prefetch"`, `"batch-worker"`, `"compute"` or
+//! `"writeback-drain"`.
 //!
 //! # Determinism
 //!
@@ -89,12 +103,14 @@
 //!
 //! A partition may be evicted at step `e` and re-loaded at a later step `s`.
 //! The prefetcher must not read its file until the write-back drain has
-//! landed the detached copy, so it waits for `writeback ≥ e` before issuing
-//! the read. Epoch end and abort both drain the write-back queue completely
-//! before `run_epoch` returns (the drain keeps writing even after an abort),
-//! so no detached update is ever lost and `PartitionBuffer::flush` finds the
-//! ledger empty. Edge-bucket files are immutable during an epoch and are
-//! prefetched without synchronisation.
+//! landed the detached copy, so it waits for the one watermark,
+//! `writeback ≥ e`, before issuing the read. Epoch end and abort both drain
+//! the write-back queue completely before `run_epoch` returns (the drain keeps
+//! writing after another stage's failure, and after a failure of its own
+//! drains and abandons what remains), so no detached update is lost on a
+//! clean epoch and `PartitionBuffer::flush` finds the ledger empty. Edge-bucket
+//! files are immutable during an epoch and are prefetched without
+//! synchronisation.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -105,8 +121,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 pub use marius_storage::EpochPlan;
@@ -166,99 +182,25 @@ impl Default for PipelineConfig {
 /// Blocks until the buffer's write-back ledger is empty — the pipeline's
 /// checkpoint safe point.
 ///
-/// The `writeback` watermark (stage 4) trails the `swap` watermark by design:
-/// between the two, evicted dirty partitions live only as detached in-memory
-/// generations and the corresponding files on disk are stale. A
+/// The `writeback` watermark (stage 4) trails the consumer's installs by
+/// design: between the two, evicted dirty partitions live only as detached
+/// in-memory generations and the corresponding files on disk are stale. A
 /// `PartitionStore::snapshot_to` taken inside that window would capture the
 /// stale bytes and silently lose training updates. `run_epoch` drains the
 /// write-back queue completely before returning (even on abort), so at every
 /// epoch boundary this returns immediately; it exists so checkpoint writers
 /// can *assert* the safe point instead of assuming it, and so future partial
 /// (mid-epoch) checkpoints have a primitive that waits for `writeback` to
-/// catch up with `swap`. The streaming ingest path (`marius-stream`) asserts
-/// it for the same reason before applying staged edge deltas at an epoch
-/// boundary: growing a bucket is only safe once its file and its in-memory
-/// contents agree.
+/// catch up with the installs. The streaming ingest path (`marius-stream`)
+/// asserts it for the same reason before applying staged edge deltas at an
+/// epoch boundary: growing a bucket is only safe once its file and its
+/// in-memory contents agree.
 ///
 /// Errors only if a peer thread panicked while the ledger was locked (see
 /// `WritebackLedger::wait_drained`) — a typed error rather than a cascading
 /// panic.
 pub fn writeback_safe_point(buffer: &PartitionBuffer) -> Result<()> {
     buffer.writeback_ledger().wait_drained()
-}
-
-/// Structured description of a failed pipeline stage, produced by the
-/// supervision layer wrapped around every stage thread.
-///
-/// Each stage body runs under [`std::panic::catch_unwind`]; a panic — or a
-/// storage error that survived the store's retry budget — is converted into
-/// a `PipelineError`, the transition clock is aborted, every queue is
-/// closed, the write-back ledger is drained to a safe point, and the error
-/// surfaces from [`run_epoch`] as
-/// [`StorageError::Pipeline`] (via the [`From`] impl) so trainers and
-/// sessions observe one typed error instead of a deadlock or a poisoned
-/// lock.
-#[derive(Debug, Clone)]
-pub struct PipelineError {
-    /// The stage that failed: `"context-prefetch"`, `"partition-prefetch"`,
-    /// `"batch-worker"`, `"compute"`, or `"writeback-drain"`.
-    pub stage: &'static str,
-    /// Root-cause description (panic payload or storage error text).
-    pub reason: String,
-    /// `true` when the stage panicked; `false` when it returned a typed
-    /// error.
-    pub panicked: bool,
-}
-
-impl PipelineError {
-    /// Describes a stage that panicked with `payload`.
-    fn panicked(stage: &'static str, payload: &(dyn std::any::Any + Send)) -> Self {
-        let reason = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        };
-        PipelineError {
-            stage,
-            reason,
-            panicked: true,
-        }
-    }
-
-    /// Attributes a storage error to the stage that raised it. Errors that
-    /// already carry a stage (nested pipeline errors) keep their original
-    /// attribution.
-    fn wrap(stage: &'static str, e: StorageError) -> StorageError {
-        match e {
-            StorageError::Pipeline { .. } => e,
-            e => StorageError::Pipeline {
-                stage: stage.to_string(),
-                reason: e.to_string(),
-            },
-        }
-    }
-}
-
-impl std::fmt::Display for PipelineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = if self.panicked { "panicked" } else { "failed" };
-        write!(f, "pipeline stage '{}' {kind}: {}", self.stage, self.reason)
-    }
-}
-
-impl From<PipelineError> for StorageError {
-    fn from(e: PipelineError) -> Self {
-        StorageError::Pipeline {
-            stage: e.stage.to_string(),
-            reason: if e.panicked {
-                format!("panicked: {}", e.reason)
-            } else {
-                e.reason
-            },
-        }
-    }
 }
 
 /// Derives the RNG seed for one plan step of one epoch (SplitMix64 over the
@@ -273,8 +215,9 @@ pub fn step_seed(epoch_seed: u64, step: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Everything a batch-construction worker (and the consumer) needs to know
-/// about one plan step, built by `read_context`.
+/// Everything a batch-construction worker needs to know about one plan
+/// step, built by `read_context`. The consumer does not see it: it installs
+/// the step's set straight from the plan.
 pub struct StepContext {
     /// Step index within the epoch plan.
     pub step: usize,
@@ -342,23 +285,12 @@ fn read_partitions(
     Ok(new_parts)
 }
 
-/// The partitions to install for one step — the ones not resident when the
-/// step begins. Flows from the partition prefetcher straight to the consumer,
-/// in step order.
-type StepParts = (usize, Vec<PartitionPayload>);
-
 /// Items flowing from a worker to the consumer.
 enum StepOut<B> {
-    /// Step boundary: the consumer swaps the buffer to the context's set
-    /// using the separately prefetched partition payload (no disk reads on
-    /// the critical path).
-    Begin(Arc<StepContext>),
     /// One constructed training batch.
     Batch(B),
     /// The step produced all of its batches.
     End,
-    /// A storage error encountered upstream; aborts the epoch.
-    Err(StorageError),
 }
 
 /// A blocking bounded queue with stall accounting and cooperative shutdown.
@@ -458,20 +390,15 @@ impl<T> BoundedQueue<T> {
     }
 }
 
-/// A monotone step watermark one stage publishes and others wait on.
+/// The epoch's one step watermark, `writeback`: the highest step whose
+/// detached dirty evictions are durably on disk. The drain publishes it; the
+/// partition prefetcher waits on it before re-reading an evicted partition.
 struct Watermark {
     done: Mutex<i64>,
     advanced: Condvar,
 }
 
 impl Watermark {
-    fn new() -> Self {
-        Watermark {
-            done: Mutex::new(-1),
-            advanced: Condvar::new(),
-        }
-    }
-
     fn publish(&self, step: i64) {
         let mut done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
         *done = (*done).max(step);
@@ -494,58 +421,86 @@ impl Watermark {
     }
 }
 
-/// The step-transition clock the pipeline's stages synchronise on. The single
-/// watermark of the inline-write-back design is split in two:
-///
-/// * `swap` — highest step whose buffer swap has completed (its partitions
-///   are installed, its batches may be consumed, and its detached evictions
-///   may be drained);
-/// * `writeback` — highest step whose detached dirty evictions are durably
-///   on disk (the partition prefetcher may re-read their files).
-///
-/// `writeback` trails `swap`; the gap between the two is exactly the window
-/// in which a second generation of evicted buffers is alive off the compute
-/// path.
-struct TransitionClock {
-    swap: Watermark,
-    writeback: Watermark,
+/// The threaded epoch's one failure path. The first stage failure — a typed
+/// error or a panic — wins the slot, and recording it raises the abort that
+/// the prefetchers poll and every wait on the watermark observes.
+struct Supervisor {
+    failure: Mutex<Option<StorageError>>,
     abort: AtomicBool,
+    writeback: Watermark,
 }
 
-impl TransitionClock {
+impl Supervisor {
     fn new() -> Self {
-        TransitionClock {
-            swap: Watermark::new(),
-            writeback: Watermark::new(),
+        Supervisor {
+            failure: Mutex::new(None),
             abort: AtomicBool::new(false),
+            writeback: Watermark {
+                done: Mutex::new(-1),
+                advanced: Condvar::new(),
+            },
         }
     }
 
-    fn abort(&self) {
+    fn aborted(&self) -> bool {
+        self.abort.load(Ordering::Relaxed)
+    }
+
+    /// Records `reason` as `stage`'s failure unless an earlier one won, and
+    /// raises the abort.
+    fn fail(&self, stage: &str, reason: String) {
+        let mut slot = self.failure.lock().unwrap_or_else(PoisonError::into_inner);
+        slot.get_or_insert(StorageError::Pipeline {
+            stage: stage.to_string(),
+            reason,
+        });
+        drop(slot);
+        // Raised under the watermark's lock, so a waiter cannot miss it
+        // between checking the flag and blocking.
+        let done = self
+            .writeback
+            .done
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         self.abort.store(true, Ordering::Relaxed);
-        self.swap.advanced.notify_all();
+        drop(done);
         self.writeback.advanced.notify_all();
     }
-}
 
-/// Nanosecond busy/stall accounting shared across threads.
-#[derive(Default)]
-struct StageClocks {
-    prefetch_busy: AtomicU64,
-    prefetch_stall: AtomicU64,
-    sample_busy: AtomicU64,
-    sample_stall: AtomicU64,
-    writeback_busy: AtomicU64,
-    writeback_stall: AtomicU64,
-    writeback_parts: AtomicU64,
-}
-
-fn add_nanos(cell: &AtomicU64, d: Duration) {
-    cell.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-}
-
-fn nanos(cell: &AtomicU64) -> Duration {
-    Duration::from_nanos(cell.load(Ordering::Relaxed))
+    /// The stage harness: opens the span track `track`, runs `body` under
+    /// the one `catch_unwind`, records its typed error or panic as `stage`'s
+    /// failure, and then runs `exit` on every path. Returns the body's busy
+    /// and stall clocks, or zeros when it failed (so does the epoch).
+    fn run_stage<T: Default>(
+        &self,
+        telemetry: &Telemetry,
+        stage: &'static str,
+        track: &str,
+        body: impl FnOnce(&mut SpanScope) -> Result<T>,
+        exit: impl FnOnce(),
+    ) -> T {
+        let mut span = telemetry.scope(track);
+        let out = match catch_unwind(AssertUnwindSafe(|| body(&mut span))) {
+            Ok(Ok(out)) => out,
+            Ok(Err(e)) => {
+                self.fail(stage, e.to_string());
+                T::default()
+            }
+            Err(payload) => {
+                let message = if let Some(s) = payload.downcast_ref::<&str>() {
+                    (*s).to_string()
+                } else if let Some(s) = payload.downcast_ref::<String>() {
+                    s.clone()
+                } else {
+                    "non-string panic payload".to_string()
+                };
+                self.fail(stage, format!("panicked: {message}"));
+                T::default()
+            }
+        };
+        exit();
+        out
+    }
 }
 
 /// Occupancy buckets for the `pipeline.queue_depth.*` histograms: inclusive
@@ -652,7 +607,7 @@ fn run_in_order<B, MB, CB>(
 ) -> Result<PipelineReport>
 where
     MB: Fn(&StepContext, &mut StdRng, &mut dyn FnMut(B)),
-    CB: FnMut(&mut PartitionBuffer, &StepContext, B),
+    CB: FnMut(&mut PartitionBuffer, B),
 {
     let io_plan = plan_step_io(plan, &buffer.resident_partitions());
     let store = buffer.store().clone();
@@ -671,7 +626,7 @@ where
         let mut rng = StdRng::seed_from_u64(step_seed(epoch_seed, s as u64));
         make_batches(&ctx, &mut rng, &mut |batch| {
             report.batches += 1;
-            consume(buffer, &ctx, batch);
+            consume(buffer, batch);
         });
     }
     Ok(report)
@@ -681,15 +636,15 @@ where
 ///
 /// Every step runs the same four stage bodies — `read_context`,
 /// `read_partitions` of the partitions the step misses,
-/// [`PartitionBuffer::install_set`], and
+/// [`PartitionBuffer::install_set`] of the plan's set for the step, and
 /// [`marius_storage::WritebackLedger::write_back`] of the evictions — then
 /// builds its batches and applies them. With [`PipelineConfig::enabled`]
-/// the bodies run on the stage threads of the crate docs and overlap
-/// across steps. Without it they run in step order on the calling thread:
-/// no threads, no stage spans, no `pipeline.*` counters, no busy or stall
-/// time, and errors surface as the store raised them. Both schedules feed
-/// `consume` the same batches in the same order, so the in-order one is
-/// the threaded one's determinism oracle.
+/// and a non-empty plan the bodies run on the stage threads of the crate
+/// docs and overlap across steps. Otherwise they run in step order on the
+/// calling thread: no threads, no stage spans, no `pipeline.*` counters, no
+/// busy or stall time, and errors surface as the store raised them. Both
+/// schedules feed `consume` the same batches in the same order, so the
+/// in-order one is the threaded one's determinism oracle.
 ///
 /// * `config` — the schedule and, when threaded, its worker count and
 ///   queue depths.
@@ -703,11 +658,13 @@ where
 /// * `epoch_seed` — all in-epoch randomness derives from
 ///   [`step_seed`]`(epoch_seed, step)`, making the epoch reproducible for
 ///   either schedule and any worker count.
-/// * `make_batches` — builds one step's training batches, handing each
-///   to the sink (which blocks under back-pressure). Runs once per step,
-///   on worker threads when threaded.
+/// * `make_batches` — builds one step's training batches from its
+///   [`StepContext`], handing each to the sink (which blocks under
+///   back-pressure). Runs once per step, on worker threads when threaded.
 /// * `consume` — applies one batch to the model. Runs on the calling
-///   thread, after the step's partitions are installed in `buffer`.
+///   thread, after the step's set is installed in `buffer`; a batch that
+///   needs its step's set carries the step and reads
+///   `plan.partition_sets[step]`.
 pub fn run_epoch<B, MB, CB>(
     config: &PipelineConfig,
     plan: &EpochPlan,
@@ -719,24 +676,25 @@ pub fn run_epoch<B, MB, CB>(
 where
     B: Send,
     MB: Fn(&StepContext, &mut StdRng, &mut dyn FnMut(B)) + Sync,
-    CB: FnMut(&mut PartitionBuffer, &StepContext, B),
+    CB: FnMut(&mut PartitionBuffer, B),
 {
     let epoch_start = Instant::now();
-    let mut report = if config.enabled && !plan.partition_sets.is_empty() {
+    let threaded = config.enabled && !plan.partition_sets.is_empty();
+    let mut report = if threaded {
         run_threaded(config, plan, buffer, epoch_seed, make_batches, consume)?
     } else {
         run_in_order(plan, buffer, epoch_seed, make_batches, consume)?
     };
     report.steps = plan.partition_sets.len();
     report.wall_time = epoch_start.elapsed();
-    if config.enabled {
+    if threaded {
         mirror_report(&buffer.store().env().telemetry, &report);
     }
     Ok(report)
 }
 
 /// The threaded schedule: the stage bodies on the stage threads of the
-/// crate docs, under their supervision.
+/// crate docs, each in the [`Supervisor`]'s stage harness.
 fn run_threaded<B, MB, CB>(
     config: &PipelineConfig,
     plan: &EpochPlan,
@@ -748,434 +706,269 @@ fn run_threaded<B, MB, CB>(
 where
     B: Send,
     MB: Fn(&StepContext, &mut StdRng, &mut dyn FnMut(B)) + Sync,
-    CB: FnMut(&mut PartitionBuffer, &StepContext, B),
+    CB: FnMut(&mut PartitionBuffer, B),
 {
-    let num_steps = plan.partition_sets.len();
     let mut report = PipelineReport::default();
-
     let workers = config.num_sampling_workers.max(1);
     let io_plan = plan_step_io(plan, &buffer.resident_partitions());
     let store = buffer.store().clone();
     let assignment = buffer.assignment().clone();
+    let ledger = buffer.writeback_ledger();
 
     let telemetry = &store.env().telemetry;
     // Queue-occupancy histograms, sampled after every push. All workers'
     // step (and batch) queues share one histogram by name, so the export
     // shows the stage edge, not the individual worker lane.
     let qd = |name: &str| telemetry.histogram(name, QUEUE_DEPTH_BOUNDS);
-    let step_queues: Vec<BoundedQueue<Arc<StepContext>>> = (0..workers)
+    let step_queues: Vec<BoundedQueue<StepContext>> = (0..workers)
         .map(|_| BoundedQueue::with_depth(config.prefetch_depth, qd("pipeline.queue_depth.step")))
         .collect();
     let batch_queues: Vec<BoundedQueue<StepOut<B>>> = (0..workers)
         .map(|_| BoundedQueue::with_depth(config.queue_depth, qd("pipeline.queue_depth.batch")))
         .collect();
-    let parts_queue: BoundedQueue<Result<StepParts>> = BoundedQueue::with_depth(
-        config.prefetch_depth.max(1),
-        qd("pipeline.queue_depth.parts"),
-    );
+    // Partition prefetcher → consumer: one payload per step, in step order.
+    let parts_queue: BoundedQueue<Vec<PartitionPayload>> =
+        BoundedQueue::with_depth(config.prefetch_depth, qd("pipeline.queue_depth.parts"));
     // Consumer → write-back drain: one item per step, even when the step
     // evicted nothing, so the `writeback` watermark advances in step
     // order and every re-read dependency eventually unblocks.
-    let wb_queue: BoundedQueue<(usize, Vec<EvictedPartition>)> = BoundedQueue::with_depth(
-        config.writeback_depth.max(1),
-        qd("pipeline.queue_depth.writeback"),
-    );
-    let ledger = buffer.writeback_ledger();
-    let clock = TransitionClock::new();
-    let clocks = StageClocks::default();
-    // First stage failure recorded by the supervision layer (a panic or
-    // a typed error caught at a stage boundary). The first entry wins:
-    // later failures are cascades of the aborted shutdown it triggers.
-    let failure: Mutex<Option<PipelineError>> = Mutex::new(None);
-    let record_failure = |err: PipelineError| {
-        let mut slot = failure.lock().unwrap_or_else(PoisonError::into_inner);
-        slot.get_or_insert(err);
-        drop(slot);
-        clock.abort();
-    };
+    let wb_queue: BoundedQueue<(usize, Vec<EvictedPartition>)> =
+        BoundedQueue::with_depth(config.writeback_depth, qd("pipeline.queue_depth.writeback"));
+    let sup = Supervisor::new();
+    let close_step_queues = || step_queues.iter().for_each(BoundedQueue::close);
 
-    let consumer_result: Result<()> = std::thread::scope(|scope| {
-        let record_failure = &record_failure;
+    std::thread::scope(|scope| {
         // ---- Stage 1a: the context prefetcher thread. ----------------
         // Bucket files are immutable during the epoch, so step contexts
-        // (subgraph, candidates) can be read arbitrarily far ahead
-        // of the consumer — this is what lets stage-2 workers start
-        // sampling future steps while earlier steps still compute.
-        let ctx_handle = {
-            let step_queues = &step_queues;
-            let batch_queues = &batch_queues;
-            let clock = &clock;
-            let clocks = &clocks;
-            let store = &store;
-            let assignment = &assignment;
-            scope.spawn(move || {
-                let mut span = telemetry.scope("context-prefetch");
-                let span = &mut span;
-                let body = || {
-                    'steps: for (s, set) in plan.partition_sets.iter().enumerate() {
-                        if clock.abort.load(Ordering::Relaxed) {
-                            break 'steps;
-                        }
-                        span.begin("context-prefetch.step", s as i64, NO_LABEL);
-                        let busy_start = Instant::now();
-                        let ctx = read_context(store, assignment, s, set);
-                        add_nanos(&clocks.prefetch_busy, busy_start.elapsed());
-                        span.end();
-                        match ctx {
-                            Ok(ctx) => match step_queues[s % workers].push(Arc::new(ctx)) {
-                                Some(waited) => add_nanos(&clocks.prefetch_stall, waited),
-                                None => break 'steps, // closed: epoch aborted
-                            },
-                            Err(e) => {
-                                // Surface the error through the worker queue
-                                // that owns this step so the consumer sees it
-                                // in order, then stop prefetching.
-                                batch_queues[s % workers]
-                                    .push(StepOut::Err(PipelineError::wrap("context-prefetch", e)));
-                                break 'steps;
-                            }
-                        }
+        // (subgraph, candidates) can be read arbitrarily far ahead of the
+        // consumer — this is what lets stage-2 workers start sampling
+        // future steps while earlier steps still compute.
+        let ctx_handle = scope.spawn(|| {
+            let body = |span: &mut SpanScope| -> Result<(Duration, Duration)> {
+                let (mut busy, mut stall) = (Duration::ZERO, Duration::ZERO);
+                for (s, set) in plan.partition_sets.iter().enumerate() {
+                    if sup.aborted() {
+                        break;
                     }
-                };
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(body)) {
-                    record_failure(PipelineError::panicked(
-                        "context-prefetch",
-                        payload.as_ref(),
-                    ));
+                    span.begin("context-prefetch.step", s as i64, NO_LABEL);
+                    let busy_start = Instant::now();
+                    let ctx = read_context(&store, &assignment, s, set);
+                    busy += busy_start.elapsed();
+                    span.end();
+                    match step_queues[s % workers].push(ctx?) {
+                        Some(waited) => stall += waited,
+                        None => break,
+                    }
                 }
-                // Close on every exit path (including aborts raised by
-                // another stage, and panics caught above) so the stage-2
-                // workers never block on a producer that has stopped.
-                for q in step_queues.iter() {
-                    q.close();
-                }
-            })
-        };
+                Ok((busy, stall))
+            };
+            sup.run_stage(
+                telemetry,
+                "context-prefetch",
+                "context-prefetch",
+                body,
+                close_step_queues,
+            )
+        });
 
         // ---- Stage 1b: the partition prefetcher thread. --------------
         // Partition files are rewritten by the write-back drain after an
-        // eviction, so each read waits for the *write-back* watermark to
-        // pass the partition's last eviction before it is issued: only
-        // then are the file's bytes the evicted generation's, not stale.
-        let parts_handle = {
-            let parts_queue = &parts_queue;
-            let clock = &clock;
-            let clocks = &clocks;
-            let io_plan = &io_plan;
-            let store = &store;
-            scope.spawn(move || {
-                let mut span = telemetry.scope("partition-prefetch");
-                let span = &mut span;
-                let body = || {
-                    'steps: for s in 0..plan.partition_sets.len() {
-                        if clock.abort.load(Ordering::Relaxed) {
-                            break 'steps;
-                        }
-                        let dep = io_plan.read_after[s];
-                        if dep >= 0 {
-                            span.begin("partition-prefetch.wait-writeback", s as i64, NO_LABEL);
-                            add_nanos(
-                                &clocks.prefetch_stall,
-                                clock.writeback.wait_for(dep, &clock.abort),
-                            );
-                            span.end();
-                        }
-                        if clock.abort.load(Ordering::Relaxed) {
-                            break 'steps;
-                        }
-                        span.begin("partition-prefetch.step", s as i64, NO_LABEL);
-                        let busy_start = Instant::now();
-                        let parts = read_partitions(store, &io_plan.loads[s], span, s);
-                        add_nanos(&clocks.prefetch_busy, busy_start.elapsed());
+        // eviction, so each read waits for the watermark to pass the
+        // partition's last eviction before it is issued: only then are the
+        // file's bytes the evicted generation's, not stale.
+        let parts_handle = scope.spawn(|| {
+            let body = |span: &mut SpanScope| -> Result<(Duration, Duration)> {
+                let (mut busy, mut stall) = (Duration::ZERO, Duration::ZERO);
+                for (s, loads) in io_plan.loads.iter().enumerate() {
+                    let dep = io_plan.read_after[s];
+                    if dep >= 0 {
+                        span.begin("partition-prefetch.wait-writeback", s as i64, NO_LABEL);
+                        stall += sup.writeback.wait_for(dep, &sup.abort);
                         span.end();
-                        let failed = parts.is_err();
-                        let parts = parts
-                            .map(|p| (s, p))
-                            .map_err(|e| PipelineError::wrap("partition-prefetch", e));
-                        match parts_queue.push(parts) {
-                            Some(waited) => add_nanos(&clocks.prefetch_stall, waited),
-                            None => break 'steps,
-                        }
-                        if failed {
-                            break 'steps;
-                        }
                     }
-                };
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(body)) {
-                    record_failure(PipelineError::panicked(
-                        "partition-prefetch",
-                        payload.as_ref(),
-                    ));
+                    if sup.aborted() {
+                        break;
+                    }
+                    span.begin("partition-prefetch.step", s as i64, NO_LABEL);
+                    let busy_start = Instant::now();
+                    let parts = read_partitions(&store, loads, span, s);
+                    busy += busy_start.elapsed();
+                    span.end();
+                    match parts_queue.push(parts?) {
+                        Some(waited) => stall += waited,
+                        None => break,
+                    }
                 }
-                // Close on every exit path so the consumer never blocks
-                // on a prefetcher that has stopped.
-                parts_queue.close();
-            })
-        };
+                Ok((busy, stall))
+            };
+            sup.run_stage(
+                telemetry,
+                "partition-prefetch",
+                "partition-prefetch",
+                body,
+                || parts_queue.close(),
+            )
+        });
 
         // ---- Stage 4: the write-back drain thread. -------------------
-        // Receives each step's detached dirty evictions from the consumer
-        // and writes them to the store off the compute path. The drain
-        // keeps writing even after an abort (losing detached updates, or
-        // leaving stale bytes unannounced, would corrupt the store), and
-        // only stops writing after a disk error of its own — from then on
-        // it still marks payloads drained so nothing waits forever.
-        let wb_handle = {
-            let wb_queue = &wb_queue;
-            let clock = &clock;
-            let clocks = &clocks;
-            let store = &store;
-            let ledger = Arc::clone(&ledger);
-            scope.spawn(move || -> Result<()> {
-                let mut span = telemetry.scope("writeback-drain");
-                let span = &mut span;
-                let body = || -> Result<()> {
-                    while let Some(((step, evicted), waited)) = wb_queue.pop() {
-                        add_nanos(&clocks.writeback_stall, waited);
-                        // The payload is queued by the consumer after its swap
-                        // publish, so this wait documents (and cheaply
-                        // enforces) that the drain never runs ahead of the
-                        // swap that detached its generation.
-                        clock.swap.wait_for(step as i64, &clock.abort);
-                        span.begin("writeback.step", step as i64, NO_LABEL);
-                        let busy_start = Instant::now();
-                        let written = ledger.write_back(store, &evicted, span, step as i64);
-                        add_nanos(&clocks.writeback_busy, busy_start.elapsed());
-                        span.end();
-                        clock.writeback.publish(step as i64);
-                        clocks
-                            .writeback_parts
-                            .fetch_add(written? as u64, Ordering::Relaxed);
-                    }
-                    Ok(())
-                };
-                let outcome = match catch_unwind(AssertUnwindSafe(body)) {
-                    Ok(Ok(())) => return Ok(()),
-                    Ok(Err(e)) => {
-                        clock.abort();
-                        Err(PipelineError::wrap("writeback-drain", e))
-                    }
-                    Err(payload) => {
-                        record_failure(PipelineError::panicked(
-                            "writeback-drain",
-                            payload.as_ref(),
-                        ));
-                        Ok(())
-                    }
-                };
-                // The drain can no longer deliver its detached payloads.
-                // Keep the lane live in degraded mode: pop what remains,
-                // marking it drained and advancing the watermark so no
-                // peer blocks forever, then abandon anything still
-                // pending (the run has failed; those bytes are recovered
-                // from the last checkpoint, not this epoch).
-                while let Some(((step, evicted), _)) = wb_queue.pop() {
-                    for part in &evicted {
-                        ledger.mark_drained(part.id);
-                    }
-                    clock.writeback.publish(step as i64);
+        // Writes each step's detached dirty evictions to the store off the
+        // compute path. It keeps writing after another stage's failure
+        // (dropping detached updates would corrupt the store). After a disk
+        // error of its own, its exit action pops what remains, so the
+        // consumer never blocks on a full queue, and abandons every pending
+        // write-back (the run has failed; those bytes are recovered from the
+        // last checkpoint, not this epoch). After a clean drain that exit
+        // finds nothing to do.
+        let wb_handle = scope.spawn(|| {
+            let body = |span: &mut SpanScope| -> Result<(Duration, Duration, usize)> {
+                let (mut busy, mut stall, mut written) = (Duration::ZERO, Duration::ZERO, 0);
+                while let Some(((step, evicted), waited)) = wb_queue.pop() {
+                    stall += waited;
+                    span.begin("writeback.step", step as i64, NO_LABEL);
+                    let busy_start = Instant::now();
+                    let wrote = ledger.write_back(&store, &evicted, span, step as i64);
+                    busy += busy_start.elapsed();
+                    span.end();
+                    written += wrote?;
+                    sup.writeback.publish(step as i64);
                 }
+                Ok((busy, stall, written))
+            };
+            let degraded = || {
+                while wb_queue.pop().is_some() {}
                 ledger.abandon_pending();
-                outcome
-            })
-        };
+            };
+            sup.run_stage(
+                telemetry,
+                "writeback-drain",
+                "writeback-drain",
+                body,
+                degraded,
+            )
+        });
 
         // ---- Stage 2: batch-construction workers. --------------------
-        let mut worker_handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let in_q = &step_queues[w];
-            let out_q = &batch_queues[w];
-            let clocks = &clocks;
-            let make_batches = &make_batches;
-            let worker_label = format!("batch-worker-{w}");
-            worker_handles.push(scope.spawn(move || {
-                let mut span = telemetry.scope(&worker_label);
-                let span = &mut span;
-                let body = || {
-                    while let Some((ctx, waited)) = in_q.pop() {
-                        add_nanos(&clocks.sample_stall, waited);
-                        // Publish the step boundary immediately so the consumer
-                        // can swap the buffer while this worker still samples.
-                        match out_q.push(StepOut::Begin(Arc::clone(&ctx))) {
-                            Some(waited) => add_nanos(&clocks.sample_stall, waited),
-                            None => return,
-                        }
-                        let mut rng = StdRng::seed_from_u64(step_seed(epoch_seed, ctx.step as u64));
-                        span.begin("sample.step", ctx.step as i64, NO_LABEL);
-                        let step_start = Instant::now();
-                        let mut sink_wait = Duration::ZERO;
-                        let mut closed = false;
-                        let mut sink = |batch: B| match out_q.push(StepOut::Batch(batch)) {
-                            Some(waited) => sink_wait += waited,
-                            None => closed = true,
-                        };
-                        make_batches(&ctx, &mut rng, &mut sink);
-                        let sink_wait = sink_wait;
-                        add_nanos(
-                            &clocks.sample_busy,
-                            step_start.elapsed().saturating_sub(sink_wait),
-                        );
-                        add_nanos(&clocks.sample_stall, sink_wait);
-                        span.end();
-                        if closed {
-                            return;
-                        }
-                        match out_q.push(StepOut::End) {
-                            Some(waited) => add_nanos(&clocks.sample_stall, waited),
-                            None => return,
-                        }
-                    }
-                };
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(body)) {
-                    record_failure(PipelineError::panicked("batch-worker", payload.as_ref()));
-                }
-                // Idempotent: lets the consumer drain what was produced
-                // and then observe the end of this worker's stream.
-                out_q.close();
-            }));
-        }
-
-        // ---- Stage 3: the compute consumer (this thread). ------------
-        let mut compute_span = telemetry.scope("compute");
-        let compute_span = &mut compute_span;
-        let mut run_consumer = || -> Result<()> {
-            for s in 0..num_steps {
-                let q = &batch_queues[s % workers];
-                let mut cur_ctx: Option<Arc<StepContext>> = None;
-                loop {
-                    let Some((item, waited)) = q.pop() else {
-                        return Err(StorageError::InvalidPlan {
-                            reason: format!("pipeline stage 2 ended before step {s} completed"),
-                        });
-                    };
-                    report.compute_stall += waited;
-                    let busy_start = Instant::now();
-                    match item {
-                        StepOut::Begin(ctx) => {
-                            let Some((parts, parts_wait)) = parts_queue.pop() else {
-                                return Err(StorageError::InvalidPlan {
-                                    reason: format!("partition prefetch ended before step {s}"),
-                                });
-                            };
-                            report.compute_stall += parts_wait;
-                            let (parts_step, new_parts) = parts?;
-                            debug_assert_eq!(parts_step, s, "partition payload out of order");
-                            report.partition_loads += new_parts.len();
-                            compute_span.begin("compute.step", s as i64, NO_LABEL);
-                            compute_span.begin("compute.install", s as i64, NO_LABEL);
-                            let install_start = Instant::now();
-                            let evicted = buffer.install_set(&ctx.set, new_parts)?;
-                            clock.swap.publish(s as i64);
-                            cur_ctx = Some(ctx);
-                            report.compute_busy += install_start.elapsed();
-                            compute_span.end();
-                            // Hand the detached generation to the drain.
-                            // Pushed even when empty so the write-back
-                            // watermark advances through every step. A
-                            // full queue here is write-back back-pressure
-                            // on compute, booked as a stall.
-                            if let Some(waited) = wb_queue.push((s, evicted)) {
-                                report.compute_stall += waited;
+        let worker_handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let (in_q, out_q) = (&step_queues[w], &batch_queues[w]);
+                let (sup, make_batches) = (&sup, &make_batches);
+                scope.spawn(move || {
+                    let body = |span: &mut SpanScope| -> Result<(Duration, Duration)> {
+                        let (mut busy, mut stall) = (Duration::ZERO, Duration::ZERO);
+                        while let Some((ctx, waited)) = in_q.pop() {
+                            stall += waited;
+                            let mut rng =
+                                StdRng::seed_from_u64(step_seed(epoch_seed, ctx.step as u64));
+                            span.begin("sample.step", ctx.step as i64, NO_LABEL);
+                            let step_start = Instant::now();
+                            let mut sink_wait = Duration::ZERO;
+                            make_batches(&ctx, &mut rng, &mut |batch| {
+                                // A closed queue drops the batch: the epoch aborted.
+                                sink_wait += out_q.push(StepOut::Batch(batch)).unwrap_or_default();
+                            });
+                            busy += step_start.elapsed().saturating_sub(sink_wait);
+                            stall += sink_wait;
+                            span.end();
+                            match out_q.push(StepOut::End) {
+                                Some(waited) => stall += waited,
+                                None => break,
                             }
                         }
-                        StepOut::Batch(batch) => {
-                            let ctx =
-                                cur_ctx.as_ref().ok_or_else(|| StorageError::InvalidPlan {
-                                    reason: format!("batch before Begin in step {s}"),
-                                })?;
-                            report.batches += 1;
-                            compute_span.begin("compute.batch", s as i64, NO_LABEL);
-                            consume(buffer, ctx, batch);
-                            compute_span.end();
-                            report.compute_busy += busy_start.elapsed();
-                        }
-                        StepOut::End => {
-                            report.compute_busy += busy_start.elapsed();
-                            compute_span.end();
-                            break;
-                        }
-                        StepOut::Err(e) => return Err(e),
-                    }
+                        Ok((busy, stall))
+                    };
+                    sup.run_stage(
+                        telemetry,
+                        "batch-worker",
+                        &format!("batch-worker-{w}"),
+                        body,
+                        || {
+                            in_q.close();
+                            out_q.close();
+                        },
+                    )
+                })
+            })
+            .collect();
+
+        // ---- Stage 3: the compute consumer (this thread). ------------
+        // Its exit closes every queue, so the stages upstream stop and the
+        // drain writes out every detached eviction before it is joined.
+        let ended = |what: &str, s: usize| StorageError::InvalidPlan {
+            reason: format!("{what} ended before step {s} completed"),
+        };
+        let consumer = |span: &mut SpanScope| -> Result<()> {
+            for (s, set) in plan.partition_sets.iter().enumerate() {
+                let (new_parts, waited) = parts_queue
+                    .pop()
+                    .ok_or_else(|| ended("partition prefetch", s))?;
+                report.compute_stall += waited;
+                report.partition_loads += new_parts.len();
+                span.begin("compute.step", s as i64, NO_LABEL);
+                span.begin("compute.install", s as i64, NO_LABEL);
+                let install_start = Instant::now();
+                let evicted = buffer.install_set(set, new_parts)?;
+                report.compute_busy += install_start.elapsed();
+                span.end();
+                // Hand the detached generation to the drain, even when empty
+                // so the watermark advances through every step. A full queue
+                // here is write-back back-pressure on compute, booked as a
+                // stall.
+                report.compute_stall += wb_queue.push((s, evicted)).unwrap_or_default();
+                let batches = &batch_queues[s % workers];
+                loop {
+                    let (item, waited) =
+                        batches.pop().ok_or_else(|| ended("pipeline stage 2", s))?;
+                    report.compute_stall += waited;
+                    let busy_start = Instant::now();
+                    let StepOut::Batch(batch) = item else {
+                        span.end();
+                        break;
+                    };
+                    report.batches += 1;
+                    span.begin("compute.batch", s as i64, NO_LABEL);
+                    consume(buffer, batch);
+                    span.end();
+                    report.compute_busy += busy_start.elapsed();
                 }
             }
             Ok(())
         };
-        // The consumer runs under the same supervision as the spawned
-        // stages: a panic in user compute code (or the buffer) converts
-        // to a typed error after an orderly shutdown instead of
-        // unwinding through the scope and cascading into every thread.
-        let result: Result<()> = match catch_unwind(AssertUnwindSafe(&mut run_consumer)) {
-            Ok(r) => r.map_err(|e| PipelineError::wrap("compute", e)),
-            Err(payload) => {
-                let err = PipelineError::panicked("compute", payload.as_ref());
-                record_failure(err.clone());
-                Err(err.into())
-            }
-        };
+        sup.run_stage(telemetry, "compute", "compute", consumer, || {
+            close_step_queues();
+            batch_queues.iter().for_each(BoundedQueue::close);
+            parts_queue.close();
+            wb_queue.close();
+        });
 
-        // Shut everything down (idempotent) so the scope can join even on
-        // the error path. The write-back queue is closed only now — after
-        // the consumer's last push — and close lets the drain pop what
-        // remains, so the drain writes out every detached eviction
-        // (success *and* abort paths) before the scope joins it.
-        clock.abort();
-        for q in step_queues.iter() {
-            q.close();
-        }
-        for q in batch_queues.iter() {
-            q.close();
-        }
-        parts_queue.close();
-        wb_queue.close();
-        // Join every stage before arbitrating so late failures are
-        // recorded and no thread outlives the verdict. Stage bodies catch
-        // their own panics, so these joins cannot themselves panic.
+        // The stage bodies run in the harness, so these joins cannot fail.
+        let (ctx_busy, ctx_stall) = ctx_handle.join().unwrap_or_default();
+        let (parts_busy, parts_stall) = parts_handle.join().unwrap_or_default();
+        report.prefetch_busy = ctx_busy + parts_busy;
+        report.prefetch_stall = ctx_stall + parts_stall;
         for handle in worker_handles {
-            let _ = handle.join();
+            let (busy, stall) = handle.join().unwrap_or_default();
+            report.sample_busy += busy;
+            report.sample_stall += stall;
         }
-        let _ = ctx_handle.join();
-        let _ = parts_handle.join();
-        let wb_result = match wb_handle.join() {
-            Ok(r) => r,
-            Err(payload) => {
-                Err(PipelineError::panicked("writeback-drain", payload.as_ref()).into())
-            }
-        };
-        let recorded = failure
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        // Arbitration: a recorded stage failure is the root cause of any
-        // cascade it triggered (closed queues, protocol errors), so it
-        // wins; a drain disk error likewise outranks the consumer's
-        // secondary verdict.
-        let outcome = match (result, wb_result, recorded) {
-            (_, _, Some(root)) => Err(root.into()),
-            (r, Ok(()), None) => r,
-            (_, Err(e), None) => Err(e),
-        };
-        if outcome.is_err() {
-            // A failed epoch may leave detached evictions that can no
-            // longer land. Nothing may block on them: the run is being
-            // abandoned and recovery goes through checkpoints.
-            ledger.abandon_pending();
-        }
-        outcome
+        (
+            report.writeback_busy,
+            report.writeback_stall,
+            report.partitions_written_back,
+        ) = wb_handle.join().unwrap_or_default();
     });
 
-    consumer_result?;
+    if let Some(err) = sup
+        .failure
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
+        return Err(err);
+    }
     debug_assert_eq!(
         ledger.pending_count(),
         0,
         "every detached eviction must drain before run_epoch returns"
     );
-    report.prefetch_busy = nanos(&clocks.prefetch_busy);
-    report.prefetch_stall = nanos(&clocks.prefetch_stall);
-    report.sample_busy = nanos(&clocks.sample_busy);
-    report.sample_stall = nanos(&clocks.sample_stall);
-    report.writeback_busy = nanos(&clocks.writeback_busy);
-    report.writeback_stall = nanos(&clocks.writeback_stall);
-    report.partitions_written_back = clocks.writeback_parts.load(Ordering::Relaxed) as usize;
     Ok(report)
 }
 
@@ -1219,6 +1012,7 @@ mod tests {
     use marius_storage::{IoEnv, PartitionStore};
     use marius_telemetry::Phase;
     use rand::Rng;
+    use std::sync::Arc;
 
     fn build_buffer(label: &str, num_nodes: u64, p: u32, capacity: usize) -> PartitionBuffer {
         observed_buffer(&Telemetry::disabled(), label, num_nodes, p, capacity)
@@ -1322,9 +1116,9 @@ mod tests {
                         sink((ctx.step, k));
                     }
                 },
-                |buffer, ctx, (step, k)| {
+                |buffer, (step, k)| {
                     assert_eq!(buffer.resident_partitions(), {
-                        let mut s = ctx.set.clone();
+                        let mut s = plan.partition_sets[step].clone();
                         s.sort_unstable();
                         s
                     });
@@ -1362,7 +1156,7 @@ mod tests {
             &mut buffer,
             17,
             |ctx, _rng, sink| sink(ctx.set[0]),
-            |buffer, _ctx, partition: PartitionId| {
+            |buffer, partition: PartitionId| {
                 let node = assignment.nodes_in(partition)[0];
                 let grad = marius_tensor::Tensor::ones(1, 4);
                 buffer.apply_update(&[node], &grad).unwrap();
@@ -1406,10 +1200,10 @@ mod tests {
                         sink(((ctx.step as u64) << 32) | (rng.gen::<u64>() >> 32));
                     }
                 },
-                |buffer, ctx, v| {
+                |buffer, v| {
                     // An update that depends on the batch, so the files
                     // record the order batches were applied in.
-                    let node = assignment.nodes_in(ctx.set[0])[0];
+                    let node = assignment.nodes_in(plan.partition_sets[(v >> 32) as usize][0])[0];
                     let grad = marius_tensor::Tensor::full(1, 4, (v % 97) as f32 * 0.01);
                     buffer.apply_update(&[node], &grad).unwrap();
                     out.lock().unwrap().push(v);
@@ -1459,25 +1253,41 @@ mod tests {
 
     #[test]
     fn in_order_schedule_records_no_pipeline_telemetry() {
-        let telemetry = Telemetry::enabled();
-        let mut buffer = observed_buffer(&telemetry, "pipe-in-order-telemetry", 40, 4, 2);
-        let plan = pair_plan(4, 2, 13);
-        let config = PipelineConfig::disabled();
-        let report = run_epoch(
-            &config,
-            &plan,
-            &mut buffer,
-            5,
-            |ctx, _rng, sink| sink(ctx.step),
-            |_buffer, _ctx, _step: usize| {},
-        )
-        .unwrap();
-        assert_eq!(report.batches, plan.partition_sets.len());
-        assert_eq!(report.partition_loads, plan.partition_loads());
-        assert_eq!(report.overlap_ratio(), 0.0);
-        assert!(telemetry.span_events().is_empty());
-        let snap = telemetry.metrics_snapshot();
-        assert_eq!(snap.counter("pipeline.steps"), None);
+        // The in-order schedule runs when the pipeline is disabled, and also
+        // when it is enabled over a plan with no steps.
+        let empty = EpochPlan {
+            partition_sets: vec![],
+            bucket_assignment: vec![],
+        };
+        for (label, config, plan) in [
+            ("disabled", PipelineConfig::disabled(), pair_plan(4, 2, 13)),
+            ("empty-plan", PipelineConfig::with_workers(2), empty),
+        ] {
+            let telemetry = Telemetry::enabled();
+            let mut buffer = observed_buffer(
+                &telemetry,
+                &format!("pipe-in-order-telemetry-{label}"),
+                40,
+                4,
+                2,
+            );
+            let report = run_epoch(
+                &config,
+                &plan,
+                &mut buffer,
+                5,
+                |ctx, _rng, sink| sink(ctx.step),
+                |_buffer, _step: usize| {},
+            )
+            .unwrap();
+            assert_eq!(report.batches, plan.partition_sets.len(), "{label}");
+            assert_eq!(report.partition_loads, plan.partition_loads(), "{label}");
+            assert_eq!(report.overlap_ratio(), 0.0, "{label}");
+            assert!(telemetry.span_events().is_empty(), "{label}");
+            let snap = telemetry.metrics_snapshot();
+            assert_eq!(snap.counter("pipeline.steps"), None, "{label}");
+            assert_eq!(snap.counter("pipeline.wall_time_ns"), None, "{label}");
+        }
     }
 
     #[test]
@@ -1495,7 +1305,7 @@ mod tests {
             &mut buffer,
             23,
             |ctx, _rng, sink| sink(ctx.set[0]),
-            |buffer, _ctx, partition: PartitionId| {
+            |buffer, partition: PartitionId| {
                 let node = assignment.nodes_in(partition)[0];
                 let grad = marius_tensor::Tensor::ones(1, 4);
                 buffer.apply_update(&[node], &grad).unwrap();
@@ -1522,7 +1332,7 @@ mod tests {
                     sink((ctx.step, k));
                 }
             },
-            |_buffer, _ctx, _batch: (usize, usize)| {},
+            |_buffer, _batch: (usize, usize)| {},
         )
         .unwrap();
         let snap = telemetry.metrics_snapshot();
@@ -1592,7 +1402,7 @@ mod tests {
                         sink(((ctx.step as u64) << 32) | (rng.gen::<u64>() >> 32));
                     }
                 },
-                |_buffer, _ctx, v| out.lock().unwrap().push(v),
+                |_buffer, v| out.lock().unwrap().push(v),
             )
             .unwrap();
             out.into_inner().unwrap()
@@ -1613,7 +1423,7 @@ mod tests {
             &mut buffer,
             1,
             |_ctx, _rng, sink| sink(0u32),
-            |_buffer, _ctx, _v| {},
+            |_buffer, _v| {},
         );
         assert!(result.is_err());
     }

@@ -62,7 +62,7 @@ fn permanent_fault_surfaces_as_a_typed_pipeline_error() {
         &mut buffer,
         7,
         |ctx, _rng, sink| sink(ctx.step),
-        |_buffer, _ctx, _step: usize| {},
+        |_buffer, _step: usize| {},
     )
     .expect_err("every disk op fails permanently");
     match &err {
@@ -100,7 +100,7 @@ fn compute_panic_converts_to_typed_error_and_buffer_survives() {
         &mut buffer,
         7,
         |ctx, _rng, sink| sink(ctx.step),
-        |_buffer, _ctx, step: usize| {
+        |_buffer, step: usize| {
             if step == 1 {
                 panic!("injected compute panic");
             }
@@ -126,7 +126,7 @@ fn compute_panic_converts_to_typed_error_and_buffer_survives() {
         &mut buffer,
         9,
         |ctx, _rng, sink| sink(ctx.step),
-        |_buffer, _ctx, _step: usize| consumed += 1,
+        |_buffer, _step: usize| consumed += 1,
     )
     .expect("clean rerun after a contained panic");
     assert_eq!(consumed, 3);
@@ -150,7 +150,7 @@ fn worker_panic_is_attributed_to_the_batch_worker_stage() {
             }
             sink(ctx.step);
         },
-        |_buffer, _ctx, _step: usize| {},
+        |_buffer, _step: usize| {},
     )
     .expect_err("a stage-2 worker panics");
     match &err {
@@ -161,4 +161,95 @@ fn worker_panic_is_attributed_to_the_batch_worker_stage() {
         other => panic!("expected a pipeline-stage error, got: {other}"),
     }
     assert_eq!(buffer.writeback_ledger().pending_count(), 0);
+}
+/// The stage a failed epoch names, with the orderly-shutdown checks every
+/// failure must pass: nothing left pending in the write-back ledger and no
+/// `.tmp` staging litter in the store.
+fn failed_stage(err: StorageError, buffer: &PartitionBuffer) -> String {
+    assert_eq!(buffer.writeback_ledger().pending_count(), 0);
+    for entry in std::fs::read_dir(buffer.store().root()).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        assert!(
+            !name.ends_with(".tmp"),
+            "staging litter after failure: {name}"
+        );
+    }
+    match err {
+        StorageError::Pipeline { stage, .. } => stage,
+        other => panic!("expected a pipeline-stage error, got: {other}"),
+    }
+}
+
+/// A torn edge-bucket file fails the context prefetcher's read of step 0.
+#[test]
+fn torn_bucket_is_attributed_to_the_context_prefetch_stage() {
+    let mut buffer = buffer_with("supervision-torn-bucket", false);
+    let root = buffer.store().root().to_path_buf();
+    let bucket = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        .iter()
+        .map(|(i, j)| root.join(format!("edge_bucket_{i}_{j}.bin")))
+        .find(|path| std::fs::metadata(path).is_ok_and(|m| m.len() > 0))
+        .expect("step 0 reads a non-empty bucket");
+    let bytes = std::fs::read(&bucket).unwrap();
+    std::fs::write(&bucket, &bytes[..bytes.len() - 1]).unwrap();
+    let err = run_epoch(
+        &PipelineConfig::with_workers(2),
+        &three_step_plan(),
+        &mut buffer,
+        7,
+        |ctx, _rng, sink| sink(ctx.step),
+        |_buffer, _step: usize| {},
+    )
+    .expect_err("step 0's bucket is torn");
+    assert_eq!(failed_stage(err, &buffer), "context-prefetch");
+}
+
+/// A missing partition file fails the partition prefetcher's read of step 0.
+#[test]
+fn missing_partition_is_attributed_to_the_partition_prefetch_stage() {
+    let mut buffer = buffer_with("supervision-missing-partition", false);
+    std::fs::remove_file(buffer.store().root().join("node_partition_0.bin")).unwrap();
+    let err = run_epoch(
+        &PipelineConfig::with_workers(2),
+        &three_step_plan(),
+        &mut buffer,
+        7,
+        |ctx, _rng, sink| sink(ctx.step),
+        |_buffer, _step: usize| {},
+    )
+    .expect_err("step 0's partition file is gone");
+    assert_eq!(failed_stage(err, &buffer), "partition-prefetch");
+}
+
+/// A partition whose file `consume` replaces with a non-empty directory
+/// fails the drain's write-back of its dirty eviction at step 1. The plan
+/// never re-reads the partition, so no other stage touches the path.
+#[test]
+fn unwritable_partition_is_attributed_to_the_writeback_drain_stage() {
+    let mut buffer = buffer_with("supervision-unwritable-partition", false);
+    let plan = EpochPlan {
+        partition_sets: vec![vec![0, 1], vec![2, 3]],
+        bucket_assignment: vec![vec![], vec![]],
+    };
+    let err = run_epoch(
+        &PipelineConfig::with_workers(2),
+        &plan,
+        &mut buffer,
+        7,
+        |ctx, _rng, sink| sink(ctx.step),
+        |buffer, step: usize| {
+            if step == 0 {
+                let node = buffer.assignment().nodes_in(0)[0];
+                buffer
+                    .apply_update(&[node], &marius_tensor::Tensor::ones(1, 4))
+                    .unwrap();
+                let path = buffer.store().root().join("node_partition_0.bin");
+                std::fs::remove_file(&path).unwrap();
+                std::fs::create_dir(&path).unwrap();
+                std::fs::write(path.join("occupied"), b"x").unwrap();
+            }
+        },
+    )
+    .expect_err("partition 0's eviction cannot be written");
+    assert_eq!(failed_stage(err, &buffer), "writeback-drain");
 }

@@ -3,9 +3,9 @@
 //!
 //! Both tests run against an *emulated slow device* so the window between a
 //! dirty eviction being detached and its bytes landing on disk is wide —
-//! without the split `swap` / `writeback` watermarks, the threaded
-//! prefetcher's re-read of an evicted partition would race (and lose to) the
-//! drain and observe stale bytes.
+//! without the `writeback` watermark, the threaded prefetcher's re-read of an
+//! evicted partition would race (and lose to) the drain and observe stale
+//! bytes.
 
 use marius_graph::{Edge, EdgeList, NodeId, Partitioner};
 use marius_pipeline::{run_epoch, EpochPlan, PipelineConfig};
@@ -81,7 +81,7 @@ fn reread_observes_drained_bytes(label: &str, config: PipelineConfig) {
         &mut buffer,
         7,
         |ctx, _rng, sink| sink(ctx.step),
-        |buffer, _ctx, step: usize| match step {
+        |buffer, step: usize| match step {
             0 => {
                 buffer.apply_update(&[node], &Tensor::ones(1, 4)).unwrap();
                 expected = Some(buffer.gather(&[node]).unwrap());
@@ -133,7 +133,7 @@ fn abort_leaves_no_torn_files(label: &str, config: PipelineConfig) {
         .position(|&n| n == node)
         .unwrap();
     // Step 2's set exceeds the buffer capacity of 2, so the consumer errors
-    // at its Begin — while the slow drain is still writing step 1's detached
+    // at its install — while the slow drain is still writing step 1's detached
     // evictions of partitions 0 and 1.
     let plan = EpochPlan {
         partition_sets: vec![vec![0, 1], vec![2, 3], vec![0, 1, 2]],
@@ -145,10 +145,10 @@ fn abort_leaves_no_torn_files(label: &str, config: PipelineConfig) {
         &mut buffer,
         11,
         |ctx, _rng, sink| sink(ctx.step),
-        |buffer, ctx, step: usize| {
+        |buffer, step: usize| {
             if step == 0 {
                 // Dirty both partitions of the first set.
-                for &p in &ctx.set {
+                for &p in &plan.partition_sets[step] {
                     let n = buffer.assignment().nodes_in(p)[0];
                     buffer.apply_update(&[n], &Tensor::ones(1, 4)).unwrap();
                 }

@@ -44,14 +44,18 @@ fn is_tmp(path: &Path) -> bool {
 /// a temporary sibling path, which is then renamed over `dst`. Readers observe
 /// either the old file or the new one, never a torn intermediate — the shared
 /// idiom behind [`PartitionStore::write_partition`], bucket writes, and the
-/// checkpoint snapshot path.
+/// checkpoint snapshot path. A failed placement removes its temporary
+/// sibling, so only a crash leaves `.tmp` litter behind.
 fn atomic_place<F>(dst: &Path, fill: F) -> std::io::Result<()>
 where
     F: FnOnce(&Path) -> std::io::Result<()>,
 {
     let tmp = tmp_sibling(dst);
-    fill(&tmp)?;
-    fs::rename(&tmp, dst)
+    let placed = fill(&tmp).and_then(|()| fs::rename(&tmp, dst));
+    if placed.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    placed
 }
 
 /// Atomically writes `bytes` to `path` (temp-file + rename). A reader — or a
@@ -192,8 +196,6 @@ pub struct IoStats {
     pub reads: u64,
     /// Number of write operations.
     pub writes: u64,
-    /// Size in bytes of the smallest read performed (0 if none yet).
-    pub min_read_bytes: u64,
     /// Number of transparently retried operations (transient faults absorbed
     /// by the store's [`crate::RetryPolicy`] without surfacing to callers).
     pub io_retries: u64,
@@ -212,7 +214,6 @@ struct IoCounters {
     bytes_written: AtomicU64,
     reads: AtomicU64,
     writes: AtomicU64,
-    min_read_bytes: AtomicU64,
     io_retries: AtomicU64,
     throttle_wait_ns: AtomicU64,
     /// The injector's monotonic fault count at the last
@@ -225,22 +226,6 @@ impl IoCounters {
     fn record_read(&self, bytes: u64) {
         self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
         self.reads.fetch_add(1, Ordering::Relaxed);
-        // Track the minimum non-zero read size.
-        let mut current = self.min_read_bytes.load(Ordering::Relaxed);
-        loop {
-            if current != 0 && current <= bytes {
-                break;
-            }
-            match self.min_read_bytes.compare_exchange(
-                current,
-                bytes,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(v) => current = v,
-            }
-        }
     }
 
     fn record_write(&self, bytes: u64) {
@@ -254,7 +239,6 @@ impl IoCounters {
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
             reads: self.reads.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
-            min_read_bytes: self.min_read_bytes.load(Ordering::Relaxed),
             io_retries: self.io_retries.load(Ordering::Relaxed),
             faults_injected: 0,
             throttle_wait: Duration::from_nanos(self.throttle_wait_ns.load(Ordering::Relaxed)),
@@ -548,7 +532,6 @@ impl PartitionStore {
         self.counters.bytes_written.store(0, Ordering::Relaxed);
         self.counters.reads.store(0, Ordering::Relaxed);
         self.counters.writes.store(0, Ordering::Relaxed);
-        self.counters.min_read_bytes.store(0, Ordering::Relaxed);
         self.counters.io_retries.store(0, Ordering::Relaxed);
         self.counters.throttle_wait_ns.store(0, Ordering::Relaxed);
         // The injector's fault counter is monotonic (it is shared across
@@ -1018,20 +1001,8 @@ mod tests {
         assert_eq!(stats.reads, 2);
         assert!(stats.bytes_written > 0);
         assert!(stats.bytes_read > 0);
-        assert!(stats.min_read_bytes > 0);
         store.reset_io_stats();
         assert_eq!(store.io_stats(), IoStats::default());
-    }
-
-    #[test]
-    fn min_read_tracks_smallest_read() {
-        let store = temp_store("min-read");
-        store.write_partition(0, &[1.0; 100], &[0.0; 100]).unwrap();
-        store.write_partition(1, &[1.0; 2], &[0.0; 2]).unwrap();
-        let _ = store.read_partition(0).unwrap();
-        let big_min = store.io_stats().min_read_bytes;
-        let _ = store.read_partition(1).unwrap();
-        assert!(store.io_stats().min_read_bytes < big_min);
     }
 
     #[test]

@@ -114,7 +114,6 @@ mod tests {
             bytes_written: 500_000_000,
             reads: 10,
             writes: 10,
-            min_read_bytes: 1,
             ..IoStats::default()
         };
         let t = m.stats_time(&stats);

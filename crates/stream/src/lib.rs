@@ -67,6 +67,8 @@
 //! assert_ne!(stream.batch(4), stream.batch(5));
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use marius_core::{DiskSetup, StreamState};
 use marius_graph::Edge;
 use marius_storage::disk::{decode_edges, encode_edges};

@@ -59,6 +59,8 @@
 //! assert!(trace.contains("compute-step"));
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 mod metrics;
 mod trace;
 
