@@ -205,8 +205,10 @@ epoch_report! {
     /// epoch (each one is an extra attempt of a partition/bucket/checkpoint
     /// operation). Zero on a healthy device.
     io_retries: u64 = 0,
-    /// Faults injected by an attached [`marius_storage::fault::FaultInjector`]
-    /// during the epoch; zero when no fault plan is armed.
+    /// Faults an attached [`marius_storage::fault::FaultInjector`] injected
+    /// into the training store's own operations during the epoch (the scope
+    /// of `io_retries`; faults in a stream's staging store are not counted);
+    /// zero when no fault plan is armed.
     faults_injected: u64 = 0,
     /// Number of checkpoint-resume recoveries that preceded this epoch in a
     /// `train_with_recovery` run; zero on an uninterrupted run.

@@ -51,7 +51,9 @@ use crate::task::{DiskSetup, Task};
 use marius_graph::datasets::ScaledDataset;
 use marius_graph::{InMemorySubgraph, NodeId, PartitionAssignment};
 use marius_pipeline::{run_epoch, writeback_safe_point, StepContext};
-use marius_storage::{EpochPlan, IoEnv, PartitionBuffer, PartitionStore, Result, StorageError};
+use marius_storage::{
+    BufferStats, EpochPlan, IoEnv, IoStats, PartitionBuffer, PartitionStore, Result, StorageError,
+};
 use marius_telemetry::{SpanScope, NO_LABEL};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -362,6 +364,7 @@ impl<T: Task> Trainer<T> {
             disk,
             setup,
             fixed_eval_source: None,
+            epoch_start: Default::default(),
         };
         let report = self.run_epochs(data, label, rng, model, &eval_ctx, &mut run)?;
         let _ = run.setup.store.clear();
@@ -593,6 +596,9 @@ struct Disk<'a, T: Task> {
     /// representations never change on disk, so it is built once. Learnable
     /// ones are reassembled from disk at every evaluation.
     fixed_eval_source: Option<Box<dyn RepresentationSource>>,
+    /// The store's and the buffer's counts when the current epoch began;
+    /// the epoch report carries the change since then.
+    epoch_start: (IoStats, BufferStats),
 }
 
 impl<T: Task> Executor<T> for Disk<'_, T> {
@@ -611,8 +617,7 @@ impl<T: Task> Executor<T> for Disk<'_, T> {
         rng: &mut StdRng,
         epoch: &mut EpochReport,
     ) -> Result<()> {
-        self.setup.store.reset_io_stats();
-        self.setup.buffer.reset_stats();
+        self.epoch_start = (self.setup.store.io_stats(), self.setup.buffer.stats());
         let plan = self.trainer.task.epoch_plan(self.disk, &self.setup, rng)?;
         // Every random draw inside the epoch derives from this seed (per
         // step), so the two schedules are interchangeable bit-for-bit.
@@ -638,7 +643,8 @@ impl<T: Task> Executor<T> for Disk<'_, T> {
             epoch.edges_ingested = hook(setup, epoch.epoch)?;
             span.end();
         }
-        let io = setup.store.io_stats();
+        let (io_start, buffer_start) = &self.epoch_start;
+        let io = setup.store.io_stats().since(io_start);
         epoch.io_bytes_read = io.bytes_read;
         epoch.io_bytes_written = io.bytes_written;
         epoch.io_time = self
@@ -650,7 +656,7 @@ impl<T: Task> Executor<T> for Disk<'_, T> {
         epoch.io_retries = io.io_retries;
         epoch.faults_injected = io.faults_injected;
         epoch.throttle_wait_time = io.throttle_wait;
-        let buffer_stats = setup.buffer.stats();
+        let buffer_stats = setup.buffer.stats().since(buffer_start);
         epoch.buffer_hits = buffer_stats.hits;
         epoch.buffer_misses = buffer_stats.misses;
         epoch.buffer_evictions = buffer_stats.evictions;

@@ -6,8 +6,8 @@
 //! queries that outlive their deadline at the next block boundary. Both
 //! outcomes are typed rejections ([`crate::ServeError::Overloaded`] /
 //! [`crate::ServeError::DeadlineExceeded`]) the client can act on, and both
-//! count into always-on atomics (visible through [`crate::Server::health`])
-//! plus the `server.shed` telemetry counter.
+//! count once, into the `server.shed` / `server.deadline_exceeded` counters
+//! that [`crate::Server::health`] reads back.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -23,9 +23,8 @@ pub(crate) struct Admission {
     /// Per-query deadline, if any.
     deadline: Option<Duration>,
     in_flight: AtomicU64,
-    /// Total queries shed (always-on; telemetry may be disabled).
-    shed_total: AtomicU64,
-    shed: Counter,
+    /// Queries shed (`server.shed`).
+    pub(crate) shed: Counter,
 }
 
 impl Admission {
@@ -40,7 +39,6 @@ impl Admission {
             limit: limit.unwrap_or(u64::MAX).max(1),
             deadline,
             in_flight: AtomicU64::new(0),
-            shed_total: AtomicU64::new(0),
             shed: telemetry.counter("server.shed"),
         }
     }
@@ -52,7 +50,6 @@ impl Admission {
         let prev = self.in_flight.fetch_add(1, Ordering::AcqRel);
         if prev >= self.limit {
             self.in_flight.fetch_sub(1, Ordering::AcqRel);
-            self.shed_total.fetch_add(1, Ordering::Relaxed);
             self.shed.incr();
             return Err(ServeError::Overloaded {
                 in_flight: prev,
@@ -74,10 +71,6 @@ impl Admission {
 
     pub(crate) fn in_flight(&self) -> u64 {
         self.in_flight.load(Ordering::Acquire)
-    }
-
-    pub(crate) fn shed_total(&self) -> u64 {
-        self.shed_total.load(Ordering::Relaxed)
     }
 
     /// The configured budget, `None` when unbounded.
@@ -143,7 +136,7 @@ mod tests {
                 limit: 2
             }
         ));
-        assert_eq!(admission.shed_total(), 1);
+        assert_eq!(admission.shed.get(), 1);
         drop(a);
         assert_eq!(admission.in_flight(), 1);
         let _c = admission.admit().unwrap();

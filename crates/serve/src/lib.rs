@@ -126,10 +126,14 @@
 //! All server internals record `server.*` telemetry through
 //! `marius_telemetry`: per-query spans, `server.cache.hit`/`miss`/`bypass`/
 //! `quarantine` counters, `server.error.{transient,permanent}`,
-//! `server.shed`, `server.deadline_exceeded`, `server.reload.{count,epoch}`,
-//! and per-query-kind latency histograms (`server.latency_us.*`).
+//! `server.shed`, `server.deadline_exceeded`,
+//! `server.reload.{count,error,epoch}`, and per-query-kind latency
+//! histograms (`server.latency_us.*`). [`Server::health`] reads the same
+//! counters, which count whether or not a recorder is attached.
 //!
 //! [`ModelConfig::paper_distmult`]: marius_core::ModelConfig::paper_distmult
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod admission;
 mod backend;
@@ -147,7 +151,6 @@ pub use workload::ZipfWorkload;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -367,8 +370,9 @@ impl TopK {
 }
 
 /// A point-in-time readiness/liveness snapshot of one [`Server`], from
-/// [`Server::health`]. All counters are monotonic since server construction
-/// and always on — they do not require an enabled [`Telemetry`] recorder.
+/// [`Server::health`]. Each counter is monotonic since server construction
+/// and reads the server's own `server.*` counter — the one an enabled
+/// [`Telemetry`] recorder reports — so it needs no recorder to count.
 #[derive(Debug, Clone)]
 pub struct ServerHealth {
     /// Epochs completed by the currently served checkpoint version.
@@ -401,17 +405,6 @@ pub struct ServerHealth {
     pub store_retries: u64,
     /// Faults injected by the attached [`FaultInjector`], if any.
     pub faults_injected: u64,
-}
-
-/// Always-on degradation counters (telemetry handles are no-ops when the
-/// recorder is disabled, so health reporting needs its own atomics).
-#[derive(Default)]
-struct ServerStats {
-    transient: AtomicU64,
-    permanent: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    reloads: AtomicU64,
-    reload_errors: AtomicU64,
 }
 
 /// One loaded checkpoint version: everything a query touches, pinned
@@ -702,7 +695,6 @@ pub struct Server {
     admission: Admission,
     query_retries: u32,
     telemetry: Telemetry,
-    stats: ServerStats,
     err_transient: Counter,
     err_permanent: Counter,
     deadline_count: Counter,
@@ -764,7 +756,6 @@ impl Server {
             reload_lock: Mutex::new(()),
             admission: Admission::new(config.max_in_flight, config.deadline, &telemetry),
             query_retries: config.query_retries.unwrap_or(1),
-            stats: ServerStats::default(),
             err_transient: telemetry.counter("server.error.transient"),
             err_permanent: telemetry.counter("server.error.permanent"),
             deadline_count: telemetry.counter("server.deadline_exceeded"),
@@ -852,8 +843,8 @@ impl Server {
     }
 
     /// A readiness/liveness snapshot: current epoch, in-flight load, cache
-    /// occupancy and every degradation counter. All counters are always on —
-    /// they do not require an enabled telemetry recorder.
+    /// occupancy and every degradation counter, read from the server's
+    /// `server.*` counters (which count with or without a recorder).
     pub fn health(&self) -> ServerHealth {
         let snap = self.snapshot.load();
         ServerHealth {
@@ -866,12 +857,12 @@ impl Server {
                 .backend
                 .cache()
                 .map(ReadCache::quarantined_partitions),
-            transient_errors: self.stats.transient.load(AtomicOrdering::Relaxed),
-            permanent_errors: self.stats.permanent.load(AtomicOrdering::Relaxed),
-            shed: self.admission.shed_total(),
-            deadline_exceeded: self.stats.deadline_exceeded.load(AtomicOrdering::Relaxed),
-            reloads: self.stats.reloads.load(AtomicOrdering::Relaxed),
-            reload_errors: self.stats.reload_errors.load(AtomicOrdering::Relaxed),
+            transient_errors: self.err_transient.get(),
+            permanent_errors: self.err_permanent.get(),
+            shed: self.admission.shed.get(),
+            deadline_exceeded: self.deadline_count.get(),
+            reloads: self.reload_count.get(),
+            reload_errors: self.reload_errs.get(),
             store_retries: snap
                 .backend
                 .store()
@@ -905,7 +896,6 @@ impl Server {
         }
         let epoch = fresh.epoch;
         self.snapshot.store(Arc::new(fresh));
-        self.stats.reloads.fetch_add(1, AtomicOrdering::Relaxed);
         self.reload_count.incr();
         self.telemetry
             .gauge("server.reload.epoch")
@@ -923,9 +913,6 @@ impl Server {
     }
 
     pub(crate) fn note_reload_error(&self) {
-        self.stats
-            .reload_errors
-            .fetch_add(1, AtomicOrdering::Relaxed);
         self.reload_errs.incr();
     }
 
@@ -1014,14 +1001,10 @@ impl Server {
             match out {
                 Ok(value) => return Ok(value),
                 Err(e @ ServeError::DeadlineExceeded { .. }) => {
-                    self.stats
-                        .deadline_exceeded
-                        .fetch_add(1, AtomicOrdering::Relaxed);
                     self.deadline_count.incr();
                     return Err(e);
                 }
                 Err(e @ ServeError::Transient { .. }) => {
-                    self.stats.transient.fetch_add(1, AtomicOrdering::Relaxed);
                     self.err_transient.incr();
                     if attempt < self.query_retries {
                         attempt += 1;
@@ -1030,7 +1013,6 @@ impl Server {
                     return Err(e);
                 }
                 Err(e @ ServeError::Permanent { .. }) => {
-                    self.stats.permanent.fetch_add(1, AtomicOrdering::Relaxed);
                     self.err_permanent.incr();
                     return Err(e);
                 }

@@ -50,7 +50,9 @@ impl SnapshotHandle {
 /// Handle to the background thread that polls a checkpoint root and hot-swaps
 /// new versions into a shared [`Server`]. Obtained from
 /// [`Server::watch_checkpoints`]; dropping it (or calling
-/// [`CheckpointWatcher::stop`]) stops the thread and joins it.
+/// [`CheckpointWatcher::stop`]) stops the thread and joins it. If the thread
+/// cannot be spawned, the watcher has none: the server keeps serving its
+/// snapshot and counts the failure in `health().reload_errors`.
 pub struct CheckpointWatcher {
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
@@ -60,15 +62,16 @@ impl CheckpointWatcher {
     pub(crate) fn spawn(server: Arc<Server>, poll: Duration) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
+        let watched = Arc::clone(&server);
+        let spawned = std::thread::Builder::new()
             .name("serve-ckpt-watch".to_string())
             .spawn(move || {
                 while !flag.load(Ordering::Relaxed) {
-                    if server.reload().is_err() {
+                    if watched.reload().is_err() {
                         // A checkpoint mid-write or a transient device fault:
                         // keep serving the current snapshot and try again at
                         // the next poll.
-                        server.note_reload_error();
+                        watched.note_reload_error();
                     }
                     // Sleep in short slices so stop() returns promptly even
                     // under a long poll interval.
@@ -80,11 +83,13 @@ impl CheckpointWatcher {
                         slept += nap;
                     }
                 }
-            })
-            .expect("spawn checkpoint watcher thread");
+            });
+        if spawned.is_err() {
+            server.note_reload_error();
+        }
         CheckpointWatcher {
             stop,
-            handle: Some(handle),
+            handle: spawned.ok(),
         }
     }
 

@@ -37,7 +37,9 @@ impl ZipfWorkload {
         for v in &mut cdf {
             *v /= total;
         }
-        *cdf.last_mut().expect("non-empty cdf") = 1.0;
+        if let Some(last) = cdf.last_mut() {
+            *last = 1.0;
+        }
         ZipfWorkload {
             cdf,
             num_relations: num_relations.max(1),

@@ -174,11 +174,11 @@ impl WritebackLedger {
     }
 }
 
-/// Monotonic swap-activity counters of a [`PartitionBuffer`]: how many
+/// Swap activity of a [`PartitionBuffer`] since it was built: how many
 /// partitions of each requested set were already resident (hits), how many
 /// had to be read from disk (misses), and how many residents were evicted to
-/// make room. Counted on every swap; reset per epoch by the trainer via
-/// [`PartitionBuffer::reset_stats`], like the store's IO stats.
+/// make room. Monotonic, like the store's [`crate::IoStats`]; a window's
+/// figures are the difference of two snapshots ([`BufferStats::since`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BufferStats {
     /// Requested partitions that were already resident at swap time.
@@ -189,20 +189,31 @@ pub struct BufferStats {
     pub evictions: u64,
 }
 
-/// Live telemetry handles mirroring buffer swap activity under `buffer.*`
-/// names, in the recorder of the store's [`crate::IoEnv`] (no-ops under a
-/// disabled one).
+impl BufferStats {
+    /// The swap activity between the snapshot `earlier` and this one.
+    pub fn since(&self, earlier: &BufferStats) -> BufferStats {
+        BufferStats {
+            hits: self.hits.saturating_sub(earlier.hits),
+            misses: self.misses.saturating_sub(earlier.misses),
+            evictions: self.evictions.saturating_sub(earlier.evictions),
+        }
+    }
+}
+
+/// A buffer's swap counts, its `buffer.*` counters registered in the
+/// recorder of the store's [`crate::IoEnv`] (counting whether that recorder
+/// is enabled or not), and the write-back ledger's occupancy histogram.
 #[derive(Debug)]
-struct BufferTelemetry {
+struct BufferCounters {
     hits: Counter,
     misses: Counter,
     evictions: Counter,
     ledger_occupancy: Histogram,
 }
 
-impl BufferTelemetry {
-    fn attach(telemetry: &Telemetry) -> Self {
-        BufferTelemetry {
+impl BufferCounters {
+    fn register(telemetry: &Telemetry) -> Self {
+        BufferCounters {
             hits: telemetry.counter("buffer.hits"),
             misses: telemetry.counter("buffer.misses"),
             evictions: telemetry.counter("buffer.evictions"),
@@ -230,18 +241,16 @@ pub struct PartitionBuffer {
     /// Shared with the pipeline's write-back drain: which partitions have
     /// detached (deferred-dirty) contents that are not yet on disk.
     ledger: Arc<WritebackLedger>,
-    /// Swap hit/miss/eviction counters (always on; plain integers).
-    stats: BufferStats,
-    /// Live `buffer.*` telemetry (no-ops under a disabled recorder).
-    telemetry: BufferTelemetry,
+    /// Swap hit/miss/eviction counts (`buffer.*`).
+    counters: BufferCounters,
 }
 
 impl PartitionBuffer {
     /// Creates a buffer over `store` for the given node-partition assignment.
     /// The buffer records into the recorder of the store's
     /// [`crate::IoEnv`]: the `buffer.hits` / `buffer.misses` /
-    /// `buffer.evictions` counters and the `writeback.ledger_occupancy`
-    /// histogram. The plain [`BufferStats`] counters are kept either way.
+    /// `buffer.evictions` counters, which [`PartitionBuffer::stats`] reads
+    /// back, and the `writeback.ledger_occupancy` histogram.
     pub fn new(
         store: PartitionStore,
         assignment: PartitionAssignment,
@@ -264,8 +273,7 @@ impl PartitionBuffer {
             node_location,
             resident: HashMap::new(),
             ledger: Arc::new(WritebackLedger::default()),
-            stats: BufferStats::default(),
-            telemetry: BufferTelemetry::attach(&store.env().telemetry),
+            counters: BufferCounters::register(&store.env().telemetry),
             store,
         }
     }
@@ -302,24 +310,21 @@ impl PartitionBuffer {
         &self.store
     }
 
-    /// A snapshot of the swap hit/miss/eviction counters.
+    /// A snapshot of the swap hit/miss/eviction counts since the buffer was
+    /// built.
     pub fn stats(&self) -> BufferStats {
-        self.stats
-    }
-
-    /// Resets the swap counters (used between epochs by the trainer, like
-    /// [`PartitionStore::reset_io_stats`]).
-    pub fn reset_stats(&mut self) {
-        self.stats = BufferStats::default();
+        BufferStats {
+            hits: self.counters.hits.get(),
+            misses: self.counters.misses.get(),
+            evictions: self.counters.evictions.get(),
+        }
     }
 
     /// Records one completed swap: `hits` partitions of the requested set
     /// were already resident, `misses` were read from disk.
     fn note_swap(&mut self, hits: u64, misses: u64) {
-        self.stats.hits += hits;
-        self.stats.misses += misses;
-        self.telemetry.hits.add(hits);
-        self.telemetry.misses.add(misses);
+        self.counters.hits.add(hits);
+        self.counters.misses.add(misses);
     }
 
     /// Writes initial random embeddings (and zero optimizer state) for every
@@ -403,7 +408,7 @@ impl PartitionBuffer {
         for e in &evicted {
             self.ledger.mark_pending(e.id);
         }
-        self.telemetry
+        self.counters
             .ledger_occupancy
             .record(self.ledger.pending_count() as u64);
         Ok(evicted)
@@ -502,8 +507,7 @@ impl PartitionBuffer {
             .filter(|p| !wanted.contains(p))
             .collect();
         to_evict.sort_unstable();
-        self.stats.evictions += to_evict.len() as u64;
-        self.telemetry.evictions.add(to_evict.len() as u64);
+        self.counters.evictions.add(to_evict.len() as u64);
         let mut evicted = Vec::with_capacity(to_evict.len());
         for p in to_evict {
             if let Some(data) = self.resident.remove(&p) {
@@ -784,9 +788,9 @@ mod tests {
     #[test]
     fn io_stats_reflect_partition_traffic() {
         let (mut buffer, _) = build_buffer("iostats", 40, 4, 2, true);
-        buffer.store().reset_io_stats();
+        let before = buffer.store().io_stats();
         swap(&mut buffer, &[0, 1]).unwrap();
-        let stats = buffer.store().io_stats();
+        let stats = buffer.store().io_stats().since(&before);
         assert!(stats.reads >= 2);
         assert!(stats.bytes_read > 0);
     }

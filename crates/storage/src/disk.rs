@@ -8,6 +8,7 @@
 //! bounds the number of physical partitions.
 
 use crate::env::IoEnv;
+use crate::fault::FaultInjector;
 use crate::io_model::IoCostModel;
 use crate::retry;
 use crate::{Result, StorageError};
@@ -16,7 +17,6 @@ use marius_telemetry::{Counter, Telemetry};
 use std::fs;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -185,7 +185,9 @@ fn atomic_link_or_copy(src: &Path, dst: &Path) -> std::io::Result<()> {
     })
 }
 
-/// Counters describing the IO a [`PartitionStore`] has performed.
+/// The IO a [`PartitionStore`] has performed since it was opened. The
+/// counts are monotonic; a window's figures are the difference of two
+/// snapshots ([`IoStats::since`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct IoStats {
     /// Total bytes read from disk.
@@ -199,8 +201,8 @@ pub struct IoStats {
     /// Number of transparently retried operations (transient faults absorbed
     /// by the store's [`crate::RetryPolicy`] without surfacing to callers).
     pub io_retries: u64,
-    /// Number of faults injected by the store's
-    /// [`crate::fault::FaultInjector`], if any (0 on real devices).
+    /// Number of faults the store's [`crate::fault::FaultInjector`], if any,
+    /// injected into this store's own operations (0 on real devices).
     pub faults_injected: u64,
     /// Total time operations spent blocked on the emulated device's
     /// reservation queue ([`PartitionStore::with_emulated_device`]); zero on
@@ -208,49 +210,26 @@ pub struct IoStats {
     pub throttle_wait: Duration,
 }
 
-#[derive(Debug, Default)]
-struct IoCounters {
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
-    reads: AtomicU64,
-    writes: AtomicU64,
-    io_retries: AtomicU64,
-    throttle_wait_ns: AtomicU64,
-    /// The injector's monotonic fault count at the last
-    /// [`PartitionStore::reset_io_stats`], so per-epoch snapshots report a
-    /// delta like every other counter.
-    faults_baseline: AtomicU64,
-}
-
-impl IoCounters {
-    fn record_read(&self, bytes: u64) {
-        self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
-        self.reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn record_write(&self, bytes: u64) {
-        self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
-        self.writes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> IoStats {
+impl IoStats {
+    /// The IO performed between the snapshot `earlier` and this one.
+    pub fn since(&self, earlier: &IoStats) -> IoStats {
         IoStats {
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            io_retries: self.io_retries.load(Ordering::Relaxed),
-            faults_injected: 0,
-            throttle_wait: Duration::from_nanos(self.throttle_wait_ns.load(Ordering::Relaxed)),
+            bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
+            bytes_written: self.bytes_written.saturating_sub(earlier.bytes_written),
+            reads: self.reads.saturating_sub(earlier.reads),
+            writes: self.writes.saturating_sub(earlier.writes),
+            io_retries: self.io_retries.saturating_sub(earlier.io_retries),
+            faults_injected: self.faults_injected.saturating_sub(earlier.faults_injected),
+            throttle_wait: self.throttle_wait.saturating_sub(earlier.throttle_wait),
         }
     }
 }
 
-/// Live telemetry counter handles mirroring the store's IO activity into the
-/// [`Telemetry`] registry of the store's [`IoEnv`] under `storage.*` names.
-/// All handles are no-ops under a disabled recorder.
+/// A store's IO counts: its `storage.*` counters, registered in the
+/// recorder of its [`IoEnv`] and counting whether that recorder is enabled
+/// or not. Clones of a store share them.
 #[derive(Debug, Clone)]
-struct StoreTelemetry {
+struct IoCounters {
     reads: Counter,
     writes: Counter,
     bytes_read: Counter,
@@ -260,9 +239,9 @@ struct StoreTelemetry {
     throttle_wait_ns: Counter,
 }
 
-impl StoreTelemetry {
-    fn attach(telemetry: &Telemetry) -> Self {
-        StoreTelemetry {
+impl IoCounters {
+    fn register(telemetry: &Telemetry) -> Self {
+        IoCounters {
             reads: telemetry.counter("storage.reads"),
             writes: telemetry.counter("storage.writes"),
             bytes_read: telemetry.counter("storage.bytes_read"),
@@ -271,6 +250,16 @@ impl StoreTelemetry {
             faults_injected: telemetry.counter("storage.faults_injected"),
             throttle_wait_ns: telemetry.counter("storage.throttle_wait_ns"),
         }
+    }
+
+    fn record_read(&self, bytes: u64) {
+        self.reads.incr();
+        self.bytes_read.add(bytes);
+    }
+
+    fn record_write(&self, bytes: u64) {
+        self.writes.incr();
+        self.bytes_written.add(bytes);
     }
 }
 
@@ -333,21 +322,21 @@ impl DeviceGate {
 ///
 /// A store carries the [`IoEnv`] it was opened under
 /// ([`PartitionStore::env`]): its fault injector and retry policy apply to
-/// every operation, and its recorder receives the `storage.*` counters
-/// (`storage.reads`, `storage.writes`, `storage.bytes_read`,
-/// `storage.bytes_written`, `storage.io_retries`, `storage.faults_injected`,
-/// `storage.throttle_wait_ns`). [`PartitionStore::open`] opens under the
+/// every operation. The store counts its IO once, into the `storage.*`
+/// counters it registers in the env's recorder (`storage.reads`,
+/// `storage.writes`, `storage.bytes_read`, `storage.bytes_written`,
+/// `storage.io_retries`, `storage.faults_injected`,
+/// `storage.throttle_wait_ns`); [`PartitionStore::io_stats`] reads the same
+/// counts, monotonic since open. [`PartitionStore::open`] opens under the
 /// default environment; [`IoEnv::open_store`] under any other.
 #[derive(Debug, Clone)]
 pub struct PartitionStore {
     root: PathBuf,
-    counters: Arc<IoCounters>,
+    counters: IoCounters,
     /// When set, reads/writes are slowed to this shared device emulation.
     throttle: Option<Arc<DeviceGate>>,
     /// Fault injector, retry policy and recorder, fixed at open.
     env: IoEnv,
-    /// Live `storage.*` counters (no-ops under a disabled recorder).
-    telemetry: StoreTelemetry,
 }
 
 impl PartitionStore {
@@ -375,9 +364,8 @@ impl PartitionStore {
         }
         Ok(PartitionStore {
             root: root.as_ref().to_path_buf(),
-            counters: Arc::new(IoCounters::default()),
+            counters: IoCounters::register(&env.telemetry),
             throttle: None,
-            telemetry: StoreTelemetry::attach(&env.telemetry),
             env,
         })
     }
@@ -400,54 +388,22 @@ impl PartitionStore {
     }
 
     /// Runs `op` under the store's retry policy, classifying errors through
-    /// [`StorageError::is_transient`] and counting retries into the IO stats
-    /// (and, under an enabled recorder, into the `storage.io_retries` /
-    /// `storage.faults_injected` counters as deltas around the operation).
+    /// [`StorageError::is_transient`]; each retry counts into
+    /// `storage.io_retries`.
     fn retrying<T>(&self, key: &str, op: impl FnMut() -> Result<T>) -> Result<T> {
-        if !self.telemetry.io_retries.is_enabled() {
-            return retry::with_retry(
-                &self.env.retry,
-                self.env.retry.op_seed(key),
-                &self.counters.io_retries,
-                op,
-            );
-        }
-        let retries_before = self.counters.io_retries.load(Ordering::Relaxed);
-        let faults_before = self.env.faults.as_ref().map_or(0, |f| f.faults_injected());
-        let out = retry::with_retry(
+        retry::with_retry(
             &self.env.retry,
             self.env.retry.op_seed(key),
-            &self.counters.io_retries,
+            self.counters.io_retries.cell(),
             op,
-        );
-        let retries_after = self.counters.io_retries.load(Ordering::Relaxed);
-        let faults_after = self.env.faults.as_ref().map_or(0, |f| f.faults_injected());
-        self.telemetry
-            .io_retries
-            .add(retries_after.saturating_sub(retries_before));
-        self.telemetry
-            .faults_injected
-            .add(faults_after.saturating_sub(faults_before));
-        out
+        )
     }
 
-    /// Checks a read against the fault schedule, if the store has one.
-    fn check_read_fault(&self, key: &str) -> Result<()> {
+    /// Checks one operation against the fault schedule, if the store has
+    /// one, and counts the fault it injects.
+    fn check_fault(&self, check: impl FnOnce(&FaultInjector) -> Result<()>) -> Result<()> {
         match &self.env.faults {
-            Some(f) => f.check_read(key),
-            None => Ok(()),
-        }
-    }
-
-    /// Checks a write against the fault schedule. An injected torn write
-    /// leaves a prefix of `bytes` at `path`'s staging sibling — exactly the
-    /// litter a crash mid-[`atomic_write`] would leave — before failing.
-    fn check_write_fault(&self, key: &str, path: &Path, bytes: &[u8]) -> Result<()> {
-        match &self.env.faults {
-            Some(f) => f.check_write(key, |frac| {
-                let torn = ((bytes.len() as f64) * frac) as usize;
-                let _ = fs::write(tmp_sibling(path), &bytes[..torn.min(bytes.len())]);
-            }),
+            Some(f) => check(f).inspect_err(|_| self.counters.faults_injected.incr()),
             None => Ok(()),
         }
     }
@@ -460,7 +416,14 @@ impl PartitionStore {
     /// (retries still count into `io_retries`).
     pub fn place_file(&self, key: &str, path: &Path, bytes: &[u8]) -> Result<()> {
         self.retrying(key, || {
-            self.check_write_fault(key, path, bytes)?;
+            // An injected torn write leaves a prefix of `bytes` at the
+            // staging sibling: the litter a crash mid-write would leave.
+            self.check_fault(|f| {
+                f.check_write(key, |frac| {
+                    let torn = ((bytes.len() as f64) * frac) as usize;
+                    let _ = fs::write(tmp_sibling(path), &bytes[..torn.min(bytes.len())]);
+                })
+            })?;
             atomic_write(path, bytes).map_err(StorageError::from)
         })
     }
@@ -469,29 +432,10 @@ impl PartitionStore {
     /// accounts the reservation wait.
     fn throttle_op(&self, bytes: u64) {
         if let Some(gate) = &self.throttle {
-            let waited = gate.charge(bytes);
-            if !waited.is_zero() {
-                self.counters.throttle_wait_ns.fetch_add(
-                    u64::try_from(waited.as_nanos()).unwrap_or(u64::MAX),
-                    Ordering::Relaxed,
-                );
-                self.telemetry.throttle_wait_ns.add_duration(waited);
-            }
+            self.counters
+                .throttle_wait_ns
+                .add_duration(gate.charge(bytes));
         }
-    }
-
-    /// Records one read of `bytes` into the IO counters and telemetry.
-    fn note_read(&self, bytes: u64) {
-        self.counters.record_read(bytes);
-        self.telemetry.reads.incr();
-        self.telemetry.bytes_read.add(bytes);
-    }
-
-    /// Records one write of `bytes` into the IO counters and telemetry.
-    fn note_write(&self, bytes: u64) {
-        self.counters.record_write(bytes);
-        self.telemetry.writes.incr();
-        self.telemetry.bytes_written.add(bytes);
     }
 
     /// Opens a store in a fresh unique subdirectory of the system temp dir.
@@ -515,31 +459,18 @@ impl PartitionStore {
         &self.root
     }
 
-    /// Returns a snapshot of the IO counters.
+    /// A snapshot of the store's IO counts since it was opened (shared by
+    /// its clones).
     pub fn io_stats(&self) -> IoStats {
-        let mut stats = self.counters.snapshot();
-        if let Some(faults) = &self.env.faults {
-            stats.faults_injected = faults
-                .faults_injected()
-                .saturating_sub(self.counters.faults_baseline.load(Ordering::Relaxed));
-        }
-        stats
-    }
-
-    /// Resets the IO counters (used between epochs by the experiment harnesses).
-    pub fn reset_io_stats(&self) {
-        self.counters.bytes_read.store(0, Ordering::Relaxed);
-        self.counters.bytes_written.store(0, Ordering::Relaxed);
-        self.counters.reads.store(0, Ordering::Relaxed);
-        self.counters.writes.store(0, Ordering::Relaxed);
-        self.counters.io_retries.store(0, Ordering::Relaxed);
-        self.counters.throttle_wait_ns.store(0, Ordering::Relaxed);
-        // The injector's fault counter is monotonic (it is shared across
-        // clones and trainer restarts); re-baseline instead of resetting.
-        if let Some(faults) = &self.env.faults {
-            self.counters
-                .faults_baseline
-                .store(faults.faults_injected(), Ordering::Relaxed);
+        let c = &self.counters;
+        IoStats {
+            bytes_read: c.bytes_read.get(),
+            bytes_written: c.bytes_written.get(),
+            reads: c.reads.get(),
+            writes: c.writes.get(),
+            io_retries: c.io_retries.get(),
+            faults_injected: c.faults_injected.get(),
+            throttle_wait: Duration::from_nanos(c.throttle_wait_ns.get()),
         }
     }
 
@@ -576,7 +507,7 @@ impl PartitionStore {
             buf.extend_from_slice(&s.to_le_bytes());
         }
         self.place_file(&format!("partition/{id}"), &self.partition_path(id), &buf)?;
-        self.note_write(buf.len() as u64);
+        self.counters.record_write(buf.len() as u64);
         self.throttle_op(buf.len() as u64);
         Ok(())
     }
@@ -587,7 +518,7 @@ impl PartitionStore {
     pub fn read_partition(&self, id: PartitionId) -> Result<(Vec<f32>, Vec<f32>)> {
         let key = format!("partition/{id}");
         self.retrying(&key, || {
-            self.check_read_fault(&key)?;
+            self.check_fault(|f| f.check_read(&key))?;
             self.read_partition_once(id)
         })
     }
@@ -608,7 +539,7 @@ impl PartitionStore {
     ) -> Result<Vec<f32>> {
         let key = format!("partition/{id}");
         self.retrying(&key, || {
-            self.check_read_fault(&key)?;
+            self.check_fault(|f| f.check_read(&key))?;
             self.read_values_once(id, expected_rows, dim)
         })
     }
@@ -630,7 +561,7 @@ impl PartitionStore {
     fn read_partition_once(&self, id: PartitionId) -> Result<(Vec<f32>, Vec<f32>)> {
         let mut buf = Vec::new();
         self.open_partition(id)?.read_to_end(&mut buf)?;
-        self.note_read(buf.len() as u64);
+        self.counters.record_read(buf.len() as u64);
         self.throttle_op(buf.len() as u64);
         let (value_len, body) = partition_header(id, &buf)?;
         let (values, state) = split_values(id, body, value_len)?;
@@ -669,7 +600,7 @@ impl PartitionStore {
         self.open_partition(id)?
             .take(wanted_bytes as u64)
             .read_to_end(&mut buf)?;
-        self.note_read(buf.len() as u64);
+        self.counters.record_read(buf.len() as u64);
         self.throttle_op(buf.len() as u64);
         let (value_len, body) = partition_header(id, &buf)?;
         if value_len != expected_values as u64 {
@@ -690,7 +621,7 @@ impl PartitionStore {
             &self.bucket_path(src, dst),
             &buf,
         )?;
-        self.note_write(buf.len() as u64);
+        self.counters.record_write(buf.len() as u64);
         self.throttle_op(buf.len() as u64);
         Ok(())
     }
@@ -700,7 +631,7 @@ impl PartitionStore {
     pub fn read_bucket(&self, src: PartitionId, dst: PartitionId) -> Result<Vec<Edge>> {
         let key = format!("bucket/{src}_{dst}");
         self.retrying(&key, || {
-            self.check_read_fault(&key)?;
+            self.check_fault(|f| f.check_read(&key))?;
             self.read_bucket_once(src, dst)
         })
     }
@@ -713,7 +644,7 @@ impl PartitionStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(StorageError::Io(e)),
         };
-        self.note_read(buf.len().max(1) as u64);
+        self.counters.record_read(buf.len().max(1) as u64);
         self.throttle_op(buf.len().max(1) as u64);
         decode_edges(&buf)
     }
@@ -781,9 +712,7 @@ impl PartitionStore {
             // Each placement stages inside `to`, so a failing attempt tears
             // nothing a reader of `from` (or a finished snapshot) observes.
             self.retrying(&key, || {
-                if let Some(f) = &self.env.faults {
-                    f.check_write(&key, |_| {})?;
-                }
+                self.check_fault(|f| f.check_write(&key, |_| {}))?;
                 atomic_link_or_copy(&path, &target).map_err(StorageError::from)
             })?;
         }
@@ -856,9 +785,9 @@ mod tests {
     fn read_expect_never_reads_the_optimizer_state() {
         let store = temp_store("read-expect-bytes");
         store.write_partition(0, &[1.0; 64], &[0.0; 64]).unwrap();
-        store.reset_io_stats();
+        let before = store.io_stats();
         store.read_partition_expect(0, 8, 8).unwrap();
-        assert_eq!(store.io_stats().bytes_read, 8 + 64 * 4);
+        assert_eq!(store.io_stats().since(&before).bytes_read, 8 + 64 * 4);
     }
 
     /// Every prefix of a valid partition file — including cuts inside the
@@ -1001,8 +930,13 @@ mod tests {
         assert_eq!(stats.reads, 2);
         assert!(stats.bytes_written > 0);
         assert!(stats.bytes_read > 0);
-        store.reset_io_stats();
-        assert_eq!(store.io_stats(), IoStats::default());
+        let _ = store.read_bucket(0, 0).unwrap();
+        let expected = IoStats {
+            reads: 1,
+            bytes_read: Edge::DISK_BYTES as u64,
+            ..IoStats::default()
+        };
+        assert_eq!(store.io_stats().since(&stats), expected);
     }
 
     #[test]
@@ -1141,10 +1075,58 @@ mod tests {
         for entry in fs::read_dir(store.root()).unwrap() {
             assert!(!is_tmp(&entry.unwrap().path()), "torn file left behind");
         }
-        // Re-baselining reports only new faults.
-        store.reset_io_stats();
-        assert_eq!(store.io_stats().faults_injected, 0);
-        assert_eq!(store.io_stats().io_retries, 0);
+        // A delta reports only new faults, each retried once.
+        let before = store.io_stats();
+        let _ = store.read_partition(0).unwrap();
+        let delta = store.io_stats().since(&before);
+        assert_eq!(delta.io_retries, delta.faults_injected);
+    }
+
+    /// Concurrent operations on one store each count their own faults and
+    /// retries: the `storage.*` counters agree with the store's stats and
+    /// with the injector, however the four readers interleave.
+    #[test]
+    fn concurrent_reads_count_each_fault_and_retry_once() {
+        use crate::fault::IoFaultPlan;
+        let telemetry = Telemetry::enabled();
+        let injector = IoFaultPlan {
+            read_fail: 0.3,
+            ..IoFaultPlan::quiet(5)
+        }
+        .build();
+        let env = IoEnv {
+            faults: Some(Arc::clone(&injector)),
+            telemetry: telemetry.clone(),
+            ..IoEnv::default()
+        };
+        let store = env
+            .open_store(PartitionStore::temp_path("concurrent-faults"))
+            .unwrap();
+        store.clear().unwrap();
+        for id in 0..4 {
+            store.write_partition(id, &[1.0; 16], &[0.0; 16]).unwrap();
+        }
+        // The readers start together, so their retries overlap.
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for id in 0..4 {
+                let (store, start) = (&store, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..50 {
+                        store.read_partition(id).unwrap();
+                    }
+                });
+            }
+        });
+        let snap = telemetry.metrics_snapshot();
+        let stats = store.io_stats();
+        assert!(stats.faults_injected > 0, "plan never fired");
+        assert_eq!(snap.counter("storage.io_retries"), Some(stats.io_retries));
+        assert_eq!(
+            snap.counter("storage.faults_injected"),
+            Some(injector.faults_injected())
+        );
     }
 
     #[test]

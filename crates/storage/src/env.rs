@@ -31,8 +31,8 @@ pub struct IoEnv {
     /// ([`RetryPolicy::default_transient`] by default).
     pub retry: RetryPolicy,
     /// Recorder the store's `storage.*` counters — and every layer built
-    /// over the store — report into (disabled by default, which makes every
-    /// handle a no-op).
+    /// over the store — register in (disabled by default: the counters
+    /// still count, but no registry reports them and spans are not kept).
     pub telemetry: Telemetry,
 }
 

@@ -4,8 +4,8 @@
 //!
 //! * [`disk::PartitionStore`] — node partitions (embedding values plus optimizer
 //!   state) and edge buckets persisted as flat binary files, with an
-//!   instrumented IO counter so experiments can report bytes moved, read counts
-//!   and the smallest read size (the quantities §6 reasons about).
+//!   instrumented IO counters so experiments can report bytes moved, read and
+//!   write counts and retried faults (the quantities §6 reasons about).
 //! * [`buffer::PartitionBuffer`] — the fixed-capacity CPU buffer that holds `c`
 //!   physical node partitions, swaps them according to a replacement policy,
 //!   and serves embedding gathers/updates for mini-batch training.

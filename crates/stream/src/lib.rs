@@ -73,7 +73,7 @@ use marius_core::{DiskSetup, StreamState};
 use marius_graph::Edge;
 use marius_storage::disk::{decode_edges, encode_edges};
 use marius_storage::{PartitionStore, Result, StorageError};
-use marius_telemetry::NO_LABEL;
+use marius_telemetry::{Counter, NO_LABEL};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -168,6 +168,11 @@ pub struct Ingestor {
     /// records it into checkpoint manifests via
     /// `Trainer::set_stream_state`.
     state: Arc<Mutex<StreamState>>,
+    /// `ingest.*` counters, registered in the staging env's recorder.
+    batches_staged: Counter,
+    deltas_applied: Counter,
+    edges_appended: Counter,
+    apply_ns: Counter,
 }
 
 impl Ingestor {
@@ -183,7 +188,12 @@ impl Ingestor {
             batches_applied: 0,
             edges_ingested: 0,
         };
+        let telemetry = &staging.env().telemetry;
         Ingestor {
+            batches_staged: telemetry.counter("ingest.batches_staged"),
+            deltas_applied: telemetry.counter("ingest.deltas_applied"),
+            edges_appended: telemetry.counter("ingest.edges_appended"),
+            apply_ns: telemetry.counter("ingest.apply_ns"),
             stream,
             staging,
             state: Arc::new(Mutex::new(state)),
@@ -230,8 +240,7 @@ impl Ingestor {
     /// unabsorbed injected fault) propagates before the cursor advances:
     /// the failed delta is never applied, and at most `.tmp` litter remains.
     pub fn ingest(&self, setup: &mut DiskSetup, batches: usize) -> Result<u64> {
-        let telemetry = &self.staging.env().telemetry;
-        let mut span = telemetry.scope("ingest");
+        let mut span = self.staging.env().telemetry.scope("ingest");
         let mut total = 0u64;
         for _ in 0..batches {
             let k = self.cursor().batches_applied;
@@ -246,7 +255,7 @@ impl Ingestor {
                 .and_then(|()| std::fs::read(&path).map_err(StorageError::from));
             span.end();
             let staged = staged?;
-            telemetry.counter("ingest.batches_staged").incr();
+            self.batches_staged.incr();
             let delta = decode_edges(&staged)?;
             span.begin("ingest.apply", k as i64, NO_LABEL);
             let start = Instant::now();
@@ -254,11 +263,9 @@ impl Ingestor {
             let elapsed = start.elapsed();
             span.end();
             applied?;
-            telemetry.counter("ingest.deltas_applied").incr();
-            telemetry
-                .counter("ingest.edges_appended")
-                .add(delta.len() as u64);
-            telemetry.counter("ingest.apply_ns").add_duration(elapsed);
+            self.deltas_applied.incr();
+            self.edges_appended.add(delta.len() as u64);
+            self.apply_ns.add_duration(elapsed);
             let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
             state.batches_applied += 1;
             state.edges_ingested += delta.len() as u64;

@@ -18,16 +18,21 @@
 //!   path.
 //! - **Metrics** — named [`Counter`]s, [`Gauge`]s and fixed-bucket
 //!   [`Histogram`]s ([`Telemetry::counter`] / [`Telemetry::gauge`] /
-//!   [`Telemetry::histogram`]). Handles are `Option<Arc<..>>` wrappers whose
-//!   record methods are relaxed atomics; registration (name lookup) takes a
+//!   [`Telemetry::histogram`]), whose record methods are relaxed atomics.
+//!   A counter always counts: it is the one copy of its fact, which the
+//!   layer that owns it reads back directly, and the registry reports the
+//!   sum of every handle registered under a name. Registration takes a
 //!   short-lived lock, so register once and keep the handle.
 //!
 //! # Overhead guarantees
 //!
-//! - **Zero-allocation when disabled.** [`Telemetry::disabled`] (also the
-//!   `Default`) holds no allocation at all; every scope, counter and
-//!   histogram handle derived from it is `None` inside, so each record call
-//!   is a single branch. Cloning a disabled handle is free.
+//! - **Allocation-free recording when disabled.** [`Telemetry::disabled`]
+//!   (also the `Default`) holds no allocation at all, and cloning it is
+//!   free. Every scope, gauge and histogram handle derived from it is `None`
+//!   inside, so each record call is a single branch. A counter handle is one
+//!   `Arc` allocated when it is made (stores, buffers and servers make
+//!   theirs when they are built, never per step), and counting into it is
+//!   one relaxed atomic add.
 //! - **Deterministic when enabled.** The recorder only ever *reads* monotonic
 //!   clocks and increments private state. It draws no randomness, takes no
 //!   locks shared with training code, and never sits inside an RNG-consuming
@@ -140,8 +145,10 @@ impl Telemetry {
         }
     }
 
-    /// Returns the counter registered under `name` (a no-op handle when
-    /// disabled). Registration locks briefly; keep the handle for hot paths.
+    /// Returns a new counter handle. An enabled recorder registers it under
+    /// `name`, whose snapshot value is the sum of every handle registered
+    /// under it; a disabled one does not, but the handle counts either way.
+    /// Registration locks briefly; keep the handle for hot paths.
     pub fn counter(&self, name: &str) -> Counter {
         match &self.inner {
             Some(inner) => inner.metrics.counter(name),

@@ -1,11 +1,18 @@
 //! The metrics registry: named counters, gauges and fixed-bucket histograms.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap `Option<Arc<..>>`
-//! wrappers. On a disabled [`crate::Telemetry`] every handle is `None`, so the
-//! hot-path record methods reduce to a single branch and **allocate nothing**.
-//! On an enabled recorder all updates are relaxed atomic operations — no lock
-//! is ever taken while recording, only while registering a new name or taking
-//! a snapshot.
+//! A [`Counter`] is an `Arc<AtomicU64>` that always counts: the layer that
+//! sees a fact (a read, a retry, a shed query) increments its own handle, and
+//! reads its own totals back from it with or without a recorder. An enabled
+//! [`crate::Telemetry`] registers each handle under its name and reports the
+//! sum of every handle registered under that name, so the registry is a view
+//! over the layers' counts, never a second copy of them.
+//!
+//! [`Gauge`] and [`Histogram`] handles are `Option<Arc<..>>` wrappers shared
+//! by name; on a disabled recorder they are `None`, so their record methods
+//! reduce to a single branch and **allocate nothing**.
+//!
+//! All updates are relaxed atomic operations — no lock is ever taken while
+//! recording, only while registering a handle or taking a snapshot.
 
 use crate::json;
 use std::collections::BTreeMap;
@@ -13,24 +20,17 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// A monotonically increasing named counter.
-///
-/// The default value is a disabled (no-op) handle.
+/// A monotonically increasing counter. Every handle counts, registered in a
+/// recorder or not; clones share one count, and [`Counter::get`] reads it.
+/// The default value is a fresh, unregistered handle at zero.
 #[derive(Debug, Clone, Default)]
-pub struct Counter(pub(crate) Option<Arc<AtomicU64>>);
+pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// Whether this handle records into a live registry.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Adds `n` to the counter. A no-op on a disabled handle.
+    /// Adds `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        if let Some(cell) = &self.0 {
-            cell.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one.
@@ -42,17 +42,18 @@ impl Counter {
     /// Adds a duration, recorded in nanoseconds (saturating at `u64::MAX`).
     #[inline]
     pub fn add_duration(&self, d: Duration) {
-        if self.0.is_some() {
-            self.add(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-        }
+        self.add(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Current value (0 on a disabled handle).
+    /// This handle's count: everything added through it and its clones.
     pub fn get(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map(|cell| cell.load(Ordering::Relaxed))
-            .unwrap_or(0)
+        self.0.load(Ordering::Relaxed)
+    }
+
+    /// The atomic cell behind the handle, for code that counts into a plain
+    /// `&AtomicU64` (such as `marius_storage::retry::with_retry`).
+    pub fn cell(&self) -> &AtomicU64 {
+        &self.0
     }
 }
 
@@ -237,19 +238,48 @@ impl MetricsSnapshot {
     }
 }
 
+/// The handles registered under one counter name, plus the count of those
+/// that only the registry still held when it last looked.
+#[derive(Default)]
+struct CounterFamily {
+    /// Final counts of handles every owner has dropped.
+    retired: u64,
+    live: Vec<Arc<AtomicU64>>,
+}
+
+impl CounterFamily {
+    /// Folds every handle nobody else holds into `retired`: its count can no
+    /// longer change, and keeping it would grow the registry with every
+    /// store or server a long-lived process opens.
+    fn fold_dropped(&mut self) {
+        for cell in std::mem::take(&mut self.live) {
+            match Arc::try_unwrap(cell) {
+                Ok(cell) => self.retired = self.retired.saturating_add(cell.into_inner()),
+                Err(cell) => self.live.push(cell),
+            }
+        }
+    }
+}
+
 /// Name-keyed registry behind [`crate::Telemetry`]. Registration takes a
 /// short-lived lock; recording through the returned handles is lock-free.
 #[derive(Default)]
 pub(crate) struct MetricsRegistry {
-    counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
+    counters: Mutex<BTreeMap<String, CounterFamily>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,
     histograms: Mutex<BTreeMap<String, Arc<HistogramCore>>>,
 }
 
 impl MetricsRegistry {
+    /// A new counter handle, registered under `name`: the snapshot value of
+    /// `name` is the sum over every handle ever registered under it.
     pub(crate) fn counter(&self, name: &str) -> Counter {
+        let counter = Counter::default();
         let mut map = self.counters.lock().unwrap_or_else(|e| e.into_inner());
-        Counter(Some(Arc::clone(map.entry(name.to_string()).or_default())))
+        let family = map.entry(name.to_string()).or_default();
+        family.fold_dropped();
+        family.live.push(Arc::clone(&counter.0));
+        counter
     }
 
     pub(crate) fn gauge(&self, name: &str) -> Gauge {
@@ -270,8 +300,14 @@ impl MetricsRegistry {
             .counters
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
+            .iter_mut()
+            .map(|(name, family)| {
+                family.fold_dropped();
+                let total = family.live.iter().fold(family.retired, |sum, cell| {
+                    sum.saturating_add(cell.load(Ordering::Relaxed))
+                });
+                (name.clone(), total)
+            })
             .collect();
         let gauges = self
             .gauges
@@ -315,10 +351,11 @@ mod tests {
 
     #[test]
     fn disabled_handles_are_inert() {
+        // A counter always counts, registered or not.
         let c = Counter::default();
         c.incr();
         c.add(100);
-        assert_eq!(c.get(), 0);
+        assert_eq!(c.get(), 101);
         let g = Gauge::default();
         g.set(7);
         assert_eq!(g.get(), 0);
@@ -334,9 +371,28 @@ mod tests {
         let b = reg.counter("x");
         a.add(2);
         b.add(3);
-        assert_eq!(a.get(), 5);
+        assert_eq!((a.get(), b.get()), (2, 3));
         let snap = reg.snapshot();
         assert_eq!(snap.counter("x"), Some(5));
+    }
+
+    /// Handles come and go (serve opens a store per reload): the name's
+    /// total stays exact while the registry holds only the live handles.
+    #[test]
+    fn dropped_handles_fold_into_an_exact_bounded_total() {
+        let reg = MetricsRegistry::default();
+        let keep = reg.counter("reads");
+        keep.add(5);
+        for i in 0..1_000u64 {
+            reg.counter("reads").add(i);
+        }
+        let held = |reg: &MetricsRegistry| reg.counters.lock().unwrap()["reads"].live.len();
+        assert!(held(&reg) <= 2, "{} handles held", held(&reg));
+        assert_eq!(reg.snapshot().counter("reads"), Some(5 + 999 * 1_000 / 2));
+        assert_eq!(held(&reg), 1);
+        drop(keep);
+        assert_eq!(reg.snapshot().counter("reads"), Some(5 + 999 * 1_000 / 2));
+        assert_eq!(held(&reg), 0);
     }
 
     #[test]

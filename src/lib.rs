@@ -505,8 +505,9 @@ impl<T: Task> SessionBuilder<T> {
     /// queue, and the partition store/buffer all record spans and metrics
     /// into the cloned handle. Recording reads only monotonic clocks — never
     /// an RNG stream — so the loss trajectory is bit-identical with telemetry
-    /// attached or not. The default is a disabled handle whose every
-    /// operation is a single-branch no-op. After the run, export with
+    /// attached or not. The default is a disabled handle: it keeps no spans
+    /// and reports no metrics (the layers' counters still count, for their
+    /// own reports, but nothing registers them). After the run, export with
     /// [`Telemetry::write_chrome_trace`] / [`Telemetry::write_metrics_json`].
     pub fn telemetry(mut self, telemetry: &Telemetry) -> Self {
         self.env.telemetry = telemetry.clone();

@@ -17,7 +17,8 @@
 
 use marius::{
     DiskConfig, ExperimentReport, IoFaultPlan, LinkPredictionTask, ModelConfig,
-    NodeClassificationTask, PipelineConfig, Session, Storage, StorageError, Task, TrainConfig,
+    NodeClassificationTask, PipelineConfig, Session, Storage, StorageError, Task, Telemetry,
+    TrainConfig,
 };
 use marius_graph::datasets::{DatasetSpec, ScaledDataset};
 use std::path::PathBuf;
@@ -116,7 +117,9 @@ fn maybe_emit_json(report: &ExperimentReport, seed: u64, label: &str) {
 /// Runs the same disk training twice per seed under `pipeline` — healthy
 /// device vs `IoFaultPlan::flaky(seed)` — and asserts the flaky run both
 /// *absorbed* faults (non-zero injected/retry counters) and reproduced the
-/// healthy trajectory bit for bit.
+/// healthy trajectory bit for bit. The flaky run records into a recorder
+/// whose `storage.faults_injected` must match the injector exactly, on the
+/// threaded schedule too.
 fn flaky_is_bit_exact<T: Task + Default + Clone>(
     label: &str,
     task: T,
@@ -138,6 +141,8 @@ fn flaky_is_bit_exact<T: Task + Default + Clone>(
             .unwrap();
         let clean_report = clean.train().unwrap();
 
+        let injector = IoFaultPlan::flaky(seed).build();
+        let telemetry = Telemetry::enabled();
         let mut flaky = Session::builder()
             .task(task.clone())
             .dataset(data())
@@ -145,10 +150,18 @@ fn flaky_is_bit_exact<T: Task + Default + Clone>(
             .train(train.clone())
             .storage(Storage::Disk(disk.clone()))
             .pipeline(pipeline.clone())
-            .fault_injector(IoFaultPlan::flaky(seed).build())
+            .fault_injector(injector.clone())
+            .telemetry(&telemetry)
             .build()
             .unwrap();
         let flaky_report = flaky.train().unwrap();
+        assert_eq!(
+            telemetry
+                .metrics_snapshot()
+                .counter("storage.faults_injected"),
+            Some(injector.faults_injected()),
+            "{label}/seed {seed}: counted faults disagree with the injector"
+        );
 
         let injected: u64 = flaky_report.epochs.iter().map(|e| e.faults_injected).sum();
         let retries: u64 = flaky_report.epochs.iter().map(|e| e.io_retries).sum();

@@ -141,6 +141,22 @@ fn exhausting_plan(seed: u64) -> IoFaultPlan {
     }
 }
 
+/// Health and metrics are one count: each `ServerHealth` degradation field
+/// equals the `server.*` counter an enabled recorder reports.
+fn assert_health_is_the_counters(server: &Server, telemetry: &Telemetry) {
+    let health = server.health();
+    let snap = telemetry.metrics_snapshot();
+    let pairs = [
+        ("server.shed", health.shed),
+        ("server.deadline_exceeded", health.deadline_exceeded),
+        ("server.reload.count", health.reloads),
+        ("server.reload.error", health.reload_errors),
+    ];
+    for (name, field) in pairs {
+        assert_eq!(snap.counter(name), Some(field), "{name}: {health:?}");
+    }
+}
+
 /// Fault-free oracle answers for a fixed query workload over `dir`.
 fn oracle_answers(dir: &Path, queries: &[Query]) -> Vec<Vec<u64>> {
     let oracle = Server::from_checkpoint(dir).unwrap();
@@ -326,8 +342,12 @@ fn hot_reload_storm_answers_from_exactly_one_epoch() {
     let dir = temp_dir("reload-storm");
     train_disk_checkpoint(&dir, 2);
 
-    let server =
-        Server::from_checkpoint_with(&dir, ServeConfig::read_cache(PARTIAL_BUDGET)).unwrap();
+    let telemetry = Telemetry::enabled();
+    let server = Server::from_checkpoint_with(
+        &dir,
+        ServeConfig::read_cache(PARTIAL_BUDGET).with_telemetry(&telemetry),
+    )
+    .unwrap();
     assert_eq!(server.epoch(), 2);
     let queries = make_queries(36, server.num_nodes(), server.num_relations() as u32, 17);
     let before = oracle_answers(&dir, &queries);
@@ -379,6 +399,7 @@ fn hot_reload_storm_answers_from_exactly_one_epoch() {
     let health = server.health();
     assert_eq!(health.reloads, 1, "{health:?}");
     assert_eq!(health.reload_errors, 0, "{health:?}");
+    assert_health_is_the_counters(&server, &telemetry);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -493,9 +514,14 @@ fn overload_sheds_and_deadlines_trip_as_typed_rejections() {
     train_disk_checkpoint(&dir, 2);
 
     // Zero deadline: every query is abandoned at its first chunk boundary.
-    let strict =
-        Server::from_checkpoint_with(&dir, ServeConfig::in_memory().with_deadline(Duration::ZERO))
-            .unwrap();
+    let strict_telemetry = Telemetry::enabled();
+    let strict = Server::from_checkpoint_with(
+        &dir,
+        ServeConfig::in_memory()
+            .with_deadline(Duration::ZERO)
+            .with_telemetry(&strict_telemetry),
+    )
+    .unwrap();
     let err = strict.top_k(0, 1, 5).unwrap_err();
     assert!(
         matches!(err, ServeError::DeadlineExceeded { .. }),
@@ -503,6 +529,7 @@ fn overload_sheds_and_deadlines_trip_as_typed_rejections() {
     );
     assert!(err.is_transient(), "deadline rejections are retryable");
     assert!(strict.health().deadline_exceeded >= 1);
+    assert_health_is_the_counters(&strict, &strict_telemetry);
 
     // One admission slot + a latency-spiking device stretches each query so
     // four hammering threads must collide: excess arrivals shed typed.
@@ -511,11 +538,13 @@ fn overload_sheds_and_deadlines_trip_as_typed_rejections() {
         spike: Duration::from_micros(500),
         ..IoFaultPlan::quiet(9)
     };
+    let telemetry = Telemetry::enabled();
     let server = Server::from_checkpoint_with(
         &dir,
         ServeConfig::read_cache(1)
             .with_fault_injector(slow_plan.build())
-            .with_max_in_flight(1),
+            .with_max_in_flight(1)
+            .with_telemetry(&telemetry),
     )
     .unwrap();
     let oracle = Server::from_checkpoint(&dir).unwrap();
@@ -560,6 +589,7 @@ fn overload_sheds_and_deadlines_trip_as_typed_rejections() {
         outcomes.len(),
         "every query either answered or shed: {health:?}"
     );
+    assert_health_is_the_counters(&server, &telemetry);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -164,10 +164,11 @@ fn streamed_run_is_bit_identical_across_reruns_and_executors() {
     let stamps: Vec<u64> = first.epochs.iter().map(|e| e.edges_ingested).collect();
     assert_eq!(stamps, vec![64, 64, 0], "ingest stamps at boundaries only");
 
-    assert_eq!(telemetry.counter("ingest.edges_appended").get(), 128);
-    assert_eq!(telemetry.counter("ingest.batches_staged").get(), 4);
-    assert_eq!(telemetry.counter("ingest.deltas_applied").get(), 4);
-    assert!(telemetry.counter("ingest.apply_ns").get() > 0);
+    let counters = telemetry.metrics_snapshot();
+    assert_eq!(counters.counter("ingest.edges_appended"), Some(128));
+    assert_eq!(counters.counter("ingest.batches_staged"), Some(4));
+    assert_eq!(counters.counter("ingest.deltas_applied"), Some(4));
+    assert!(counters.counter("ingest.apply_ns").unwrap() > 0);
 }
 
 /// An interrupted streamed run resumed via `Session::resume_streamed`
