@@ -108,7 +108,7 @@
 //! trainer's RNG cursor, every model parameter *and* its Adagrad accumulator,
 //! the learnable base representations (an in-memory table dump or a partition
 //! snapshot taken after the write-back ledger drained — see
-//! [`marius_pipeline::writeback_safe_point`]), the in-memory example-order
+//! [`marius_storage::pipeline::writeback_safe_point`]), the in-memory example-order
 //! permutation, and the per-epoch report so far. Resume replays the fresh
 //! run's construction path (consuming identical RNG draws for dataset,
 //! partitioning, and parameter init), then overlays the saved state and RNG
@@ -122,7 +122,7 @@ use crate::config::{
 use crate::report::{EpochReport, ExperimentReport};
 use marius_gnn::EmbeddingTable;
 use marius_graph::datasets::{DatasetSpec, ScaledDataset, Task as DatasetTask};
-use marius_sampling::SamplingDirection;
+use marius_graph::sampling::SamplingDirection;
 use marius_storage::{atomic_write, IoCostModel, PartitionStore, Result, StorageError};
 use marius_telemetry::json::Json;
 use std::fs;
@@ -133,9 +133,9 @@ use std::path::{Path, PathBuf};
 pub use marius_telemetry::json;
 
 /// Format identifier stamped into every manifest.
-pub const FORMAT: &str = "marius-checkpoint";
+pub(crate) const FORMAT: &str = "marius-checkpoint";
 /// Current manifest/blob format version. Bumped on incompatible changes.
-pub const FORMAT_VERSION: u64 = 1;
+pub(crate) const FORMAT_VERSION: u64 = 1;
 
 /// FNV-1a 64-bit checksum (the per-blob integrity check).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -205,13 +205,8 @@ impl Blob {
         (self.rows, self.cols)
     }
 
-    /// Element type.
-    pub fn dtype(&self) -> DType {
-        self.dtype
-    }
-
     /// FNV-1a 64 checksum over the payload bytes.
-    pub fn checksum(&self) -> u64 {
+    pub(crate) fn checksum(&self) -> u64 {
         fnv1a64(&self.data)
     }
 
@@ -430,13 +425,13 @@ pub struct BlobEntry {
     /// Column count.
     pub cols: usize,
     /// Element type.
-    pub dtype: DType,
+    pub(crate) dtype: DType,
     /// Byte offset of the payload inside `state.bin`.
     pub offset: usize,
     /// Payload length in bytes.
-    pub len_bytes: usize,
+    pub(crate) len_bytes: usize,
     /// FNV-1a 64 checksum of the payload.
-    pub fnv64: u64,
+    pub(crate) fnv64: u64,
 }
 
 /// Types whose durable state round-trips through a [`StateDict`].
@@ -493,14 +488,14 @@ pub struct StreamState {
 
 /// Everything [`write_versioned`] needs to persist one epoch-boundary
 /// checkpoint. Assembled by `Trainer<T>` at the end of a checkpointed epoch.
-pub struct CheckpointSnapshot<'a> {
+pub(crate) struct CheckpointSnapshot<'a> {
     /// The run's description, persisted whole (task slug validated on
     /// resume; storage as the running executor sees it).
     pub config: &'a RunConfig,
     /// Number of fully completed epochs (resume starts here).
     pub epochs_completed: usize,
     /// The trainer RNG's cursor at the epoch boundary.
-    pub rng_state: [u64; 4],
+    pub(crate) rng_state: [u64; 4],
     /// The dataset the run trains on (spec + generation seed are persisted).
     pub data: &'a ScaledDataset,
     /// Streaming-ingest cursor, when the run ingests from an edge stream.
@@ -509,7 +504,7 @@ pub struct CheckpointSnapshot<'a> {
     pub state: &'a StateDict,
     /// When `Some`, the store's partition files are snapshotted into the
     /// version directory. Must be at a write-back safe point (see
-    /// [`marius_pipeline::writeback_safe_point`]).
+    /// [`marius_storage::pipeline::writeback_safe_point`]).
     pub store: Option<&'a PartitionStore>,
     /// Per-epoch reports so far (persisted bit-exactly in the manifest, plus
     /// human-readably in `progress.json`).
@@ -543,7 +538,7 @@ fn fsync_tree(dir: &Path) -> std::io::Result<()> {
 /// Writes one versioned checkpoint under `root` and atomically flips `LATEST`
 /// to it. Returns the version directory's path. See the module docs for the
 /// crash-safety argument.
-pub fn write_versioned(root: &Path, snapshot: &CheckpointSnapshot<'_>) -> Result<PathBuf> {
+pub(crate) fn write_versioned(root: &Path, snapshot: &CheckpointSnapshot<'_>) -> Result<PathBuf> {
     fs::create_dir_all(root)?;
     let version = version_name(snapshot.epochs_completed);
     let staging = root.join(format!("{version}.tmp"));
@@ -615,7 +610,7 @@ fn version_name(epochs_completed: usize) -> String {
 }
 
 /// The epoch of the version the `LATEST` pointer under `root` names — the
-/// inverse of the `epoch-NNNNNN` names [`write_versioned`] gives versions —
+/// inverse of the `epoch-NNNNNN` names `write_versioned` gives versions —
 /// or `None` when there is no readable pointer. One small read, so a
 /// reloading reader can tell "nothing new" without opening the checkpoint.
 pub fn latest_epoch(root: &Path) -> Option<usize> {
@@ -663,7 +658,7 @@ pub struct Checkpoint {
     /// Fully completed epochs.
     pub epochs_completed: usize,
     /// Trainer RNG cursor.
-    pub rng_state: [u64; 4],
+    pub(crate) rng_state: [u64; 4],
     /// Dataset specification (regenerates the dataset with `dataset_seed`).
     pub dataset_spec: DatasetSpec,
     /// Dataset generation seed.
@@ -674,19 +669,19 @@ pub struct Checkpoint {
     /// Model / source / trainer state blobs.
     pub state: StateDict,
     /// Whether the version directory carries a partition snapshot.
-    pub has_store_snapshot: bool,
+    pub(crate) has_store_snapshot: bool,
     /// Completed epochs' reports, bit-exact.
     pub prior_epochs: Vec<EpochReport>,
 }
 
 impl Checkpoint {
     /// Opens the newest complete checkpoint under `root` (the directory
-    /// passed to `checkpoint_to` / [`write_versioned`]), verifying the format
+    /// passed to `checkpoint_to` / `write_versioned`), verifying the format
     /// version and every blob checksum.
     ///
     /// `LATEST` names the version tried first. If that version's directory
     /// is *missing* — the one crash window is a same-epoch re-checkpoint
-    /// dying between the rename-aside and rename-in of [`write_versioned`] —
+    /// dying between the rename-aside and rename-in of `write_versioned` —
     /// the retained older versions are tried newest-first. A version that
     /// exists but fails to load (checksum corruption, format-version skew)
     /// is NOT silently skipped: falling back there would quietly rewind
@@ -892,7 +887,7 @@ macro_rules! enum_codec {
 }
 
 enum_codec! {
-    EncoderKind: [GraphSage, Gat, Gcn, None],
+    EncoderKind: [GraphSage, Gat, None],
     SamplingDirection: [Incoming, Outgoing, Both],
     PolicyKind: [Comet, Beta, NodeCache],
     DatasetTask: [LinkPrediction, NodeClassification],
@@ -1326,6 +1321,17 @@ mod tests {
         let err = decode(wide.as_bytes(), bin).unwrap_err();
         assert!(matches!(err, StorageError::Checkpoint { .. }), "{err}");
         assert!(format!("{err}").contains("4294967312"), "{err}");
+    }
+
+    #[test]
+    fn an_unknown_encoder_kind_is_a_typed_error() {
+        let manifest = include_str!("../tests/fixtures/golden_nc_memory/manifest.json");
+        let bin = include_bytes!("../tests/fixtures/golden_nc_memory/state.bin");
+        let gcn = manifest.replace("\"encoder\":\"GraphSage\"", "\"encoder\":\"Gcn\"");
+        assert_ne!(gcn, manifest);
+        let err = decode(gcn.as_bytes(), bin).unwrap_err();
+        assert!(matches!(err, StorageError::Checkpoint { .. }), "{err}");
+        assert!(format!("{err}").contains("EncoderKind \"Gcn\""), "{err}");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Model, training and disk-storage configuration.
 
-use marius_sampling::SamplingDirection;
+use marius_graph::sampling::SamplingDirection;
 use marius_storage::IoCostModel;
 
-pub use marius_pipeline::PipelineConfig;
+pub use marius_storage::pipeline::PipelineConfig;
 
 /// Which encoder architecture to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,8 +13,6 @@ pub enum EncoderKind {
     /// Single-head graph attention (the "more computationally expensive" model
     /// of Table 5).
     Gat,
-    /// GCN-style normalised aggregation.
-    Gcn,
     /// No encoder: decoder-only DistMult over base embeddings (the specialised
     /// knowledge-graph model of Table 8).
     None,
@@ -72,22 +70,6 @@ impl ModelConfig {
             input_dim: embedding_dim,
             fanouts: vec![20],
             direction: SamplingDirection::Both,
-            learning_rate: 0.01,
-            embedding_learning_rate: 0.1,
-        }
-    }
-
-    /// The paper's link-prediction GAT configuration: one layer, 10 incoming
-    /// neighbours (§7.1).
-    pub fn paper_link_prediction_gat(embedding_dim: usize) -> Self {
-        ModelConfig {
-            encoder: EncoderKind::Gat,
-            num_layers: 1,
-            hidden_dim: embedding_dim,
-            output_dim: embedding_dim,
-            input_dim: embedding_dim,
-            fanouts: vec![10],
-            direction: SamplingDirection::Incoming,
             learning_rate: 0.01,
             embedding_learning_rate: 0.1,
         }
@@ -288,6 +270,24 @@ impl Default for RunConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ModelConfig {
+        /// The paper's link-prediction GAT configuration: one layer, 10 incoming
+        /// neighbours (§7.1).
+        pub(crate) fn paper_link_prediction_gat(embedding_dim: usize) -> Self {
+            ModelConfig {
+                encoder: EncoderKind::Gat,
+                num_layers: 1,
+                hidden_dim: embedding_dim,
+                output_dim: embedding_dim,
+                input_dim: embedding_dim,
+                fanouts: vec![10],
+                direction: SamplingDirection::Incoming,
+                learning_rate: 0.01,
+                embedding_learning_rate: 0.1,
+            }
+        }
+    }
 
     #[test]
     fn paper_configurations_match_section_7_1() {

@@ -3,11 +3,11 @@
 use crate::checkpoint::{Persist, StateDict};
 use crate::config::{EncoderKind, ModelConfig};
 use crate::source::RepresentationSource;
-use marius_gnn::layers::{Aggregator, GatLayer, GcnLayer, GraphSageLayer};
+use marius_gnn::layers::{Aggregator, GatLayer, GraphSageLayer};
 use marius_gnn::loss::{ranking_softmax_loss, softmax_cross_entropy};
 use marius_gnn::{ClassifierHead, DistMult, Encoder, Optimizer, Param};
+use marius_graph::sampling::{MultiHopSampler, NegativeSampler, RankingProtocol};
 use marius_graph::{Edge, InMemorySubgraph, NodeId};
-use marius_sampling::{MultiHopSampler, NegativeSampler, RankingProtocol};
 use marius_tensor::segment::{index_add, index_select};
 use marius_tensor::Tensor;
 use rand::Rng;
@@ -55,7 +55,6 @@ pub fn build_encoder<R: Rng + ?Sized>(config: &ModelConfig, rng: &mut R) -> Enco
                 rng,
             )),
             EncoderKind::Gat => Box::new(GatLayer::new(in_dim, out_dim, !is_last, rng)),
-            EncoderKind::Gcn => Box::new(GcnLayer::new(in_dim, out_dim, !is_last, rng)),
         };
         encoder = encoder.push_layer(boxed);
     }
@@ -112,7 +111,7 @@ fn load_encoder(dict: &StateDict, encoder: &mut Encoder) -> marius_storage::Resu
 ///
 /// The builder is `Clone + Send + Sync` and borrows nothing from the model, so
 /// the pipelined runtime can run it on batch-construction worker threads while
-/// the compute consumer owns the model (`marius-pipeline` stage 2 vs stage 3).
+/// the compute consumer owns the model ([`marius_storage::pipeline`] stage 2 vs stage 3).
 /// RNG draws happen in one fixed order (negatives first, then the
 /// neighbourhood sample), which is what makes the pipelined and sequential
 /// paths bit-identical under a shared seed.
@@ -124,7 +123,7 @@ pub struct LinkBatchBuilder {
 
 /// A fully constructed link-prediction batch, ready for the compute stage.
 pub struct PreparedLinkBatch {
-    dense: marius_sampling::Dense,
+    dense: marius_graph::sampling::Dense,
     node_ids: Vec<NodeId>,
     src_idx: Vec<usize>,
     dst_idx: Vec<usize>,
@@ -132,7 +131,7 @@ pub struct PreparedLinkBatch {
     rels: Vec<u32>,
     examples: usize,
     sample_time: Duration,
-    stats: marius_sampling::SampleStats,
+    stats: marius_graph::sampling::SampleStats,
 }
 
 impl LinkBatchBuilder {
@@ -323,7 +322,7 @@ impl LinkPredictionModel {
 
     /// Evaluates MRR over `edges`, ranking each positive destination against
     /// `num_negatives` shared corruptions drawn from `candidates`.
-    pub fn evaluate_mrr<R: Rng + ?Sized>(
+    pub(crate) fn evaluate_mrr<R: Rng + ?Sized>(
         &self,
         source: &dyn RepresentationSource,
         subgraph: &InMemorySubgraph,
@@ -386,12 +385,12 @@ pub struct NodeBatchBuilder {
 
 /// A fully constructed node-classification batch, ready for compute.
 pub struct PreparedNodeBatch {
-    dense: marius_sampling::Dense,
+    dense: marius_graph::sampling::Dense,
     node_ids: Vec<NodeId>,
     batch_labels: Vec<u32>,
     examples: usize,
     sample_time: Duration,
-    stats: marius_sampling::SampleStats,
+    stats: marius_graph::sampling::SampleStats,
 }
 
 impl NodeBatchBuilder {
@@ -508,7 +507,7 @@ impl NodeClassificationModel {
 
     /// Classification accuracy over `nodes` (with per-node `labels`),
     /// evaluated in batches built like training batches.
-    pub fn evaluate_accuracy<R: Rng + ?Sized>(
+    pub(crate) fn evaluate_accuracy<R: Rng + ?Sized>(
         &self,
         source: &dyn RepresentationSource,
         subgraph: &InMemorySubgraph,
@@ -558,7 +557,7 @@ impl Persist for NodeClassificationModel {
 mod tests {
     use super::*;
     use marius_graph::datasets::{DatasetSpec, ScaledDataset};
-    use marius_sampling::SamplingDirection;
+    use marius_graph::sampling::SamplingDirection;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -590,9 +589,6 @@ mod tests {
         config.fanouts = vec![3];
         let enc = build_encoder(&config, &mut rng);
         assert_eq!(enc.layers()[0].name(), "gat");
-        config.encoder = EncoderKind::Gcn;
-        let enc = build_encoder(&config, &mut rng);
-        assert_eq!(enc.layers()[0].name(), "gcn");
         config.encoder = EncoderKind::None;
         config.num_layers = 0;
         let enc = build_encoder(&config, &mut rng);

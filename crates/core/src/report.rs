@@ -238,7 +238,7 @@ epoch_report! {
 #[derive(Debug, Clone, Default)]
 pub struct ExperimentReport {
     /// System / configuration label (e.g. "M-GNN_Mem", "M-GNN_Disk (COMET)").
-    pub system: String,
+    pub(crate) system: String,
     /// Dataset label.
     pub dataset: String,
     /// Per-epoch measurements, in order.
@@ -261,7 +261,7 @@ impl ExperimentReport {
     }
 
     /// The best metric across epochs.
-    pub fn best_metric(&self) -> f64 {
+    pub(crate) fn best_metric(&self) -> f64 {
         self.epochs.iter().map(|e| e.metric).fold(0.0, f64::max)
     }
 
@@ -275,7 +275,7 @@ impl ExperimentReport {
     }
 
     /// Total training time across epochs.
-    pub fn total_time(&self) -> Duration {
+    pub(crate) fn total_time(&self) -> Duration {
         self.epochs.iter().map(|e| e.epoch_time).sum()
     }
 

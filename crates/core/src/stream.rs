@@ -2,7 +2,7 @@
 //! streams, crash-atomic delta staging, and epoch-boundary application into
 //! a live disk-training run.
 //!
-//! Everything else in the workspace trains over a frozen dataset; this crate
+//! Everything else in the workspace trains over a frozen dataset; this module
 //! is the half that lets the training-edge set *grow* while a run is in
 //! flight, without giving up the system's three core guarantees — bit-exact
 //! determinism, crash-atomic durability, and resumability. It provides:
@@ -39,9 +39,9 @@
 //! # Epoch-boundary semantics
 //!
 //! Application happens only at disk-epoch boundaries, at the write-back safe
-//! point (`marius_pipeline::writeback_safe_point`): the epoch's partition
-//! flush has drained, so bucket files and in-memory buckets agree before
-//! either is grown. The trainer invokes the ingest hook after an epoch's
+//! point ([`marius_storage::pipeline::writeback_safe_point`]): the epoch's
+//! partition flush has drained, so bucket files and in-memory buckets agree
+//! before either is grown. The trainer invokes the ingest hook after an epoch's
 //! training and before its evaluation and checkpoint, and the hook draws no
 //! trainer RNG — the loss trajectory up to any boundary is bit-identical to
 //! a frozen-dataset run's, the in-order and threaded disk schedules stay
@@ -51,7 +51,7 @@
 //! # Temporal split rules
 //!
 //! Streamed edges carry implicit timestamps — their position after the base
-//! edge list. The [`marius_core::TemporalLinkPredictionTask`] trained over a
+//! edge list. The [`crate::TemporalLinkPredictionTask`] trained over a
 //! streamed run freezes its evaluation windows over the newest *base* edges
 //! ([`marius_graph::temporal::chronological_split`]) and draws ranking
 //! candidates only from nodes observed in the base training window
@@ -60,7 +60,7 @@
 //! independent of how the stream was chunked into batches.
 //!
 //! ```
-//! use marius_stream::EdgeStream;
+//! use marius_core::stream::EdgeStream;
 //!
 //! let stream = EdgeStream::new(7, 100, 3, 16);
 //! assert_eq!(stream.batch(4), stream.batch(4)); // pure in (seed, k)
@@ -69,7 +69,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use marius_core::{DiskSetup, StreamState};
+use crate::{DiskSetup, StreamState};
 use marius_graph::Edge;
 use marius_storage::disk::{decode_edges, encode_edges};
 use marius_storage::{PartitionStore, Result, StorageError};
@@ -81,9 +81,14 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// SplitMix64 finalizer mixing the stream seed with a batch index, so each
-/// batch draws from an independent, reconstructible RNG stream (the same
-/// idiom as `marius_pipeline::step_seed`, duplicated here to keep this crate
-/// off the pipeline's dependency cone).
+/// batch draws from an independent, reconstructible RNG stream.
+///
+/// It is not `marius_storage::pipeline::step_seed`: the two mix their inputs
+/// differently (`seed ^ k·φ` here, `seed + φ + step·C` there). It stays
+/// separate because streamed runs pin this exact formula: the edges they
+/// ingest feed `stream_loop`'s loss digest, and `Session::resume_streamed`
+/// replays the stream from the checkpointed cursor and must draw the same
+/// batches.
 fn batch_seed(seed: u64, k: u64) -> u64 {
     let mut z = seed ^ (k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -98,7 +103,7 @@ fn batch_seed(seed: u64, k: u64) -> u64 {
 /// foundation of streamed-run resumability (the checkpoint manifest only
 /// needs to record the cursor, not the edges). Edges are sampled uniformly
 /// over the *existing* node and relation id ranges — streaming never
-/// introduces nodes, see the crate docs for why.
+/// introduces nodes, see the module docs for why.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeStream {
     seed: u64,
@@ -157,7 +162,7 @@ pub fn delta_file_name(k: u64) -> String {
 }
 
 /// Stages edge batches as crash-atomic delta files and applies them to a
-/// live disk-training run at epoch boundaries. See the crate docs for the
+/// live disk-training run at epoch boundaries. See the module docs for the
 /// atomicity and determinism contract.
 pub struct Ingestor {
     stream: EdgeStream,

@@ -14,7 +14,7 @@
 //! strictly before the held-out windows, and the evaluation subgraph is the
 //! frozen base training window rather than the growing train set. Both are
 //! precomputed once per run, which keeps evaluation bit-comparable across
-//! ingest cycles and across resumed runs (see `marius_stream` for the ingest
+//! ingest cycles and across resumed runs (see [`crate::stream`] for the ingest
 //! half of the contract).
 
 use super::{EdgeSplit, LinkEvalContext};

@@ -23,7 +23,7 @@
 //!     `EpochPlan`, with the write-back flush and the streaming ingest hook
 //!     at each epoch boundary.
 //! * **One disk step**: the disk executor hands each epoch to one
-//!   [`marius_pipeline::run_epoch`] call with one batch body
+//!   [`marius_storage::pipeline::run_epoch`] call with one batch body
 //!   (shuffle the step's examples with the step's RNG, cut them into batches
 //!   within the epoch's budget, prepare each) and one consumer
 //!   (`train_prepared` against the buffer). The pipeline owns the rest of the
@@ -35,7 +35,7 @@
 //!   that overlap across steps, so epoch time approaches the *max* phase.
 //!
 //! Every in-epoch random draw derives from
-//! [`marius_pipeline::step_seed`]`(epoch_seed, step)`, which makes both
+//! [`marius_storage::pipeline::step_seed`]`(epoch_seed, step)`, which makes both
 //! schedules' loss trajectories bit-identical for a fixed training seed and
 //! any worker count (asserted by the `pipeline_determinism` and
 //! `task_equivalence` integration tests at the workspace root). Disk-path
@@ -50,7 +50,7 @@ use crate::source::RepresentationSource;
 use crate::task::{DiskSetup, Task};
 use marius_graph::datasets::ScaledDataset;
 use marius_graph::{InMemorySubgraph, NodeId, PartitionAssignment};
-use marius_pipeline::{run_epoch, writeback_safe_point, StepContext};
+use marius_storage::pipeline::{run_epoch, writeback_safe_point, StepContext};
 use marius_storage::{
     BufferStats, EpochPlan, IoEnv, IoStats, PartitionBuffer, PartitionStore, Result, StorageError,
 };
@@ -78,7 +78,7 @@ pub type EpochHook = Box<dyn Fn(&EpochReport) -> Result<()> + Send + Sync>;
 /// at this boundary (`0` when the boundary is not an ingest point). The hook
 /// must not consume trainer RNG — it runs outside the seeded epoch executors,
 /// which is what keeps in-order and threaded streamed runs bit-identical.
-pub type IngestHook = Box<dyn Fn(&mut DiskSetup, usize) -> Result<u64> + Send + Sync>;
+pub(crate) type IngestHook = Box<dyn Fn(&mut DiskSetup, usize) -> Result<u64> + Send + Sync>;
 
 /// Blob name of the in-memory example-order permutation (the cross-epoch
 /// shuffle state of in-memory training).
@@ -246,7 +246,7 @@ impl<T: Task> Trainer<T> {
     }
 
     /// Installs a streaming ingest callback fired at every disk-epoch
-    /// boundary at the write-back safe point (see [`IngestHook`]). A `&mut`
+    /// boundary at the write-back safe point (see `IngestHook`). A `&mut`
     /// setter rather than a consuming builder so driver code can arm it on an
     /// already-configured trainer.
     pub fn set_ingest_hook(

@@ -10,7 +10,7 @@
 
 use crate::layers::{GnnLayer, LayerCache, LayerContext};
 use crate::optimizer::Optimizer;
-use marius_sampling::Dense;
+use marius_graph::sampling::Dense;
 use marius_tensor::Tensor;
 
 /// Saved activations from one encoder forward pass, needed for backward.
@@ -46,11 +46,6 @@ impl Encoder {
     /// Number of layers.
     pub fn num_layers(&self) -> usize {
         self.layers.len()
-    }
-
-    /// Total number of scalar parameters across all layers.
-    pub fn num_parameters(&self) -> usize {
-        self.layers.iter().map(|l| l.num_parameters()).sum()
     }
 
     /// Output dimension of the final layer (or `input_dim` of an identity
@@ -241,8 +236,8 @@ impl TargetOffset for Dense {
 mod tests {
     use super::*;
     use crate::layers::{Aggregator, GraphSageLayer};
+    use marius_graph::sampling::{MultiHopSampler, SamplingDirection};
     use marius_graph::{Edge, InMemorySubgraph};
-    use marius_sampling::{MultiHopSampler, SamplingDirection};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -389,7 +384,7 @@ mod tests {
         let acts = encoder.forward(&mut dense, h0);
         let grad_out = Tensor::ones(acts.output.rows(), acts.output.cols());
         let _ = encoder.backward(&acts, &grad_out);
-        encoder.step(&Optimizer::sgd(0.1));
+        encoder.step(&Optimizer::Sgd { lr: 0.1 });
         let after: Vec<f32> = encoder.layers()[0].params()[0].value.data().to_vec();
         assert_ne!(before, after);
         assert_eq!(encoder.layers()[0].params()[0].grad.sum(), 0.0);
@@ -415,7 +410,13 @@ mod tests {
     fn num_parameters_and_output_dim() {
         let encoder = two_layer_encoder(3, 4, 2, 17);
         assert_eq!(encoder.output_dim(), Some(2));
-        assert_eq!(encoder.num_parameters(), (3 * 4 * 2 + 4) + (4 * 2 * 2 + 2));
+        let num_parameters: usize = encoder
+            .layers()
+            .iter()
+            .flat_map(|l| l.params())
+            .map(|p| p.value.len())
+            .sum();
+        assert_eq!(num_parameters, (3 * 4 * 2 + 4) + (4 * 2 * 2 + 2));
         assert_eq!(Encoder::new().output_dim(), None);
     }
 }

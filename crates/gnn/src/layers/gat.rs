@@ -314,7 +314,8 @@ mod tests {
         assert_eq!(layer.output_dim(), 8);
         assert_eq!(layer.name(), "gat");
         assert_eq!(layer.params().len(), 4);
-        assert_eq!(layer.num_parameters(), 4 * 8 + 8 + 8 + 8);
+        let num_parameters: usize = layer.params().iter().map(|p| p.value.len()).sum();
+        assert_eq!(num_parameters, 4 * 8 + 8 + 8 + 8);
     }
 
     #[test]

@@ -317,7 +317,8 @@ mod tests {
         assert_eq!(layer.input_dim(), 8);
         assert_eq!(layer.output_dim(), 4);
         assert_eq!(layer.name(), "graphsage");
-        assert_eq!(layer.num_parameters(), 8 * 4 * 2 + 4);
+        let num_parameters: usize = layer.params().iter().map(|p| p.value.len()).sum();
+        assert_eq!(num_parameters, 8 * 4 * 2 + 4);
         assert_eq!(layer.params().len(), 3);
     }
 

@@ -8,15 +8,13 @@
 //! Backward passes are hand-written adjoints of the same kernels.
 
 mod gat;
-mod gcn;
 mod graphsage;
 
 pub use gat::GatLayer;
-pub use gcn::GcnLayer;
 pub use graphsage::{Aggregator, GraphSageLayer};
 
 use crate::optimizer::Param;
-use marius_sampling::Dense;
+use marius_graph::sampling::Dense;
 use marius_tensor::Tensor;
 
 /// Immutable view of the DENSE arrays needed to run one GNN layer.
@@ -46,7 +44,7 @@ impl LayerContext {
     /// # Panics
     ///
     /// Panics if `dense.build_repr_map` has not been called.
-    pub fn from_dense(dense: &Dense) -> Self {
+    pub(crate) fn from_dense(dense: &Dense) -> Self {
         assert!(
             dense.nbrs().is_empty() == dense.repr_map().is_empty(),
             "LayerContext requires Dense::build_repr_map to have been called"
@@ -66,7 +64,7 @@ impl LayerContext {
     }
 
     /// Per-output-node neighbour counts.
-    pub fn segment_counts(&self) -> Vec<usize> {
+    pub(crate) fn segment_counts(&self) -> Vec<usize> {
         let n = self.nbr_offsets.len();
         let mut counts = Vec::with_capacity(n);
         for j in 0..n {
@@ -85,7 +83,7 @@ impl LayerContext {
 #[derive(Debug, Clone, Default)]
 pub struct LayerCache {
     /// Cached tensors, with layer-specific meaning.
-    pub tensors: Vec<Tensor>,
+    pub(crate) tensors: Vec<Tensor>,
 }
 
 impl LayerCache {
@@ -125,11 +123,6 @@ pub trait GnnLayer: std::fmt::Debug + Send {
 
     /// Short human-readable layer name.
     fn name(&self) -> &'static str;
-
-    /// Total number of scalar parameters.
-    fn num_parameters(&self) -> usize {
-        self.params().iter().map(|p| p.num_elements()).sum()
-    }
 }
 
 /// Adds `delta` into the rows of `target` starting at `start_row`.
@@ -188,8 +181,8 @@ pub(crate) fn segment_softmax_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marius_graph::sampling::{MultiHopSampler, SamplingDirection};
     use marius_graph::{Edge, InMemorySubgraph};
-    use marius_sampling::{MultiHopSampler, SamplingDirection};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -6,7 +6,7 @@
 //!
 //! The crate implements the model zoo used throughout the paper's evaluation:
 //!
-//! * [`layers`] — GraphSage, GCN and GAT encoder layers whose forward pass
+//! * [`layers`] — GraphSage and GAT encoder layers whose forward pass
 //!   consumes the DENSE structure exactly as Algorithm 3 describes
 //!   (`index_select` + `segment_sum` over contiguous neighbour lists), and whose
 //!   backward passes are written by hand against the same kernels.
@@ -17,23 +17,25 @@
 //!   linear classification head for node classification.
 //! * [`loss`] — softmax cross-entropy for node classification and the
 //!   positive-vs-negatives softmax ranking loss for link prediction.
-//! * [`optimizer`] — SGD and Adagrad for dense parameters, and
-//!   [`embedding::EmbeddingTable`] with sparse Adagrad updates for learnable base
+//! * [`Optimizer`] — SGD and Adagrad for dense parameters, and
+//!   [`EmbeddingTable`] with sparse Adagrad updates for learnable base
 //!   representations (the lookup table of paper §2).
 //!
 //! Everything is CPU-only but expressed with the dense kernels of
 //! [`marius_tensor`], so compute scales with the same quantities (nodes sampled,
 //! edges sampled, feature dimensions) that determine GPU time in the paper.
 
+#![deny(unreachable_pub, missing_docs)]
+
 pub mod decoder;
-pub mod embedding;
+mod embedding;
 pub mod encoder;
 pub mod layers;
 pub mod loss;
-pub mod optimizer;
+mod optimizer;
 
 pub use decoder::{ClassifierHead, DistMult};
 pub use embedding::EmbeddingTable;
 pub use encoder::Encoder;
-pub use layers::{GatLayer, GcnLayer, GnnLayer, GraphSageLayer, LayerContext};
+pub use layers::{GatLayer, GnnLayer, GraphSageLayer, LayerContext};
 pub use optimizer::{Optimizer, Param};

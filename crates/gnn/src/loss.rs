@@ -16,8 +16,6 @@ pub struct ClassificationLoss {
     pub loss: f64,
     /// Gradient with respect to the logits (already divided by the batch size).
     pub grad_logits: Tensor,
-    /// Number of examples whose argmax prediction matched the label.
-    pub correct: usize,
 }
 
 /// Softmax cross-entropy over `(B, C)` logits with integer labels.
@@ -32,23 +30,17 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[u32]) -> ClassificationL
     let log_probs = logits.log_softmax_rows();
     let mut grad = probs.clone();
     let mut loss = 0.0f64;
-    let mut correct = 0usize;
-    let predictions = logits.argmax_rows();
     for (b, &label) in labels.iter().enumerate() {
         let label = label as usize;
         assert!(label < logits.cols(), "label {label} out of range");
         loss -= log_probs.get(b, label) as f64;
         let cur = grad.get(b, label);
         grad.set(b, label, cur - 1.0);
-        if predictions[b] == label {
-            correct += 1;
-        }
     }
     grad.scale_assign(1.0 / batch as f32);
     ClassificationLoss {
         loss: loss / batch as f64,
         grad_logits: grad,
-        correct,
     }
 }
 
@@ -117,7 +109,6 @@ mod tests {
         let logits = Tensor::from_rows(&[&[10.0, -10.0], &[-10.0, 10.0]]);
         let out = softmax_cross_entropy(&logits, &[0, 1]);
         assert!(out.loss < 1e-3);
-        assert_eq!(out.correct, 2);
     }
 
     #[test]
@@ -125,7 +116,6 @@ mod tests {
         let logits = Tensor::from_rows(&[&[10.0, -10.0]]);
         let out = softmax_cross_entropy(&logits, &[1]);
         assert!(out.loss > 5.0);
-        assert_eq!(out.correct, 0);
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl Param {
     /// # Panics
     ///
     /// Panics if the shapes do not match.
-    pub fn accumulate_grad(&mut self, delta: &Tensor) {
+    pub(crate) fn accumulate_grad(&mut self, delta: &Tensor) {
         self.grad
             .add_assign(delta)
             .expect("gradient shape mismatch");
@@ -48,11 +48,6 @@ impl Param {
     /// Clears the accumulated gradient.
     pub fn zero_grad(&mut self) {
         self.grad = Tensor::zeros(self.value.rows(), self.value.cols());
-    }
-
-    /// Number of scalar parameters.
-    pub fn num_elements(&self) -> usize {
-        self.value.len()
     }
 }
 
@@ -74,11 +69,6 @@ pub enum Optimizer {
 }
 
 impl Optimizer {
-    /// A reasonable SGD default for GNN weights.
-    pub fn sgd(lr: f32) -> Self {
-        Optimizer::Sgd { lr }
-    }
-
     /// A reasonable Adagrad default (`eps = 1e-10`, matching Marius).
     pub fn adagrad(lr: f32) -> Self {
         Optimizer::Adagrad { lr, eps: 1e-10 }
@@ -124,7 +114,7 @@ mod tests {
     #[test]
     fn param_construction_and_zero_grad() {
         let mut p = Param::new("w", Tensor::ones(2, 3));
-        assert_eq!(p.num_elements(), 6);
+        assert_eq!(p.value.len(), 6);
         p.accumulate_grad(&Tensor::ones(2, 3));
         assert_eq!(p.grad.sum(), 6.0);
         p.zero_grad();
@@ -141,7 +131,7 @@ mod tests {
     #[test]
     fn sgd_descends_a_quadratic() {
         let mut p = Param::new("x", Tensor::full(1, 4, 10.0));
-        let opt = Optimizer::sgd(0.1);
+        let opt = Optimizer::Sgd { lr: 0.1 };
         for _ in 0..100 {
             let g = quadratic_grad(&p);
             p.accumulate_grad(&g);
@@ -170,7 +160,7 @@ mod tests {
     fn step_clears_gradient() {
         let mut p = Param::new("x", Tensor::ones(1, 2));
         p.accumulate_grad(&Tensor::ones(1, 2));
-        Optimizer::sgd(0.5).step(&mut p);
+        Optimizer::Sgd { lr: 0.5 }.step(&mut p);
         assert_eq!(p.grad.sum(), 0.0);
         assert_eq!(p.value.get(0, 0), 0.5);
     }

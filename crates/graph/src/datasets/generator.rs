@@ -33,11 +33,6 @@ impl FeatureMatrix {
         }
     }
 
-    /// Number of rows (nodes).
-    pub fn num_rows(&self) -> usize {
-        self.data.len().checked_div(self.dim).unwrap_or(0)
-    }
-
     /// Feature dimension.
     pub fn dim(&self) -> usize {
         self.dim
@@ -334,7 +329,10 @@ mod tests {
         let spec = tiny_nc_spec();
         let d = ScaledDataset::generate(&spec, 3);
         let features = d.features.as_ref().expect("features present");
-        assert_eq!(features.num_rows() as u64, spec.num_nodes);
+        assert_eq!(
+            (features.data.len() / features.dim()) as u64,
+            spec.num_nodes
+        );
         assert_eq!(features.dim(), spec.feat_dim);
         let labels = d.labels.as_ref().expect("labels present");
         assert_eq!(labels.len() as u64, spec.num_nodes);
@@ -424,13 +422,13 @@ mod tests {
     #[test]
     fn feature_matrix_accessors() {
         let mut f = FeatureMatrix::zeros(3, 4);
-        assert_eq!(f.num_rows(), 3);
+        assert_eq!(f.data.len(), 3 * 4);
         assert_eq!(f.dim(), 4);
         f.row_mut(1)[2] = 5.0;
         assert_eq!(f.row(1)[2], 5.0);
         assert_eq!(f.storage_bytes(), 48);
         let empty = FeatureMatrix::zeros(0, 0);
-        assert_eq!(empty.num_rows(), 0);
+        assert!(empty.data.is_empty());
     }
 
     #[test]

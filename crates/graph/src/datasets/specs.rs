@@ -33,7 +33,7 @@ pub struct DatasetSpec {
 
 impl DatasetSpec {
     /// OGBN-Papers100M: 111M nodes, 1.62B edges, 128-dim features (Table 1).
-    pub fn papers100m() -> Self {
+    pub(crate) fn papers100m() -> Self {
         DatasetSpec {
             name: "papers100m".into(),
             num_nodes: 111_000_000,
@@ -50,7 +50,7 @@ impl DatasetSpec {
 
     /// OGB Mag240M citation subgraph (paper-cites-paper): 122M nodes, 1.30B edges,
     /// 768-dim features (Table 1).
-    pub fn mag240m_cites() -> Self {
+    pub(crate) fn mag240m_cites() -> Self {
         DatasetSpec {
             name: "mag240m-cites".into(),
             num_nodes: 122_000_000,
@@ -67,7 +67,7 @@ impl DatasetSpec {
 
     /// Freebase86M knowledge graph: 86M nodes, 338M edges, 100-dim learned
     /// embeddings (Table 1).
-    pub fn freebase86m() -> Self {
+    pub(crate) fn freebase86m() -> Self {
         DatasetSpec {
             name: "freebase86m".into(),
             num_nodes: 86_000_000,
@@ -83,7 +83,7 @@ impl DatasetSpec {
     }
 
     /// OGB WikiKG90Mv2: 91M nodes, 601M edges, 100-dim learned embeddings (Table 1).
-    pub fn wikikg90mv2() -> Self {
+    pub(crate) fn wikikg90mv2() -> Self {
         DatasetSpec {
             name: "wikikg90mv2".into(),
             num_nodes: 91_000_000,
@@ -100,7 +100,7 @@ impl DatasetSpec {
 
     /// Common Crawl 2012 hyperlink graph: 3.5B nodes, 128B edges, 50-dim learned
     /// embeddings (Table 1, §7.3 extreme-scale experiment).
-    pub fn hyperlink2012() -> Self {
+    pub(crate) fn hyperlink2012() -> Self {
         DatasetSpec {
             name: "hyperlink2012".into(),
             num_nodes: 3_500_000_000,
@@ -118,7 +118,7 @@ impl DatasetSpec {
     /// Facebook15: 1.4B nodes, 1T edges, 100-dim (Table 1; not trained on in the
     /// paper, listed for the storage argument). Features are treated as fixed
     /// inputs, matching how Table 1 accounts for its storage.
-    pub fn facebook15() -> Self {
+    pub(crate) fn facebook15() -> Self {
         DatasetSpec {
             name: "facebook15".into(),
             num_nodes: 1_400_000_000,
@@ -218,40 +218,6 @@ impl DatasetSpec {
             .max(1);
         s
     }
-
-    /// Bytes needed to store all edges using the compact format Table 1 assumes:
-    /// 4-byte node ids when they fit in a signed 32-bit integer (8-byte otherwise)
-    /// plus a 4-byte relation id for multi-relational graphs.
-    pub fn edge_storage_bytes(&self) -> u64 {
-        let id_bytes: u64 = if self.num_nodes <= i32::MAX as u64 {
-            4
-        } else {
-            8
-        };
-        let rel_bytes: u64 = if self.num_relations > 1 { 4 } else { 0 };
-        self.num_edges * (2 * id_bytes + rel_bytes)
-    }
-
-    /// Bytes needed to store the base representations (`|V| * d * 4`, paper §6).
-    ///
-    /// For *learned* embeddings (link prediction lookup tables) the total is
-    /// doubled because Marius-style training keeps per-embedding optimizer state
-    /// (Adagrad accumulators) alongside the parameters — this is what makes the
-    /// Table 1 numbers for Freebase86M / WikiKG90Mv2 / Hyperlink twice the raw
-    /// parameter size.
-    pub fn feature_storage_bytes(&self) -> u64 {
-        let raw = self.num_nodes * self.feat_dim as u64 * 4;
-        if self.fixed_features {
-            raw
-        } else {
-            2 * raw
-        }
-    }
-
-    /// Total storage in bytes (edges + features).
-    pub fn total_storage_bytes(&self) -> u64 {
-        self.edge_storage_bytes() + self.feature_storage_bytes()
-    }
 }
 
 #[cfg(test)]
@@ -259,6 +225,43 @@ mod tests {
     use super::*;
 
     const GB: f64 = 1e9;
+
+    /// Storage sizes under the compact format Table 1 assumes.
+    impl DatasetSpec {
+        /// Bytes needed to store all edges using the compact format Table 1 assumes:
+        /// 4-byte node ids when they fit in a signed 32-bit integer (8-byte otherwise)
+        /// plus a 4-byte relation id for multi-relational graphs.
+        fn edge_storage_bytes(&self) -> u64 {
+            let id_bytes: u64 = if self.num_nodes <= i32::MAX as u64 {
+                4
+            } else {
+                8
+            };
+            let rel_bytes: u64 = if self.num_relations > 1 { 4 } else { 0 };
+            self.num_edges * (2 * id_bytes + rel_bytes)
+        }
+
+        /// Bytes needed to store the base representations (`|V| * d * 4`, paper §6).
+        ///
+        /// For *learned* embeddings (link prediction lookup tables) the total is
+        /// doubled because Marius-style training keeps per-embedding optimizer state
+        /// (Adagrad accumulators) alongside the parameters — this is what makes the
+        /// Table 1 numbers for Freebase86M / WikiKG90Mv2 / Hyperlink twice the raw
+        /// parameter size.
+        fn feature_storage_bytes(&self) -> u64 {
+            let raw = self.num_nodes * self.feat_dim as u64 * 4;
+            if self.fixed_features {
+                raw
+            } else {
+                2 * raw
+            }
+        }
+
+        /// Total storage in bytes (edges + features).
+        fn total_storage_bytes(&self) -> u64 {
+            self.edge_storage_bytes() + self.feature_storage_bytes()
+        }
+    }
 
     #[test]
     fn table1_has_six_rows() {

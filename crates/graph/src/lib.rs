@@ -5,13 +5,16 @@
 //! * [`EdgeList`] — the on-disk/authoritative representation of a graph as a flat
 //!   list of `(source, relation, destination)` triples (relations collapse to a
 //!   single id for homogeneous graphs).
-//! * [`csr::Csr`] — a compressed sparse row adjacency used by full-graph
+//! * [`Csr`] — a compressed sparse row adjacency used by full-graph
 //!   (non-sampled) operations and by the dataset generators.
 //! * [`InMemorySubgraph`] — the dual-sorted edge-list structure of paper §4.1: the
 //!   edges currently resident in CPU memory sorted once by source and once by
 //!   destination, plus per-node offset arrays, so that one-hop neighbours of any
 //!   node set can be sampled in parallel.
-//! * [`partition`] — node partitioning and edge buckets `(i, j)` (paper §3).
+//! * [`sampling`] — DENSE multi-hop neighbourhood sampling over an
+//!   [`InMemorySubgraph`] (Algorithms 1–2), and negative sampling.
+//! * [`Partitioner`] — node partitioning ([`PartitionAssignment`]) and edge
+//!   buckets `(i, j)` ([`EdgeBucket`], paper §3).
 //! * [`temporal`] — chronological edge splits over the implicit generation-order
 //!   timestamps, the substrate for temporal tasks and streaming ingest.
 //! * [`datasets`] — deterministic synthetic generators that stand in for the
@@ -29,11 +32,14 @@
 //! assert_eq!(data.num_nodes(), spec.num_nodes);
 //! ```
 
-pub mod csr;
+#![deny(unreachable_pub, missing_docs)]
+
+mod csr;
 pub mod datasets;
-pub mod edge_list;
+mod edge_list;
 pub mod in_memory;
-pub mod partition;
+mod partition;
+pub mod sampling;
 pub mod temporal;
 
 pub use csr::Csr;

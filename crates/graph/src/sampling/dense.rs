@@ -17,7 +17,7 @@
 //! input holding that node's current representation, which turns neighbourhood
 //! aggregation into `index_select` + `segment_sum` (Algorithm 3).
 
-use marius_graph::{NodeId, RelId};
+use crate::{NodeId, RelId};
 use std::collections::HashMap;
 
 /// Statistics about one multi-hop sample, reported in Table 6 of the paper.
@@ -85,11 +85,6 @@ impl Dense {
     /// representations `H0` must be provided in exactly this order.
     pub fn node_ids(&self) -> &[NodeId] {
         &self.node_ids
-    }
-
-    /// The start offset of each `Δ` group within [`Dense::node_ids`].
-    pub fn node_id_offsets(&self) -> &[usize] {
-        &self.node_id_offsets
     }
 
     /// Sampled neighbour node ids, concatenated per owning node.
@@ -349,7 +344,7 @@ mod tests {
         let removed = dense.advance_layer();
         assert_eq!(removed, 1); // len(Δ0)
         assert_eq!(dense.node_ids(), &[2, 3, 0, 1]); // C, D, A, B
-        assert_eq!(dense.node_id_offsets(), &[0, 2]);
+        assert_eq!(dense.node_id_offsets, [0, 2]);
         assert_eq!(dense.output_node_ids(), &[0, 1]); // A, B
                                                       // Remaining neighbour lists are A -> [C, D] and B -> [C, A].
         assert_eq!(dense.nbr_offsets(), &[0, 2]);

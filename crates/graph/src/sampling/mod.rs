@@ -1,6 +1,6 @@
 //! Multi-hop neighbourhood sampling for the MariusGNN reproduction.
 //!
-//! This crate implements the paper's central data structure, DENSE (a **D**elta
+//! This module implements the paper's central data structure, DENSE (a **D**elta
 //! **E**ncoding of **N**eighborhood **S**ampl**E**s), and the algorithms that build
 //! and consume it:
 //!
@@ -10,14 +10,14 @@
 //! * [`MultiHopSampler`] — Algorithm 1: builds DENSE for a set of target nodes by
 //!   sampling one-hop neighbours **only for nodes not already present** in the
 //!   structure, reusing earlier samples across layers.
-//! * [`negative`] — negative sampling for link-prediction training and the
-//!   ranking protocol used to compute MRR.
+//! * [`NegativeSampler`] — negative sampling for link-prediction training,
+//!   and [`RankingProtocol`], the ranking protocol used to compute MRR.
 //!
 //! # Examples
 //!
 //! ```
 //! use marius_graph::{Edge, InMemorySubgraph};
-//! use marius_sampling::{MultiHopSampler, SamplingDirection};
+//! use marius_graph::sampling::{MultiHopSampler, SamplingDirection};
 //! use rand::SeedableRng;
 //!
 //! let edges = vec![Edge::new(2, 0), Edge::new(3, 0), Edge::new(4, 2)];
@@ -29,9 +29,9 @@
 //! assert!(dense.node_ids().contains(&4));
 //! ```
 
-pub mod dense;
-pub mod multi_hop;
-pub mod negative;
+mod dense;
+mod multi_hop;
+mod negative;
 
 pub use dense::{Dense, SampleStats};
 pub use multi_hop::{MultiHopSampler, SamplingDirection};

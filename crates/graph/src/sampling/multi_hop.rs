@@ -9,8 +9,8 @@
 //! the oracle the DENSE ≡ layer-wise tests in `tests/sampling_and_policies.rs`
 //! run this sampler against).
 
-use crate::dense::Dense;
-use marius_graph::{InMemorySubgraph, NodeId, RelId};
+use crate::sampling::dense::Dense;
+use crate::{InMemorySubgraph, NodeId, RelId};
 use rand::seq::index::sample as index_sample;
 use rand::Rng;
 use std::collections::HashSet;
@@ -199,14 +199,14 @@ fn one_hop<R: Rng + ?Sized>(
 /// Samples up to `fanout` edges from `edges`, pushing the neighbour endpoint
 /// (source when `incoming`, destination otherwise) and relation of each.
 fn sample_edges<R: Rng + ?Sized>(
-    edges: &[marius_graph::Edge],
+    edges: &[crate::Edge],
     fanout: usize,
     incoming: bool,
     nbrs: &mut Vec<NodeId>,
     rels: &mut Vec<RelId>,
     rng: &mut R,
 ) {
-    let push = |e: &marius_graph::Edge, nbrs: &mut Vec<NodeId>, rels: &mut Vec<RelId>| {
+    let push = |e: &crate::Edge, nbrs: &mut Vec<NodeId>, rels: &mut Vec<RelId>| {
         nbrs.push(if incoming { e.src } else { e.dst });
         rels.push(e.rel);
     };
@@ -225,7 +225,7 @@ fn sample_edges<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marius_graph::Edge;
+    use crate::Edge;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -256,13 +256,12 @@ mod tests {
         assert_eq!(dense.target_nodes(), &[0, 1]);
         // Δ1 must be the new nodes among the targets' in-neighbours: {C, D} (A is
         // already present as a target and is reused, not re-added).
-        let offsets = dense.node_id_offsets();
-        let delta1 = &dense.node_ids()[offsets[1]..offsets[2]];
+        let (delta0, rest) = dense.node_ids().split_at(dense.self_offset());
+        let delta1 = &rest[..rest.len() - dense.target_nodes().len()];
         let mut delta1_sorted = delta1.to_vec();
         delta1_sorted.sort_unstable();
         assert_eq!(delta1_sorted, vec![2, 3]);
         // Δ0 contains what is new among {C, D}'s in-neighbours: {E} (B reused).
-        let delta0 = &dense.node_ids()[..offsets[1]];
         assert_eq!(delta0, &[4]);
         // Every node appears exactly once.
         assert_eq!(dense.node_ids().len(), 5);

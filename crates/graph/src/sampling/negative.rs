@@ -7,7 +7,7 @@
 //! MRR reported throughout the paper is the mean reciprocal rank of the true
 //! destination among sampled corruptions.
 
-use marius_graph::NodeId;
+use crate::NodeId;
 use rand::Rng;
 
 /// Uniform negative sampler over a node-id universe.
@@ -70,7 +70,7 @@ impl RankingProtocol {
     /// Rank of the positive among the negatives: `1 +` the number of negatives
     /// with a score strictly greater than the positive, plus half the ties
     /// (the "realistic" tie-breaking used by OGB evaluators, rounded down).
-    pub fn rank(positive_score: f32, negative_scores: &[f32]) -> usize {
+    pub(crate) fn rank(positive_score: f32, negative_scores: &[f32]) -> usize {
         let higher = negative_scores
             .iter()
             .filter(|&&s| s > positive_score)
@@ -83,7 +83,7 @@ impl RankingProtocol {
     }
 
     /// Reciprocal rank of a single positive.
-    pub fn reciprocal_rank(positive_score: f32, negative_scores: &[f32]) -> f64 {
+    pub(crate) fn reciprocal_rank(positive_score: f32, negative_scores: &[f32]) -> f64 {
         1.0 / Self::rank(positive_score, negative_scores) as f64
     }
 

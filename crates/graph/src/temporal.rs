@@ -17,7 +17,7 @@
 //! * **train** — every older base edge, **plus every streamed edge** (index
 //!   `>= base_len`) in time order,
 //!
-//! where `h = `[`holdout_size`]`(base_len)` (the same 1%-bounded holdout rule
+//! where `h = ``holdout_size``(base_len)` (the same 1%-bounded holdout rule
 //! the strided link-prediction split uses). Two properties follow directly
 //! and are what the streaming trainer relies on:
 //!
@@ -37,7 +37,7 @@ use crate::{Edge, NodeId};
 /// Number of held-out edges per evaluation window (valid and test each) for a
 /// base edge list of `base_len` edges: 1% of the base, at least 1, at most
 /// 2000 — bounded so MRR evaluation stays cheap at every scale.
-pub fn holdout_size(base_len: usize) -> usize {
+pub(crate) fn holdout_size(base_len: usize) -> usize {
     ((base_len as f64 * 0.01) as usize).clamp(1, 2000)
 }
 

@@ -1,8 +1,8 @@
 //! Property-based tests of the DENSE structure: Algorithm 1's invariants must
 //! hold for arbitrary random graphs, fanouts and target sets.
 
+use marius_graph::sampling::{MultiHopSampler, SamplingDirection};
 use marius_graph::{Edge, InMemorySubgraph, NodeId};
-use marius_sampling::{MultiHopSampler, SamplingDirection};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

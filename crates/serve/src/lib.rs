@@ -117,8 +117,8 @@
 //!   identically from its new location.
 //!
 //! Serving requires a decoder-only (DistMult) link-prediction checkpoint —
-//! the paper's Table 8 configuration, [`ModelConfig::paper_distmult`]
-//! (`marius_core::config`). Encoder-bearing checkpoints are rejected at load
+//! the paper's Table 8 configuration, [`ModelConfig::paper_distmult`].
+//! Encoder-bearing checkpoints are rejected at load
 //! time: their stored rows are *base* representations that only become
 //! comparable after a stochastic multi-hop encoding pass, which has no
 //! deterministic serving semantics.
@@ -133,6 +133,7 @@
 //!
 //! [`ModelConfig::paper_distmult`]: marius_core::ModelConfig::paper_distmult
 
+#![deny(unreachable_pub, missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod admission;
@@ -142,7 +143,7 @@ pub mod error;
 mod reload;
 #[cfg(test)]
 mod scan_tests;
-pub mod workload;
+mod workload;
 
 pub use error::{ServeError, ServeResult};
 pub use reload::CheckpointWatcher;

@@ -4,17 +4,17 @@
 //! optimizer state) and serves embedding gathers and sparse Adagrad
 //! write-backs (Figure 2 steps 5–6) directly from them. It holds no edges:
 //! the edge buckets of a partition set and the sampling subgraph built from
-//! them belong to the step that trains on that set (`marius-pipeline`'s step
-//! context), not to the buffer.
+//! them belong to the step that trains on that set (the pipeline's
+//! [`StepContext`](crate::pipeline::StepContext)), not to the buffer.
 //!
-//! The working set changes in one way, [`PartitionBuffer::install_set`]: the
+//! The working set changes in one way, `PartitionBuffer::install_set`: the
 //! caller has already read the set's missing partitions from the
 //! [`PartitionStore`], the swap moves them into place, and evicted dirty
-//! partitions are *detached* as owned [`EvictedPartition`] payloads instead
+//! partitions are *detached* as owned `EvictedPartition` payloads instead
 //! of being written inline. The caller writes them back with
-//! [`WritebackLedger::write_back`] — on a drain thread while the next step
+//! `WritebackLedger::write_back` — on a drain thread while the next step
 //! computes, or right after the swap when steps run in order. The shared
-//! [`WritebackLedger`] tracks which partitions have detached contents in
+//! `WritebackLedger` tracks which partitions have detached contents in
 //! flight; [`PartitionBuffer::flush`] waits for the ledger to drain before
 //! touching the same files, and installs reject a partition whose write-back
 //! is still pending (its disk bytes are stale).
@@ -53,13 +53,13 @@ struct ResidentPartition {
 /// again. Produced by [`PartitionBuffer::install_set`] and written back by
 /// [`WritebackLedger::write_back`].
 #[derive(Debug)]
-pub struct EvictedPartition {
+pub(crate) struct EvictedPartition {
     /// The detached partition's id.
-    pub id: PartitionId,
+    pub(crate) id: PartitionId,
     /// Embedding rows, in `PartitionAssignment::nodes_in` order.
-    pub values: Vec<f32>,
+    pub(crate) values: Vec<f32>,
     /// Optimizer state, same layout as `values`.
-    pub state: Vec<f32>,
+    pub(crate) state: Vec<f32>,
 }
 
 /// Cross-thread bookkeeping of partitions whose evicted contents have been
@@ -70,7 +70,7 @@ pub struct EvictedPartition {
 /// installs of that partition fail and [`PartitionBuffer::flush`] blocks
 /// until the ledger empties.
 #[derive(Debug, Default)]
-pub struct WritebackLedger {
+pub(crate) struct WritebackLedger {
     pending: Mutex<HashSet<PartitionId>>,
     drained: Condvar,
 }
@@ -94,7 +94,7 @@ impl WritebackLedger {
 
     /// Records that `id`'s detached contents have been written back (or
     /// abandoned by an aborting drain). Wakes any [`WritebackLedger::wait_drained`] callers.
-    pub fn mark_drained(&self, id: PartitionId) {
+    pub(crate) fn mark_drained(&self, id: PartitionId) {
         let mut pending = self.lock_pending();
         pending.remove(&id);
         drop(pending);
@@ -102,12 +102,12 @@ impl WritebackLedger {
     }
 
     /// `true` while `id` has a detached write-back in flight.
-    pub fn is_pending(&self, id: PartitionId) -> bool {
+    pub(crate) fn is_pending(&self, id: PartitionId) -> bool {
         self.lock_pending().contains(&id)
     }
 
     /// Number of partitions with write-backs in flight.
-    pub fn pending_count(&self) -> usize {
+    pub(crate) fn pending_count(&self) -> usize {
         self.lock_pending().len()
     }
 
@@ -117,7 +117,7 @@ impl WritebackLedger {
     /// through checkpoints, so blocking peers on writes that will never land
     /// would only convert a typed error into a deadlock. Returns how many
     /// write-backs were abandoned.
-    pub fn abandon_pending(&self) -> usize {
+    pub(crate) fn abandon_pending(&self) -> usize {
         let mut pending = self.lock_pending();
         let abandoned = pending.len();
         pending.clear();
@@ -133,7 +133,7 @@ impl WritebackLedger {
     /// one write-back path: the pipeline's drain thread, its in-order
     /// schedule and a failed install's rescue all run it. `span` records one
     /// `writeback.write` span per write, labelled with `step`.
-    pub fn write_back(
+    pub(crate) fn write_back(
         &self,
         store: &PartitionStore,
         evicted: &[EvictedPartition],
@@ -161,7 +161,7 @@ impl WritebackLedger {
     /// recover a poisoned condition-variable wait, so a panicked peer
     /// surfaces here as a typed [`StorageError::Pipeline`] instead of a
     /// cascading panic.
-    pub fn wait_drained(&self) -> Result<()> {
+    pub(crate) fn wait_drained(&self) -> Result<()> {
         let poisoned = |_| StorageError::Pipeline {
             stage: "writeback-ledger".into(),
             reason: "a peer thread panicked while the write-back ledger was locked".into(),
@@ -280,7 +280,7 @@ impl PartitionBuffer {
 
     /// A shared handle to the write-back ledger, for the drain thread that
     /// confirms detached evictions once their bytes land on disk.
-    pub fn writeback_ledger(&self) -> Arc<WritebackLedger> {
+    pub(crate) fn writeback_ledger(&self) -> Arc<WritebackLedger> {
         Arc::clone(&self.ledger)
     }
 
@@ -388,7 +388,7 @@ impl PartitionBuffer {
     /// file holds stale bytes and must not be read. When the install itself
     /// fails, the detached evictions are written back before the error
     /// returns, so no training update is lost on the abort path.
-    pub fn install_set(
+    pub(crate) fn install_set(
         &mut self,
         set: &[PartitionId],
         new_parts: Vec<(PartitionId, Vec<f32>, Vec<f32>)>,
@@ -547,7 +547,7 @@ impl PartitionBuffer {
     }
 
     /// The currently resident partitions.
-    pub fn resident_partitions(&self) -> Vec<PartitionId> {
+    pub(crate) fn resident_partitions(&self) -> Vec<PartitionId> {
         let mut v: Vec<PartitionId> = self.resident.keys().copied().collect();
         v.sort_unstable();
         v

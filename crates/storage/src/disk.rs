@@ -628,7 +628,7 @@ impl PartitionStore {
 
     /// Reads an edge bucket. A missing file is treated as an empty bucket (empty
     /// buckets are common and not all of them are materialised).
-    pub fn read_bucket(&self, src: PartitionId, dst: PartitionId) -> Result<Vec<Edge>> {
+    pub(crate) fn read_bucket(&self, src: PartitionId, dst: PartitionId) -> Result<Vec<Edge>> {
         let key = format!("bucket/{src}_{dst}");
         self.retrying(&key, || {
             self.check_fault(|f| f.check_read(&key))?;
@@ -660,7 +660,7 @@ impl PartitionStore {
     /// The caller must only invoke this at a write-back safe point: with no
     /// synchronous writer mid-epoch and, on pipelined runs, after the
     /// write-back ledger has drained (`PartitionBuffer::flush` establishes
-    /// both — see `marius_pipeline::writeback_safe_point`). Snapshots taken
+    /// both — see `marius_storage::pipeline::writeback_safe_point`). Snapshots taken
     /// there capture exactly the epoch-boundary state of every partition.
     pub fn snapshot_to(&self, dst: impl AsRef<Path>) -> Result<()> {
         let dst = dst.as_ref();
@@ -1143,8 +1143,15 @@ mod tests {
 
     #[test]
     fn outage_longer_than_the_retry_budget_exhausts_it() {
-        use crate::fault::IoFaultPlan;
-        let store = faulty_store("outage-exhaust", Some(IoFaultPlan::outage(3, 0, 50)));
+        use crate::fault::{IoFaultPlan, Outage};
+        let plan = IoFaultPlan {
+            outage: Some(Outage {
+                start_op: 0,
+                ops: 50,
+            }),
+            ..IoFaultPlan::quiet(3)
+        };
+        let store = faulty_store("outage-exhaust", Some(plan));
         let err = store.read_partition(0).unwrap_err();
         assert!(err.is_transient());
         assert!(format!("{err}").contains("budget"), "{err}");

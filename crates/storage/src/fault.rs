@@ -168,14 +168,6 @@ impl IoFaultPlan {
         }
     }
 
-    /// A plan whose only fault is an [`Outage`] window.
-    pub fn outage(seed: u64, start_op: u64, ops: u64) -> Self {
-        IoFaultPlan {
-            outage: Some(Outage { start_op, ops }),
-            ..IoFaultPlan::quiet(seed)
-        }
-    }
-
     /// A plan where every operation from global index `after_ops` fails
     /// permanently (a dead device).
     pub fn permanent(seed: u64, after_ops: u64) -> Self {
@@ -245,7 +237,7 @@ impl FaultInjector {
     }
 
     /// Total storage operations checked so far.
-    pub fn ops_seen(&self) -> u64 {
+    pub(crate) fn ops_seen(&self) -> u64 {
         self.ops.load(Ordering::Relaxed)
     }
 
@@ -391,7 +383,14 @@ mod tests {
 
     #[test]
     fn outage_window_fails_transiently_then_recovers() {
-        let inj = IoFaultPlan::outage(1, 5, 10).build();
+        let inj = IoFaultPlan {
+            outage: Some(Outage {
+                start_op: 5,
+                ops: 10,
+            }),
+            ..IoFaultPlan::quiet(1)
+        }
+        .build();
         let mut failed = 0;
         for _ in 0..30 {
             match inj.check_read("partition/1") {

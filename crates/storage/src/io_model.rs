@@ -47,7 +47,7 @@ impl IoCostModel {
     /// The device is limited by whichever is slower: moving the bytes at the
     /// sequential bandwidth (rounding every operation up to a whole block) or
     /// issuing the operations at the IOPS limit.
-    pub fn transfer_time(&self, bytes: u64, ops: u64) -> Duration {
+    pub(crate) fn transfer_time(&self, bytes: u64, ops: u64) -> Duration {
         let effective_bytes = bytes.max(ops * self.block_size);
         let bandwidth_time = effective_bytes as f64 / self.bandwidth_bytes_per_sec;
         let iops_time = ops as f64 / self.iops;

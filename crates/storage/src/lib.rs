@@ -6,18 +6,21 @@
 //!   state) and edge buckets persisted as flat binary files, with an
 //!   instrumented IO counters so experiments can report bytes moved, read and
 //!   write counts and retried faults (the quantities §6 reasons about).
-//! * [`buffer::PartitionBuffer`] — the fixed-capacity CPU buffer that holds `c`
+//! * [`PartitionBuffer`] — the fixed-capacity CPU buffer that holds `c`
 //!   physical node partitions, swaps them according to a replacement policy,
 //!   and serves embedding gathers/updates for mini-batch training.
+//! * [`pipeline`] — the out-of-core training step that swaps a partition set
+//!   into the buffer, trains on it and writes the evicted partitions back,
+//!   run in order or on overlapping stage threads ([`pipeline::run_epoch`]).
 //! * [`policy`] — partition replacement and mini-batch assignment policies:
 //!   [`policy::CometPolicy`] (the paper's contribution, §5.1),
 //!   [`policy::BetaPolicy`] (the prior state of the art from Marius, used as the
 //!   baseline in Table 8), a trivial in-memory policy, and the training-node
 //!   caching policy for node classification (§5.2).
-//! * [`tuning`] — the Edge Permutation Bias metric `B` (§6) and the auto-tuning
-//!   rules that pick the number of physical partitions `p`, logical partitions
+//! * [`edge_permutation_bias`] and [`auto_tune`] — the Edge Permutation Bias
+//!   metric `B` (§6) and the auto-tuning rules that pick the number of physical partitions `p`, logical partitions
 //!   `l` and buffer capacity `c`.
-//! * [`io_model::IoCostModel`] — a bandwidth/IOPS/block-size model of the
+//! * [`IoCostModel`] — a bandwidth/IOPS/block-size model of the
 //!   paper's EBS volume used by the benchmark harnesses to translate measured IO
 //!   volume into epoch-time analogues, and by
 //!   [`disk::PartitionStore::with_emulated_device`] to slow the store down to a
@@ -31,15 +34,15 @@
 //! # One swap path
 //!
 //! The buffer's working set changes in one way, whichever schedule drives the
-//! training step (`marius-pipeline` runs it in order on the calling thread or
-//! on overlapping stage threads). The step reads the set's edge buckets and
+//! training step ([`pipeline`] runs it in order on the calling thread or on
+//! overlapping stage threads). The step reads the set's edge buckets and
 //! the partitions the buffer misses from the [`disk::PartitionStore`] — which
 //! is `Send + Sync` (plain paths plus atomic IO counters), so any number of
 //! threads may read concurrently — and
-//! [`buffer::PartitionBuffer::install_set`] moves the partitions into place
-//! without touching the store. Dirty evictions are *detached* from the swap
-//! as owned [`buffer::EvictedPartition`] payloads and written back by
-//! [`buffer::WritebackLedger::write_back`], on a drain thread while the next
+//! the crate-private `PartitionBuffer::install_set` moves the partitions into
+//! place without touching the store. Dirty evictions are *detached* from the
+//! swap as owned `EvictedPartition` payloads and written back by
+//! `WritebackLedger::write_back`, on a drain thread while the next
 //! step computes or right after the swap. The ledger (plus the pipeline's
 //! write-back watermark) guarantees a partition's file is never re-read
 //! before its pending write-back lands, and
@@ -47,18 +50,20 @@
 //! into place so no reader can observe a torn partition even across an
 //! abort.
 
+#![deny(unreachable_pub, missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod buffer;
+mod buffer;
 pub mod disk;
 pub mod env;
 pub mod fault;
-pub mod io_model;
+mod io_model;
+pub mod pipeline;
 pub mod policy;
 pub mod retry;
-pub mod tuning;
+mod tuning;
 
-pub use buffer::{BufferStats, EvictedPartition, PartitionBuffer, WritebackLedger};
+pub use buffer::{BufferStats, PartitionBuffer};
 pub use disk::{atomic_write, partition_digest, IoStats, PartitionStore};
 pub use env::IoEnv;
 pub use fault::{FaultInjector, IoFaultPlan, Outage};

@@ -1,12 +1,12 @@
-//! The out-of-core training step and its two schedules (`marius-pipeline`).
+//! The out-of-core training step and its two schedules.
 //!
 //! Out-of-core training repeats one step per partition set `Sᵢ` of an
 //! [`EpochPlan`]: read the set's edge buckets into a sampling subgraph
 //! (`read_context`), read the partitions the buffer misses
-//! (`read_partitions`), swap them in
-//! ([`PartitionBuffer::install_set`]), write the evicted dirty partitions back
-//! ([`marius_storage::WritebackLedger::write_back`]), then build and train the
-//! step's batches. Each of those stage bodies is written once.
+//! (`read_partitions`), swap them in (`PartitionBuffer::install_set`), write
+//! the evicted dirty partitions back (`WritebackLedger::write_back`), then
+//! build and train the step's batches. Each of those stage bodies is written
+//! once.
 //! [`run_epoch`] runs them in one of two schedules:
 //!
 //! * **in order** ([`PipelineConfig::enabled`]` = false`) — step after step
@@ -112,10 +112,9 @@
 //! files are immutable during an epoch and are prefetched without
 //! synchronisation.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
+use crate::buffer::EvictedPartition;
+use crate::{EpochPlan, PartitionBuffer, PartitionStore, Result, StorageError};
 use marius_graph::{Edge, InMemorySubgraph, NodeId, PartitionAssignment, PartitionId};
-use marius_storage::{EvictedPartition, PartitionBuffer, PartitionStore, Result, StorageError};
 use marius_telemetry::{Histogram, SpanScope, Telemetry, NO_LABEL};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -124,8 +123,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-pub use marius_storage::EpochPlan;
 
 /// Configuration of the staged training runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -191,7 +188,7 @@ impl Default for PipelineConfig {
 /// epoch boundary this returns immediately; it exists so checkpoint writers
 /// can *assert* the safe point instead of assuming it, and so future partial
 /// (mid-epoch) checkpoints have a primitive that waits for `writeback` to
-/// catch up with the installs. The streaming ingest path (`marius-stream`)
+/// catch up with the installs. The streaming ingest path (`marius_core::stream`)
 /// asserts it for the same reason before applying staged edge deltas at an
 /// epoch boundary: growing a bucket is only safe once its file and its
 /// in-memory contents agree.
@@ -519,28 +516,28 @@ pub struct PipelineReport {
     /// Partitions read from disk by the prefetcher.
     pub partition_loads: usize,
     /// Stage-1 time spent reading the store and building subgraphs.
-    pub prefetch_busy: Duration,
+    pub(crate) prefetch_busy: Duration,
     /// Stage-1 time blocked on back-pressure or write-back dependencies.
     pub prefetch_stall: Duration,
     /// Stage-2 time spent constructing batches (shuffle/negatives/DENSE).
-    pub sample_busy: Duration,
+    pub(crate) sample_busy: Duration,
     /// Stage-2 time blocked on empty input or full output queues.
     pub sample_stall: Duration,
     /// Stage-3 time spent in buffer swaps and compute. Eviction write-backs
     /// are detached to stage 4, so (unlike earlier revisions) no disk IO is
     /// accounted here.
-    pub compute_busy: Duration,
+    pub(crate) compute_busy: Duration,
     /// Stage-3 time blocked waiting for upstream stages or for write-back
     /// back-pressure (the drain's bounded queue being full).
     pub compute_stall: Duration,
     /// Stage-4 time spent writing detached dirty partitions to the store.
     pub writeback_busy: Duration,
     /// Stage-4 time blocked waiting for evictions to drain (idle lane).
-    pub writeback_stall: Duration,
+    pub(crate) writeback_stall: Duration,
     /// Dirty partitions drained asynchronously by stage 4.
-    pub partitions_written_back: usize,
+    pub(crate) partitions_written_back: usize,
     /// Wall-clock duration of the epoch.
-    pub wall_time: Duration,
+    pub(crate) wall_time: Duration,
 }
 
 impl PipelineReport {
@@ -636,10 +633,10 @@ where
 ///
 /// Every step runs the same four stage bodies — `read_context`,
 /// `read_partitions` of the partitions the step misses,
-/// [`PartitionBuffer::install_set`] of the plan's set for the step, and
-/// [`marius_storage::WritebackLedger::write_back`] of the evictions — then
+/// `PartitionBuffer::install_set` of the plan's set for the step, and
+/// `WritebackLedger::write_back` of the evictions — then
 /// builds its batches and applies them. With [`PipelineConfig::enabled`]
-/// and a non-empty plan the bodies run on the stage threads of the crate
+/// and a non-empty plan the bodies run on the stage threads of the module
 /// docs and overlap across steps. Otherwise they run in step order on the
 /// calling thread: no threads, no stage spans, no `pipeline.*` counters, no
 /// busy or stall time, and errors surface as the store raised them. Both
@@ -651,7 +648,7 @@ where
 /// * `buffer` — the partition buffer; its store is read by the stage
 ///   bodies and its resident set is swapped as steps begin. The threaded
 ///   schedule records into the recorder of the store's
-///   [`marius_storage::IoEnv`]: every stage thread records spans under
+///   [`crate::IoEnv`]: every stage thread records spans under
 ///   its own track, every bounded queue samples its occupancy into a
 ///   `pipeline.queue_depth.*` histogram, and the [`PipelineReport`]
 ///   aggregates are mirrored into `pipeline.*` counters.
@@ -694,7 +691,7 @@ where
 }
 
 /// The threaded schedule: the stage bodies on the stage threads of the
-/// crate docs, each in the [`Supervisor`]'s stage harness.
+/// module docs, each in the [`Supervisor`]'s stage harness.
 fn run_threaded<B, MB, CB>(
     config: &PipelineConfig,
     plan: &EpochPlan,
@@ -1006,10 +1003,15 @@ fn mirror_report(t: &Telemetry, report: &PipelineReport) {
 }
 
 #[cfg(test)]
+mod supervision;
+#[cfg(test)]
+mod writeback;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{IoEnv, PartitionStore};
     use marius_graph::{EdgeList, Partitioner};
-    use marius_storage::{IoEnv, PartitionStore};
     use marius_telemetry::Phase;
     use rand::Rng;
     use std::sync::Arc;
@@ -1050,11 +1052,9 @@ mod tests {
     }
 
     fn pair_plan(p: u32, capacity: usize, seed: u64) -> EpochPlan {
-        use marius_storage::policy::ReplacementPolicy;
+        use crate::policy::ReplacementPolicy;
         let mut rng = StdRng::seed_from_u64(seed);
-        marius_storage::BetaPolicy::new(capacity)
-            .plan(p, &mut rng)
-            .unwrap()
+        crate::BetaPolicy::new(capacity).plan(p, &mut rng).unwrap()
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! abandoned, and no torn partition files — never a deadlock or a poisoned
 //! lock panic on the caller's thread.
 
+use super::{run_epoch, PipelineConfig};
+use crate::{EpochPlan, IoEnv, IoFaultPlan, PartitionBuffer, PartitionStore, StorageError};
 use marius_graph::{Edge, EdgeList, Partitioner};
-use marius_pipeline::{run_epoch, EpochPlan, PipelineConfig};
-use marius_storage::{IoEnv, IoFaultPlan, PartitionBuffer, PartitionStore, StorageError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -7,9 +7,9 @@
 //! evicted partition would race (and lose to) the drain and observe stale
 //! bytes.
 
+use super::{run_epoch, PipelineConfig};
+use crate::{EpochPlan, IoCostModel, PartitionBuffer, PartitionStore};
 use marius_graph::{Edge, EdgeList, NodeId, Partitioner};
-use marius_pipeline::{run_epoch, EpochPlan, PipelineConfig};
-use marius_storage::{IoCostModel, PartitionBuffer, PartitionStore};
 use marius_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -123,7 +123,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let plan = BetaPolicy::new(8).plan(4, &mut rng).unwrap();
         assert_eq!(plan.num_sets(), 1);
-        assert_eq!(plan.total_buckets(), 16);
+        assert_eq!(plan.buckets_per_step(), [16]);
         plan.validate(4, 8).unwrap();
     }
 }

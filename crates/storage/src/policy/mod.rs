@@ -54,11 +54,6 @@ impl EpochPlan {
         loads
     }
 
-    /// Total buckets assigned across all steps.
-    pub fn total_buckets(&self) -> usize {
-        self.bucket_assignment.iter().map(|x| x.len()).sum()
-    }
-
     /// Number of training-example buckets per step (workload balance diagnostic;
     /// COMET's deferred assignment makes these roughly equal, §5.1).
     pub fn buckets_per_step(&self) -> Vec<usize> {

@@ -44,7 +44,7 @@ pub struct NodeCachePolicy {
     pub buffer_capacity: usize,
     /// Number of leading partitions that contain training nodes (the `k` of
     /// §5.2, produced by `Partitioner::training_nodes_first`).
-    pub num_train_partitions: u32,
+    pub(crate) num_train_partitions: u32,
 }
 
 impl NodeCachePolicy {
@@ -110,7 +110,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let plan = InMemoryPolicy.plan(5, &mut rng).unwrap();
         assert_eq!(plan.num_sets(), 1);
-        assert_eq!(plan.total_buckets(), 25);
+        assert_eq!(plan.buckets_per_step(), [25]);
         plan.validate(5, 5).unwrap();
         assert_eq!(InMemoryPolicy.name(), "in-memory");
     }

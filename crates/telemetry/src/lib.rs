@@ -64,6 +64,7 @@
 //! assert!(trace.contains("compute-step"));
 //! ```
 
+#![deny(unreachable_pub, missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod metrics;

@@ -176,7 +176,7 @@ pub struct MetricsSnapshot {
     /// Counter name → value.
     pub counters: Vec<(String, u64)>,
     /// Gauge name → value.
-    pub gauges: Vec<(String, i64)>,
+    pub(crate) gauges: Vec<(String, i64)>,
     /// Histogram name → snapshot.
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }

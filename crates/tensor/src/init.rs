@@ -30,11 +30,6 @@ pub fn uniform_init<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize, boun
     t
 }
 
-/// Zero initialisation (used for biases).
-pub fn zeros_init(rows: usize, cols: usize) -> Tensor {
-    Tensor::zeros(rows, cols)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,13 +68,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let a = uniform_init(&mut rng, 3, 3, 0.0);
         assert_eq!(a.sum(), 0.0);
-    }
-
-    #[test]
-    fn zeros_init_shape() {
-        let z = zeros_init(4, 2);
-        assert_eq!(z.shape(), (4, 2));
-        assert_eq!(z.sum(), 0.0);
     }
 
     #[test]

@@ -24,12 +24,14 @@
 //! assert_eq!(c.get(1, 0), 3.0);
 //! ```
 
-pub mod init;
+#![deny(unreachable_pub, missing_docs)]
+
+mod init;
 pub mod ops;
 pub mod segment;
-pub mod tensor;
+mod tensor;
 
-pub use init::{glorot_uniform, uniform_init, zeros_init};
+pub use init::{glorot_uniform, uniform_init};
 pub use tensor::Tensor;
 
 /// Error type for tensor operations with incompatible shapes or invalid indices.

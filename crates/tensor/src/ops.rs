@@ -12,7 +12,7 @@ impl Tensor {
     ///
     /// # Panics
     ///
-    /// Panics if the inner dimensions do not agree. Use [`Tensor::try_matmul`] for a
+    /// Panics if the inner dimensions do not agree. Use `Tensor::try_matmul` for a
     /// fallible variant.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         self.try_matmul(other)
@@ -20,7 +20,7 @@ impl Tensor {
     }
 
     /// Fallible matrix multiplication.
-    pub fn try_matmul(&self, other: &Tensor) -> Result<Tensor> {
+    pub(crate) fn try_matmul(&self, other: &Tensor) -> Result<Tensor> {
         if self.cols() != other.rows() {
             return Err(TensorError::ShapeMismatch {
                 lhs: self.shape(),
@@ -52,11 +52,6 @@ impl Tensor {
     /// Element-wise addition.
     pub fn add(&self, other: &Tensor) -> Result<Tensor> {
         self.zip_with(other, "add", |a, b| a + b)
-    }
-
-    /// Element-wise subtraction.
-    pub fn sub(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip_with(other, "sub", |a, b| a - b)
     }
 
     /// Element-wise (Hadamard) multiplication.
@@ -335,7 +330,6 @@ mod tests {
         let a = Tensor::from_rows(&[&[1.0, 2.0]]);
         let b = Tensor::from_rows(&[&[3.0, 4.0]]);
         assert_eq!(a.add(&b).unwrap().row(0), &[4.0, 6.0]);
-        assert_eq!(b.sub(&a).unwrap().row(0), &[2.0, 2.0]);
         assert_eq!(a.mul(&b).unwrap().row(0), &[3.0, 8.0]);
     }
 
@@ -345,7 +339,6 @@ mod tests {
         let b = Tensor::zeros(2, 1);
         assert!(a.add(&b).is_err());
         assert!(a.mul(&b).is_err());
-        assert!(a.sub(&b).is_err());
         assert!(a.rowwise_dot(&b).is_err());
     }
 

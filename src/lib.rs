@@ -266,22 +266,26 @@
 //! # }
 //! ```
 //!
-//! See `marius_stream` for the ingest atomicity and epoch-boundary
-//! semantics, and `marius_graph::temporal` for the split rules.
+//! See [`stream`] for the ingest atomicity and epoch-boundary semantics,
+//! and [`graph::temporal`] for the split rules.
 //!
 //! # Workspace map
 //!
+//! Seven library crates, each re-exported here under its short name. Three
+//! of their modules also have a top-level path of their own.
+//!
 //! * [`tensor`] / [`gnn`] — dense kernels, layers, decoders, optimizers.
-//! * [`graph`] — edge lists, CSR subgraphs, partitioning, synthetic datasets.
-//! * [`sampling`] — DENSE multi-hop sampling and negative sampling.
+//! * [`graph`] — edge lists, CSR subgraphs, partitioning, synthetic datasets,
+//!   and [`sampling`] (`graph::sampling`): DENSE multi-hop sampling and
+//!   negative sampling.
 //! * [`storage`] — the partition store/buffer and replacement policies
-//!   (COMET, BETA, training-node caching).
-//! * [`pipeline`] — the staged runtime overlapping disk IO, batch
-//!   construction and compute.
+//!   (COMET, BETA, training-node caching), and [`pipeline`]
+//!   (`storage::pipeline`): the out-of-core step, run in order or on stage
+//!   threads overlapping disk IO, batch construction and compute.
 //! * [`core`] — models, the [`Task`] trait and the generic
-//!   [`Trainer`]`<T>` this facade wraps.
+//!   [`Trainer`]`<T>` this facade wraps, and [`stream`] (`core::stream`):
+//!   streaming edge ingest for continuous training.
 //! * [`serve`] — the read path answering queries over finished checkpoints.
-//! * [`stream`] — streaming edge ingest for continuous training.
 //! * [`telemetry`] — spans, counters and their Chrome-trace / metrics export.
 //!
 //! The paper's structural claims are tests, not tables: DENSE ≡ layer-wise
@@ -289,18 +293,19 @@
 //! (Table 8) are pinned in `tests/sampling_and_policies.rs`.
 
 pub use marius_core as core;
+pub use marius_core::stream;
 pub use marius_gnn as gnn;
 pub use marius_graph as graph;
-pub use marius_pipeline as pipeline;
-pub use marius_sampling as sampling;
+pub use marius_graph::sampling;
 pub use marius_serve as serve;
 pub use marius_storage as storage;
-pub use marius_stream as stream;
+pub use marius_storage::pipeline;
 pub use marius_telemetry as telemetry;
 pub use marius_tensor as tensor;
 
 pub use marius_telemetry::Telemetry;
 
+pub use marius_core::stream::{EdgeStream, Ingestor};
 pub use marius_core::{
     Checkpoint, DiskConfig, EncoderKind, EpochHook, EpochReport, ExperimentReport,
     LinkPredictionTask, ModelConfig, NodeClassificationTask, Persist, PipelineConfig, PolicyKind,
@@ -314,7 +319,6 @@ pub use marius_serve::{
 pub use marius_storage::{
     FaultInjector, IoCostModel, IoEnv, IoFaultPlan, Result, RetryPolicy, StorageError,
 };
-pub use marius_stream::{EdgeStream, Ingestor};
 
 use marius_graph::datasets::ScaledDataset;
 use marius_storage::PartitionStore;

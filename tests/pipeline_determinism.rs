@@ -1,4 +1,4 @@
-//! Integration tests for the staged training runtime (`marius-pipeline`)
+//! Integration tests for the staged training runtime (`marius_storage::pipeline`)
 //! driven through the public trainer API: the pipelined executor must be a
 //! drop-in replacement for the sequential one.
 //!

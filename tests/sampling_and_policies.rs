@@ -21,8 +21,8 @@ use marius_core::{
 use marius_gnn::layers::Aggregator;
 use marius_gnn::{EmbeddingTable, Encoder, GraphSageLayer};
 use marius_graph::datasets::{DatasetSpec, ScaledDataset};
+use marius_graph::sampling::{MultiHopSampler, SamplingDirection};
 use marius_graph::{Edge, InMemorySubgraph, NodeId, Partitioner};
-use marius_sampling::{MultiHopSampler, SamplingDirection};
 use marius_storage::policy::ReplacementPolicy;
 use marius_storage::{edge_permutation_bias, BetaPolicy, CometPolicy, InMemoryPolicy, IoEnv};
 use rand::rngs::StdRng;

@@ -7,8 +7,8 @@
 //! and swapping only the sampler is how this reproduction regenerates Table 6.
 
 use marius_gnn::LayerContext;
+use marius_graph::sampling::{SampleStats, SamplingDirection};
 use marius_graph::{Edge, InMemorySubgraph, NodeId, RelId};
-use marius_sampling::{SampleStats, SamplingDirection};
 use rand::seq::index::sample as index_sample;
 use rand::Rng;
 use std::collections::HashMap;
@@ -27,7 +27,7 @@ pub struct LayerwiseSample {
     pub base_nodes: Vec<NodeId>,
     /// The original target nodes (the outermost layer's output).
     pub target_nodes: Vec<NodeId>,
-    /// Sampling statistics comparable with [`marius_sampling::SampleStats`].
+    /// Sampling statistics comparable with [`marius_graph::sampling::SampleStats`].
     pub stats: SampleStats,
 }
 
@@ -201,7 +201,7 @@ fn sample_edges<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use marius_gnn::{Encoder, GraphSageLayer};
-    use marius_sampling::{MultiHopSampler, SamplingDirection};
+    use marius_graph::sampling::{MultiHopSampler, SamplingDirection};
     use marius_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
