@@ -36,8 +36,11 @@
 
 mod csr;
 pub mod datasets;
+mod dense;
 mod edge_list;
 pub mod in_memory;
+mod multi_hop;
+mod negative;
 mod partition;
 pub mod sampling;
 pub mod temporal;

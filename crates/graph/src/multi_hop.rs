@@ -9,7 +9,7 @@
 //! the oracle the DENSE ≡ layer-wise tests in `tests/sampling_and_policies.rs`
 //! run this sampler against).
 
-use crate::sampling::dense::Dense;
+use crate::dense::Dense;
 use crate::{InMemorySubgraph, NodeId, RelId};
 use rand::seq::index::sample as index_sample;
 use rand::Rng;

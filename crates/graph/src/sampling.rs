@@ -29,10 +29,6 @@
 //! assert!(dense.node_ids().contains(&4));
 //! ```
 
-mod dense;
-mod multi_hop;
-mod negative;
-
-pub use dense::{Dense, SampleStats};
-pub use multi_hop::{MultiHopSampler, SamplingDirection};
-pub use negative::{NegativeSampler, RankingProtocol};
+pub use crate::dense::{Dense, SampleStats};
+pub use crate::multi_hop::{MultiHopSampler, SamplingDirection};
+pub use crate::negative::{NegativeSampler, RankingProtocol};
