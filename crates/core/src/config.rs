@@ -244,7 +244,8 @@ pub struct RunConfig {
     pub checkpoint_every: usize,
     /// When set, the run's partition store emulates this device (reads and
     /// writes sleep to the modeled transfer time) instead of running at
-    /// page-cache speed, and `EpochReport::io_time` is estimated under it.
+    /// page-cache speed, and `EpochReport::io_time` is the device time it
+    /// charged (zero when unset).
     /// Persisted so a resumed run continues under the same IO regime.
     pub emulated_device: Option<IoCostModel>,
 }

@@ -172,7 +172,8 @@ epoch_report! {
     sample_time: Duration,
     /// Time spent in forward/backward compute and updates.
     compute_time: Duration,
-    /// Estimated disk IO time under the experiment's IO cost model.
+    /// Device time the emulated device charged for the epoch's IO (zero
+    /// without an emulated device).
     io_time: Duration,
     /// Pipelined runs only: time the compute consumer spent blocked waiting
     /// for upstream stages (prefetched partitions or constructed batches).

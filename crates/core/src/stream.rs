@@ -16,8 +16,9 @@
 //!   assignments and embedding-table shapes — and therefore every
 //!   construction-time RNG draw — invariant under growth.
 //! * [`Ingestor`] — stages each batch as an on-disk **delta file** and
-//!   applies it to a run's [`DiskSetup`] (in-memory edge buckets *and* the
-//!   partition store's bucket files). Progress is tracked in a shared
+//!   applies it to a run's [`DiskSetup`] by appending to the partition
+//!   store's bucket files, the run's only record of its edges (each training
+//!   step reads its edges from them). Progress is tracked in a shared
 //!   [`StreamState`] cursor that the trainer records into checkpoint
 //!   manifests.
 //!
@@ -40,8 +41,8 @@
 //!
 //! Application happens only at disk-epoch boundaries, at the write-back safe
 //! point ([`marius_storage::pipeline::writeback_safe_point`]): the epoch's
-//! partition flush has drained, so bucket files and in-memory buckets agree
-//! before either is grown. The trainer invokes the ingest hook after an epoch's
+//! partition flush has drained and no step is reading the bucket files, so
+//! they can grow. The trainer invokes the ingest hook after an epoch's
 //! training and before its evaluation and checkpoint, and the hook draws no
 //! trainer RNG — the loss trajectory up to any boundary is bit-identical to
 //! a frozen-dataset run's, the in-order and threaded disk schedules stay
@@ -76,7 +77,7 @@ use marius_storage::{PartitionStore, Result, StorageError};
 use marius_telemetry::{Counter, NO_LABEL};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -244,7 +245,7 @@ impl Ingestor {
     /// buckets is exactly what recovery would replay. An error (e.g. an
     /// unabsorbed injected fault) propagates before the cursor advances:
     /// the failed delta is never applied, and at most `.tmp` litter remains.
-    pub fn ingest(&self, setup: &mut DiskSetup, batches: usize) -> Result<u64> {
+    pub fn ingest(&self, setup: &DiskSetup, batches: usize) -> Result<u64> {
         let mut span = self.staging.env().telemetry.scope("ingest");
         let mut total = 0u64;
         for _ in 0..batches {
@@ -280,35 +281,32 @@ impl Ingestor {
     }
 }
 
-/// Applies one decoded delta to a run's [`DiskSetup`]: appends each edge to
-/// its `(partition(src), partition(dst))` bucket in memory, then rewrites
-/// every touched bucket file so the store agrees (every training step reads
-/// its subgraph edges from the bucket *files*). Appending in
-/// delta order keeps the per-bucket edge order identical to what a full
-/// bucket rebuild from the grown, time-ordered edge list produces — the
-/// invariant streamed-run resume relies on.
-fn apply_delta(setup: &mut DiskSetup, edges: &[Edge]) -> Result<()> {
-    let p = setup.assignment.num_partitions();
-    let mut touched: BTreeSet<(u32, u32)> = BTreeSet::new();
+/// Applies one decoded delta to a run's [`DiskSetup`]: groups its edges by
+/// their `(partition(src), partition(dst))` bucket, in delta order, and
+/// appends each group to its bucket file with one
+/// [`PartitionStore::append_bucket`] (every training step reads its edges
+/// from the bucket files). Appending in delta order keeps the per-bucket
+/// edge order identical to what a full bucket rebuild from the grown,
+/// time-ordered edge list produces — the invariant streamed-run resume
+/// relies on. A delta with an edge outside the graph appends nothing.
+fn apply_delta(setup: &DiskSetup, edges: &[Edge]) -> Result<()> {
+    let assignment = setup.buffer.assignment();
+    let mut groups: BTreeMap<(u32, u32), Vec<Edge>> = BTreeMap::new();
     for e in edges {
-        if e.src >= setup.assignment.num_nodes() || e.dst >= setup.assignment.num_nodes() {
+        if e.src >= assignment.num_nodes() || e.dst >= assignment.num_nodes() {
             return Err(StorageError::NotResident {
                 reason: format!(
                     "streamed edge ({}, {}) references a node outside the {}-node graph",
                     e.src,
                     e.dst,
-                    setup.assignment.num_nodes()
+                    assignment.num_nodes()
                 ),
             });
         }
-        let (i, j) = setup.assignment.bucket_of(e);
-        setup.buckets[(i * p + j) as usize].edges.push(*e);
-        touched.insert((i, j));
+        groups.entry(assignment.bucket_of(e)).or_default().push(*e);
     }
-    for (i, j) in touched {
-        setup
-            .store
-            .write_bucket(i, j, &setup.buckets[(i * p + j) as usize].edges)?;
+    for ((i, j), group) in groups {
+        setup.buffer.store().append_bucket(i, j, &group)?;
     }
     Ok(())
 }

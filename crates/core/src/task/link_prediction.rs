@@ -13,7 +13,8 @@ use crate::source::{RepresentationSource, TableSource};
 use crate::trainer::read_all_embeddings;
 use marius_gnn::EmbeddingTable;
 use marius_graph::datasets::ScaledDataset;
-use marius_graph::{Edge, EdgeBucket, InMemorySubgraph, NodeId, Partitioner};
+use marius_graph::{Edge, InMemorySubgraph, NodeId, Partitioner};
+use marius_storage::pipeline::StepContext;
 use marius_storage::policy::ReplacementPolicy;
 use marius_storage::{
     BetaPolicy, CometPolicy, EpochPlan, PartitionBuffer, PartitionStore, Result, StorageError,
@@ -32,8 +33,9 @@ pub(crate) trait EdgeSplit: Sync {
     /// System name in a disk run's report label ("M-GNN_Disk").
     const DISK_SYSTEM: &'static str;
 
-    /// The training edges, in the order in-memory epochs and edge buckets
-    /// see them.
+    /// The training edges, in the order in-memory epochs see them and
+    /// disk set-up writes them into the bucket files (streamed ingest then
+    /// appends to those files only).
     fn train_edges(data: &ScaledDataset) -> Cow<'_, [Edge]>;
 
     /// The evaluation inputs. `train_subgraph` is an in-memory run's
@@ -223,8 +225,8 @@ impl<S: EdgeSplit> Task for S {
             .build_buckets(&train_graph, &assignment)
             .map_err(graph_err)?;
         let buffer = PartitionBuffer::new(
-            store.clone(),
-            assignment.clone(),
+            store,
+            assignment,
             model.input_dim,
             disk.buffer_capacity,
             true,
@@ -233,12 +235,8 @@ impl<S: EdgeSplit> Task for S {
         buffer.initialize_random(0.1, rng)?;
         buffer.initialize_buckets(&buckets)?;
         Ok(DiskSetup {
-            assignment,
-            buckets,
             buffer,
-            store,
             cached_partitions: 0,
-            writeback: true,
         })
     }
 
@@ -254,29 +252,22 @@ impl<S: EdgeSplit> Task for S {
     fn step_examples(
         &self,
         _data: &ScaledDataset,
-        buckets: &[EdgeBucket],
-        num_partitions: u32,
-        plan: &EpochPlan,
-        step: usize,
+        _plan: &EpochPlan,
+        ctx: &StepContext,
     ) -> Vec<Edge> {
-        let mut edges = Vec::new();
-        for &(i, j) in &plan.bucket_assignment[step] {
-            edges.extend_from_slice(&buckets[(i * num_partitions + j) as usize].edges);
-        }
-        edges
+        ctx.edges.clone()
     }
 
     fn step_example_count(
         &self,
         _data: &ScaledDataset,
-        buckets: &[EdgeBucket],
-        num_partitions: u32,
+        store: &PartitionStore,
         plan: &EpochPlan,
         step: usize,
-    ) -> usize {
+    ) -> Result<usize> {
         plan.bucket_assignment[step]
             .iter()
-            .map(|&(i, j)| buckets[(i * num_partitions + j) as usize].edges.len())
+            .map(|&(i, j)| store.bucket_len(i, j))
             .sum()
     }
 
@@ -286,7 +277,8 @@ impl<S: EdgeSplit> Task for S {
         _data: &ScaledDataset,
         setup: &DiskSetup,
     ) -> Result<Box<dyn RepresentationSource>> {
-        let flat = read_all_embeddings(&setup.store, &setup.assignment, model.input_dim)?;
+        let buffer = &setup.buffer;
+        let flat = read_all_embeddings(buffer.store(), buffer.assignment(), model.input_dim)?;
         Ok(Box::new(TableSource::new(EmbeddingTable::from_rows(
             flat,
             model.input_dim,

@@ -43,7 +43,8 @@ use crate::config::{DiskConfig, ModelConfig, TrainConfig};
 use crate::models::BatchStats;
 use crate::source::RepresentationSource;
 use marius_graph::datasets::ScaledDataset;
-use marius_graph::{EdgeBucket, InMemorySubgraph, NodeId, PartitionAssignment};
+use marius_graph::{InMemorySubgraph, NodeId};
+use marius_storage::pipeline::StepContext;
 use marius_storage::{EpochPlan, PartitionBuffer, PartitionStore, Result, StorageError};
 use rand::rngs::StdRng;
 
@@ -57,22 +58,18 @@ pub(crate) fn graph_err(e: marius_graph::GraphError) -> StorageError {
 
 /// Everything a disk-based training run needs, assembled once by
 /// [`Task::disk_setup`] and threaded through the epoch executors.
+///
+/// The buffer is the one record of the run's partition assignment
+/// ([`PartitionBuffer::assignment`]), its store ([`PartitionBuffer::store`])
+/// and whether its embeddings are learnt and written back
+/// ([`PartitionBuffer::learnable`]). The store's bucket files are the one
+/// record of its edges: each step trains on the buckets its context reads.
 pub struct DiskSetup {
-    /// The node → physical-partition mapping.
-    pub assignment: PartitionAssignment,
-    /// The `p × p` edge buckets in row-major order.
-    pub buckets: Vec<EdgeBucket>,
     /// The bounded in-memory partition buffer (initialised and ready).
     pub buffer: PartitionBuffer,
-    /// Handle to the on-disk partition store backing `buffer`.
-    pub store: PartitionStore,
     /// Number of leading partitions that hold training nodes (the `k` of the
     /// §5.2 caching policy; 0 for tasks that do not cache).
     pub cached_partitions: u32,
-    /// Whether the buffer holds learnable state that must be flushed back to
-    /// disk at the end of every epoch (true for trained embeddings, false for
-    /// fixed features).
-    pub writeback: bool,
 }
 
 /// A training workload: the task-specific half of the Figure 2 pipeline.
@@ -169,8 +166,9 @@ pub trait Task: Sync {
     /// configuration's policy does not apply to this task.
     fn disk_label(&self, disk: &DiskConfig) -> Result<String>;
 
-    /// Partitions the graph, materialises the on-disk layout in `store`, and
-    /// returns the initialised [`DiskSetup`].
+    /// Partitions the graph, materialises the on-disk layout in `store` (the
+    /// partitions and the edge bucket files, which are not kept in memory),
+    /// and returns the initialised [`DiskSetup`].
     fn disk_setup(
         &self,
         model: &ModelConfig,
@@ -189,32 +187,31 @@ pub trait Task: Sync {
         rng: &mut StdRng,
     ) -> Result<EpochPlan>;
 
-    /// The training examples assigned to plan step `step` (unshuffled; the
-    /// executors shuffle with the step RNG). May be empty for steps that only
-    /// stage partitions into the buffer.
+    /// The training examples of the plan step `ctx` was read for
+    /// (unshuffled; the executors shuffle with the step RNG), taken from the
+    /// step's context: its training edges or the dataset's labelled nodes.
+    /// May be empty for steps that only stage partitions into the buffer.
     fn step_examples(
         &self,
         data: &ScaledDataset,
-        buckets: &[EdgeBucket],
-        num_partitions: u32,
         plan: &EpochPlan,
-        step: usize,
+        ctx: &StepContext,
     ) -> Vec<Self::Example>;
 
-    /// The number of examples [`Task::step_examples`] would return, without
-    /// materialising them (used to pre-compute per-step batch budgets).
+    /// The number of examples [`Task::step_examples`] will return for plan
+    /// step `step`, from the bucket files' lengths in `store` rather than
+    /// their contents (used to pre-compute per-step batch budgets).
     fn step_example_count(
         &self,
         data: &ScaledDataset,
-        buckets: &[EdgeBucket],
-        num_partitions: u32,
+        store: &PartitionStore,
         plan: &EpochPlan,
         step: usize,
-    ) -> usize;
+    ) -> Result<usize>;
 
     /// The representation source used to evaluate a disk-based run (for
     /// learnable embeddings this reassembles the full table from disk). The
-    /// trainer calls this once per evaluated epoch for writeback setups and
+    /// trainer calls this once per evaluated epoch for learnable buffers and
     /// caches the result otherwise (fixed representations never change).
     fn disk_eval_source(
         &self,

@@ -6,7 +6,8 @@ use crate::config::{DiskConfig, ModelConfig, PolicyKind, TrainConfig};
 use crate::models::{BatchStats, NodeBatchBuilder, NodeClassificationModel, PreparedNodeBatch};
 use crate::source::{FixedFeatureSource, RepresentationSource};
 use marius_graph::datasets::{FeatureMatrix, ScaledDataset};
-use marius_graph::{EdgeBucket, InMemorySubgraph, NodeId, Partitioner};
+use marius_graph::{InMemorySubgraph, NodeId, Partitioner};
+use marius_storage::pipeline::StepContext;
 use marius_storage::policy::ReplacementPolicy;
 use marius_storage::{
     EpochPlan, NodeCachePolicy, PartitionBuffer, PartitionStore, Result, StorageError,
@@ -158,8 +159,8 @@ impl Task for NodeClassificationTask {
             .build_buckets(&data.graph, &assignment)
             .map_err(graph_err)?;
         let buffer = PartitionBuffer::new(
-            store.clone(),
-            assignment.clone(),
+            store,
+            assignment,
             model.input_dim,
             disk.buffer_capacity,
             false,
@@ -167,12 +168,8 @@ impl Task for NodeClassificationTask {
         buffer.initialize_from_features(features.data())?;
         buffer.initialize_buckets(&buckets)?;
         Ok(DiskSetup {
-            assignment,
-            buckets,
             buffer,
-            store,
             cached_partitions: k,
-            writeback: false,
         })
     }
 
@@ -189,14 +186,13 @@ impl Task for NodeClassificationTask {
     fn step_examples(
         &self,
         data: &ScaledDataset,
-        _buckets: &[EdgeBucket],
-        _num_partitions: u32,
         plan: &EpochPlan,
-        step: usize,
+        ctx: &StepContext,
     ) -> Vec<NodeId> {
         // Earlier steps only stage the cached working set into the buffer;
-        // every training batch belongs to the plan's final step.
-        if step + 1 == plan.partition_sets.len() {
+        // every training batch belongs to the plan's final step. The step's
+        // training edges only feed its sampling subgraph.
+        if ctx.step + 1 == plan.partition_sets.len() {
             data.node_split.train.clone()
         } else {
             Vec::new()
@@ -206,16 +202,15 @@ impl Task for NodeClassificationTask {
     fn step_example_count(
         &self,
         data: &ScaledDataset,
-        _buckets: &[EdgeBucket],
-        _num_partitions: u32,
+        _store: &PartitionStore,
         plan: &EpochPlan,
         step: usize,
-    ) -> usize {
-        if step + 1 == plan.partition_sets.len() {
+    ) -> Result<usize> {
+        Ok(if step + 1 == plan.partition_sets.len() {
             data.node_split.train.len()
         } else {
             0
-        }
+        })
     }
 
     fn disk_eval_source(

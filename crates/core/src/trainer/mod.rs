@@ -70,15 +70,16 @@ use std::time::Instant;
 pub type EpochHook = Box<dyn Fn(&EpochReport) -> Result<()> + Send + Sync>;
 
 /// A callback invoked at each disk-epoch boundary at the write-back safe
-/// point (every detached write-back drained, bucket files and in-memory
-/// buckets in agreement) — the one moment the training-edge set may grow.
-/// Receives the mutable [`DiskSetup`] (so staged edge deltas can be applied
-/// to both the in-memory buckets and the store's bucket files) and the
-/// zero-based epoch index just trained; returns the number of edges ingested
-/// at this boundary (`0` when the boundary is not an ingest point). The hook
-/// must not consume trainer RNG — it runs outside the seeded epoch executors,
-/// which is what keeps in-order and threaded streamed runs bit-identical.
-pub(crate) type IngestHook = Box<dyn Fn(&mut DiskSetup, usize) -> Result<u64> + Send + Sync>;
+/// point (every detached write-back drained, no step reading the bucket
+/// files) — the one moment the training-edge set may grow. Receives the
+/// [`DiskSetup`], whose store's bucket files are the run's only record of
+/// its edges (staged edge deltas are appended to them, and the next epoch
+/// trains on what they then hold), and the zero-based epoch index just
+/// trained; returns the number of edges ingested at this boundary (`0` when
+/// the boundary is not an ingest point). The hook must not consume trainer
+/// RNG — it runs outside the seeded epoch executors, which is what keeps
+/// in-order and threaded streamed runs bit-identical.
+pub(crate) type IngestHook = Box<dyn Fn(&DiskSetup, usize) -> Result<u64> + Send + Sync>;
 
 /// Blob name of the in-memory example-order permutation (the cross-epoch
 /// shuffle state of in-memory training).
@@ -251,7 +252,7 @@ impl<T: Task> Trainer<T> {
     /// already-configured trainer.
     pub fn set_ingest_hook(
         &mut self,
-        hook: impl Fn(&mut DiskSetup, usize) -> Result<u64> + Send + Sync + 'static,
+        hook: impl Fn(&DiskSetup, usize) -> Result<u64> + Send + Sync + 'static,
     ) {
         self.ingest_hook = Some(Box::new(hook));
     }
@@ -367,7 +368,7 @@ impl<T: Task> Trainer<T> {
             epoch_start: Default::default(),
         };
         let report = self.run_epochs(data, label, rng, model, &eval_ctx, &mut run)?;
-        let _ = run.setup.store.clear();
+        let _ = run.setup.buffer.store().clear();
         Ok(report)
     }
 
@@ -606,7 +607,7 @@ impl<T: Task> Executor<T> for Disk<'_, T> {
         // Construction replayed the fresh run's partition assignment, which
         // the snapshot's files are laid out by.
         if let Some(snapshot) = checkpoint.store_snapshot() {
-            self.setup.store.restore_from(snapshot)?;
+            self.setup.buffer.store().restore_from(snapshot)?;
         }
         Ok(())
     }
@@ -617,7 +618,8 @@ impl<T: Task> Executor<T> for Disk<'_, T> {
         rng: &mut StdRng,
         epoch: &mut EpochReport,
     ) -> Result<()> {
-        self.epoch_start = (self.setup.store.io_stats(), self.setup.buffer.stats());
+        let buffer = &self.setup.buffer;
+        self.epoch_start = (buffer.store().io_stats(), buffer.stats());
         let plan = self.trainer.task.epoch_plan(self.disk, &self.setup, rng)?;
         // Every random draw inside the epoch derives from this seed (per
         // step), so the two schedules are interchangeable bit-for-bit.
@@ -628,31 +630,26 @@ impl<T: Task> Executor<T> for Disk<'_, T> {
     fn end_epoch(&mut self, span: &mut SpanScope, epoch: &mut EpochReport) -> Result<()> {
         let setup = &mut self.setup;
         let epoch_idx = epoch.epoch as i64;
-        if setup.writeback {
+        if setup.buffer.learnable() {
             span.timed("epoch.flush", epoch_idx, NO_LABEL, || setup.buffer.flush())?;
         }
         if let Some(hook) = &self.trainer.ingest_hook {
             // Staged edge deltas are applied exactly here: after the epoch's
-            // flush (so the write-back ledger is drained and the store's
-            // bucket files agree with the in-memory buckets) and before
-            // evaluation and the boundary's checkpoint. The hook draws no
-            // trainer RNG, so the loss trajectory up to this boundary is
-            // identical to a frozen-dataset run's.
+            // flush (so the write-back ledger is drained and no step reads
+            // the bucket files) and before evaluation and the boundary's
+            // checkpoint. The hook draws no trainer RNG, so the loss
+            // trajectory up to this boundary is identical to a
+            // frozen-dataset run's.
             writeback_safe_point(&setup.buffer)?;
             span.begin("epoch.ingest", epoch_idx, NO_LABEL);
             epoch.edges_ingested = hook(setup, epoch.epoch)?;
             span.end();
         }
         let (io_start, buffer_start) = &self.epoch_start;
-        let io = setup.store.io_stats().since(io_start);
+        let io = setup.buffer.store().io_stats().since(io_start);
         epoch.io_bytes_read = io.bytes_read;
         epoch.io_bytes_written = io.bytes_written;
-        epoch.io_time = self
-            .trainer
-            .config
-            .emulated_device
-            .unwrap_or_default()
-            .stats_time(&io);
+        epoch.io_time = io.device_time;
         epoch.io_retries = io.io_retries;
         epoch.faults_injected = io.faults_injected;
         epoch.throttle_wait_time = io.throttle_wait;
@@ -684,7 +681,7 @@ impl<T: Task> Executor<T> for Disk<'_, T> {
             &trainer.config.train,
             rng,
         );
-        if !self.setup.writeback {
+        if !self.setup.buffer.learnable() {
             self.fixed_eval_source = Some(source);
         }
         Ok(metric)
@@ -695,8 +692,9 @@ impl<T: Task> Executor<T> for Disk<'_, T> {
         // the safe point all the same before linking the store's files into
         // the snapshot (a partition with a detached write-back in flight has
         // stale bytes on disk).
-        writeback_safe_point(&self.setup.buffer)?;
-        Ok(self.setup.writeback.then_some(&self.setup.store))
+        let buffer = &self.setup.buffer;
+        writeback_safe_point(buffer)?;
+        Ok(buffer.learnable().then_some(buffer.store()))
     }
 }
 
@@ -714,9 +712,7 @@ impl<T: Task> Disk<'_, T> {
     ) -> Result<()> {
         let (task, data) = (&self.trainer.task, self.data);
         let train = &self.trainer.config.train;
-        let setup = &mut self.setup;
-        let buckets = &setup.buckets;
-        let p = setup.assignment.num_partitions();
+        let buffer = &mut self.setup.buffer;
         // Each step's first epoch-wide batch index, so the budget cuts the
         // same batch whether steps are built in order or concurrently.
         let mut first_batch = Vec::with_capacity(plan.partition_sets.len());
@@ -724,13 +720,13 @@ impl<T: Task> Disk<'_, T> {
         for s in 0..plan.partition_sets.len() {
             first_batch.push(batches);
             batches += task
-                .step_example_count(data, buckets, p, plan, s)
+                .step_example_count(data, buffer.store(), plan, s)?
                 .div_ceil(train.batch_size);
         }
         let builder = task.batch_builder(model);
         let step_body =
             |ctx: &StepContext, step_rng: &mut StdRng, sink: &mut dyn FnMut(T::PreparedBatch)| {
-                let mut examples = task.step_examples(data, buckets, p, plan, ctx.step);
+                let mut examples = task.step_examples(data, plan, ctx);
                 examples.shuffle(step_rng);
                 for (k, chunk) in examples.chunks(train.batch_size).enumerate() {
                     if over_budget(train, first_batch[ctx.step] + k) {
@@ -753,7 +749,7 @@ impl<T: Task> Disk<'_, T> {
         let report = run_epoch(
             &self.trainer.config.pipeline,
             plan,
-            &mut setup.buffer,
+            buffer,
             epoch_seed,
             step_body,
             consume,
@@ -1024,6 +1020,51 @@ mod tests {
         // Twelve batches span several plan steps, each ending in a partial
         // batch, so the disk paths stop short of 12 full batches.
         assert_eq!(examples(&sequential), [1441, 1531]);
+    }
+
+    /// The bucket files are a disk run's only record of its edges: one edge
+    /// appended to one bucket file at epoch 0's boundary, through the store
+    /// alone, is trained on in epoch 1, on both schedules.
+    #[test]
+    fn an_edge_appended_to_a_bucket_file_trains_in_the_next_epoch() {
+        let data = lp_dataset();
+        for workers in [0, 2] {
+            let mut trainer = lp_trainer(0, Storage::Disk(DiskConfig::comet(8, 4)));
+            if workers > 0 {
+                trainer = threaded(trainer, workers);
+            }
+            trainer.set_ingest_hook(|setup, epoch| {
+                if epoch > 0 {
+                    return Ok(0);
+                }
+                let assignment = setup.buffer.assignment();
+                let edge =
+                    marius_graph::Edge::new(assignment.nodes_in(0)[0], assignment.nodes_in(1)[0]);
+                setup.buffer.store().append_bucket(0, 1, &[edge])?;
+                Ok(1)
+            });
+            let report = trainer.train(&data).unwrap();
+            let examples: Vec<usize> = report.epochs.iter().map(|e| e.examples).collect();
+            assert_eq!(
+                examples[1],
+                examples[0] + 1,
+                "{workers} workers: {examples:?}"
+            );
+        }
+    }
+
+    /// `io_time` is the device time the emulated device charged: zero
+    /// without one.
+    #[test]
+    fn a_disk_run_without_a_device_reports_no_io_time() {
+        let data = lp_dataset();
+        let storage = Storage::Disk(DiskConfig::comet(8, 4));
+        let report = lp_trainer(0, storage.clone()).train(&data).unwrap();
+        assert!(report.epochs.iter().all(|e| e.io_time == Duration::ZERO));
+        let mut emulated = lp_trainer(0, storage);
+        emulated.config.emulated_device = Some(marius_storage::IoCostModel::local_nvme());
+        let report = emulated.train(&data).unwrap();
+        assert!(report.epochs.iter().all(|e| e.io_time > Duration::ZERO));
     }
 
     #[test]

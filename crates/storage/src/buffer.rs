@@ -310,6 +310,13 @@ impl PartitionBuffer {
         &self.store
     }
 
+    /// Whether the buffer holds learnable embeddings, which updates change
+    /// and [`PartitionBuffer::flush`] writes back; `false` for fixed
+    /// features.
+    pub fn learnable(&self) -> bool {
+        self.learnable
+    }
+
     /// A snapshot of the swap hit/miss/eviction counts since the buffer was
     /// built.
     pub fn stats(&self) -> BufferStats {

@@ -147,6 +147,20 @@ pub fn encode_edges(edges: &[Edge]) -> Vec<u8> {
 /// records is an [`std::io::ErrorKind::InvalidData`] error: a torn file
 /// fails loudly instead of loading the edges before the cut.
 pub fn decode_edges(bytes: &[u8]) -> Result<Vec<Edge>> {
+    Ok(edge_records(bytes)?
+        .iter()
+        .map(|rec| {
+            let src = u64::from_le_bytes(std::array::from_fn(|i| rec[i]));
+            let dst = u64::from_le_bytes(std::array::from_fn(|i| rec[8 + i]));
+            let rel = u32::from_le_bytes(std::array::from_fn(|i| rec[16 + i]));
+            Edge::with_rel(src, rel, dst)
+        })
+        .collect())
+}
+
+/// The whole [`Edge::DISK_BYTES`] records of an edge file's bytes; a torn
+/// tail is the [`decode_edges`] error.
+fn edge_records(bytes: &[u8]) -> Result<&[[u8; Edge::DISK_BYTES]]> {
     let (records, torn) = bytes.as_chunks::<{ Edge::DISK_BYTES }>();
     if !torn.is_empty() {
         return Err(StorageError::Io(std::io::Error::new(
@@ -158,15 +172,7 @@ pub fn decode_edges(bytes: &[u8]) -> Result<Vec<Edge>> {
             ),
         )));
     }
-    Ok(records
-        .iter()
-        .map(|rec| {
-            let src = u64::from_le_bytes(std::array::from_fn(|i| rec[i]));
-            let dst = u64::from_le_bytes(std::array::from_fn(|i| rec[8 + i]));
-            let rel = u32::from_le_bytes(std::array::from_fn(|i| rec[16 + i]));
-            Edge::with_rel(src, rel, dst)
-        })
-        .collect())
+    Ok(records)
 }
 
 /// Atomically materialises `src`'s bytes at `dst`: hard-links when the two
@@ -208,6 +214,9 @@ pub struct IoStats {
     /// reservation queue ([`PartitionStore::with_emulated_device`]); zero on
     /// real devices, where the OS hides queueing from the process.
     pub throttle_wait: Duration,
+    /// Total device time the emulated device charged for this store's ops,
+    /// `transfer_time(bytes, 1)` per op; zero without an emulated device.
+    pub device_time: Duration,
 }
 
 impl IoStats {
@@ -221,6 +230,7 @@ impl IoStats {
             io_retries: self.io_retries.saturating_sub(earlier.io_retries),
             faults_injected: self.faults_injected.saturating_sub(earlier.faults_injected),
             throttle_wait: self.throttle_wait.saturating_sub(earlier.throttle_wait),
+            device_time: self.device_time.saturating_sub(earlier.device_time),
         }
     }
 }
@@ -237,6 +247,7 @@ struct IoCounters {
     io_retries: Counter,
     faults_injected: Counter,
     throttle_wait_ns: Counter,
+    device_ns: Counter,
 }
 
 impl IoCounters {
@@ -249,6 +260,7 @@ impl IoCounters {
             io_retries: telemetry.counter("storage.io_retries"),
             faults_injected: telemetry.counter("storage.faults_injected"),
             throttle_wait_ns: telemetry.counter("storage.throttle_wait_ns"),
+            device_ns: telemetry.counter("storage.device_ns"),
         }
     }
 
@@ -283,9 +295,10 @@ impl DeviceGate {
     }
 
     /// Reserves device time for one op of `bytes` and sleeps until the
-    /// reservation has elapsed. Returns the time actually slept — the
-    /// reservation wait that was invisible before throttle-wait accounting.
-    fn charge(&self, bytes: u64) -> Duration {
+    /// reservation has elapsed. Returns the device time charged and the time
+    /// actually slept — the reservation wait that was invisible before
+    /// throttle-wait accounting.
+    fn charge(&self, bytes: u64) -> (Duration, Duration) {
         let cost = self.model.transfer_time(bytes, 1);
         let finish = {
             // Recover rather than cascade if a peer thread panicked while
@@ -298,14 +311,11 @@ impl DeviceGate {
             *next_free = start + cost;
             *next_free
         };
-        let now = Instant::now();
-        if finish > now {
-            let wait = finish - now;
+        let wait = finish.saturating_duration_since(Instant::now());
+        if !wait.is_zero() {
             std::thread::sleep(wait);
-            wait
-        } else {
-            Duration::ZERO
         }
+        (cost, wait)
     }
 }
 
@@ -326,7 +336,8 @@ impl DeviceGate {
 /// counters it registers in the env's recorder (`storage.reads`,
 /// `storage.writes`, `storage.bytes_read`, `storage.bytes_written`,
 /// `storage.io_retries`, `storage.faults_injected`,
-/// `storage.throttle_wait_ns`); [`PartitionStore::io_stats`] reads the same
+/// `storage.throttle_wait_ns`, `storage.device_ns`);
+/// [`PartitionStore::io_stats`] reads the same
 /// counts, monotonic since open. [`PartitionStore::open`] opens under the
 /// default environment; [`IoEnv::open_store`] under any other.
 #[derive(Debug, Clone)]
@@ -429,12 +440,12 @@ impl PartitionStore {
     }
 
     /// Charges one op of `bytes` against the emulated device, if any, and
-    /// accounts the reservation wait.
+    /// accounts the device time charged and the reservation wait.
     fn throttle_op(&self, bytes: u64) {
         if let Some(gate) = &self.throttle {
-            self.counters
-                .throttle_wait_ns
-                .add_duration(gate.charge(bytes));
+            let (charged, waited) = gate.charge(bytes);
+            self.counters.device_ns.add_duration(charged);
+            self.counters.throttle_wait_ns.add_duration(waited);
         }
     }
 
@@ -471,6 +482,7 @@ impl PartitionStore {
             io_retries: c.io_retries.get(),
             faults_injected: c.faults_injected.get(),
             throttle_wait: Duration::from_nanos(c.throttle_wait_ns.get()),
+            device_time: Duration::from_nanos(c.device_ns.get()),
         }
     }
 
@@ -615,38 +627,64 @@ impl PartitionStore {
 
     /// Writes an edge bucket as fixed-width records.
     pub fn write_bucket(&self, src: PartitionId, dst: PartitionId, edges: &[Edge]) -> Result<()> {
-        let buf = encode_edges(edges);
-        self.place_file(
-            &format!("bucket/{src}_{dst}"),
-            &self.bucket_path(src, dst),
-            &buf,
-        )?;
-        self.counters.record_write(buf.len() as u64);
-        self.throttle_op(buf.len() as u64);
+        self.place_bucket(src, dst, &encode_edges(edges))
+    }
+
+    /// Appends `edges` to bucket `(src, dst)`: reads the file's records (a
+    /// missing file is an empty bucket) without decoding them, extends them
+    /// and places the whole file again as [`PartitionStore::write_bucket`]
+    /// does. A torn file is rejected, as a read rejects it, and nothing is
+    /// written.
+    pub fn append_bucket(&self, src: PartitionId, dst: PartitionId, edges: &[Edge]) -> Result<()> {
+        let mut bytes = self.read_bucket_bytes(src, dst)?;
+        edge_records(&bytes)?;
+        bytes.extend_from_slice(&encode_edges(edges));
+        self.place_bucket(src, dst, &bytes)
+    }
+
+    /// Atomically places an encoded bucket file and counts its write.
+    fn place_bucket(&self, src: PartitionId, dst: PartitionId, bytes: &[u8]) -> Result<()> {
+        let key = format!("bucket/{src}_{dst}");
+        self.place_file(&key, &self.bucket_path(src, dst), bytes)?;
+        self.counters.record_write(bytes.len() as u64);
+        self.throttle_op(bytes.len() as u64);
         Ok(())
+    }
+
+    /// The number of edges in bucket `(src, dst)`, from its file length
+    /// alone: nothing is read or counted. A missing file is an empty bucket;
+    /// a torn file counts its whole records, and reading it rejects it.
+    pub fn bucket_len(&self, src: PartitionId, dst: PartitionId) -> Result<usize> {
+        match fs::metadata(self.bucket_path(src, dst)) {
+            Ok(meta) => {
+                Ok(usize::try_from(meta.len() / Edge::DISK_BYTES as u64).unwrap_or(usize::MAX))
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(0),
+            Err(e) => Err(StorageError::Io(e)),
+        }
     }
 
     /// Reads an edge bucket. A missing file is treated as an empty bucket (empty
     /// buckets are common and not all of them are materialised).
     pub(crate) fn read_bucket(&self, src: PartitionId, dst: PartitionId) -> Result<Vec<Edge>> {
+        decode_edges(&self.read_bucket_bytes(src, dst)?)
+    }
+
+    /// A bucket file's bytes, read with the store's fault injection and
+    /// retry; a missing file reads as no bytes.
+    fn read_bucket_bytes(&self, src: PartitionId, dst: PartitionId) -> Result<Vec<u8>> {
         let key = format!("bucket/{src}_{dst}");
         self.retrying(&key, || {
             self.check_fault(|f| f.check_read(&key))?;
-            self.read_bucket_once(src, dst)
+            let buf = match fs::read(self.bucket_path(src, dst)) {
+                Ok(b) => b,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+                Err(e) => return Err(StorageError::Io(e)),
+            };
+            self.counters.record_read(buf.len().max(1) as u64);
+            self.throttle_op(buf.len().max(1) as u64);
+            Ok(buf)
         })
-    }
-
-    /// One read attempt of an edge bucket (no fault check, no retry).
-    fn read_bucket_once(&self, src: PartitionId, dst: PartitionId) -> Result<Vec<Edge>> {
-        let path = self.bucket_path(src, dst);
-        let buf = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(StorageError::Io(e)),
-        };
-        self.counters.record_read(buf.len().max(1) as u64);
-        self.throttle_op(buf.len().max(1) as u64);
-        decode_edges(&buf)
     }
 
     /// Snapshots every completed store file (node partitions and edge
@@ -919,6 +957,30 @@ mod tests {
     }
 
     #[test]
+    fn append_bucket_extends_the_file_and_bucket_len_counts_it() {
+        let store = temp_store("bucket-append");
+        let (old, new) = (
+            [Edge::new(1, 2), Edge::new(3, 4)],
+            [Edge::with_rel(5, 1, 6)],
+        );
+        store.write_bucket(0, 1, &old).unwrap();
+        store.append_bucket(0, 1, &new).unwrap();
+        assert_eq!(store.read_bucket(0, 1).unwrap(), [old[0], old[1], new[0]]);
+        assert_eq!(store.bucket_len(0, 1).unwrap(), 3);
+        // A missing file is an empty bucket, for the count and the append.
+        assert_eq!(store.bucket_len(2, 2).unwrap(), 0);
+        store.append_bucket(2, 2, &new).unwrap();
+        assert_eq!(store.read_bucket(2, 2).unwrap(), new);
+        // A torn file is rejected and left as it was.
+        let path = store.bucket_path(0, 1);
+        let torn = fs::read(&path).unwrap()[..Edge::DISK_BYTES + 3].to_vec();
+        fs::write(&path, &torn).unwrap();
+        let err = store.append_bucket(0, 1, &new).unwrap_err();
+        assert!(format!("{err}").contains("multiple"), "{err}");
+        assert_eq!(fs::read(&path).unwrap(), torn);
+    }
+
+    #[test]
     fn io_stats_track_reads_and_writes() {
         let store = temp_store("io-stats");
         store.write_partition(0, &[1.0; 16], &[0.0; 16]).unwrap();
@@ -978,6 +1040,30 @@ mod tests {
         let fast = PartitionStore::open(store.root()).unwrap();
         let (v, _) = fast.read_partition(0).unwrap();
         assert_eq!(v.len(), 512);
+    }
+
+    /// `device_time` is exactly what the gate charged: `transfer_time(bytes,
+    /// 1)` per op, reads and writes, with nothing estimated afterwards.
+    #[test]
+    fn device_time_is_the_sum_of_the_gates_charges() {
+        let model = IoCostModel::local_nvme();
+        let store = temp_store("device-time").with_emulated_device(model);
+        let edges = [Edge::new(0, 1), Edge::new(1, 2), Edge::new(2, 0)];
+        store.write_partition(0, &[1.0; 4], &[0.0; 4]).unwrap();
+        let _ = store.read_partition(0).unwrap();
+        store.write_bucket(0, 1, &edges).unwrap();
+        let _ = store.read_bucket(0, 1).unwrap();
+        store.append_bucket(0, 1, &edges[..2]).unwrap();
+        let record = Edge::DISK_BYTES as u64;
+        let op_bytes = [40, 40, 3 * record, 3 * record, 3 * record, 5 * record];
+        let expected: Duration = op_bytes.iter().map(|&b| model.transfer_time(b, 1)).sum();
+        let stats = store.io_stats();
+        assert_eq!(stats.reads + stats.writes, op_bytes.len() as u64);
+        assert_eq!(stats.device_time, expected);
+        assert_eq!(
+            temp_store("no-device").io_stats().device_time,
+            Duration::ZERO
+        );
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Block-storage cost model (the paper's EBS volume: 1 GB/s, 10 000 IOPS).
 //!
 //! Out-of-core experiments in this reproduction run against the local filesystem,
-//! which is much faster than the cloud volume the paper used. To regenerate the
-//! paper's epoch-time *shape*, benchmark harnesses convert the measured IO volume
-//! (from [`crate::disk::IoStats`]) into an estimated transfer time under this
-//! model, and combine it with compute time assuming prefetching overlaps the two
-//! (the paper's pipelined execution).
+//! which is much faster than the cloud volume the paper used. To reproduce the
+//! paper's IO regime, a store can emulate a device under this model
+//! ([`crate::PartitionStore::with_emulated_device`]): each op sleeps out the
+//! time the model charges for it, and [`crate::disk::IoStats::device_time`]
+//! sums those charges.
 
-use crate::disk::IoStats;
 use std::time::Duration;
 
 /// Bandwidth / IOPS / block-size model of a block storage device.
@@ -53,20 +52,6 @@ impl IoCostModel {
         let iops_time = ops as f64 / self.iops;
         Duration::from_secs_f64(bandwidth_time.max(iops_time))
     }
-
-    /// Estimated time for the IO described by a stats snapshot (reads plus writes).
-    pub fn stats_time(&self, stats: &IoStats) -> Duration {
-        self.transfer_time(
-            stats.bytes_read + stats.bytes_written,
-            stats.reads + stats.writes,
-        )
-    }
-}
-
-impl Default for IoCostModel {
-    fn default() -> Self {
-        IoCostModel::ebs_gp3()
-    }
 }
 
 #[cfg(test)]
@@ -104,19 +89,5 @@ mod tests {
             IoCostModel::local_nvme().transfer_time(bytes, 100)
                 < IoCostModel::ebs_gp3().transfer_time(bytes, 100)
         );
-    }
-
-    #[test]
-    fn stats_time_combines_reads_and_writes() {
-        let m = IoCostModel::ebs_gp3();
-        let stats = IoStats {
-            bytes_read: 500_000_000,
-            bytes_written: 500_000_000,
-            reads: 10,
-            writes: 10,
-            ..IoStats::default()
-        };
-        let t = m.stats_time(&stats);
-        assert!((t.as_secs_f64() - 1.0).abs() < 0.1);
     }
 }

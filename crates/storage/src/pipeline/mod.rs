@@ -1,8 +1,9 @@
 //! The out-of-core training step and its two schedules.
 //!
 //! Out-of-core training repeats one step per partition set `Sᵢ` of an
-//! [`EpochPlan`]: read the set's edge buckets into a sampling subgraph
-//! (`read_context`), read the partitions the buffer misses
+//! [`EpochPlan`]: read the set's edge buckets once, into a sampling subgraph
+//! and the step's training edges `Xᵢ` (`read_context`; the bucket files are
+//! the only record of a run's edges), read the partitions the buffer misses
 //! (`read_partitions`), swap them in (`PartitionBuffer::install_set`), write
 //! the evicted dirty partitions back (`WritebackLedger::write_back`), then
 //! build and train the step's batches. Each of those stage bodies is written
@@ -20,8 +21,8 @@
 //!             EpochPlan (replacement policy: COMET / BETA / node-cache)
 //!                 │ steps S₁ … Sₙ
 //!                 ▼
-//!  ┌──────────────────────────┐   StepContext (subgraph
-//!  │ Stage 1: prefetchers     │   + candidates)
+//!  ┌──────────────────────────┐   StepContext (subgraph,
+//!  │ Stage 1: prefetchers     │   edges + candidates)
 //!  │ (2 threads: contexts and ├──────────────┐  bounded, depth =
 //!  │ partitions) read the     │              │  `prefetch_depth`
 //!  │ PartitionStore ahead     │              ▼
@@ -189,9 +190,8 @@ impl Default for PipelineConfig {
 /// can *assert* the safe point instead of assuming it, and so future partial
 /// (mid-epoch) checkpoints have a primitive that waits for `writeback` to
 /// catch up with the installs. The streaming ingest path (`marius_core::stream`)
-/// asserts it for the same reason before applying staged edge deltas at an
-/// epoch boundary: growing a bucket is only safe once its file and its
-/// in-memory contents agree.
+/// asserts it before appending staged edge deltas to the bucket files at an
+/// epoch boundary: a bucket file may only grow while no step reads it.
 ///
 /// Errors only if a peer thread panicked while the ledger was locked (see
 /// `WritebackLedger::wait_drained`) — a typed error rather than a cascading
@@ -226,26 +226,50 @@ pub struct StepContext {
     /// The in-memory subgraph over the step's edge buckets, read in
     /// `set × set` order.
     pub subgraph: InMemorySubgraph,
+    /// The step's training edges: the buckets the plan assigns to the step,
+    /// concatenated in assignment order, from the same reads as `subgraph`.
+    pub edges: Vec<Edge>,
 }
 
 /// Stage body 1: reads step `step`'s context — the edge buckets between the
-/// partitions of `set`, in `set × set` order, built into the sampling
-/// subgraph, and the candidate nodes of `set` in ascending-partition order.
-/// Bucket files are immutable during an epoch, so this may run arbitrarily
-/// far ahead of the step's swap.
+/// partitions of its set, each read once in `set × set` order and built into
+/// the sampling subgraph, the training edges of the buckets the plan assigns
+/// to the step, in assignment order, and the candidate nodes of the set in
+/// ascending-partition order. A bucket assigned outside the set is an
+/// [`StorageError::InvalidPlan`]. Bucket files are immutable during an
+/// epoch, so this may run arbitrarily far ahead of the step's swap.
 fn read_context(
     store: &PartitionStore,
     assignment: &PartitionAssignment,
+    plan: &EpochPlan,
     step: usize,
-    set: &[PartitionId],
 ) -> Result<StepContext> {
-    let mut edges: Vec<Edge> = Vec::new();
+    let set = &plan.partition_sets[step];
+    let slot = |p: PartitionId| set.iter().position(|&q| q == p);
+    // Each assigned bucket's index among the set's `set × set` reads.
+    let assigned = plan.bucket_assignment[step]
+        .iter()
+        .map(|&(i, j)| match (slot(i), slot(j)) {
+            (Some(a), Some(b)) => Ok(a * set.len() + b),
+            _ => Err(StorageError::InvalidPlan {
+                reason: format!("step {step} assigns bucket ({i},{j}) outside its set {set:?}"),
+            }),
+        })
+        .collect::<Result<Vec<usize>>>()?;
+    let mut all: Vec<Edge> = Vec::new();
+    let mut ranges = Vec::with_capacity(set.len() * set.len());
     for &i in set {
         for &j in set {
-            edges.extend_from_slice(&store.read_bucket(i, j)?);
+            let start = all.len();
+            all.extend_from_slice(&store.read_bucket(i, j)?);
+            ranges.push(start..all.len());
         }
     }
-    let mut sorted_set = set.to_vec();
+    let mut edges = Vec::new();
+    for &k in &assigned {
+        edges.extend_from_slice(&all[ranges[k].clone()]);
+    }
+    let mut sorted_set = set.clone();
     sorted_set.sort_unstable();
     let mut candidates = Vec::new();
     for &p in &sorted_set {
@@ -253,9 +277,10 @@ fn read_context(
     }
     Ok(StepContext {
         step,
-        set: set.to_vec(),
+        set: set.clone(),
         candidates,
-        subgraph: InMemorySubgraph::from_edges(&edges),
+        subgraph: InMemorySubgraph::from_edges(&all),
+        edges,
     })
 }
 
@@ -612,7 +637,7 @@ where
     let mut no_spans = Telemetry::disabled().scope("");
     let mut report = PipelineReport::default();
     for (s, set) in plan.partition_sets.iter().enumerate() {
-        let ctx = read_context(&store, buffer.assignment(), s, set)?;
+        let ctx = read_context(&store, buffer.assignment(), plan, s)?;
         let new_parts = read_partitions(&store, &io_plan.loads[s], &mut no_spans, s)?;
         report.partition_loads += new_parts.len();
         let evicted = buffer.install_set(set, new_parts)?;
@@ -737,19 +762,19 @@ where
     std::thread::scope(|scope| {
         // ---- Stage 1a: the context prefetcher thread. ----------------
         // Bucket files are immutable during the epoch, so step contexts
-        // (subgraph, candidates) can be read arbitrarily far ahead of the
+        // (subgraph, edges, candidates) can be read arbitrarily far ahead of the
         // consumer — this is what lets stage-2 workers start sampling
         // future steps while earlier steps still compute.
         let ctx_handle = scope.spawn(|| {
             let body = |span: &mut SpanScope| -> Result<(Duration, Duration)> {
                 let (mut busy, mut stall) = (Duration::ZERO, Duration::ZERO);
-                for (s, set) in plan.partition_sets.iter().enumerate() {
+                for s in 0..plan.partition_sets.len() {
                     if sup.aborted() {
                         break;
                     }
                     span.begin("context-prefetch.step", s as i64, NO_LABEL);
                     let busy_start = Instant::now();
-                    let ctx = read_context(&store, &assignment, s, set);
+                    let ctx = read_context(&store, &assignment, plan, s);
                     busy += busy_start.elapsed();
                     span.end();
                     match step_queues[s % workers].push(ctx?) {
@@ -1236,8 +1261,23 @@ mod tests {
     fn read_context_reads_the_sets_buckets_and_candidates() {
         let buffer = build_buffer("pipe-context", 40, 4, 2);
         let (store, assignment) = (buffer.store(), buffer.assignment());
-        let ctx = read_context(store, assignment, 3, &[2, 0]).unwrap();
+        // Step 3's assignment is not in `set × set` order.
+        let assigned = vec![(0, 2), (2, 2), (0, 0)];
+        let mut plan = EpochPlan {
+            partition_sets: vec![vec![]; 3],
+            bucket_assignment: vec![vec![]; 3],
+        };
+        plan.partition_sets.push(vec![2, 0]);
+        plan.bucket_assignment.push(assigned.clone());
+        let ctx = read_context(store, assignment, &plan, 3).unwrap();
         assert_eq!((ctx.step, ctx.set.clone()), (3, vec![2, 0]));
+        // The training edges: the assigned bucket files, in assignment order.
+        let files: Vec<Edge> = assigned
+            .iter()
+            .flat_map(|&(i, j)| store.read_bucket(i, j).unwrap())
+            .collect();
+        assert!(!files.is_empty());
+        assert_eq!(ctx.edges, files);
         // The subgraph holds exactly the four buckets between 0 and 2.
         let expected: usize = [(2u32, 2u32), (2, 0), (0, 2), (0, 0)]
             .iter()
@@ -1249,6 +1289,10 @@ mod tests {
         let mut candidates = assignment.nodes_in(0).to_vec();
         candidates.extend_from_slice(assignment.nodes_in(2));
         assert_eq!(ctx.candidates, candidates);
+        // A bucket assigned outside the step's set is a typed plan error.
+        plan.bucket_assignment[3].push((1, 0));
+        let err = read_context(store, assignment, &plan, 3).err().unwrap();
+        assert!(matches!(err, StorageError::InvalidPlan { .. }), "{err}");
     }
 
     #[test]

@@ -558,11 +558,7 @@ impl<T: Task> SessionBuilder<T> {
         if let Some(hook) = self.epoch_hook {
             trainer = trainer.with_fallible_epoch_hook(hook);
         }
-        Ok(Session {
-            trainer,
-            data,
-            last_report: None,
-        })
+        Ok(Session { trainer, data })
     }
 }
 
@@ -571,7 +567,6 @@ impl<T: Task> SessionBuilder<T> {
 pub struct Session<T: Task> {
     trainer: Trainer<T>,
     data: ScaledDataset,
-    last_report: Option<ExperimentReport>,
 }
 
 impl Session<LinkPredictionTask> {
@@ -667,7 +662,6 @@ impl<T: Task + Default> Session<T> {
         for epoch in &mut report.epochs {
             epoch.recoveries = resumed_at.iter().filter(|&&at| at <= epoch.epoch).count();
         }
-        self.last_report = Some(report.clone());
         Ok(report)
     }
 
@@ -752,7 +746,6 @@ impl<T: Task + Default> Session<T> {
             trainer: Trainer::from_config(task, config, env)
                 .with_checkpoint(path, every)
                 .with_resume(ckpt),
-            last_report: None,
         })
     }
 }
@@ -843,26 +836,10 @@ impl<T: Task> Session<T> {
         });
     }
 
-    /// Trains per the session's configuration and returns (and caches) the
-    /// experiment report.
+    /// Trains per the session's configuration and returns the experiment
+    /// report.
     pub fn train(&mut self) -> Result<ExperimentReport> {
-        let report = self.trainer.train(&self.data)?;
-        self.last_report = Some(report.clone());
-        Ok(report)
-    }
-
-    /// The task metric (MRR / accuracy) of the most recent training run,
-    /// training first if the session has not run yet.
-    pub fn evaluate(&mut self) -> Result<f64> {
-        if let Some(report) = &self.last_report {
-            return Ok(report.final_metric());
-        }
-        Ok(self.train()?.final_metric())
-    }
-
-    /// The report of the most recent [`Session::train`] call, if any.
-    pub fn last_report(&self) -> Option<&ExperimentReport> {
-        self.last_report.as_ref()
+        self.trainer.train(&self.data)
     }
 
     /// The human-readable name of the task metric ("MRR", "accuracy").
@@ -873,11 +850,6 @@ impl<T: Task> Session<T> {
     /// The dataset this session trains on.
     pub fn dataset(&self) -> &ScaledDataset {
         &self.data
-    }
-
-    /// The underlying trainer (for advanced configuration inspection).
-    pub fn trainer(&self) -> &Trainer<T> {
-        &self.trainer
     }
 
     /// Opens a read-only [`Server`] over this session's checkpoint directory
@@ -967,21 +939,6 @@ mod tests {
         let report = session.train().unwrap();
         assert_eq!(report.epochs.len(), 2);
         assert_eq!(session.metric_name(), "MRR");
-        assert_eq!(session.evaluate().unwrap(), report.final_metric());
-        assert!(session.last_report().is_some());
-    }
-
-    #[test]
-    fn evaluate_triggers_training_when_needed() {
-        let mut session = Session::builder()
-            .dataset(tiny_lp())
-            .model(ModelConfig::paper_distmult(8))
-            .train(quick_train())
-            .build()
-            .unwrap();
-        let metric = session.evaluate().unwrap();
-        assert!(metric > 0.0);
-        assert_eq!(session.last_report().unwrap().epochs.len(), 2);
     }
 
     #[test]
@@ -1117,7 +1074,7 @@ mod tests {
             })
             .build()
             .unwrap();
-        assert!(session.trainer().resumed_from().is_none());
+        assert!(session.trainer.resumed_from().is_none());
         let report = session.train_with_recovery(8).unwrap();
         assert!(
             report.epochs[3].recoveries > 0,
@@ -1126,7 +1083,7 @@ mod tests {
         // The session is now the one rebuilt from the manifest, under the
         // failed one's environment: the same injector (not a copy), the
         // default retry policy, the live recorder.
-        let trainer = session.trainer();
+        let trainer = &session.trainer;
         assert!(trainer.resumed_from().is_some(), "not rebuilt");
         let env = trainer.io_env();
         assert!(Arc::ptr_eq(env.faults.as_ref().unwrap(), &injector));
@@ -1156,7 +1113,7 @@ mod tests {
         // injector, so every fault counted below hit a staging write.
         let store = PartitionStore::open_temp("staging-env-buckets").unwrap();
         store.clear().unwrap();
-        let mut setup = TemporalLinkPredictionTask
+        let setup = TemporalLinkPredictionTask
             .disk_setup(
                 &ModelConfig::paper_distmult(8),
                 data,
@@ -1166,14 +1123,14 @@ mod tests {
             )
             .unwrap();
         assert_eq!(injector.faults_injected(), 0);
-        let ingested = ingestor.ingest(&mut setup, 48).unwrap();
+        let ingested = ingestor.ingest(&setup, 48).unwrap();
         assert_eq!(ingested, 48 * 8);
         assert!(
             injector.faults_injected() > 0,
             "48 staging writes under an 8 % plan saw no fault: the staging \
              store is not attached to the session's injector"
         );
-        let _ = setup.store.clear();
+        let _ = setup.buffer.store().clear();
     }
 
     #[test]

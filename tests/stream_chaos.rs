@@ -119,7 +119,8 @@ fn flaky_streamed_run_is_bit_identical_to_fault_free() {
 
 /// A staging write that tears beyond the retry budget aborts the ingest
 /// cleanly: no readable delta file lands, only `.tmp` litter; the cursor does
-/// not advance; the buckets (in memory and on disk) are untouched.
+/// not advance; the bucket files, the run's only record of its edges, are
+/// untouched byte for byte.
 #[test]
 fn torn_delta_mid_ingest_is_never_applied() {
     let data = dataset();
@@ -128,10 +129,21 @@ fn torn_delta_mid_ingest_is_never_applied() {
     let store = PartitionStore::open_temp("stream-torn-setup").unwrap();
     store.clear().unwrap();
     let mut rng = StdRng::seed_from_u64(3);
-    let mut setup = task
+    let setup = task
         .disk_setup(&model(), &data, &disk, store, &mut rng)
         .unwrap();
-    let edges_before: Vec<usize> = setup.buckets.iter().map(|b| b.edges.len()).collect();
+    let bucket_files = || {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(setup.buffer.store().root())
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|path| path.to_string_lossy().contains("edge_bucket_"))
+            .map(|path| (path.display().to_string(), std::fs::read(&path).unwrap()))
+            .collect();
+        files.sort();
+        files
+    };
+    let files_before = bucket_files();
+    assert!(!files_before.is_empty());
 
     // Every staging write fails and tears, and the budget allows no retries:
     // the first delta's stage is guaranteed to die torn.
@@ -153,7 +165,7 @@ fn torn_delta_mid_ingest_is_never_applied() {
     let staging_root = staging.root().to_path_buf();
     let ingestor = Ingestor::new(EdgeStream::new(5, data.num_nodes(), 3, 16), staging);
 
-    let err = ingestor.ingest(&mut setup, 2).unwrap_err();
+    let err = ingestor.ingest(&setup, 2).unwrap_err();
     assert!(
         format!("{err}").contains("injected"),
         "unexpected error: {err}"
@@ -174,9 +186,12 @@ fn torn_delta_mid_ingest_is_never_applied() {
         "expected a torn .tmp prefix to remain"
     );
 
-    // Cursor and buckets are exactly as before the attempt.
+    // Cursor and bucket files are exactly as before the attempt.
     assert_eq!(ingestor.cursor().batches_applied, 0);
     assert_eq!(ingestor.cursor().edges_ingested, 0);
-    let edges_after: Vec<usize> = setup.buckets.iter().map(|b| b.edges.len()).collect();
-    assert_eq!(edges_before, edges_after, "torn delta reached the buckets");
+    assert!(
+        bucket_files() == files_before,
+        "torn delta reached the bucket files"
+    );
+    let _ = setup.buffer.store().clear();
 }
